@@ -245,15 +245,14 @@ BENCHMARK(BM_MorselAggregate)
 
 // Morsel-parallel partitioned hash join: a selective dimension build
 // side probed by a 200k-row fact side.
-// Args: {build rows, exec_threads, join_filter} — 1k build rows keep
-// ~99% of probes missing (the semi-join filter's best case); 100k
-// build rows make most probes hit, so the filter is pure overhead.
+// Args: {build rows, exec_threads} — 1k build rows keep ~99% of probes
+// missing (the semi-join filter's best case); 100k build rows make
+// most probes hit, so the filter is pure overhead there.
 // Counters mirror BM_MorselAggregate's cost-model view and add
 // `filter_skipped` so the pushdown's pruning is visible directly.
 void BM_HashJoin(benchmark::State& state) {
   const int build_rows = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool filter = state.range(2) != 0;
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   if (!db.Execute("create table dim (k int, tag int)").ok() ||
       !db.Execute("create table fact (fk int, v double)").ok()) {
@@ -283,10 +282,7 @@ void BM_HashJoin(benchmark::State& state) {
     state.SkipWithError("load failed");
     return;
   }
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute(std::string("set join_filter = ") +
-                  (filter ? "on" : "off"))
-           .ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -320,17 +316,16 @@ void BM_HashJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFactRows);
 }
 BENCHMARK(BM_HashJoin)
-    ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// Columnar vectorized aggregation vs. the row-at-a-time morsel path.
+// Columnar vectorized aggregation with the adaptive merge.
 // Args: {exec_threads, group cardinality}. The table scales with the
 // group count so 500k groups is a real high-cardinality merge, not a
-// capped one. The headline counter is `model_speedup` = row-path
-// 1-thread cpu_ops / columnar charged ops — how much cheaper the
-// vectorized kernels plus the adaptive merge make the query in the
-// simulator's virtual-time view. `merge_strategy` reports what the
-// adaptive chooser picked (1=central, 2=partitioned, 3=radix).
+// capped one. Counters: `cpu_ops` / `charged` (the cost model's
+// critical-path view, as in BM_MorselAggregate), `vec_rows`, and
+// `merge_strategy` — what the adaptive chooser picked (1=central,
+// 2=partitioned, 3=radix).
 void BM_ColumnarAggregate(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int groups = static_cast<int>(state.range(1));
@@ -354,21 +349,7 @@ void BM_ColumnarAggregate(benchmark::State& state) {
   const std::string sql =
       "select g, count(*), sum(v), avg(v), min(v), max(v) from c "
       "group by g";
-  // Row-path single-thread baseline: the denominator every columnar
-  // configuration is judged against.
-  if (!db.Execute("set exec_threads = 1").ok() ||
-      !db.Execute("set columnar_exec = off").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  auto base = db.Execute(sql);
-  if (!base.ok()) {
-    state.SkipWithError("baseline failed");
-    return;
-  }
-  const uint64_t row_ops = base->stats.cpu_ops;
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set columnar_exec = on").ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -386,11 +367,8 @@ void BM_ColumnarAggregate(benchmark::State& state) {
   const uint64_t width = static_cast<uint64_t>(threads);
   const uint64_t charged =
       (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["row_cpu_ops"] = static_cast<double>(row_ops);
   state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
   state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(row_ops) / static_cast<double>(charged);
   state.counters["vec_rows"] =
       static_cast<double>(stats.vectorized_rows);
   state.counters["merge_strategy"] =
@@ -404,9 +382,8 @@ BENCHMARK(BM_ColumnarAggregate)
 // Dictionary-encoded string predicates vs row-wise string compares.
 // Args: {exec_threads, predicate kind} — 0 equality, 1 IN-list,
 // 2 BETWEEN (all three compile to dict-code kernels), 3 LIKE (stays
-// on the row-wise per-conjunct fallback, the honesty check). The
-// headline counter follows BM_ColumnarAggregate's convention:
-// `model_speedup` = row-path 1-thread cpu_ops / columnar charged ops.
+// on the row-wise per-conjunct fallback, the honesty check). Counters
+// follow BM_ColumnarAggregate's convention plus `dict_hits`.
 void BM_DictPredicate(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int kind = static_cast<int>(state.range(1));
@@ -437,19 +414,7 @@ void BM_DictPredicate(benchmark::State& state) {
   const std::string sql = std::string("select count(*), sum(x) from "
                                       "strtab where ") +
                           kPreds[kind];
-  if (!db.Execute("set exec_threads = 1").ok() ||
-      !db.Execute("set columnar_exec = off").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  auto base = db.Execute(sql);
-  if (!base.ok()) {
-    state.SkipWithError("baseline failed");
-    return;
-  }
-  const uint64_t row_ops = base->stats.cpu_ops;
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set columnar_exec = on").ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -467,11 +432,8 @@ void BM_DictPredicate(benchmark::State& state) {
   const uint64_t width = static_cast<uint64_t>(threads);
   const uint64_t charged =
       (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["row_cpu_ops"] = static_cast<double>(row_ops);
   state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
   state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(row_ops) / static_cast<double>(charged);
   state.counters["dict_hits"] = static_cast<double>(stats.dict_hits);
   state.SetItemsProcessed(state.iterations() * kRows);
 }
@@ -479,12 +441,11 @@ BENCHMARK(BM_DictPredicate)
     ->ArgsProduct({{1, 2, 4, 8}, {0, 1, 2, 3}})
     ->Unit(benchmark::kMillisecond);
 
-// Vectorized probe side of the morsel partitioned hash join vs the
-// row-at-a-time probe. Same fact/dim shape as BM_HashJoin (1k-row
-// build side, ~99% of probes pruned by the semi-join filter — the
-// slice filter kernel's best case). Args: {exec_threads}. Baseline
-// convention matches BM_ColumnarAggregate: `model_speedup` =
-// row-probe 1-thread cpu_ops / vectorized charged ops.
+// Vectorized probe side of the morsel partitioned hash join. Same
+// fact/dim shape as BM_HashJoin (1k-row build side, ~99% of probes
+// pruned by the semi-join filter — the slice filter kernel's best
+// case). Args: {exec_threads}. Counters follow BM_ColumnarAggregate's
+// convention plus `probe_vec` and `filter_skipped`.
 void BM_VectorizedProbe(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -518,19 +479,7 @@ void BM_VectorizedProbe(benchmark::State& state) {
   const std::string sql =
       "select tag, count(*), sum(v) from fact, dim"
       " where fk = k group by tag";
-  if (!db.Execute("set exec_threads = 1").ok() ||
-      !db.Execute("set columnar_join = off").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  auto base = db.Execute(sql);
-  if (!base.ok()) {
-    state.SkipWithError("baseline failed");
-    return;
-  }
-  const uint64_t row_ops = base->stats.cpu_ops;
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set columnar_join = on").ok()) {
+  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
     state.SkipWithError("set failed");
     return;
   }
@@ -548,11 +497,8 @@ void BM_VectorizedProbe(benchmark::State& state) {
   const uint64_t width = static_cast<uint64_t>(threads);
   const uint64_t charged =
       (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["row_cpu_ops"] = static_cast<double>(row_ops);
   state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
   state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(row_ops) / static_cast<double>(charged);
   state.counters["probe_vec"] =
       static_cast<double>(stats.probe_vectorized_rows);
   state.counters["filter_skipped"] =

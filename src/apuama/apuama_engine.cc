@@ -1388,55 +1388,29 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
 
 namespace {
 
-// SET share_scans / SET result_cache also flip engine-level state:
-// the controller's admission gate reads those flags before any node
-// session sees a query. Idempotent, so the per-node broadcast calling
-// this once per backend is harmless.
-void MaybeFlipSharingKnob(ApuamaEngine* engine, const sql::Stmt& stmt) {
-  if (stmt.kind() != sql::StmtKind::kSet) return;
-  const auto& set = static_cast<const sql::SetStmt&>(stmt);
+// Some SETs also flip engine-level state: the controller's admission
+// gate reads the sharing flags before any node session sees a query,
+// and routing, exchange and the approximate tier live above the
+// nodes. Called only after the node's ExecuteSet accepted the
+// statement, so the value is already validated. Idempotent, so the
+// per-node broadcast calling this once per backend is harmless.
+void MirrorEngineKnob(ApuamaEngine* engine, const sql::SetStmt& set) {
   const std::string name = ToLower(set.name);
-  if (name == "exchange_strategy") {
-    engine->SetExchangeStrategy(set.value);
-    return;
-  }
-  if (name == "sample_seed") {
-    char* end = nullptr;
-    const long long seed = std::strtoll(set.value.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0' && !set.value.empty()) {
-      engine->SetSampleSeed(static_cast<int64_t>(seed));
-    }
-    return;  // bad value: the node's own ExecuteSet reports it
-  }
-  if (name == "approx_error_target") {
-    char* end = nullptr;
-    const double target = std::strtod(set.value.c_str(), &end);
-    if (end != nullptr && *end == '\0' && !set.value.empty() &&
-        target >= 0.0) {
-      engine->SetApproxErrorTarget(target);
-    }
-    return;
-  }
-  if (name != "share_scans" && name != "result_cache" &&
-      name != "fragmentation" && name != "approx") {
-    return;
-  }
   const std::string value = ToLower(set.value);
-  bool on;
-  if (value == "on" || value == "true" || value == "1") {
-    on = true;
-  } else if (value == "off" || value == "false" || value == "0") {
-    on = false;
-  } else {
-    return;  // the node's own ExecuteSet reports the bad value
-  }
-  if (name == "share_scans") {
+  const bool on = value == "on" || value == "true" || value == "1";
+  if (name == "exchange_strategy") {
+    engine->SetExchangeStrategy(value);
+  } else if (name == "sample_seed") {
+    engine->SetSampleSeed(std::strtoll(value.c_str(), nullptr, 10));
+  } else if (name == "approx_error_target") {
+    engine->SetApproxErrorTarget(std::strtod(value.c_str(), nullptr));
+  } else if (name == "share_scans") {
     engine->SetShareScans(on);
   } else if (name == "result_cache") {
     engine->SetResultCache(on);
   } else if (name == "approx") {
     engine->SetApproxEnabled(on);
-  } else {
+  } else if (name == "fragmentation") {
     engine->SetFragmentationEnabled(on);
   }
 }
@@ -1515,9 +1489,16 @@ class ApuamaConnection : public cjdbc::Connection {
         engine_->InvalidateResultCache();
         return result;
       }
-      case cjdbc::RequestKind::kControl:
-        MaybeFlipSharingKnob(engine_, *parsed);
-        return engine_->processor(node_id_)->Execute(sql);
+      case cjdbc::RequestKind::kControl: {
+        // The node validates first: a rejected SET must leave the
+        // engine-level mirror untouched.
+        auto result = engine_->processor(node_id_)->Execute(sql);
+        if (result.ok() && parsed->kind() == sql::StmtKind::kSet) {
+          MirrorEngineKnob(engine_,
+                           static_cast<const sql::SetStmt&>(*parsed));
+        }
+        return result;
+      }
     }
     return Status::Internal("unreachable");
   }

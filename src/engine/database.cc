@@ -79,18 +79,9 @@ int DefaultExecThreads() {
   return hw == 0 ? 1 : static_cast<int>(std::min<unsigned>(hw, 128));
 }
 
-bool DefaultColumnarExec() {
-  if (const char* env = std::getenv("APUAMA_COLUMNAR")) {
-    const std::string v = ToLower(env);
-    if (v == "off" || v == "false" || v == "0") return false;
-  }
-  return true;
-}
-
 Database::Database(DatabaseOptions options)
     : options_(options), pool_(options.buffer_pool_pages) {
   settings_.exec_threads = DefaultExecThreads();
-  settings_.enable_columnar_exec = DefaultColumnarExec();
 }
 
 ThreadPool* Database::exec_pool() {
@@ -112,8 +103,7 @@ Result<QueryResult> Database::Execute(const std::string& sql) {
 Database::SharedExecResult Database::ExecuteSharedSelects(
     const std::vector<std::string>& sqls) {
   SharedExecResult out;
-  if (settings_.enable_share_scans && settings_.enable_morsel_exec &&
-      sqls.size() >= 2) {
+  if (settings_.enable_share_scans && sqls.size() >= 2) {
     // Parse + fold every statement exactly as the solo path would; any
     // non-SELECT or parse failure sends the whole batch to fallback
     // (where each statement surfaces its own error).
@@ -155,6 +145,18 @@ Database::SharedExecResult Database::ExecuteSharedSelects(
     out.results.push_back(std::move(r));
   }
   return out;
+}
+
+Result<QueryResult> Database::ExecuteReference(const std::string& sql) {
+  APUAMA_ASSIGN_OR_RETURN(sql::StmtPtr stmt, sql::Parse(sql));
+  if (stmt->kind() != StmtKind::kSelect) {
+    return Status::InvalidArgument("ExecuteReference runs SELECTs only");
+  }
+  auto select = static_cast<const sql::SelectStmt&>(*stmt).Clone();
+  sql::FoldConstants(select.get());
+  ExecStats stats;
+  Executor exec(this, &stats, /*sequential_only=*/true);
+  return exec.ExecuteSelect(*select);
 }
 
 Result<QueryResult> Database::ExecuteStmt(const Stmt& stmt) {
@@ -729,20 +731,9 @@ Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
     settings_.exec_threads = static_cast<int>(v);
     return QueryResult{};
   }
-  if (name == "morsel_exec") return set_bool(&settings_.enable_morsel_exec);
-  if (name == "join_parallel") {
-    return set_bool(&settings_.enable_join_parallel);
-  }
-  if (name == "join_filter") return set_bool(&settings_.enable_join_filter);
   if (name == "share_scans") return set_bool(&settings_.enable_share_scans);
   if (name == "result_cache") {
     return set_bool(&settings_.enable_result_cache);
-  }
-  if (name == "columnar_exec") {
-    return set_bool(&settings_.enable_columnar_exec);
-  }
-  if (name == "columnar_join") {
-    return set_bool(&settings_.enable_columnar_join);
   }
   if (name == "fragmentation") {
     // Middleware knob (fragment routing + exchange live above the

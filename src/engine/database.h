@@ -41,17 +41,6 @@ struct SessionSettings {
   /// pipeline inline. Seeded from DefaultExecThreads(); `SET
   /// exec_threads = N` overrides per session.
   int exec_threads = 1;
-  /// Escape hatch: `SET morsel_exec = off` routes every query through
-  /// the sequential pipeline (ablation / legacy comparison).
-  bool enable_morsel_exec = true;
-  /// Morsel-parallel partitioned hash joins for multi-table
-  /// aggregates. `SET join_parallel = off` restores the legacy greedy
-  /// sequential hash-join chain (ablation / legacy comparison).
-  bool enable_join_parallel = true;
-  /// Build-side semi-join filter pushdown into the probe scan of the
-  /// parallel join pipeline. `SET join_filter = off` keeps the
-  /// partitioned join but probes every non-null key (ablation).
-  bool enable_join_filter = true;
   /// Inter-query work sharing: `SET share_scans = on` lets a batch of
   /// concurrent single-table aggregates over the same access path run
   /// one shared morsel scan (ExecuteSharedSelects). Off by default —
@@ -62,20 +51,6 @@ struct SessionSettings {
   /// the knob (caching happens above the node, in apuama/share);
   /// keeping it a session setting gives SET a uniform surface.
   bool enable_result_cache = false;
-  /// Column-major vectorized execution for morsel-eligible
-  /// aggregates. On by default (seeded from DefaultColumnarExec(),
-  /// i.e. the APUAMA_COLUMNAR environment variable); `SET
-  /// columnar_exec = off` restores the row-at-a-time morsel pipeline
-  /// byte for byte. Results are bit-identical either way — the knob
-  /// exists for ablations and as an escape hatch.
-  bool enable_columnar_exec = true;
-  /// Vectorized probe side for the morsel partitioned hash join:
-  /// driver morsels load join keys column-major, hash them in 8-row
-  /// slices, and consult the per-partition semi-join filter as a
-  /// slice kernel. Requires enable_columnar_exec; `SET columnar_join
-  /// = off` restores the row-at-a-time probe byte for byte. Results
-  /// are bit-identical either way.
-  bool enable_columnar_join = true;
   /// Adaptive aggregation-merge override: `SET merge_strategy =
   /// auto | central | partitioned | radix`. Auto picks from the
   /// partial-group cardinality observed after the first wave of
@@ -117,11 +92,6 @@ struct SessionSettings {
 /// hardware concurrency.
 int DefaultExecThreads();
 
-/// Default for SessionSettings::enable_columnar_exec: the
-/// APUAMA_COLUMNAR environment variable when set (off/0/false
-/// disables), otherwise on.
-bool DefaultColumnarExec();
-
 struct DatabaseOptions {
   /// Buffer pool capacity in 8 KiB pages; 0 = unbounded.
   size_t buffer_pool_pages = 4096;
@@ -136,6 +106,12 @@ class Database {
 
   /// Executes an already-parsed statement.
   Result<QueryResult> ExecuteStmt(const sql::Stmt& stmt);
+
+  /// Runs one SELECT on the sequential row executor only: neither the
+  /// statement nor any subquery it evaluates enters a morsel pipeline.
+  /// The oracle tests compare the morsel pipelines against; values
+  /// agree up to floating-point association.
+  Result<QueryResult> ExecuteReference(const std::string& sql);
 
   /// Result of executing a batch of SELECTs, possibly over one shared
   /// scan. `results[i]` corresponds to `sqls[i]` and is bit-identical
@@ -153,8 +129,9 @@ class Database {
 
   /// Executes a batch of SELECT statements. When `share_scans` is on
   /// and every statement is a morsel-eligible aggregate over the same
-  /// table and access path, they run as N consumers of ONE morsel
-  /// scan; otherwise each executes solo (fallback, still correct).
+  /// table and access path, they run as N columnar consumers of ONE
+  /// morsel scan; otherwise each executes solo (fallback, still
+  /// correct).
   SharedExecResult ExecuteSharedSelects(const std::vector<std::string>& sqls);
 
   storage::Catalog* catalog() { return &catalog_; }

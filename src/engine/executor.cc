@@ -324,10 +324,31 @@ bool StmtHasSubquery(const SelectStmt& s) {
   return false;
 }
 
+// True when the statement groups or aggregates: such statements go
+// through aggregation, and only they may take a morsel pipeline.
+bool StmtHasAggregation(const SelectStmt& stmt) {
+  if (!stmt.group_by.empty()) return true;
+  for (const auto& it : stmt.items) {
+    if (it.expr && sql::ContainsAggregate(*it.expr)) return true;
+  }
+  if (stmt.having && sql::ContainsAggregate(*stmt.having)) return true;
+  for (const auto& o : stmt.order_by) {
+    if (sql::ContainsAggregate(*o.expr)) return true;
+  }
+  return false;
+}
+
 // Rows per intra-node scan morsel. The decomposition is page-aligned
 // (Table::Morsels) and depends only on table contents, never on the
 // thread count.
 constexpr size_t kMorselRows = 1024;
+
+// Width of a morsel region: exec_threads, capped by the morsel count.
+size_t MorselWidth(int exec_threads, size_t morsels) {
+  if (morsels == 0) return 1;
+  return std::min<size_t>(static_cast<size_t>(std::max(exec_threads, 1)),
+                          morsels);
+}
 
 // Hash partitions for the parallel merge of per-morsel aggregation
 // partials. Fixed (never thread-dependent) so the decomposition and
@@ -388,11 +409,11 @@ class KeyFilter {
   std::array<uint64_t, kBits / 64> words_{};
 };
 
-// Morsel-private partial aggregation state: every morsel owns a
-// private set of hash tables and counters, so workers share no mutable
-// state. Keys are hash-partitioned at build time so the merge can fan
-// out too; the partition count is a fixed constant (never
-// thread-dependent) to keep the decomposition — and thus all
+// Morsel-private partial state of the join pipeline: every driver
+// morsel owns a private set of hash tables and counters, so workers
+// share no mutable state. Keys are hash-partitioned at build time so
+// the merge can fan out too; the partition count is a fixed constant
+// (never thread-dependent) to keep the decomposition — and thus all
 // accounting — identical at every thread count.
 struct MorselPartial {
   std::array<std::unordered_map<Row, AggGroup, RowHash, RowEq>,
@@ -400,19 +421,18 @@ struct MorselPartial {
       groups;
   uint64_t cpu = 0;
   uint64_t scanned = 0;
-  uint64_t probed = 0;          // join pipeline only
-  uint64_t filter_skipped = 0;  // join pipeline only
-  uint64_t vec_rows = 0;        // columnar join driver only
-  uint64_t probe_vec = 0;       // rows through the vectorized probe kernel
-  uint64_t dict_hits = 0;       // rows through dictionary-code kernels
+  uint64_t probed = 0;
+  uint64_t filter_skipped = 0;
+  uint64_t vec_rows = 0;
+  uint64_t probe_vec = 0;   // rows through the vectorized probe kernel
+  uint64_t dict_hits = 0;   // rows through dictionary-code kernels
 };
 
-// One row's contribution to a morsel-private partial: evaluate the
-// GROUP BY key against ctx's current scope row, bucket it into its
+// One joined row's contribution to a morsel-private partial: evaluate
+// the GROUP BY key against ctx's current scope row, bucket it into its
 // fixed merge partition, and fold every aggregate argument into the
-// group's accumulators. Shared by the single-table morsel pipeline
-// and the tail of the morsel join probe chain. ctx.cpu_ops must point
-// at the morsel's private counter.
+// group's accumulators. The tail of the morsel join probe chain;
+// ctx.cpu_ops must point at the morsel's private counter.
 Status AccumulateRow(const SelectStmt& stmt,
                      const std::vector<const Expr*>& agg_nodes,
                      const EvalContext& ctx, const Row& repr,
@@ -981,14 +1001,42 @@ Result<Executor::ScanPlan> Executor::PlanScan(
           cb.lo.present ? &cb.lo.value : nullptr, cb.lo.inclusive,
           cb.hi.present ? &cb.hi.value : nullptr, cb.hi.inclusive);
       stats_->cpu_ops += pks.size();
-      // Cost: one (possibly random) page per matching row, deduped
-      // after sorting positions — a bitmap heap scan.
+      // Index entries name rows by clustered-key tuple, which is empty
+      // without a clustered key and need not be unique: resolve each
+      // distinct tuple to every row sharing it whose indexed column is
+      // within the bounds. Distinct tuples own disjoint heap ranges, so
+      // the positions come out duplicate-free.
+      const storage::KeyLess key_less;
+      std::sort(pks.begin(), pks.end(),
+                [&](const Row* a, const Row* b) { return key_less(*a, *b); });
+      pks.erase(std::unique(pks.begin(), pks.end(),
+                            [&](const Row* a, const Row* b) {
+                              return !key_less(*a, *b) && !key_less(*b, *a);
+                            }),
+                pks.end());
+      auto in_bounds = [&b = cb](const Value& v) {
+        if (b.lo.present) {
+          const int c = v.Compare(b.lo.value);
+          if (c < 0 || (c == 0 && !b.lo.inclusive)) return false;
+        }
+        if (b.hi.present) {
+          const int c = v.Compare(b.hi.value);
+          if (c > 0 || (c == 0 && !b.hi.inclusive)) return false;
+        }
+        return true;
+      };
       std::vector<size_t> positions;
       positions.reserve(pks.size());
       for (const Row* pk : pks) {
-        size_t pos = t.PositionOfKey(*pk);
-        if (pos < t.num_rows()) positions.push_back(pos);
+        const auto [begin, end] = t.KeyRange(*pk);
+        for (size_t pos = begin; pos < end; ++pos) {
+          if (in_bounds(t.row(pos)[static_cast<size_t>(col)])) {
+            positions.push_back(pos);
+          }
+        }
       }
+      // Cost: one (possibly random) page per matching row, deduped
+      // after sorting positions — a bitmap heap scan.
       std::sort(positions.begin(), positions.end());
       size_t rpp = t.rows_per_page();
       size_t pages = 0;
@@ -1446,15 +1494,7 @@ Result<bool> Executor::SubqueryContains(const SelectStmt& sub,
 
 Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
                                             const EvalScope* outer) {
-  bool has_agg = !stmt.group_by.empty();
-  for (const auto& it : stmt.items) {
-    if (it.expr && sql::ContainsAggregate(*it.expr)) has_agg = true;
-  }
-  if (stmt.having && sql::ContainsAggregate(*stmt.having)) has_agg = true;
-  for (const auto& o : stmt.order_by) {
-    if (sql::ContainsAggregate(*o.expr)) has_agg = true;
-  }
-
+  const bool has_agg = StmtHasAggregation(stmt);
   Result<QueryResult> result = QueryResult{};
   bool done = false;
   if (has_agg && MorselEligible(stmt, outer)) {
@@ -1618,12 +1658,12 @@ Result<QueryResult> FinalizeGroups(Executor* exec, ExecStats* stats,
 // ---------------------------------------------------------------------------
 namespace {
 
-// Merge buckets for the columnar path. A superset of the row path's
-// 16 partitions: the radix strategy merges all 64 in parallel, the
-// partitioned strategy assigns 4 buckets to each of 16 tasks, and the
-// central strategy folds them on the coordinator. Fixed (never
-// thread-dependent) so the decomposition is identical at every
-// exec_threads.
+// Merge buckets for the columnar path. A superset of the join
+// pipeline's 16 partitions: the radix strategy merges all 64 in
+// parallel, the partitioned strategy assigns 4 buckets to each of 16
+// tasks, and the central strategy folds them on the coordinator.
+// Fixed (never thread-dependent) so the decomposition is identical at
+// every exec_threads.
 constexpr size_t kRadixBuckets = 64;
 
 // Auto-strategy thresholds on the maximum partial-group count any
@@ -1689,10 +1729,6 @@ struct ColumnarPlan {
   std::vector<PredStep> preds;
   std::vector<ColKeySpec> keys;
   std::vector<ColAggSpec> aggs;
-  // True when at least one predicate or aggregate argument (or a
-  // count(*)) vectorized; otherwise the columnar path would be the
-  // row path with extra steps and the caller stays row-wise.
-  bool any_vec = false;
 };
 
 ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
@@ -1704,11 +1740,7 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
   for (const Expr* p : preds) {
     ColumnarPlan::PredStep step;
     step.vec = CompileVecPredicate(*p, header, chunk);
-    if (step.vec != nullptr) {
-      cp.any_vec = true;
-    } else {
-      step.row = p;
-    }
+    if (step.vec == nullptr) step.row = p;
     cp.preds.push_back(std::move(step));
   }
   for (const auto& g : stmt.group_by) {
@@ -1726,11 +1758,8 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
     spec.func = AggFuncOf(*a);
     spec.star = a->star_arg;
     spec.distinct = a->distinct;
-    if (spec.star) {
-      cp.any_vec = true;  // count(*) folds as a bulk add
-    } else if (!a->children.empty()) {
+    if (!spec.star && !a->children.empty()) {
       spec.arg = CompileVecExpr(*a->children[0], header, chunk);
-      if (spec.arg != nullptr) cp.any_vec = true;
     }
     cp.aggs.push_back(std::move(spec));
   }
@@ -2164,6 +2193,294 @@ bool FastRowBefore(const FastRow& a, const FastRow& b,
   return storage::KeyLess{}(*a.gkey, *b.gkey);
 }
 
+// One query riding a columnar morsel scan: its compiled plan, scan
+// header and aggregate inventory, plus one private partial per
+// morsel. Solo execution runs one consumer; a shared scan runs several
+// over the same morsels through the same two functions below, so each
+// consumer's result is bit-identical to its solo run.
+struct ColumnarConsumer {
+  const SelectStmt* stmt = nullptr;
+  const Relation* header = nullptr;
+  const std::vector<const Expr*>* agg_nodes = nullptr;
+  ColumnarPlan plan;
+  std::vector<ColumnarPartial> partials;
+};
+
+// Runs morsel `mi` of one consumer. `sel` holds the morsel's heap
+// positions in scan order; the WHERE conjuncts narrow it in order,
+// then each vectorized aggregate argument is evaluated once over the
+// survivors and folded into the morsel's private partial.
+Status RunColumnarMorsel(const storage::Table& t, size_t mi,
+                         std::vector<uint32_t> sel, ColumnarConsumer* c) {
+  const ColumnarPlan& cp = c->plan;
+  ColumnarPartial& part = c->partials[mi];
+  part.scanned += sel.size();
+
+  // Row-wise fallback machinery, used only by non-vectorizable
+  // predicates / arguments / key expressions.
+  ColumnResolver resolver(c->header);
+  EvalScope scope{&resolver, nullptr, nullptr};
+  EvalContext ctx;
+  ctx.scope = &scope;
+  ctx.executor = nullptr;  // eligibility guaranteed no subqueries
+  ctx.cpu_ops = &part.cpu;
+
+  for (const ColumnarPlan::PredStep& step : cp.preds) {
+    if (sel.empty()) break;
+    if (step.vec != nullptr) {
+      APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *cp.chunk, &sel, &part.cpu,
+                                     &part.vec_rows, &part.dict_hits));
+    } else {
+      std::vector<uint32_t> keep;
+      keep.reserve(sel.size());
+      for (uint32_t pos : sel) {
+        scope.row = &t.row(pos);
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctx));
+        if (Truthiness(v) == 1) keep.push_back(pos);
+      }
+      sel = std::move(keep);
+    }
+  }
+  if (sel.empty()) return Status::OK();
+  const size_t n = sel.size();
+
+  // One kernel pass per vectorized aggregate argument over the final
+  // selection — computed once, shared by every group.
+  std::vector<VecData> argv(cp.aggs.size());
+  for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
+    if (cp.aggs[ai].arg != nullptr) {
+      APUAMA_RETURN_NOT_OK(EvalVec(*cp.aggs[ai].arg, *cp.chunk, sel,
+                                   &argv[ai], &part.cpu, &part.vec_rows));
+    }
+  }
+
+  if (c->stmt->group_by.empty()) {
+    AggGroup& g = part.global;
+    if (!part.global_any) {
+      g.repr = t.row(sel[0]);
+      g.accs.resize(cp.aggs.size());
+      part.global_any = true;
+    }
+    for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
+      const ColAggSpec& spec = cp.aggs[ai];
+      if (spec.star || spec.arg != nullptr) {
+        part.cpu += VecOps(n);
+        part.vec_rows += spec.star ? n : 0;
+        FoldVecGlobal(spec, argv[ai], n, &g.accs[ai]);
+      } else {
+        for (uint32_t pos : sel) {
+          scope.row = &t.row(pos);
+          ++part.cpu;
+          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
+          AggUpdate(&g.accs[ai], *spec.agg, v);
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  // Grouped: gather the key per row (slot copy or Eval fallback),
+  // bucket it, and fold each aggregate from its argument vector.
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t pos = sel[k];
+    const Row& r = t.row(pos);
+    Row key;
+    key.reserve(cp.keys.size());
+    for (const ColKeySpec& ks : cp.keys) {
+      if (ks.slot >= 0) {
+        key.push_back(r[static_cast<size_t>(ks.slot)]);
+      } else {
+        scope.row = &r;
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*ks.expr, ctx));
+        key.push_back(std::move(v));
+      }
+    }
+    // Key gather + hash + group lookup: one op per row, the same rate
+    // as the join pipeline's AccumulateRow bucketing.
+    ++part.cpu;
+    const size_t bucket = RowHash{}(key) % kRadixBuckets;
+    auto [it, inserted] = part.buckets[bucket].try_emplace(std::move(key));
+    AggGroup& grp = it->second;
+    if (inserted) {
+      grp.repr = r;
+      grp.accs.resize(cp.aggs.size());
+      ++part.group_n;
+    }
+    for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
+      const ColAggSpec& spec = cp.aggs[ai];
+      if (spec.star || spec.arg != nullptr) {
+        UpdateAccFromVec(spec, argv[ai], k, &grp.accs[ai]);
+      } else {
+        scope.row = &r;
+        ++part.cpu;
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
+        AggUpdate(&grp.accs[ai], *spec.agg, v);
+      }
+    }
+  }
+  // Vectorized accumulator updates charge at the slice rate, one pass
+  // per vectorized aggregate.
+  for (const ColAggSpec& spec : cp.aggs) {
+    if (spec.star || spec.arg != nullptr) {
+      part.cpu += VecOps(n);
+      part.vec_rows += spec.star ? n : 0;
+    }
+  }
+  return Status::OK();
+}
+
+// Merge + finalize for one consumer once all its morsels ran: charges
+// the partials' counters to `stats`, merges the partial groups under
+// the adaptive strategy, and projects/sorts the output. `threads` is
+// the morsel region's width; a null `pool` runs everything inline.
+Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
+                                            const SessionSettings& settings,
+                                            ThreadPool* pool, size_t threads,
+                                            ColumnarConsumer* c) {
+  const SelectStmt& stmt = *c->stmt;
+  const Relation& header = *c->header;
+  const std::vector<const Expr*>& agg_nodes = *c->agg_nodes;
+  std::vector<ColumnarPartial>& partials = c->partials;
+
+  stats->morsels += partials.size();
+  if (static_cast<uint32_t>(threads) > stats->exec_threads) {
+    stats->exec_threads = static_cast<uint32_t>(threads);
+  }
+  for (const ColumnarPartial& part : partials) {
+    stats->tuples_scanned += part.scanned;
+    stats->cpu_ops += part.cpu;
+    stats->cpu_ops_parallel += part.cpu;
+    stats->vectorized_rows += part.vec_rows;
+    stats->dict_hits += part.dict_hits;
+  }
+
+  obs::Span merge_span =
+      obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
+  if (stmt.group_by.empty()) {
+    // GROUP BY-less: one accumulator per morsel, folded sequentially
+    // in morsel order (a central merge by definition).
+    ++stats->merge_central;
+    GroupMap groups;
+    AggGroup g;
+    bool any = false;
+    uint64_t mcpu = 0;
+    for (ColumnarPartial& part : partials) {
+      if (!part.global_any) continue;
+      ++mcpu;
+      if (!any) {
+        g = std::move(part.global);
+        any = true;
+        continue;
+      }
+      for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
+        ++mcpu;
+        AggMerge(&g.accs[ai], part.global.accs[ai], *agg_nodes[ai]);
+      }
+    }
+    stats->cpu_ops += mcpu;
+    if (!any) {
+      // Global aggregate over empty input still yields one group.
+      g.repr = Row(header.columns.size(), Value::Null());
+      g.accs.resize(agg_nodes.size());
+    }
+    ++stats->cpu_ops;
+    groups.emplace(Row{}, std::move(g));
+    merge_span.End();
+    return FinalizeGroups(exec, stats, stmt, header, &groups, agg_nodes,
+                          nullptr);
+  }
+
+  const MergeStrategy strat = ChooseMergeStrategy(settings, partials, threads);
+  switch (strat) {
+    case MergeStrategy::kCentral:
+      ++stats->merge_central;
+      break;
+    case MergeStrategy::kPartitioned:
+      ++stats->merge_partitioned;
+      break;
+    default:
+      ++stats->merge_radix;
+      break;
+  }
+  if (merge_span.active()) {
+    merge_span.AddAttr("strategy", static_cast<int64_t>(strat));
+  }
+  auto merged = std::make_unique<ColumnarMerged>();
+  APUAMA_RETURN_NOT_OK(MergeColumnarPartials(pool, strat, &partials,
+                                             agg_nodes, merged.get(), stats));
+  merge_span.End();
+
+  std::vector<std::string> out_names;
+  for (const auto& it : stmt.items) {
+    out_names.push_back(OutputName(it, out_names.size()));
+  }
+  FastFinalizePlan fp;
+  if (!PlanFastFinalize(stmt, header, agg_nodes, out_names, &fp)) {
+    // General tail: fold the buckets into the canonical ordered map
+    // (bucket order is irrelevant — the map sorts) and run the shared
+    // sequential finalizer.
+    GroupMap groups;
+    for (GroupMap& gm : merged->buckets) {
+      for (auto& [key, g] : gm) {
+        ++stats->cpu_ops;
+        groups.emplace(key, std::move(g));
+      }
+    }
+    return FinalizeGroups(exec, stats, stmt, header, &groups, agg_nodes,
+                          nullptr);
+  }
+
+  // Fast tail: per-bucket projection + sort runs under the same
+  // parallel structure as the merge (central stays sequential), then a
+  // sequential k-way merge stitches the bucket runs together.
+  auto frows =
+      std::make_unique<std::array<std::vector<FastRow>, kRadixBuckets>>();
+  std::array<uint64_t, kRadixBuckets> fcpu{};
+  auto finalize_bucket = [&](size_t b) {
+    fcpu[b] =
+        FastFinalizeBucket(merged->buckets[b], fp, agg_nodes, &(*frows)[b]);
+  };
+  if (strat == MergeStrategy::kCentral) {
+    for (size_t b = 0; b < kRadixBuckets; ++b) finalize_bucket(b);
+    for (uint64_t cost : fcpu) stats->cpu_ops += cost;
+  } else {
+    const size_t tasks =
+        strat == MergeStrategy::kPartitioned ? kMergePartitions : kRadixBuckets;
+    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, tasks, [&](size_t p) -> Status {
+      for (size_t b = p; b < kRadixBuckets; b += tasks) finalize_bucket(b);
+      return Status::OK();
+    }));
+    for (uint64_t cost : fcpu) {
+      stats->cpu_ops += cost;
+      stats->cpu_ops_parallel += cost;
+    }
+  }
+
+  QueryResult qr;
+  qr.column_names = std::move(out_names);
+  size_t total = 0;
+  for (const auto& v : *frows) total += v.size();
+  qr.rows.reserve(total);
+  std::array<size_t, kRadixBuckets> cursor{};
+  for (size_t produced = 0; produced < total; ++produced) {
+    size_t best = kRadixBuckets;
+    for (size_t b = 0; b < kRadixBuckets; ++b) {
+      if (cursor[b] >= (*frows)[b].size()) continue;
+      if (best == kRadixBuckets ||
+          FastRowBefore((*frows)[b][cursor[b]], (*frows)[best][cursor[best]],
+                        fp.desc)) {
+        best = b;
+      }
+    }
+    qr.rows.push_back(std::move((*frows)[best][cursor[best]].out));
+    ++cursor[best];
+    ++stats->cpu_ops;
+  }
+  if (stmt.distinct) DedupePreservingOrder(&qr.rows);
+  ApplyOffsetLimit(stmt, &qr.rows);
+  return qr;
+}
+
 }  // namespace
 
 Result<QueryResult> Executor::ProjectOnly(const SelectStmt& stmt,
@@ -2288,8 +2605,8 @@ Result<QueryResult> Executor::AggregateAndProject(const SelectStmt& stmt,
 bool Executor::MorselEligible(const SelectStmt& stmt,
                               const EvalScope* outer) const {
   if (outer != nullptr) return false;  // correlated context
-  if (!db_->settings()->enable_morsel_exec) return false;
-  if (stmt.from.size() != 1) return false;  // joins stay sequential
+  if (sequential_only_) return false;
+  if (stmt.from.size() != 1) return false;  // joins: MorselJoinEligible
   for (const auto& item : stmt.items) {
     if (item.star) return false;
   }
@@ -2324,411 +2641,50 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
     header.columns.push_back(ColumnBinding{fb.binding, col.name});
   }
 
-  // Column-major fast path: when enabled and anything in the query
-  // vectorizes, process the morsels as column slices. Falls through
-  // to the row pipeline (byte-for-byte the pre-columnar behavior)
-  // when disabled, when nothing vectorizes, or for index-order scans
-  // (their position lists defeat contiguous column slices).
-  if (db_->settings()->enable_columnar_exec &&
-      plan.path != AccessPath::kSecondaryIndex) {
-    APUAMA_ASSIGN_OR_RETURN(
-        std::optional<QueryResult> cqr,
-        ExecuteColumnarAggregate(stmt, t, plan, preds, agg_nodes, header));
-    if (cqr.has_value()) return std::move(*cqr);
-  }
+  // The chunk is (re)built here on the coordinator — the column store
+  // is not thread-safe and must not be touched after morsels fan out.
+  storage::ColumnStore::GetResult chunk = db_->column_store()->Get(t);
+  if (chunk.built) ++stats_->columnar_chunks_built;
+  if (chunk.rebuilt) ++stats_->columnar_chunk_rebuilds;
+  ColumnarConsumer c;
+  c.stmt = &stmt;
+  c.header = &header;
+  c.agg_nodes = &agg_nodes;
+  c.plan = CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
 
   // Coordinator-only spans: per-morsel worker spans would make trace
   // shape depend on thread timing, so only the pipeline phases are
   // traced (identical at any exec_threads).
   obs::Span agg_span =
       obs::Tracer::Global().StartSpan("morsel.aggregate", "morsel");
-
   ScanMorsels sm = TouchAndMorselize(t, plan);
-  const std::vector<storage::Table::Morsel>& morsels = sm.morsels;
   if (agg_span.active()) {
-    agg_span.AddAttr("morsels", static_cast<int64_t>(morsels.size()));
+    agg_span.AddAttr("morsels", static_cast<int64_t>(sm.morsels.size()));
   }
+  c.partials.resize(sm.morsels.size());
 
-  std::vector<MorselPartial> partials(morsels.size());
-
-  auto run_morsel = [&](size_t mi) -> Status {
-    MorselPartial& part = partials[mi];
-    ColumnResolver resolver(&header);
-    EvalScope scope{&resolver, nullptr, nullptr};
-    EvalContext ctx;
-    ctx.scope = &scope;
-    ctx.executor = nullptr;  // eligibility guaranteed no subqueries
-    ctx.cpu_ops = &part.cpu;
-    for (size_t j = morsels[mi].begin; j < morsels[mi].end; ++j) {
-      const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
-      const Row& r = t.row(pos);
-      ++part.scanned;
-      scope.row = &r;
-      bool keep = true;
-      for (const Expr* p : preds) {
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-        if (Truthiness(v) != 1) {
-          keep = false;
-          break;
-        }
-      }
-      if (!keep) continue;
-      APUAMA_RETURN_NOT_OK(AccumulateRow(stmt, agg_nodes, ctx, r, &part));
-    }
-    return Status::OK();
-  };
-
-  int want = db_->settings()->exec_threads;
-  if (want < 1) want = 1;
   const size_t threads =
-      morsels.empty()
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(want), morsels.size());
+      MorselWidth(db_->settings()->exec_threads, sm.morsels.size());
   ThreadPool* pool = threads > 1 ? db_->exec_pool() : nullptr;
   {
     obs::Span scan_span =
         obs::Tracer::Global().StartSpan("morsel.scan", "morsel");
-    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, morsels.size(), run_morsel));
+    APUAMA_RETURN_NOT_OK(
+        ParallelFor(pool, 0, sm.morsels.size(), [&](size_t mi) -> Status {
+          return RunColumnarMorsel(t, mi, sm.Selection(mi), &c);
+        }));
   }
-
-  stats_->morsels += morsels.size();
-  if (static_cast<uint32_t>(threads) > stats_->exec_threads) {
-    stats_->exec_threads = static_cast<uint32_t>(threads);
-  }
-
-  for (const MorselPartial& part : partials) {
-    stats_->tuples_scanned += part.scanned;
-    stats_->cpu_ops += part.cpu;
-    stats_->cpu_ops_parallel += part.cpu;
-  }
-
-  obs::Span merge_span =
-      obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
-  APUAMA_ASSIGN_OR_RETURN(
-      GroupMap groups,
-      MergeMorselPartials(pool, &partials, agg_nodes, stats_));
-  merge_span.End();
-
-  // Global aggregate over empty input still yields one group.
-  if (groups.empty() && stmt.group_by.empty()) {
-    AggGroup g;
-    g.repr = Row(header.columns.size(), Value::Null());
-    g.accs.resize(agg_nodes.size());
-    groups.emplace(Row{}, std::move(g));
-  }
-
-  return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
-                        nullptr);
+  return FinishColumnarAggregate(this, stats_, *db_->settings(), pool,
+                                 threads, &c);
 }
 
-Result<std::optional<QueryResult>> Executor::ExecuteColumnarAggregate(
-    const SelectStmt& stmt, const storage::Table& t, const ScanPlan& plan,
-    const std::vector<const Expr*>& preds,
-    const std::vector<const Expr*>& agg_nodes, const Relation& header) {
-  // Chunk lookup + compilation are side-effect free until the plan
-  // commits, so a fallback leaves no stats residue. The chunk itself
-  // is (re)built here on the coordinator — the cache is not
-  // thread-safe and must not be touched after morsels fan out.
-  storage::ColumnStore::GetResult chunk = db_->column_store()->Get(t);
-  ColumnarPlan cp =
-      CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
-  if (!cp.any_vec) return std::optional<QueryResult>();
-
-  if (chunk.built) ++stats_->columnar_chunks_built;
-  if (chunk.rebuilt) ++stats_->columnar_chunk_rebuilds;
-
-  obs::Span agg_span =
-      obs::Tracer::Global().StartSpan("morsel.aggregate.columnar", "morsel");
-
-  ScanMorsels sm = TouchAndMorselize(t, plan);
-  const std::vector<storage::Table::Morsel>& morsels = sm.morsels;
-  if (agg_span.active()) {
-    agg_span.AddAttr("morsels", static_cast<int64_t>(morsels.size()));
+std::vector<uint32_t> Executor::ScanMorsels::Selection(size_t mi) const {
+  std::vector<uint32_t> sel;
+  sel.reserve(morsels[mi].end - morsels[mi].begin);
+  for (size_t j = morsels[mi].begin; j < morsels[mi].end; ++j) {
+    sel.push_back(static_cast<uint32_t>(Position(j)));
   }
-
-  const bool global = stmt.group_by.empty();
-  std::vector<ColumnarPartial> partials(morsels.size());
-
-  auto run_morsel = [&](size_t mi) -> Status {
-    ColumnarPartial& part = partials[mi];
-    // Selection vector: heap positions surviving the predicates so
-    // far. Seq and clustered-range morsels are contiguous position
-    // ranges, so the initial selection is dense.
-    std::vector<uint32_t> sel;
-    sel.reserve(morsels[mi].end - morsels[mi].begin);
-    for (size_t pos = morsels[mi].begin; pos < morsels[mi].end; ++pos) {
-      sel.push_back(static_cast<uint32_t>(pos));
-    }
-    part.scanned += sel.size();
-
-    // Row-wise fallback machinery, used only by non-vectorizable
-    // predicates / arguments / key expressions.
-    ColumnResolver resolver(&header);
-    EvalScope scope{&resolver, nullptr, nullptr};
-    EvalContext ctx;
-    ctx.scope = &scope;
-    ctx.executor = nullptr;  // eligibility guaranteed no subqueries
-    ctx.cpu_ops = &part.cpu;
-
-    for (const ColumnarPlan::PredStep& step : cp.preds) {
-      if (sel.empty()) break;
-      if (step.vec != nullptr) {
-        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *cp.chunk, &sel, &part.cpu,
-                                       &part.vec_rows, &part.dict_hits));
-      } else {
-        std::vector<uint32_t> keep;
-        keep.reserve(sel.size());
-        for (uint32_t pos : sel) {
-          scope.row = &t.row(pos);
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctx));
-          if (Truthiness(v) == 1) keep.push_back(pos);
-        }
-        sel = std::move(keep);
-      }
-    }
-    if (sel.empty()) return Status::OK();
-    const size_t n = sel.size();
-
-    // One kernel pass per vectorized aggregate argument over the
-    // final selection — computed once, shared by every group.
-    std::vector<VecData> argv(cp.aggs.size());
-    for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
-      if (cp.aggs[ai].arg != nullptr) {
-        APUAMA_RETURN_NOT_OK(EvalVec(*cp.aggs[ai].arg, *cp.chunk, sel,
-                                     &argv[ai], &part.cpu, &part.vec_rows));
-      }
-    }
-
-    if (global) {
-      AggGroup& g = part.global;
-      if (!part.global_any) {
-        g.repr = t.row(sel[0]);
-        g.accs.resize(cp.aggs.size());
-        part.global_any = true;
-      }
-      for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
-        const ColAggSpec& spec = cp.aggs[ai];
-        if (spec.star || spec.arg != nullptr) {
-          part.cpu += VecOps(n);
-          part.vec_rows += spec.star ? n : 0;
-          FoldVecGlobal(spec, argv[ai], n, &g.accs[ai]);
-        } else {
-          for (uint32_t pos : sel) {
-            scope.row = &t.row(pos);
-            ++part.cpu;
-            APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
-            AggUpdate(&g.accs[ai], *spec.agg, v);
-          }
-        }
-      }
-      return Status::OK();
-    }
-
-    // Grouped: gather the key per row (slot copy or Eval fallback),
-    // bucket it, and fold each aggregate from its argument vector.
-    for (size_t k = 0; k < n; ++k) {
-      const uint32_t pos = sel[k];
-      const Row& r = t.row(pos);
-      Row key;
-      key.reserve(cp.keys.size());
-      for (const ColKeySpec& ks : cp.keys) {
-        if (ks.slot >= 0) {
-          key.push_back(r[static_cast<size_t>(ks.slot)]);
-        } else {
-          scope.row = &r;
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*ks.expr, ctx));
-          key.push_back(std::move(v));
-        }
-      }
-      // Key gather + hash + group lookup: one op per row, same rate
-      // as the row path's AccumulateRow bucketing.
-      ++part.cpu;
-      const size_t bucket = RowHash{}(key) % kRadixBuckets;
-      auto [it, inserted] = part.buckets[bucket].try_emplace(std::move(key));
-      AggGroup& grp = it->second;
-      if (inserted) {
-        grp.repr = r;
-        grp.accs.resize(cp.aggs.size());
-        ++part.group_n;
-      }
-      for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
-        const ColAggSpec& spec = cp.aggs[ai];
-        if (spec.star || spec.arg != nullptr) {
-          UpdateAccFromVec(spec, argv[ai], k, &grp.accs[ai]);
-        } else {
-          scope.row = &r;
-          ++part.cpu;
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
-          AggUpdate(&grp.accs[ai], *spec.agg, v);
-        }
-      }
-    }
-    // Vectorized accumulator updates charge at the slice rate, one
-    // pass per vectorized aggregate.
-    for (const ColAggSpec& spec : cp.aggs) {
-      if (spec.star || spec.arg != nullptr) {
-        part.cpu += VecOps(n);
-        part.vec_rows += spec.star ? n : 0;
-      }
-    }
-    return Status::OK();
-  };
-
-  int want = db_->settings()->exec_threads;
-  if (want < 1) want = 1;
-  const size_t threads =
-      morsels.empty()
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(want), morsels.size());
-  ThreadPool* pool = threads > 1 ? db_->exec_pool() : nullptr;
-  {
-    obs::Span scan_span =
-        obs::Tracer::Global().StartSpan("morsel.scan.columnar", "morsel");
-    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, morsels.size(), run_morsel));
-  }
-
-  stats_->morsels += morsels.size();
-  if (static_cast<uint32_t>(threads) > stats_->exec_threads) {
-    stats_->exec_threads = static_cast<uint32_t>(threads);
-  }
-  for (const ColumnarPartial& part : partials) {
-    stats_->tuples_scanned += part.scanned;
-    stats_->cpu_ops += part.cpu;
-    stats_->cpu_ops_parallel += part.cpu;
-    stats_->vectorized_rows += part.vec_rows;
-    stats_->dict_hits += part.dict_hits;
-  }
-
-  if (global) {
-    // GROUP BY-less: one accumulator per morsel, folded sequentially
-    // in morsel order (a central merge by definition).
-    ++stats_->merge_central;
-    GroupMap groups;
-    AggGroup g;
-    bool any = false;
-    uint64_t mcpu = 0;
-    for (ColumnarPartial& part : partials) {
-      if (!part.global_any) continue;
-      ++mcpu;
-      if (!any) {
-        g = std::move(part.global);
-        any = true;
-        continue;
-      }
-      for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-        ++mcpu;
-        AggMerge(&g.accs[ai], part.global.accs[ai], *agg_nodes[ai]);
-      }
-    }
-    stats_->cpu_ops += mcpu;
-    if (!any) {
-      // Global aggregate over empty input still yields one group.
-      g.repr = Row(header.columns.size(), Value::Null());
-      g.accs.resize(agg_nodes.size());
-    }
-    ++stats_->cpu_ops;
-    groups.emplace(Row{}, std::move(g));
-    APUAMA_ASSIGN_OR_RETURN(
-        QueryResult fq, FinalizeGroups(this, stats_, stmt, header, &groups,
-                                       agg_nodes, nullptr));
-    return std::optional<QueryResult>(std::move(fq));
-  }
-
-  const MergeStrategy strat =
-      ChooseMergeStrategy(*db_->settings(), partials, threads);
-  switch (strat) {
-    case MergeStrategy::kCentral:
-      ++stats_->merge_central;
-      break;
-    case MergeStrategy::kPartitioned:
-      ++stats_->merge_partitioned;
-      break;
-    default:
-      ++stats_->merge_radix;
-      break;
-  }
-
-  obs::Span merge_span =
-      obs::Tracer::Global().StartSpan("morsel.merge.columnar", "morsel");
-  if (merge_span.active()) {
-    merge_span.AddAttr("strategy", static_cast<int64_t>(strat));
-  }
-  auto merged = std::make_unique<ColumnarMerged>();
-  APUAMA_RETURN_NOT_OK(MergeColumnarPartials(pool, strat, &partials,
-                                             agg_nodes, merged.get(), stats_));
-  merge_span.End();
-
-  std::vector<std::string> out_names;
-  for (const auto& it : stmt.items) {
-    out_names.push_back(OutputName(it, out_names.size()));
-  }
-  FastFinalizePlan fp;
-  if (!PlanFastFinalize(stmt, header, agg_nodes, out_names, &fp)) {
-    // General tail: fold the buckets into the canonical ordered map
-    // (bucket order is irrelevant — the map sorts) and run the shared
-    // sequential finalizer.
-    GroupMap groups;
-    for (GroupMap& gm : merged->buckets) {
-      for (auto& [key, g] : gm) {
-        ++stats_->cpu_ops;
-        groups.emplace(key, std::move(g));
-      }
-    }
-    APUAMA_ASSIGN_OR_RETURN(
-        QueryResult fq, FinalizeGroups(this, stats_, stmt, header, &groups,
-                                       agg_nodes, nullptr));
-    return std::optional<QueryResult>(std::move(fq));
-  }
-
-  // Fast tail: per-bucket projection + sort runs under the same
-  // parallel structure as the merge (central stays sequential), then
-  // a sequential k-way merge stitches the bucket runs together.
-  auto frows = std::make_unique<std::array<std::vector<FastRow>,
-                                           kRadixBuckets>>();
-  std::array<uint64_t, kRadixBuckets> fcpu{};
-  auto finalize_bucket = [&](size_t b) {
-    fcpu[b] =
-        FastFinalizeBucket(merged->buckets[b], fp, agg_nodes, &(*frows)[b]);
-  };
-  if (strat == MergeStrategy::kCentral) {
-    for (size_t b = 0; b < kRadixBuckets; ++b) finalize_bucket(b);
-    for (uint64_t c : fcpu) stats_->cpu_ops += c;
-  } else {
-    const size_t tasks =
-        strat == MergeStrategy::kPartitioned ? kMergePartitions : kRadixBuckets;
-    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, tasks, [&](size_t p) -> Status {
-      for (size_t b = p; b < kRadixBuckets; b += tasks) finalize_bucket(b);
-      return Status::OK();
-    }));
-    for (uint64_t c : fcpu) {
-      stats_->cpu_ops += c;
-      stats_->cpu_ops_parallel += c;
-    }
-  }
-
-  QueryResult qr;
-  qr.column_names = std::move(out_names);
-  size_t total = 0;
-  for (const auto& v : *frows) total += v.size();
-  qr.rows.reserve(total);
-  std::array<size_t, kRadixBuckets> cursor{};
-  for (size_t produced = 0; produced < total; ++produced) {
-    size_t best = kRadixBuckets;
-    for (size_t b = 0; b < kRadixBuckets; ++b) {
-      if (cursor[b] >= (*frows)[b].size()) continue;
-      if (best == kRadixBuckets ||
-          FastRowBefore((*frows)[b][cursor[b]], (*frows)[best][cursor[best]],
-                        fp.desc)) {
-        best = b;
-      }
-    }
-    qr.rows.push_back(std::move((*frows)[best][cursor[best]].out));
-    ++cursor[best];
-    ++stats_->cpu_ops;
-  }
-  if (stmt.distinct) DedupePreservingOrder(&qr.rows);
-  ApplyOffsetLimit(stmt, &qr.rows);
-  return std::optional<QueryResult>(std::move(qr));
+  return sel;
 }
 
 Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
@@ -2780,7 +2736,7 @@ Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
         sm.morsels.push_back(storage::Table::Morsel{
             i, std::min(i + kMorselRows, plan.index_positions.size())});
       }
-      sm.by_position_list = true;
+      sm.positions = &plan.index_positions;
       break;
     }
   }
@@ -2790,22 +2746,6 @@ Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
 // ---------------------------------------------------------------------------
 // Inter-query shared morsel scans
 // ---------------------------------------------------------------------------
-
-namespace {
-// Same aggregation test ExecuteSelect applies before choosing a
-// pipeline; the shared scan only handles aggregate consumers.
-bool StmtHasAggregation(const SelectStmt& stmt) {
-  if (!stmt.group_by.empty()) return true;
-  for (const auto& it : stmt.items) {
-    if (it.expr && sql::ContainsAggregate(*it.expr)) return true;
-  }
-  if (stmt.having && sql::ContainsAggregate(*stmt.having)) return true;
-  for (const auto& o : stmt.order_by) {
-    if (sql::ContainsAggregate(*o.expr)) return true;
-  }
-  return false;
-}
-}  // namespace
 
 std::optional<std::vector<Result<QueryResult>>>
 Executor::ExecuteSharedAggregates(
@@ -2875,64 +2815,39 @@ Executor::ExecuteSharedAggregates(
     }
   }
 
-  // The point of no return: pages are touched (once, into
-  // batch_stats, in the sequential scan's order).
+  // The point of no return: the chunk is fetched and pages are
+  // touched once, into batch_stats, in the sequential scan's order.
   Executor batch_exec(db, batch_stats);
+  storage::ColumnStore::GetResult chunk = db->column_store()->Get(t);
+  if (chunk.built) ++batch_stats->columnar_chunks_built;
+  if (chunk.rebuilt) ++batch_stats->columnar_chunk_rebuilds;
   ScanMorsels sm = batch_exec.TouchAndMorselize(t, plan);
-  const std::vector<storage::Table::Morsel>& morsels = sm.morsels;
+  const size_t morsels = sm.morsels.size();
 
-  // partials[i][mi]: query i's private state for morsel mi — the
-  // exact decomposition solo execution uses, so merges are
+  // consumers[i].partials[mi]: query i's private state for morsel mi —
+  // the exact decomposition solo execution uses, so merges are
   // bit-identical.
-  std::vector<std::vector<MorselPartial>> partials(n);
-  for (auto& p : partials) p.resize(morsels.size());
+  std::vector<ColumnarConsumer> consumers(n);
+  for (size_t i = 0; i < n; ++i) {
+    consumers[i].stmt = stmts[i];
+    consumers[i].header = &headers[i];
+    consumers[i].agg_nodes = &agg_nodes[i];
+    consumers[i].plan = CompileColumnar(*stmts[i], headers[i], *chunk.chunk,
+                                        preds[i], agg_nodes[i]);
+    consumers[i].partials.resize(morsels);
+  }
 
+  const size_t threads = MorselWidth(db->settings()->exec_threads, morsels);
+  ThreadPool* pool = threads > 1 ? db->exec_pool() : nullptr;
   auto run_morsel = [&](size_t mi) -> Status {
-    std::vector<ColumnResolver> resolvers;
-    std::vector<EvalScope> scopes(n);
-    std::vector<EvalContext> ctxs(n);
-    resolvers.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      resolvers.emplace_back(&headers[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      scopes[i].resolver = &resolvers[i];
-      ctxs[i].scope = &scopes[i];
-      ctxs[i].executor = nullptr;  // eligibility guaranteed no subqueries
-      ctxs[i].cpu_ops = &partials[i][mi].cpu;
-    }
-    for (size_t j = morsels[mi].begin; j < morsels[mi].end; ++j) {
-      const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
-      const Row& r = t.row(pos);
-      for (size_t i = 0; i < n; ++i) {
-        MorselPartial& part = partials[i][mi];
-        ++part.scanned;
-        scopes[i].row = &r;
-        bool keep = true;
-        for (const Expr* p : preds[i]) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctxs[i]));
-          if (Truthiness(v) != 1) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        APUAMA_RETURN_NOT_OK(
-            AccumulateRow(*stmts[i], agg_nodes[i], ctxs[i], r, &part));
-      }
+    const std::vector<uint32_t> sel = sm.Selection(mi);
+    for (ColumnarConsumer& c : consumers) {
+      APUAMA_RETURN_NOT_OK(RunColumnarMorsel(t, mi, sel, &c));
     }
     return Status::OK();
   };
-
-  int want = db->settings()->exec_threads;
-  if (want < 1) want = 1;
-  const size_t threads =
-      morsels.empty()
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(want), morsels.size());
-  ThreadPool* pool = threads > 1 ? db->exec_pool() : nullptr;
-  if (!ParallelFor(pool, 0, morsels.size(), run_morsel).ok()) {
-    // A row-level evaluation error aborts the whole batch; solo
+  if (!ParallelFor(pool, 0, morsels, run_morsel).ok()) {
+    // An evaluation error in any consumer aborts the whole batch; solo
     // fallback re-runs each query and surfaces its own error.
     return std::nullopt;
   }
@@ -2940,37 +2855,15 @@ Executor::ExecuteSharedAggregates(
   std::vector<Result<QueryResult>> results;
   results.reserve(n);
   uint64_t rows_scanned_once = 0;
-  for (const MorselPartial& part : partials[0]) {
+  for (const ColumnarPartial& part : consumers[0].partials) {
     rows_scanned_once += part.scanned;
   }
   for (size_t i = 0; i < n; ++i) {
     ExecStats& qs = qstats[i];
-    qs.morsels += morsels.size();
-    if (static_cast<uint32_t>(threads) > qs.exec_threads) {
-      qs.exec_threads = static_cast<uint32_t>(threads);
-    }
-    for (const MorselPartial& part : partials[i]) {
-      qs.tuples_scanned += part.scanned;
-      qs.cpu_ops += part.cpu;
-      qs.cpu_ops_parallel += part.cpu;
-    }
     qs.shared_scans = 1;
     qs.shared_scan_queries = n;
-
-    auto run_tail = [&]() -> Result<QueryResult> {
-      APUAMA_ASSIGN_OR_RETURN(
-          GroupMap groups,
-          MergeMorselPartials(pool, &partials[i], agg_nodes[i], &qs));
-      if (groups.empty() && stmts[i]->group_by.empty()) {
-        AggGroup g;
-        g.repr = Row(headers[i].columns.size(), Value::Null());
-        g.accs.resize(agg_nodes[i].size());
-        groups.emplace(Row{}, std::move(g));
-      }
-      return FinalizeGroups(&execs[i], &qs, *stmts[i], headers[i], &groups,
-                            agg_nodes[i], nullptr);
-    };
-    Result<QueryResult> r = run_tail();
+    Result<QueryResult> r = FinishColumnarAggregate(
+        &execs[i], &qs, *db->settings(), pool, threads, &consumers[i]);
     if (r.ok()) {
       r->stats = qs;
       r->stats.tuples_output = r->rows.size();
@@ -2982,7 +2875,7 @@ Executor::ExecuteSharedAggregates(
   // Batch accounting: the physical work actually performed. Pages and
   // the scan itself happened once; every query's evaluation and merge
   // cpu happened for real.
-  batch_stats->morsels += morsels.size();
+  batch_stats->morsels += morsels;
   batch_stats->tuples_scanned += rows_scanned_once;
   if (static_cast<uint32_t>(threads) > batch_stats->exec_threads) {
     batch_stats->exec_threads = static_cast<uint32_t>(threads);
@@ -2990,6 +2883,8 @@ Executor::ExecuteSharedAggregates(
   for (size_t i = 0; i < n; ++i) {
     batch_stats->cpu_ops += qstats[i].cpu_ops;
     batch_stats->cpu_ops_parallel += qstats[i].cpu_ops_parallel;
+    batch_stats->vectorized_rows += qstats[i].vectorized_rows;
+    batch_stats->dict_hits += qstats[i].dict_hits;
     batch_stats->tuples_output += qstats[i].tuples_output;
     batch_stats->used_seq_scan =
         batch_stats->used_seq_scan || qstats[i].used_seq_scan;
@@ -3008,8 +2903,7 @@ Executor::ExecuteSharedAggregates(
 bool Executor::MorselJoinEligible(const SelectStmt& stmt,
                                   const EvalScope* outer) const {
   if (outer != nullptr) return false;  // correlated context
-  if (!db_->settings()->enable_morsel_exec) return false;
-  if (!db_->settings()->enable_join_parallel) return false;
+  if (sequential_only_) return false;
   if (stmt.from.size() < 2) return false;  // single table: MorselEligible
   for (const auto& item : stmt.items) {
     if (item.star) return false;
@@ -3234,17 +3128,14 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   if (join_span.active()) {
     join_span.AddAttr("stages", static_cast<int64_t>(stages.size()));
   }
-  int want = db_->settings()->exec_threads;
-  if (want < 1) want = 1;
+  const int want = db_->settings()->exec_threads;
   ThreadPool* pool = want > 1 ? db_->exec_pool() : nullptr;
   auto note_threads = [&](size_t items) {
-    const size_t th =
-        items == 0 ? 1 : std::min<size_t>(static_cast<size_t>(want), items);
+    const size_t th = MorselWidth(want, items);
     if (th > stats_->exec_threads) {
       stats_->exec_threads = static_cast<uint32_t>(th);
     }
   };
-  const bool use_filter = db_->settings()->enable_join_filter;
 
   // ---- Parallel partitioned builds, one stage at a time. Each build
   // side is scanned in morsels (filtering + key evaluation fan out),
@@ -3299,8 +3190,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctx.executor = nullptr;  // eligibility guaranteed no subqueries
       ctx.cpu_ops = &ch.cpu;
       for (size_t j = sm.morsels[mi].begin; j < sm.morsels[mi].end; ++j) {
-        const size_t pos = sm.by_position_list ? plan.index_positions[j] : j;
-        const Row& r = t.row(pos);
+        const Row& r = t.row(sm.Position(j));
         ++ch.scanned;
         scope.row = &r;
         bool keep = true;
@@ -3365,7 +3255,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   }
   build_span.End();
 
-  // ---- Morsel-driven probe: driver rows stream through the full
+  // ---- Morsel-driven probe: driver morsels stream through the full
   // probe chain (filter -> probe -> residuals -> next stage -> partial
   // aggregate) without materializing intermediate relations.
   const FromBinding& dfb = from[driver];
@@ -3376,82 +3266,60 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   stats_->morsels += dsm.morsels.size();
   note_threads(dsm.morsels.size());
 
-  // ---- Columnar driver compile (vectorized probe). The chunk lookup
-  // and all compilation happen here on the coordinator — the column
-  // store is not thread-safe — before morsels fan out. Per-conjunct:
-  // a scan predicate that does not compile keeps its row-wise form
-  // over the selection vector; if neither a predicate nor the
-  // stage-0 key set vectorizes, the driver loop below stays on the
-  // legacy row path byte for byte (as it does whenever `SET
-  // columnar_join` or `SET columnar_exec` is off, or the driver scan
-  // is an index-order position list).
+  // ---- Driver compile (vectorized probe). The chunk lookup and all
+  // compilation happen here on the coordinator — the column store is
+  // not thread-safe — before morsels fan out. Per-conjunct: a scan
+  // predicate that does not compile keeps its row-wise form over the
+  // selection vector. The stage-0 keys vectorize only as a set; if
+  // any of them does not compile, surviving rows evaluate the keys
+  // row-wise instead.
+  storage::ColumnStore::GetResult cg = db_->column_store()->Get(dt);
+  if (cg.built) ++stats_->columnar_chunks_built;
+  if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
+  const storage::ColumnarTable& dchunk = *cg.chunk;
   struct DriverPredStep {
     std::unique_ptr<VecPredicate> vec;
     const Expr* row = nullptr;
   };
+  std::vector<DriverPredStep> dsteps;
+  for (const Expr* p : dpreds) {
+    DriverPredStep step;
+    step.vec = CompileVecPredicate(*p, layouts[0], dchunk);
+    if (step.vec == nullptr) step.row = p;
+    dsteps.push_back(std::move(step));
+  }
   // One stage-0 probe-key lane: a compiled numeric kernel, or a
   // dictionary-coded string column hashed through per-code string
-  // hashes (precomputed once per dictionary entry).
+  // hashes (precomputed once per dictionary entry). Eligibility
+  // guarantees two tables, so stage 0 exists.
   struct KeyLane {
     std::unique_ptr<VecExpr> vec;
     const storage::ColumnVector* dict_col = nullptr;
     std::vector<size_t> code_hash;
   };
-  std::vector<DriverPredStep> dsteps;
   std::vector<KeyLane> key_lanes;
-  bool keys_vec = false;
-  bool driver_columnar = false;
-  const storage::ColumnarTable* dchunk = nullptr;
-  if (db_->settings()->enable_columnar_exec &&
-      db_->settings()->enable_columnar_join && !dsm.by_position_list) {
-    storage::ColumnStore::GetResult cg = db_->column_store()->Get(dt);
-    dchunk = cg.chunk;
-    bool any_vec = false;
-    for (const Expr* p : dpreds) {
-      DriverPredStep step;
-      step.vec = CompileVecPredicate(*p, layouts[0], *dchunk);
-      if (step.vec != nullptr) {
-        any_vec = true;
-      } else {
-        step.row = p;
-      }
-      dsteps.push_back(std::move(step));
-    }
-    if (!stages.empty()) {
-      keys_vec = true;
-      for (const Expr* e : stages[0].probe_keys) {
-        KeyLane lane;
-        lane.vec = CompileVecExpr(*e, layouts[0], *dchunk);
-        if (lane.vec == nullptr && e->kind == ExprKind::kColumnRef) {
-          const int slot =
-              layouts[0].FindSlot(e->table_qualifier, e->column_name);
-          if (slot >= 0 &&
-              static_cast<size_t>(slot) < dchunk->cols.size() &&
-              dchunk->cols[static_cast<size_t>(slot)].dict_encoded) {
-            lane.dict_col = &dchunk->cols[static_cast<size_t>(slot)];
-            lane.code_hash.reserve(lane.dict_col->dict.size());
-            for (const std::string& s : lane.dict_col->dict) {
-              // Value::Hash of the kString the row path would box.
-              lane.code_hash.push_back(std::hash<std::string>()(s));
-            }
-          }
+  bool keys_vec = true;
+  for (const Expr* e : stages[0].probe_keys) {
+    KeyLane lane;
+    lane.vec = CompileVecExpr(*e, layouts[0], dchunk);
+    if (lane.vec == nullptr && e->kind == ExprKind::kColumnRef) {
+      const int slot = layouts[0].FindSlot(e->table_qualifier, e->column_name);
+      if (slot >= 0 && static_cast<size_t>(slot) < dchunk.cols.size() &&
+          dchunk.cols[static_cast<size_t>(slot)].dict_encoded) {
+        lane.dict_col = &dchunk.cols[static_cast<size_t>(slot)];
+        lane.code_hash.reserve(lane.dict_col->dict.size());
+        for (const std::string& str : lane.dict_col->dict) {
+          // Value::Hash of the kString the row path would box.
+          lane.code_hash.push_back(std::hash<std::string>()(str));
         }
-        if (lane.vec == nullptr && lane.dict_col == nullptr) {
-          keys_vec = false;
-          break;
-        }
-        key_lanes.push_back(std::move(lane));
       }
-      if (!keys_vec) key_lanes.clear();
-      if (keys_vec) any_vec = true;
     }
-    driver_columnar = any_vec;
-    if (driver_columnar) {
-      if (cg.built) ++stats_->columnar_chunks_built;
-      if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
-    } else {
-      dsteps.clear();
+    if (lane.vec == nullptr && lane.dict_col == nullptr) {
+      keys_vec = false;
+      key_lanes.clear();
+      break;
     }
+    key_lanes.push_back(std::move(lane));
   }
 
   std::vector<MorselPartial> partials(dsm.morsels.size());
@@ -3473,13 +3341,14 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctxs[k].cpu_ops = &part.cpu;
     }
 
-    // The chain is split in two so the vectorized driver can enter it
-    // past the per-row key/hash/filter work it already did in slices:
-    // `descend(k)` evaluates stage k's probe key row-wise, hashes it
-    // and consults the partition filter; `probe_chain(k, key, h)`
-    // walks the hash chain, applies residuals and recurses. The row
-    // driver always goes through descend; both meet at probe_chain,
-    // so match processing is one code path.
+    // The chain is split in two so the vectorized keys can enter it
+    // past the per-row key/hash/filter work they already did in
+    // slices: `descend(k)` evaluates stage k's probe key row-wise,
+    // hashes it and consults the partition filter; `probe_chain(k,
+    // key, h)` walks the hash chain, applies residuals and recurses.
+    // Later stages (and stage 0 when its keys did not compile) go
+    // through descend; both meet at probe_chain, so match processing
+    // is one code path.
     std::function<Status(size_t)> descend;
     auto probe_chain = [&](size_t k, const Row& key, size_t h) -> Status {
       const BuildStage& st = stages[k];
@@ -3522,7 +3391,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       if (null_key) return Status::OK();  // inner join semantics
       const size_t h = RowHash{}(key);
       const size_t p = h % kMergePartitions;
-      if (use_filter && !bs.filters[p].MayContain(h)) {
+      if (!bs.filters[p].MayContain(h)) {
         ++part.filter_skipped;
         return Status::OK();
       }
@@ -3530,151 +3399,123 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       return probe_chain(k, key, h);
     };
 
-    if (driver_columnar) {
-      // Vectorized driver: dense selection over the morsel, then
-      // per-conjunct filtering (compiled kernels shrink the selection
-      // in slices; uncompiled conjuncts run row-wise over whatever
-      // survives), then the stage-0 keys load column-major, hash in
-      // slices and pass the partition filter as a kernel. Only the
-      // survivors materialize the scratch row and probe the chain.
-      const size_t begin = dsm.morsels[mi].begin;
-      const size_t end = dsm.morsels[mi].end;
-      std::vector<uint32_t> sel;
-      sel.reserve(end - begin);
-      for (size_t j = begin; j < end; ++j) {
-        sel.push_back(static_cast<uint32_t>(j));
+    // The morsel's heap positions (a dense range, or its slice of an
+    // index plan's position list) go through per-conjunct filtering:
+    // compiled kernels shrink the selection in slices, uncompiled
+    // conjuncts run row-wise over whatever survives. Then the stage-0
+    // keys load column-major, hash in slices and pass the partition
+    // filter as a kernel. Only the survivors materialize the scratch
+    // row and probe the chain.
+    std::vector<uint32_t> sel = dsm.Selection(mi);
+    part.scanned += sel.size();
+    for (const DriverPredStep& step : dsteps) {
+      if (sel.empty()) break;
+      if (step.vec != nullptr) {
+        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, dchunk, &sel, &part.cpu,
+                                       &part.vec_rows, &part.dict_hits));
+        continue;
       }
-      part.scanned += sel.size();
-      for (const DriverPredStep& step : dsteps) {
-        if (sel.empty()) break;
-        if (step.vec != nullptr) {
-          APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *dchunk, &sel,
-                                         &part.cpu, &part.vec_rows,
-                                         &part.dict_hits));
-          continue;
-        }
-        // Row-wise fallback for this conjunct only: evaluate against
-        // the heap row in place (layout 0 is the driver's schema).
-        std::vector<uint32_t> out;
-        out.reserve(sel.size());
-        for (const uint32_t pos : sel) {
-          scopes[0].row = &dt.row(pos);
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctxs[0]));
-          if (Truthiness(v) == 1) out.push_back(pos);
-        }
-        sel.swap(out);
+      // Row-wise fallback for this conjunct only: evaluate against the
+      // heap row in place (layout 0 is the driver's schema).
+      std::vector<uint32_t> out;
+      out.reserve(sel.size());
+      for (const uint32_t pos : sel) {
+        scopes[0].row = &dt.row(pos);
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctxs[0]));
+        if (Truthiness(v) == 1) out.push_back(pos);
       }
-      scopes[0].row = &scratch;  // probe chain reads the scratch row
-      if (sel.empty()) return Status::OK();
-      if (!keys_vec) {
-        for (const uint32_t pos : sel) {
-          const Row& r = dt.row(pos);
-          scratch.assign(r.begin(), r.end());
-          APUAMA_RETURN_NOT_OK(descend(0));
-        }
-        return Status::OK();
-      }
-      const size_t n = sel.size();
-      std::vector<VecData> lanes(key_lanes.size());
-      for (size_t i = 0; i < key_lanes.size(); ++i) {
-        if (key_lanes[i].vec != nullptr) {
-          APUAMA_RETURN_NOT_OK(EvalVec(*key_lanes[i].vec, *dchunk, sel,
-                                       &lanes[i], &part.cpu,
-                                       &part.vec_rows));
-        }
-      }
-      // Hash pass: seed, then one combine per key lane — the exact
-      // fold RowHash applies to the boxed key row (Value::Hash of an
-      // int/date lane is std::hash<int64_t>, a double lane hashes its
-      // integral twin when it has one, a dictionary code looks up the
-      // precomputed string hash), so partition choice and filter
-      // membership are bit-identical to the row path. A NULL in any
-      // key lane can never match an inner join: mark and skip.
-      std::vector<size_t> hashes(n, size_t{0x9e3779b9});
-      std::vector<uint8_t> null_key(n, 0);
-      for (size_t i = 0; i < key_lanes.size(); ++i) {
-        part.cpu += VecOps(n);
-        const KeyLane& kl = key_lanes[i];
-        if (kl.dict_col != nullptr) {
-          part.dict_hits += n;
-          for (size_t k = 0; k < n; ++k) {
-            const uint32_t pos = sel[k];
-            if (kl.dict_col->IsNull(pos)) {
-              null_key[k] = 1;
-              continue;
-            }
-            hashes[k] =
-                hashes[k] * 1315423911u +
-                kl.code_hash[static_cast<size_t>(kl.dict_col->codes[pos])];
-          }
-        } else {
-          const VecData& vd = lanes[i];
-          for (size_t k = 0; k < n; ++k) {
-            if (vd.IsNull(k)) {
-              null_key[k] = 1;
-              continue;
-            }
-            size_t vh;
-            if (vd.type == ValueType::kDouble) {
-              const double d = vd.f64[k];
-              vh = d == static_cast<double>(static_cast<int64_t>(d))
-                       ? std::hash<int64_t>()(static_cast<int64_t>(d))
-                       : std::hash<double>()(d);
-            } else {
-              vh = std::hash<int64_t>()(vd.i64[k]);
-            }
-            hashes[k] = hashes[k] * 1315423911u + vh;
-          }
-        }
-      }
-      // Filter slice kernel: partition + semi-join filter membership
-      // decide which rows materialize at all.
-      part.cpu += VecOps(n);
-      part.probe_vec += n;
-      const BuiltStage& bs0 = built[0];
-      for (size_t k = 0; k < n; ++k) {
-        if (null_key[k]) continue;  // inner join semantics
-        const size_t h = hashes[k];
-        if (use_filter && !bs0.filters[h % kMergePartitions].MayContain(h)) {
-          ++part.filter_skipped;
-          continue;
-        }
-        ++part.probed;
-        const uint32_t pos = sel[k];
+      sel.swap(out);
+    }
+    scopes[0].row = &scratch;  // probe chain reads the scratch row
+    if (sel.empty()) return Status::OK();
+    if (!keys_vec) {
+      for (const uint32_t pos : sel) {
         const Row& r = dt.row(pos);
         scratch.assign(r.begin(), r.end());
-        // Box the key back into the row path's value model only for
-        // rows that actually reach a hash chain.
-        Row key;
-        key.reserve(key_lanes.size());
-        for (size_t i = 0; i < key_lanes.size(); ++i) {
-          const KeyLane& kl = key_lanes[i];
-          key.push_back(
-              kl.dict_col != nullptr
-                  ? Value::Str(kl.dict_col->dict[static_cast<size_t>(
-                        kl.dict_col->codes[pos])])
-                  : lanes[i].ValueAt(k));
-        }
-        APUAMA_RETURN_NOT_OK(probe_chain(0, key, h));
+        APUAMA_RETURN_NOT_OK(descend(0));
       }
       return Status::OK();
     }
-
-    for (size_t j = dsm.morsels[mi].begin; j < dsm.morsels[mi].end; ++j) {
-      const size_t pos = dsm.by_position_list ? dplan.index_positions[j] : j;
-      const Row& r = dt.row(pos);
-      ++part.scanned;
-      scratch.assign(r.begin(), r.end());
-      bool keep = true;
-      for (const Expr* pr : dpreds) {
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*pr, ctxs[0]));
-        if (Truthiness(v) != 1) {
-          keep = false;
-          break;
+    const size_t n = sel.size();
+    std::vector<VecData> lanes(key_lanes.size());
+    for (size_t i = 0; i < key_lanes.size(); ++i) {
+      if (key_lanes[i].vec != nullptr) {
+        APUAMA_RETURN_NOT_OK(EvalVec(*key_lanes[i].vec, dchunk, sel,
+                                     &lanes[i], &part.cpu, &part.vec_rows));
+      }
+    }
+    // Hash pass: seed, then one combine per key lane — the exact fold
+    // RowHash applies to the boxed key row (Value::Hash of an int/date
+    // lane is std::hash<int64_t>, a double lane hashes its integral
+    // twin when it has one, a dictionary code looks up the precomputed
+    // string hash), so partition choice and filter membership are
+    // bit-identical to descend's. A NULL in any key lane can never
+    // match an inner join: mark and skip.
+    std::vector<size_t> hashes(n, size_t{0x9e3779b9});
+    std::vector<uint8_t> null_key(n, 0);
+    for (size_t i = 0; i < key_lanes.size(); ++i) {
+      part.cpu += VecOps(n);
+      const KeyLane& kl = key_lanes[i];
+      if (kl.dict_col != nullptr) {
+        part.dict_hits += n;
+        for (size_t k = 0; k < n; ++k) {
+          const uint32_t pos = sel[k];
+          if (kl.dict_col->IsNull(pos)) {
+            null_key[k] = 1;
+            continue;
+          }
+          hashes[k] =
+              hashes[k] * 1315423911u +
+              kl.code_hash[static_cast<size_t>(kl.dict_col->codes[pos])];
+        }
+      } else {
+        const VecData& vd = lanes[i];
+        for (size_t k = 0; k < n; ++k) {
+          if (vd.IsNull(k)) {
+            null_key[k] = 1;
+            continue;
+          }
+          size_t vh;
+          if (vd.type == ValueType::kDouble) {
+            const double d = vd.f64[k];
+            vh = d == static_cast<double>(static_cast<int64_t>(d))
+                     ? std::hash<int64_t>()(static_cast<int64_t>(d))
+                     : std::hash<double>()(d);
+          } else {
+            vh = std::hash<int64_t>()(vd.i64[k]);
+          }
+          hashes[k] = hashes[k] * 1315423911u + vh;
         }
       }
-      if (!keep) continue;
-      APUAMA_RETURN_NOT_OK(descend(0));
+    }
+    // Filter slice kernel: partition + semi-join filter membership
+    // decide which rows materialize at all.
+    part.cpu += VecOps(n);
+    part.probe_vec += n;
+    const BuiltStage& bs0 = built[0];
+    for (size_t k = 0; k < n; ++k) {
+      if (null_key[k]) continue;  // inner join semantics
+      const size_t h = hashes[k];
+      if (!bs0.filters[h % kMergePartitions].MayContain(h)) {
+        ++part.filter_skipped;
+        continue;
+      }
+      ++part.probed;
+      const uint32_t pos = sel[k];
+      const Row& r = dt.row(pos);
+      scratch.assign(r.begin(), r.end());
+      // Box the key back into the row value model only for rows that
+      // actually reach a hash chain.
+      Row key;
+      key.reserve(key_lanes.size());
+      for (size_t i = 0; i < key_lanes.size(); ++i) {
+        const KeyLane& kl = key_lanes[i];
+        key.push_back(kl.dict_col != nullptr
+                          ? Value::Str(kl.dict_col->dict[static_cast<size_t>(
+                                kl.dict_col->codes[pos])])
+                          : lanes[i].ValueAt(k));
+      }
+      APUAMA_RETURN_NOT_OK(probe_chain(0, key, h));
     }
     return Status::OK();
   };

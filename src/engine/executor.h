@@ -11,6 +11,7 @@
 #ifndef APUAMA_ENGINE_EXECUTOR_H_
 #define APUAMA_ENGINE_EXECUTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,7 +41,11 @@ size_t JoinReserveHint(size_t left, size_t right);
 /// One executor per statement. Accumulates stats into `stats`.
 class Executor {
  public:
-  Executor(Database* db, ExecStats* stats) : db_(db), stats_(stats) {}
+  /// `sequential_only` keeps the statement and every subquery it
+  /// evaluates on the sequential row executor, never entering a morsel
+  /// pipeline: the reference oracle behind Database::ExecuteReference.
+  Executor(Database* db, ExecStats* stats, bool sequential_only = false)
+      : db_(db), stats_(stats), sequential_only_(sequential_only) {}
 
   struct FromBinding;
 
@@ -118,43 +123,31 @@ class Executor {
   bool MorselEligible(const sql::SelectStmt& stmt,
                       const EvalScope* outer) const;
 
-  /// Morsel-driven scan + filter + partitioned pre-aggregation for
-  /// eligible single-table aggregates. The morsel decomposition and
+  /// Columnar morsel aggregate for eligible single-table aggregates:
+  /// morsels process per-column slices through vectorized kernels
+  /// (selection vectors, typed accumulation), with a per-conjunct,
+  /// per-aggregate and per-key row-wise Eval fallback for whatever
+  /// does not compile. The partial-group merge picks its fanout
+  /// adaptively (central / partitioned / radix) from the cardinality
+  /// the first wave of morsels observed. The morsel decomposition and
   /// the merge order depend only on table contents — never on the
   /// thread count — so results are bit-identical at any width.
   Result<QueryResult> ExecuteMorselAggregate(const sql::SelectStmt& stmt);
 
-  /// Column-major variant of the morsel aggregate: morsels process
-  /// per-column slices through vectorized kernels (selection vectors,
-  /// typed accumulation) instead of calling Eval per row, and the
-  /// partial-group merge picks its fanout adaptively (central /
-  /// partitioned / radix) from the cardinality the first wave of
-  /// morsels observed. Shares the scan plan, page touching, and
-  /// morsel decomposition with the row path and produces bit-
-  /// identical results at every `exec_threads`. Returns nullopt when
-  /// nothing in the query vectorizes (e.g. string-only predicates) —
-  /// the caller then continues on the row path, which remains
-  /// byte-for-byte the pre-columnar pipeline.
-  Result<std::optional<QueryResult>> ExecuteColumnarAggregate(
-      const sql::SelectStmt& stmt, const storage::Table& t,
-      const ScanPlan& plan, const std::vector<const sql::Expr*>& preds,
-      const std::vector<const sql::Expr*>& agg_nodes,
-      const Relation& header);
-
   /// Cheap gate for the morsel-parallel join pipeline: a multi-table
-  /// aggregate with no SELECT *, no subqueries, not correlated, and
-  /// `join_parallel` / `morsel_exec` enabled. Deeper shape conditions
-  /// (equality-connected join graph, no outer references) are checked
-  /// during planning inside ExecuteMorselJoin.
+  /// aggregate with no SELECT *, no subqueries, and not correlated.
+  /// Deeper shape conditions (equality-connected join graph, no outer
+  /// references) are checked during planning inside ExecuteMorselJoin.
   bool MorselJoinEligible(const sql::SelectStmt& stmt,
                           const EvalScope* outer) const;
 
   /// Morsel-parallel partitioned hash-join pipeline: every non-driver
   /// table is scanned in morsels and built into a 16-way hash-
   /// partitioned table (partitions built concurrently), then the
-  /// driver table streams page-aligned morsels through the full probe
-  /// chain (semi-join filter -> probe -> residual filter -> ... ->
-  /// partial aggregate) without materializing intermediate relations.
+  /// driver table streams page-aligned morsels as selection vectors
+  /// through the full probe chain (vectorized filter -> key hash ->
+  /// semi-join filter -> probe -> residual filter -> ... -> partial
+  /// aggregate) without materializing intermediate relations.
   /// Partials fold in morsel-index order, so results are bit-identical
   /// at every `exec_threads` setting. Returns nullopt when planning
   /// finds a shape the pipeline cannot run (cross join, outer
@@ -169,10 +162,18 @@ class Executor {
   /// the sequential scan's order (the buffer pool is not thread-safe
   /// and LRU state must not depend on worker timing), then returns the
   /// page-aligned morsels. For secondary-index plans the sorted
-  /// position list itself is morselized and `by_position_list` is set.
+  /// position list itself is morselized and `positions` points at it.
   struct ScanMorsels {
     std::vector<storage::Table::Morsel> morsels;
-    bool by_position_list = false;
+    const std::vector<size_t>* positions = nullptr;
+
+    /// Heap position of the j-th row of the scan's morsel space.
+    size_t Position(size_t j) const {
+      return positions != nullptr ? (*positions)[j] : j;
+    }
+    /// Heap positions morsel `mi` covers, in scan order: the initial
+    /// selection vector of a columnar morsel.
+    std::vector<uint32_t> Selection(size_t mi) const;
   };
   ScanMorsels TouchAndMorselize(const storage::Table& t,
                                 const ScanPlan& plan);
@@ -188,6 +189,7 @@ class Executor {
 
   Database* db_;
   ExecStats* stats_;
+  bool sequential_only_;
   std::vector<std::pair<std::string, AccessPath>> scan_paths_;
 };
 

@@ -214,23 +214,27 @@ std::pair<size_t, size_t> Table::ClusteredRange(const Value* lo,
   return {begin, end};
 }
 
-size_t Table::PositionOfKey(const Row& key) const {
-  auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), key, [this](const Row& r, const Row& k) {
-        for (size_t i = 0; i < key_cols_.size() && i < k.size(); ++i) {
-          int cmp = r[static_cast<size_t>(key_cols_[i])].Compare(k[i]);
-          if (cmp != 0) return cmp < 0;
-        }
-        return false;
-      });
-  if (it == rows_.end()) return rows_.size();
-  // Verify exact match.
-  for (size_t i = 0; i < key_cols_.size() && i < key.size(); ++i) {
-    if ((*it)[static_cast<size_t>(key_cols_[i])].Compare(key[i]) != 0) {
-      return rows_.size();
+std::pair<size_t, size_t> Table::KeyRange(const Row& key) const {
+  // Three-way compare of a heap row's clustered-key columns against
+  // the key tuple (a shorter tuple compares as a prefix).
+  auto cmp = [this, &key](const Row& r) {
+    for (size_t i = 0; i < key_cols_.size() && i < key.size(); ++i) {
+      int c = r[static_cast<size_t>(key_cols_[i])].Compare(key[i]);
+      if (c != 0) return c;
     }
-  }
-  return static_cast<size_t>(it - rows_.begin());
+    return 0;
+  };
+  auto lo = std::partition_point(rows_.begin(), rows_.end(),
+                                 [&](const Row& r) { return cmp(r) < 0; });
+  auto hi = std::partition_point(lo, rows_.end(),
+                                 [&](const Row& r) { return cmp(r) == 0; });
+  return {static_cast<size_t>(lo - rows_.begin()),
+          static_cast<size_t>(hi - rows_.begin())};
+}
+
+size_t Table::PositionOfKey(const Row& key) const {
+  auto [begin, end] = KeyRange(key);
+  return begin < end ? begin : rows_.size();
 }
 
 void Table::ReindexAll() {

@@ -115,7 +115,12 @@ class Table {
                                            const Value* hi,
                                            bool hi_inclusive) const;
 
-  /// Heap position of the row with this clustered-key tuple, or
+  /// Heap positions [begin, end) of the rows whose clustered key
+  /// equals `key`: every row sharing a non-unique key, and the whole
+  /// heap when no clustered key is set.
+  std::pair<size_t, size_t> KeyRange(const Row& key) const;
+
+  /// Heap position of the first row with this clustered-key tuple, or
   /// num_rows() when absent.
   size_t PositionOfKey(const Row& key) const;
 

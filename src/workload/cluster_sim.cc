@@ -143,8 +143,6 @@ ClusterSim::ClusterSim(const tpch::TpchData& data, ClusterSimOptions options)
                                : engine::DefaultExecThreads();
   for (int i = 0; i < options.num_nodes; ++i) {
     replicas_->node(i)->settings()->exec_threads = exec_threads;
-    replicas_->node(i)->settings()->enable_join_parallel =
-        options.join_parallel;
   }
   if (options_.fragmentation) {
     // Shared-nothing overlay: the TPC-H preset, co-partitioning

@@ -87,10 +87,6 @@ struct ClusterSimOptions {
   /// simulated figures are bit-reproducible on any machine. <= 0 =
   /// engine::DefaultExecThreads() (opt-in, used by fig2 deltas).
   int exec_threads = 1;
-  /// Morsel-parallel partitioned hash joins on every simulated node
-  /// (`SET join_parallel`). Off = the legacy sequential join chain,
-  /// for ablation figures isolating the join pipeline's contribution.
-  bool join_parallel = true;
   /// Inter-query work sharing, mirroring `SET result_cache` /
   /// `SET share_scans` on the real stack. Both off = byte-for-byte
   /// today's behavior.

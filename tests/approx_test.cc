@@ -613,6 +613,36 @@ TEST(ApproxKnobTest, SetKnobRejectionsListAcceptedValues) {
   EXPECT_FALSE(c.engine->approx_enabled());  // last accepted was "0"
 }
 
+// A SET the nodes reject must leave the engine-level mirror exactly
+// as it was: a rejected error target may not enable early exit, and a
+// rejected seed may not change the next scramble.
+TEST(ApproxKnobTest, RejectedSetLeavesEngineStateUntouched) {
+  ApproxCluster c;
+  c.MustExec("create sample lineitem ratio 1.0");
+  auto bad_target = c.Exec("set approx_error_target = 2");
+  ASSERT_FALSE(bad_target.ok());
+  EXPECT_EQ(bad_target.status().code(), StatusCode::kInvalidArgument);
+  auto r = c.Exec("APPROX select sum(l_quantity) from lineitem");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->approx.subqueries_skipped, 0u);
+  EXPECT_EQ(c.engine->stats().approx_early_exits.load(), 0u);
+
+  const std::string approx_sql =
+      "APPROX select sum(l_quantity), sum(l_extendedprice) from lineitem";
+  c.MustExec("drop sample lineitem");
+  c.MustExec("create sample lineitem ratio 0.1");
+  auto before = c.Exec(approx_sql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  c.MustExec("drop sample lineitem");
+  auto bad_seed = c.Exec("set sample_seed = 9223372036854775807");
+  ASSERT_FALSE(bad_seed.ok());
+  EXPECT_EQ(bad_seed.status().code(), StatusCode::kInvalidArgument);
+  c.MustExec("create sample lineitem ratio 0.1");
+  auto after = c.Exec(approx_sql);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  testutil::ExpectResultsIdentical(*before, *after);
+}
+
 TEST(ApproxKnobTest, ApproxKnobDefaultsOffAndRoundTrips) {
   ApproxCluster c(2);
   EXPECT_FALSE(c.engine->approx_enabled());

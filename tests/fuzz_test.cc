@@ -11,6 +11,7 @@
 #include "engine/database.h"
 #include "sql/parser.h"
 #include "sql/unparse.h"
+#include "tests/test_util.h"
 #include "tpch/queries.h"
 
 namespace apuama::sql {
@@ -123,8 +124,8 @@ TEST(EngineFuzz, RandomStatementsAgainstRealSchema) {
 // Row/column agreement sweep: random numeric predicates and
 // aggregate lists over a randomly generated table (with NULLs and
 // int-typed values hiding in the double column, the promotion edge
-// case) must return bit-identical results with columnar execution on
-// and off, at a couple of thread counts.
+// case) must match the sequential row executor in types and values,
+// and be bit-identical at 1 and 8 threads.
 TEST(EngineFuzz, ColumnarAgreesWithRowPathOnRandomPredicates) {
   Rng rng(0xC01A);
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -178,38 +179,26 @@ TEST(EngineFuzz, ColumnarAgreesWithRowPathOnRandomPredicates) {
     std::string sql = grouped ? "select g, " + aggs + " from f" + where +
                                     " group by g order by g"
                               : "select " + aggs + " from f" + where;
-    const int threads = rng.Bernoulli(0.5) ? 1 : 8;
-    ASSERT_TRUE(
-        db.Execute("set exec_threads = " + std::to_string(threads)).ok());
-    ASSERT_TRUE(db.Execute("set columnar_exec = off").ok());
-    auto row = db.Execute(sql);
-    ASSERT_TRUE(row.ok()) << sql << ": " << row.status().ToString();
-    ASSERT_TRUE(db.Execute("set columnar_exec = on").ok());
+    SCOPED_TRACE(sql);
+    auto row = db.ExecuteReference(sql);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_TRUE(db.Execute("set exec_threads = 1").ok());
     auto col = db.Execute(sql);
-    ASSERT_TRUE(col.ok()) << sql << ": " << col.status().ToString();
-    ASSERT_EQ(row->column_names, col->column_names) << sql;
-    ASSERT_EQ(row->rows.size(), col->rows.size()) << sql;
-    for (size_t r = 0; r < row->rows.size(); ++r) {
-      ASSERT_EQ(row->rows[r].size(), col->rows[r].size()) << sql;
-      for (size_t j = 0; j < row->rows[r].size(); ++j) {
-        const Value& e = row->rows[r][j];
-        const Value& g = col->rows[r][j];
-        ASSERT_TRUE(e.is_null() == g.is_null() &&
-                    (e.is_null() || e.Compare(g) == 0) &&
-                    e.ToString() == g.ToString())
-            << sql << " row " << r << " col " << j << ": row-path "
-            << e.ToString() << " columnar " << g.ToString();
-      }
-    }
+    ASSERT_TRUE(col.ok()) << col.status().ToString();
+    testutil::ExpectMatchesReference(*row, *col);
+    ASSERT_TRUE(db.Execute("set exec_threads = 8").ok());
+    auto par = db.Execute(sql);
+    ASSERT_TRUE(par.ok()) << par.status().ToString();
+    testutil::ExpectResultsIdentical(*col, *par);
   }
 }
 
 // Dictionary-encoded string predicates: random equality / IN / range /
 // LIKE predicates over a NULL-heavy string column (empty strings,
-// duplicates, shared prefixes) must return bit-identical results with
-// the row path at several thread counts — both for aggregates (dict
-// predicate kernels) and for joins (vectorized probe, including a
-// dictionary-coded string join key).
+// duplicates, shared prefixes) must match the sequential row executor
+// and be bit-identical at several thread counts — both for aggregates
+// (dict predicate kernels) and for joins (vectorized probe, including
+// a dictionary-coded string join key).
 TEST(EngineFuzz, DictStringPredicatesAgreeWithRowPath) {
   Rng rng(0xD1C7);
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -291,41 +280,23 @@ TEST(EngineFuzz, DictStringPredicatesAgreeWithRowPath) {
               where.substr(7);
         break;
     }
-    // Row-path baseline, then every columnar configuration at several
-    // thread counts must match it bit for bit.
+    // Row-executor baseline, then the morsel pipelines at several
+    // thread counts: equal to it, and bit-identical to each other.
+    SCOPED_TRACE(sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     ASSERT_TRUE(db.Execute("set exec_threads = 1").ok());
-    ASSERT_TRUE(db.Execute("set columnar_exec = off").ok());
     auto base = db.Execute(sql);
-    ASSERT_TRUE(base.ok()) << sql << ": " << base.status().ToString();
-    ASSERT_TRUE(db.Execute("set columnar_exec = on").ok());
-    for (const char* join_knob : {"off", "on"}) {
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    testutil::ExpectMatchesReference(*ref, *base);
+    for (int threads : {2, 8}) {
       ASSERT_TRUE(
-          db.Execute(std::string("set columnar_join = ") + join_knob).ok());
-      for (int threads : {1, 2, 8}) {
-        ASSERT_TRUE(
-            db.Execute("set exec_threads = " + std::to_string(threads))
-                .ok());
-        auto got = db.Execute(sql);
-        ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
-        ASSERT_EQ(base->column_names, got->column_names) << sql;
-        ASSERT_EQ(base->rows.size(), got->rows.size())
-            << sql << " join=" << join_knob << " threads=" << threads;
-        for (size_t r = 0; r < base->rows.size(); ++r) {
-          ASSERT_EQ(base->rows[r].size(), got->rows[r].size()) << sql;
-          for (size_t j = 0; j < base->rows[r].size(); ++j) {
-            const Value& e = base->rows[r][j];
-            const Value& g = got->rows[r][j];
-            ASSERT_TRUE(e.is_null() == g.is_null() &&
-                        (e.is_null() || e.Compare(g) == 0) &&
-                        e.ToString() == g.ToString())
-                << sql << " join=" << join_knob << " threads=" << threads
-                << " row " << r << " col " << j << ": row-path "
-                << e.ToString() << " columnar " << g.ToString();
-          }
-        }
-      }
+          db.Execute("set exec_threads = " + std::to_string(threads)).ok());
+      auto got = db.Execute(sql);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      testutil::ExpectResultsIdentical(*base, *got);
     }
-    ASSERT_TRUE(db.Execute("set columnar_join = on").ok());
   }
 }
 

@@ -7,10 +7,10 @@
 //    insertion order, and partial folding depend only on table
 //    contents, never on scheduling;
 //  * the morsel join pipeline agrees with the legacy sequential
-//    chain (`SET join_parallel = off`) up to float association;
+//    chain (Database::ExecuteReference) up to float association;
 //  * join order is chosen from table contents, so permuting the
 //    FROM list cannot change the result bits;
-//  * `SET join_filter` changes probe counts, never results;
+//  * the semi-join filter prunes probe rows, never results;
 //  * cross joins fall back to the legacy chain, and the capped
 //    reservation hint keeps huge cross products allocation-safe.
 #include <gtest/gtest.h>
@@ -80,27 +80,25 @@ TEST(JoinParallelTest, JoinQueriesBitIdenticalAcrossThreadCounts) {
 }
 
 // The partitioned-hash-join pipeline must agree with the legacy
-// nested chain (`SET join_parallel = off`): same rows, same order,
-// values equal within float-association tolerance.
+// nested chain the reference executor runs: same rows, same order,
+// same value types, values equal within float-association tolerance.
 TEST(JoinParallelTest, MorselJoinMatchesLegacyChain) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  Set(&db, "exec_threads = 4");
   for (int q : JoinQueries()) {
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
-    Set(&db, "join_parallel = off");
-    auto legacy = db.Execute(*sql);
+    auto legacy = db.ExecuteReference(*sql);
     ASSERT_TRUE(legacy.ok()) << "Q" << q << ": "
                              << legacy.status().ToString();
     EXPECT_EQ(legacy->stats.join_build_rows, 0u) << "Q" << q;
-    Set(&db, "join_parallel = on");
-    Set(&db, "exec_threads = 4");
     auto morsel = db.Execute(*sql);
     ASSERT_TRUE(morsel.ok()) << "Q" << q << ": "
                              << morsel.status().ToString();
     EXPECT_GT(morsel->stats.join_build_rows, 0u) << "Q" << q;
     SCOPED_TRACE("Q" + std::to_string(q));
-    testutil::ExpectResultsEqual(*legacy, *morsel);
+    testutil::ExpectMatchesReference(*legacy, *morsel);
   }
 }
 
@@ -138,9 +136,10 @@ TEST(JoinParallelTest, FromListPermutationsBitIdentical) {
   }
 }
 
-// Semi-join filter pushdown is a pure pruning optimization: turning
-// it off changes probe-side work, never a single result bit. With a
-// selective build side, the filter must actually skip probe rows.
+// Semi-join filter pushdown is a pure pruning optimization: it cuts
+// probe-side work, never a result. With a selective build side, the
+// filter must actually skip probe rows, and the output must still
+// match the reference executor, which builds no filter.
 TEST(JoinParallelTest, SemiJoinFilterPrunesWithoutChangingResults) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -151,22 +150,17 @@ TEST(JoinParallelTest, SemiJoinFilterPrunesWithoutChangingResults) {
   auto filtered = db.Execute(*sql);
   ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
   EXPECT_GT(filtered->stats.filter_skipped_rows, 0u);
+  EXPECT_GT(filtered->stats.join_probe_rows, 0u);
 
-  Set(&db, "join_filter = off");
-  auto unfiltered = db.Execute(*sql);
+  auto unfiltered = db.ExecuteReference(*sql);
   ASSERT_TRUE(unfiltered.ok()) << unfiltered.status().ToString();
   EXPECT_EQ(unfiltered->stats.filter_skipped_rows, 0u);
-  // The filter only skips rows the hash table would reject anyway, so
-  // probe attempts reaching the table differ but output cannot.
-  EXPECT_GE(unfiltered->stats.join_probe_rows,
-            filtered->stats.join_probe_rows);
-  testutil::ExpectResultsIdentical(*filtered, *unfiltered);
-  Set(&db, "join_filter = on");
+  testutil::ExpectMatchesReference(*unfiltered, *filtered);
 }
 
 // Every join counter must land where it belongs: build rows from the
 // build sides, probe rows from surviving driver rows, and nothing at
-// all once the pipeline is disabled.
+// all on the reference executor's sequential chain.
 TEST(JoinParallelTest, JoinCountersTrackPipeline) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -179,8 +173,7 @@ TEST(JoinParallelTest, JoinCountersTrackPipeline) {
   EXPECT_GT(q3->stats.cpu_ops_parallel, 0u);
   EXPECT_GE(q3->stats.cpu_ops, q3->stats.cpu_ops_parallel);
 
-  Set(&db, "join_parallel = off");
-  auto off = db.Execute(*tpch::QuerySql(3));
+  auto off = db.ExecuteReference(*tpch::QuerySql(3));
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off->stats.join_build_rows, 0u);
   EXPECT_EQ(off->stats.join_probe_rows, 0u);
@@ -224,19 +217,18 @@ TEST(JoinParallelTest, JoinReserveHintCapsAndNeverOverflows) {
   EXPECT_EQ(JoinReserveHint(SIZE_MAX, 2), kCap);
 }
 
+// The join pipeline and its semi-join filter have no off switches:
+// `SET join_parallel` and `SET join_filter` are unknown settings.
 TEST(JoinParallelTest, SettingsValidation) {
   engine::Database db;
-  EXPECT_TRUE(db.settings()->enable_join_parallel);
-  EXPECT_TRUE(db.settings()->enable_join_filter);
-  EXPECT_TRUE(db.Execute("set join_parallel = off").ok());
-  EXPECT_FALSE(db.settings()->enable_join_parallel);
-  EXPECT_TRUE(db.Execute("set join_parallel = on").ok());
-  EXPECT_TRUE(db.settings()->enable_join_parallel);
-  EXPECT_FALSE(db.Execute("set join_parallel = maybe").ok());
-  EXPECT_TRUE(db.Execute("set join_filter = off").ok());
-  EXPECT_FALSE(db.settings()->enable_join_filter);
-  EXPECT_TRUE(db.Execute("set join_filter = on").ok());
-  EXPECT_FALSE(db.Execute("set join_filter = 2").ok());
+  for (const char* knob : {"join_parallel", "join_filter"}) {
+    auto r = db.Execute(std::string("set ") + knob + " = off");
+    ASSERT_FALSE(r.ok()) << knob;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << knob;
+    EXPECT_NE(r.status().message().find("unknown setting"),
+              std::string::npos)
+        << knob;
+  }
 }
 
 }  // namespace

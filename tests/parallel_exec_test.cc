@@ -5,9 +5,10 @@
 // an eligible aggregate produces BIT-IDENTICAL results, because the
 // morsel decomposition and the partial-merge order depend only on
 // table contents, never on scheduling. This covers both the
-// single-table pipeline and the morsel-parallel join pipeline.
-// Queries neither covers (subqueries) must take the sequential path
-// and still agree with it under `SET morsel_exec = off`.
+// single-table pipeline and the morsel-parallel join pipeline, and
+// both agree with the sequential reference executor
+// (Database::ExecuteReference). Queries neither covers (subqueries)
+// take the sequential path.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -71,26 +72,25 @@ TEST(ParallelDeterminismTest, ReadSetBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The morsel pipeline must agree with the legacy sequential pipeline
-// (`SET morsel_exec = off`) up to floating-point association — the
-// two sum doubles in different orders, so exact bits may differ, but
-// values must match within standard tolerance.
+// The morsel pipelines must agree with the sequential reference
+// executor up to floating-point association — the two sum doubles in
+// different orders, so exact bits may differ, but values must match
+// within standard tolerance and types must match exactly.
 TEST(ParallelDeterminismTest, MorselMatchesSequentialPipeline) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  SetThreads(&db, 4);
   for (int q : ReadSet()) {
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
-    ASSERT_TRUE(db.Execute("set morsel_exec = off").ok());
-    auto seq = db.Execute(*sql);
+    auto seq = db.ExecuteReference(*sql);
     ASSERT_TRUE(seq.ok()) << "Q" << q << ": " << seq.status().ToString();
-    ASSERT_TRUE(db.Execute("set morsel_exec = on").ok());
-    SetThreads(&db, 4);
+    EXPECT_EQ(seq->stats.morsels, 0u) << "Q" << q;
     auto morsel = db.Execute(*sql);
     ASSERT_TRUE(morsel.ok()) << "Q" << q << ": "
                              << morsel.status().ToString();
     SCOPED_TRACE("Q" + std::to_string(q));
-    testutil::ExpectResultsEqual(*seq, *morsel);
+    testutil::ExpectMatchesReference(*seq, *morsel);
   }
 }
 
@@ -118,6 +118,12 @@ TEST(ParallelDeterminismTest, IndexAndRangePathsBitIdentical) {
     SetThreads(&db, 1);
     auto base = db.Execute(sql);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
+    // Every query selects rows: identical empty results would prove
+    // nothing.
+    ASSERT_GT(base->num_rows(), 0u) << sql;
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    testutil::ExpectMatchesReference(*ref, *base);
     for (int threads : {2, 8}) {
       SetThreads(&db, threads);
       auto par = db.Execute(sql);
@@ -128,8 +134,8 @@ TEST(ParallelDeterminismTest, IndexAndRangePathsBitIdentical) {
   }
 }
 
-// Eligible aggregates report morsel counters; ineligible ones (joins)
-// and the morsel_exec=off escape hatch report none.
+// Eligible aggregates report morsel counters; ineligible ones (cross
+// joins) and the sequential reference executor report none.
 TEST(ParallelExecStatsTest, MorselCountersTrackEligibility) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -158,11 +164,11 @@ TEST(ParallelExecStatsTest, MorselCountersTrackEligibility) {
   EXPECT_EQ(cross->stats.cpu_ops_parallel, 0u);
   EXPECT_EQ(cross->stats.join_build_rows, 0u);
 
-  ASSERT_TRUE(db.Execute("set morsel_exec = off").ok());
-  auto q1_off = db.Execute(*tpch::QuerySql(1));
-  ASSERT_TRUE(q1_off.ok());
-  EXPECT_EQ(q1_off->stats.morsels, 0u);
-  testutil::ExpectResultsEqual(*q1, *q1_off);
+  auto q1_ref = db.ExecuteReference(*tpch::QuerySql(1));
+  ASSERT_TRUE(q1_ref.ok());
+  EXPECT_EQ(q1_ref->stats.morsels, 0u);
+  EXPECT_EQ(q1_ref->stats.cpu_ops_parallel, 0u);
+  testutil::ExpectMatchesReference(*q1_ref, *q1);
 }
 
 // Page accounting must not depend on the thread count: the
@@ -198,10 +204,81 @@ TEST(ParallelSettingsTest, ExecThreadsValidation) {
   EXPECT_FALSE(db.Execute("set exec_threads = 999").ok());
   EXPECT_FALSE(db.Execute("set exec_threads = abc").ok());
   EXPECT_EQ(db.settings()->exec_threads, 4);  // unchanged on error
-  EXPECT_TRUE(db.Execute("set morsel_exec = off").ok());
-  EXPECT_FALSE(db.settings()->enable_morsel_exec);
-  EXPECT_TRUE(db.Execute("set morsel_exec = on").ok());
-  EXPECT_TRUE(db.settings()->enable_morsel_exec);
+  // The morsel pipelines have no off switch; the name is unknown.
+  auto off = db.Execute("set morsel_exec = off");
+  ASSERT_FALSE(off.ok());
+  EXPECT_EQ(off.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(off.status().message().find("unknown setting"),
+            std::string::npos);
+}
+
+// Secondary-index plans must return exactly what the same predicate
+// returns without an index (`g + 0 = ...` is not sargable, so it
+// always scans). Index entries name rows by clustered-key tuple, so
+// this covers a table without a clustered key (every tuple empty), a
+// non-unique clustered key (10 rows per key) and a unique one.
+TEST(IndexScanTest, IndexPlansMatchNonSargableForms) {
+  struct Shape {
+    const char* name;
+    const char* clustered_index;  // nullptr = no clustered key
+    int key_divisor;              // k = i / key_divisor
+  };
+  const std::vector<Shape> shapes = {
+      {"no clustered key", nullptr, 1},
+      {"non-unique clustered key", "create clustered index t_k on t (k)", 10},
+      {"unique clustered key", "create clustered index t_k on t (k)", 1},
+  };
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"select g, sum(v), count(*) from t where g = 5 group by g",
+       "select g, sum(v), count(*) from t where g + 0 = 5 group by g"},
+      {"select g, sum(v), count(*) from t where g = 0 group by g",
+       "select g, sum(v), count(*) from t where g + 0 = 0 group by g"},
+      {"select count(*), sum(v), min(k), max(k) from t "
+       "where g between 3 and 4",
+       "select count(*), sum(v), min(k), max(k) from t "
+       "where g + 0 between 3 and 4"},
+      {"select count(*), sum(v) from t where g > 35",
+       "select count(*), sum(v) from t where g + 0 > 35"},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+    ASSERT_TRUE(db.Execute("create table t (k int, g int, v double)").ok());
+    ASSERT_TRUE(db.Execute("create index t_g on t (g)").ok());
+    if (shape.clustered_index != nullptr) {
+      ASSERT_TRUE(db.Execute(shape.clustered_index).ok());
+    }
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_TRUE(db.Execute("insert into t values (" +
+                             std::to_string(i / shape.key_divisor) + ", " +
+                             std::to_string(i % 37) + ", " +
+                             std::to_string(i) + ".25)")
+                      .ok());
+    }
+    for (const char* seqscan : {"on", "off"}) {
+      ASSERT_TRUE(
+          db.Execute(std::string("set enable_seqscan = ") + seqscan).ok());
+      for (const auto& [indexed, scanned] : pairs) {
+        SCOPED_TRACE(indexed + " enable_seqscan=" + seqscan);
+        auto want = db.Execute(scanned);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        ASSERT_GT(want->num_rows(), 0u);
+        EXPECT_FALSE(want->stats.used_index_scan);
+        for (int threads : {1, 8}) {
+          SetThreads(&db, threads);
+          auto got = db.Execute(indexed);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          if (std::string(seqscan) == "off") {
+            EXPECT_TRUE(got->stats.used_index_scan);
+          }
+          testutil::ExpectResultsIdentical(*want, *got);
+        }
+        auto ref = db.ExecuteReference(indexed);
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        testutil::ExpectMatchesReference(*ref, *want);
+      }
+    }
+  }
 }
 
 }  // namespace

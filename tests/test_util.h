@@ -100,10 +100,28 @@ inline void ExpectResultsEqual(const engine::QueryResult& expected,
   }
 }
 
+/// Asserts `actual` matches the sequential reference executor's result
+/// (Database::ExecuteReference): same shape, same value type in every
+/// cell, and values within ExpectResultsEqual tolerance — the morsel
+/// pipelines sum doubles per morsel, so exact bits may differ.
+inline void ExpectMatchesReference(const engine::QueryResult& reference,
+                                   const engine::QueryResult& actual) {
+  ExpectResultsEqual(reference, actual);
+  if (reference.num_rows() != actual.num_rows()) return;
+  for (size_t i = 0; i < reference.rows.size(); ++i) {
+    for (size_t j = 0; j < reference.rows[i].size(); ++j) {
+      EXPECT_EQ(reference.rows[i][j].type(), actual.rows[i][j].type())
+          << "row " << i << " col " << j << ": reference "
+          << reference.rows[i][j].ToString() << " actual "
+          << actual.rows[i][j].ToString();
+    }
+  }
+}
+
 /// Asserts two results are bit-identical: same columns, same row
-/// order, and every value's exact printed representation matches (no
-/// floating-point tolerance — used by the parallel-determinism tests,
-/// where "close" is not good enough).
+/// order, and every value has the same type and the same exact printed
+/// representation (no floating-point tolerance — used by the
+/// parallel-determinism tests, where "close" is not good enough).
 inline void ExpectResultsIdentical(const engine::QueryResult& expected,
                                    const engine::QueryResult& actual) {
   ASSERT_EQ(expected.column_names, actual.column_names);
@@ -116,11 +134,12 @@ inline void ExpectResultsIdentical(const engine::QueryResult& expected,
     for (size_t j = 0; j < expected.rows[i].size(); ++j) {
       const Value& e = expected.rows[i][j];
       const Value& a = actual.rows[i][j];
-      EXPECT_TRUE(e.is_null() == a.is_null() &&
+      EXPECT_TRUE(e.type() == a.type() &&
                   (e.is_null() || e.Compare(a) == 0) &&
                   e.ToString() == a.ToString())
           << "row " << i << " col " << j << ": expected " << e.ToString()
-          << " actual " << a.ToString();
+          << " (" << ValueTypeName(e.type()) << ") actual " << a.ToString()
+          << " (" << ValueTypeName(a.type()) << ")";
     }
   }
 }
