@@ -109,6 +109,32 @@ void BM_ExecuteQ1SingleNode(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteQ1SingleNode);
 
+// Six-way morsel join. Its build-chain order decides how many lineitem
+// rows reach a hash table (probe_rows) and how many the semi-join
+// filters drop first (filter_skipped).
+void BM_ExecuteQ5SingleNode(benchmark::State& state) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  if (!BenchData().LoadInto(&db).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  std::string sql = *tpch::QuerySql(5);
+  engine::ExecStats stats;
+  for (auto _ : state) {
+    auto r = db.Execute(sql);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    stats = r->stats;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["probe_rows"] = static_cast<double>(stats.join_probe_rows);
+  state.counters["filter_skipped"] =
+      static_cast<double>(stats.filter_skipped_rows);
+}
+BENCHMARK(BM_ExecuteQ5SingleNode);
+
 std::vector<engine::QueryResult> MakeComposePartials(int rows) {
   Rng rng(3);
   std::vector<engine::QueryResult> partials(8);

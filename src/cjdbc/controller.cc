@@ -252,21 +252,21 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
   // Stage 1: hand the ladder's window to the scan-share gate so the
   // next batch coalesces more under overload.
   gate_->set_window_us(ticket.window_us);
-  Result<engine::QueryResult> result = Status::OK();
-  if (ticket.degraded()) {
+  const bool degraded = ticket.degraded();
+  if (degraded) {
     stats_.admission_degraded.fetch_add(1, std::memory_order_relaxed);
     obs::Tracer::Global().Instant("admission.degrade", "controller");
-    // Degraded answers bypass the sharing front end: an approximate
-    // result must never fill the exact-result cache or answer for an
-    // exact batch member. (The node falls back to exact execution by
-    // itself when no scramble covers the query.)
-    result = ExecuteReadDirect("APPROX " + sql, std::nullopt);
-    if (result.ok()) result->approx.degraded = true;
-  } else {
-    result = ExecuteRead(sql);
   }
+  // Degraded answers bypass the sharing front end: an approximate
+  // result must never fill the exact-result cache or answer for an
+  // exact batch member. (The node falls back to exact execution by
+  // itself when no scramble covers the query.)
+  Result<engine::QueryResult> result =
+      degraded ? ExecuteReadDirect("APPROX " + sql, std::nullopt)
+               : ExecuteRead(sql);
+  if (degraded && result.ok()) result->approx.degraded = true;
   admission_->OnComplete(ticket, SteadyUs(), result.ok());
-  stamp_timeline(ticket.degraded());
+  stamp_timeline(degraded);
   return result;
 }
 

@@ -2970,7 +2970,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const Expr* lhs = nullptr;
     const Expr* rhs = nullptr;
     std::string lb, rb;
-    bool applied = false;
   };
   struct ResidualP {
     const Expr* expr = nullptr;
@@ -3024,11 +3023,129 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     }
   }
 
-  // Chain order: repeatedly add the smallest raw table connected to
-  // the covered set by an equality predicate (ties by binding name).
-  // Raw sizes make the order independent of scan selectivity and of
-  // the FROM permutation; a disconnected table means a cross join,
-  // which stays on the legacy path.
+  // The join graph must be connected through equality predicates: a
+  // table no chain of them reaches means a cross join, which stays on
+  // the legacy path. Checked before anything touches stats or pages.
+  std::vector<bool> reached(from.size(), false);
+  reached[driver] = true;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const JoinPredP& jp : join_preds) {
+      const size_t l = binding_index(jp.lb);
+      const size_t r = binding_index(jp.rb);
+      if (reached[l] != reached[r]) {
+        reached[l] = reached[r] = true;
+        grew = true;
+      }
+    }
+  }
+  if (std::find(reached.begin(), reached.end(), false) != reached.end()) {
+    return std::optional<QueryResult>();  // cross join: legacy path
+  }
+
+  std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
+  auto append_cols = [](Relation* rel, const FromBinding& fb) {
+    for (const auto& col : fb.table->schema().columns()) {
+      rel->columns.push_back(ColumnBinding{fb.binding, col.name});
+    }
+  };
+
+  // ---- Plan topology committed; stats mutations start here. Spans
+  // cover the pipeline phases only (coordinator thread) so trace shape
+  // does not depend on worker scheduling.
+  obs::Span join_span =
+      obs::Tracer::Global().StartSpan("morsel.join", "morsel");
+  if (join_span.active()) {
+    join_span.AddAttr("stages", static_cast<int64_t>(from.size() - 1));
+  }
+  const int want = db_->settings()->exec_threads;
+  ThreadPool* pool = want > 1 ? db_->exec_pool() : nullptr;
+  auto note_threads = [&](size_t items) {
+    const size_t th = MorselWidth(want, items);
+    if (th > stats_->exec_threads) {
+      stats_->exec_threads = static_cast<uint32_t>(th);
+    }
+  };
+  obs::Span build_span =
+      obs::Tracer::Global().StartSpan("morsel.build", "morsel");
+
+  // ---- Filter every build side once, in binding-name order (so page
+  // touches do not depend on the FROM list), before the chain is
+  // ordered: the order below uses how many rows each side keeps. Each
+  // morsel keeps its surviving heap positions; read in morsel-index
+  // order they are the build's insertion order at every thread count.
+  struct KeptScan {
+    AccessPath path = AccessPath::kSeqScan;
+    std::vector<std::vector<uint32_t>> positions;  // per morsel
+    uint64_t rows = 0;
+  };
+  std::vector<KeptScan> kept(from.size());
+  std::vector<size_t> build_sides;
+  for (size_t i = 0; i < from.size(); ++i) {
+    if (i != driver) build_sides.push_back(i);
+  }
+  std::sort(build_sides.begin(), build_sides.end(), [&](size_t a, size_t b) {
+    return from[a].binding < from[b].binding;
+  });
+  const size_t first_path = scan_paths_.size();
+  for (const size_t i : build_sides) {
+    const storage::Table& t = *from[i].table;
+    const std::vector<const Expr*>& preds = scan_preds[i];
+    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(from[i], preds, nullptr));
+    ScanMorsels sm = TouchAndMorselize(t, plan);
+    stats_->morsels += sm.morsels.size();
+    note_threads(sm.morsels.size());
+
+    Relation header;
+    append_cols(&header, from[i]);
+    KeptScan& ks = kept[i];
+    ks.path = plan.path;
+    ks.positions.resize(sm.morsels.size());
+    std::vector<uint64_t> cpu(sm.morsels.size(), 0);
+    auto filter_morsel = [&](size_t mi) -> Status {
+      ColumnResolver resolver(&header);
+      EvalScope scope{&resolver, nullptr, nullptr};
+      EvalContext ctx;
+      ctx.scope = &scope;
+      ctx.executor = nullptr;  // eligibility guaranteed no subqueries
+      ctx.cpu_ops = &cpu[mi];
+      std::vector<uint32_t> sel = sm.Selection(mi);
+      size_t n = 0;
+      for (const uint32_t pos : sel) {
+        scope.row = &t.row(pos);
+        bool keep = true;
+        for (const Expr* p : preds) {
+          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
+          if (Truthiness(v) != 1) {
+            keep = false;
+            break;
+          }
+        }
+        if (keep) sel[n++] = pos;
+      }
+      sel.resize(n);
+      ks.positions[mi] = std::move(sel);
+      return Status::OK();
+    };
+    APUAMA_RETURN_NOT_OK(
+        ParallelFor(pool, 0, sm.morsels.size(), filter_morsel));
+    for (size_t mi = 0; mi < sm.morsels.size(); ++mi) {
+      stats_->tuples_scanned += sm.morsels[mi].end - sm.morsels[mi].begin;
+      stats_->cpu_ops += cpu[mi];
+      stats_->cpu_ops_parallel += cpu[mi];
+      ks.rows += ks.positions[mi].size();
+    }
+  }
+
+  // ---- Chain order: repeatedly add the best table connected to the
+  // covered set by an equality predicate. Key lookups come first: the
+  // applicable equalities bind every clustered-key column of the table
+  // as a bare column, so each probe row should find about one match
+  // (the key is not enforced unique, so this guides cost only). Then
+  // the lowest measured survival (kept rows / raw rows), so selective
+  // builds prune the probe stream early through their semi-join
+  // filters; then fewer raw rows; then binding name. Every input is a
+  // function of table contents and the statement text.
   struct BuildStage {
     size_t from_idx = 0;
     std::vector<const Expr*> probe_keys;  // over already-covered bindings
@@ -3037,58 +3154,71 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   };
   std::vector<BuildStage> stages;
   std::set<std::string> covered = {from[driver].binding};
-  std::vector<bool> merged(from.size(), false);
-  merged[driver] = true;
+  // The build-side expression of `jp` when it joins the uncovered
+  // binding `b` to the covered set, else nullptr. A predicate is
+  // consumed by the stage that covers its second binding.
+  auto build_side = [&](const JoinPredP& jp,
+                        const std::string& b) -> const Expr* {
+    if (covered.count(jp.lb) && jp.rb == b) return jp.rhs;
+    if (covered.count(jp.rb) && jp.lb == b) return jp.lhs;
+    return nullptr;
+  };
+  auto key_lookup = [&](size_t i) {
+    const storage::Table& t = *from[i].table;
+    if (t.clustered_key().empty()) return false;
+    for (const int kc : t.clustered_key()) {
+      bool bound = false;
+      for (const JoinPredP& jp : join_preds) {
+        const Expr* e = build_side(jp, from[i].binding);
+        if (e != nullptr && e->kind == ExprKind::kColumnRef &&
+            t.schema().FindColumn(e->column_name) == kc) {
+          bound = true;
+          break;
+        }
+      }
+      if (!bound) return false;
+    }
+    return true;
+  };
+  auto goes_before = [&](size_t a, size_t b) {
+    const bool la = key_lookup(a);
+    if (la != key_lookup(b)) return la;
+    // Survival compared exactly: kept_a / rows_a < kept_b / rows_b.
+    const uint64_t ra = from[a].table->num_rows();
+    const uint64_t rb = from[b].table->num_rows();
+    const uint64_t sa = kept[a].rows * std::max<uint64_t>(rb, 1);
+    const uint64_t sb = kept[b].rows * std::max<uint64_t>(ra, 1);
+    if (sa != sb) return sa < sb;
+    if (ra != rb) return ra < rb;
+    return from[a].binding < from[b].binding;
+  };
   // Coverage step per FROM index: 0 = driver, k + 1 = after stage k.
   std::vector<size_t> coverage_order(from.size(), 0);
   while (stages.size() + 1 < from.size()) {
     size_t best = from.size();
     for (size_t i = 0; i < from.size(); ++i) {
-      if (merged[i]) continue;
-      bool connected = false;
-      for (const auto& jp : join_preds) {
-        if (jp.applied) continue;
-        if ((covered.count(jp.lb) && jp.rb == from[i].binding) ||
-            (covered.count(jp.rb) && jp.lb == from[i].binding)) {
-          connected = true;
-          break;
-        }
-      }
-      if (!connected) continue;
-      if (best == from.size() ||
-          from[i].table->num_rows() < from[best].table->num_rows() ||
-          (from[i].table->num_rows() == from[best].table->num_rows() &&
-           from[i].binding < from[best].binding)) {
+      if (covered.count(from[i].binding)) continue;
+      const bool connected =
+          std::any_of(join_preds.begin(), join_preds.end(),
+                      [&](const JoinPredP& jp) {
+                        return build_side(jp, from[i].binding) != nullptr;
+                      });
+      if (connected && (best == from.size() || goes_before(i, best))) {
         best = i;
       }
     }
-    if (best == from.size()) {
-      return std::optional<QueryResult>();  // cross join: legacy path
-    }
+    // The connectivity check above guarantees a candidate.
     BuildStage st;
     st.from_idx = best;
-    const std::string& b = from[best].binding;
-    for (auto& jp : join_preds) {
-      if (jp.applied) continue;
-      if (covered.count(jp.lb) && jp.rb == b) {
-        st.probe_keys.push_back(jp.lhs);
-        st.build_keys.push_back(jp.rhs);
-        jp.applied = true;
-      } else if (covered.count(jp.rb) && jp.lb == b) {
-        st.probe_keys.push_back(jp.rhs);
-        st.build_keys.push_back(jp.lhs);
-        jp.applied = true;
-      }
+    for (const JoinPredP& jp : join_preds) {
+      const Expr* e = build_side(jp, from[best].binding);
+      if (e == nullptr) continue;
+      st.probe_keys.push_back(e == jp.rhs ? jp.lhs : jp.rhs);
+      st.build_keys.push_back(e);
     }
-    covered.insert(b);
-    merged[best] = true;
+    covered.insert(from[best].binding);
     coverage_order[best] = stages.size() + 1;
     stages.push_back(std::move(st));
-  }
-  for (const auto& jp : join_preds) {
-    // Defensive: every pred connects two FROM bindings and both end up
-    // covered, so the chain loop must have consumed it.
-    if (!jp.applied) return std::optional<QueryResult>();
   }
   for (const ResidualP& rc : residual_conjs) {
     size_t latest = 0;
@@ -3102,43 +3232,26 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       stages[latest - 1].residuals.push_back(rc.expr);
     }
   }
+  // EXPLAIN lists scans in plan order: build stages in chain order,
+  // then the driver, whose PlanScan below records it last.
+  scan_paths_.resize(first_path);
+  for (const BuildStage& st : stages) {
+    scan_paths_.emplace_back(from[st.from_idx].binding,
+                             kept[st.from_idx].path);
+  }
 
   // Output layouts after each probe stage: driver columns, then each
   // build table's columns in chain order. Stage k's probe keys
   // evaluate against layouts[k]; its residuals see layouts[k + 1].
   std::vector<Relation> layouts(stages.size() + 1);
-  auto append_cols = [](Relation* rel, const FromBinding& fb) {
-    for (const auto& col : fb.table->schema().columns()) {
-      rel->columns.push_back(ColumnBinding{fb.binding, col.name});
-    }
-  };
   append_cols(&layouts[0], from[driver]);
   for (size_t k = 0; k < stages.size(); ++k) {
     layouts[k + 1].columns = layouts[k].columns;
     append_cols(&layouts[k + 1], from[stages[k].from_idx]);
   }
 
-  std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
-
-  // ---- Plan committed; stats mutations start here. Spans cover the
-  // pipeline phases only (coordinator thread) so trace shape does not
-  // depend on worker scheduling.
-  obs::Span join_span =
-      obs::Tracer::Global().StartSpan("morsel.join", "morsel");
-  if (join_span.active()) {
-    join_span.AddAttr("stages", static_cast<int64_t>(stages.size()));
-  }
-  const int want = db_->settings()->exec_threads;
-  ThreadPool* pool = want > 1 ? db_->exec_pool() : nullptr;
-  auto note_threads = [&](size_t items) {
-    const size_t th = MorselWidth(want, items);
-    if (th > stats_->exec_threads) {
-      stats_->exec_threads = static_cast<uint32_t>(th);
-    }
-  };
-
-  // ---- Parallel partitioned builds, one stage at a time. Each build
-  // side is scanned in morsels (filtering + key evaluation fan out),
+  // ---- Parallel partitioned builds, one stage at a time, from the
+  // kept positions: key evaluation fans out over the build's morsels,
   // then the hash partitions are assembled concurrently — each in
   // morsel-index order, so hash-table iteration order, and therefore
   // every downstream value, is identical at every thread count.
@@ -3150,22 +3263,13 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     std::array<KeyFilter, kMergePartitions> filters;
   };
   std::vector<BuiltStage> built(stages.size());
-  obs::Span build_span =
-      obs::Tracer::Global().StartSpan("morsel.build", "morsel");
   for (size_t s = 0; s < stages.size(); ++s) {
     const FromBinding& fb = from[stages[s].from_idx];
     const storage::Table& t = *fb.table;
-    const std::vector<const Expr*>& preds = scan_preds[stages[s].from_idx];
-    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, nullptr));
-    ScanMorsels sm = TouchAndMorselize(t, plan);
-    stats_->morsels += sm.morsels.size();
-    note_threads(sm.morsels.size());
-
+    const std::vector<std::vector<uint32_t>>& positions =
+        kept[stages[s].from_idx].positions;
     Relation bheader;
-    bheader.columns.reserve(t.schema().num_columns());
-    for (const auto& col : t.schema().columns()) {
-      bheader.columns.push_back(ColumnBinding{fb.binding, col.name});
-    }
+    append_cols(&bheader, fb);
 
     // The key hash is computed once per build row and reused for the
     // partition choice, the semi-join filter bits, and the insert.
@@ -3177,11 +3281,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     struct BuildChunk {
       std::array<std::vector<Keyed>, kMergePartitions> keyed;
       uint64_t cpu = 0;
-      uint64_t scanned = 0;
     };
-    std::vector<BuildChunk> chunks(sm.morsels.size());
+    std::vector<BuildChunk> chunks(positions.size());
     const std::vector<const Expr*>& build_keys = stages[s].build_keys;
-    auto scan_morsel = [&](size_t mi) -> Status {
+    auto key_morsel = [&](size_t mi) -> Status {
       BuildChunk& ch = chunks[mi];
       ColumnResolver resolver(&bheader);
       EvalScope scope{&resolver, nullptr, nullptr};
@@ -3189,19 +3292,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctx.scope = &scope;
       ctx.executor = nullptr;  // eligibility guaranteed no subqueries
       ctx.cpu_ops = &ch.cpu;
-      for (size_t j = sm.morsels[mi].begin; j < sm.morsels[mi].end; ++j) {
-        const Row& r = t.row(sm.Position(j));
-        ++ch.scanned;
+      for (const uint32_t pos : positions[mi]) {
+        const Row& r = t.row(pos);
         scope.row = &r;
-        bool keep = true;
-        for (const Expr* p : preds) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-          if (Truthiness(v) != 1) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
         Row key;
         key.reserve(build_keys.size());
         bool null_key = false;
@@ -3219,8 +3312,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       }
       return Status::OK();
     };
-    APUAMA_RETURN_NOT_OK(
-        ParallelFor(pool, 0, sm.morsels.size(), scan_morsel));
+    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, positions.size(), key_morsel));
 
     BuiltStage& bs = built[s];
     std::array<uint64_t, kMergePartitions> part_cpu{};
@@ -3243,7 +3335,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
         ParallelFor(pool, 0, kMergePartitions, build_partition));
 
     for (const BuildChunk& ch : chunks) {
-      stats_->tuples_scanned += ch.scanned;
       stats_->cpu_ops += ch.cpu;
       stats_->cpu_ops_parallel += ch.cpu;
     }

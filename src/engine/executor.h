@@ -142,8 +142,10 @@ class Executor {
                           const EvalScope* outer) const;
 
   /// Morsel-parallel partitioned hash-join pipeline: every non-driver
-  /// table is scanned in morsels and built into a 16-way hash-
-  /// partitioned table (partitions built concurrently), then the
+  /// table is filtered once in morsels, the build chain is ordered by
+  /// key lookups and then by the measured survival of each filter, and
+  /// each build side is hashed into a 16-way partitioned table
+  /// (partitions built concurrently). Then the
   /// driver table streams page-aligned morsels as selection vectors
   /// through the full probe chain (vectorized filter -> key hash ->
   /// semi-join filter -> probe -> residual filter -> ... -> partial

@@ -9,7 +9,9 @@
 //  * the morsel join pipeline agrees with the legacy sequential
 //    chain (Database::ExecuteReference) up to float association;
 //  * join order is chosen from table contents, so permuting the
-//    FROM list cannot change the result bits;
+//    FROM list cannot change the result bits or the EXPLAIN plan;
+//  * the chain puts key lookups and selective builds first, so Q5
+//    never fans out through c_nationkey;
 //  * the semi-join filter prunes probe rows, never results;
 //  * cross joins fall back to the legacy chain, and the capped
 //    reservation hint keeps huge cross products allocation-safe.
@@ -50,6 +52,38 @@ const tpch::TpchData& DataAtSf(double sf) {
 void Set(engine::Database* db, const std::string& stmt) {
   auto r = db->Execute("set " + stmt);
   ASSERT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
+}
+
+// Q5's text with its FROM list replaced by `from`.
+std::string Q5From(const std::string& from) {
+  std::string sql = *tpch::QuerySql(5);
+  const std::string orig =
+      "customer, orders, lineitem, supplier, nation, region";
+  sql.replace(sql.find(orig), orig.size(), from);
+  return sql;
+}
+
+// The bindings plain EXPLAIN lists, in its order ("SeqScan on x" -> "x").
+std::vector<std::string> ExplainScans(engine::Database* db,
+                                      const std::string& sql) {
+  std::vector<std::string> out;
+  auto r = db->Execute("explain " + sql);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return out;
+  for (const Row& row : r->rows) {
+    const std::string& line = row[0].str_val();
+    const size_t at = line.find(" on ");
+    if (at != std::string::npos) out.push_back(line.substr(at + 4));
+  }
+  return out;
+}
+
+const std::vector<std::string>& Q5Permutations() {
+  static const std::vector<std::string> froms = {
+      "region, nation, supplier, lineitem, orders, customer",
+      "lineitem, supplier, customer, region, orders, nation",
+  };
+  return froms;
 }
 
 // Acceptance criterion: the join pipeline is bit-identical to its own
@@ -103,9 +137,10 @@ TEST(JoinParallelTest, MorselJoinMatchesLegacyChain) {
 }
 
 // Driver selection and build-chain order are functions of table
-// contents (row counts, binding names) — never of the FROM list's
-// textual order. Permutations of the same query must be bit-identical
-// at every thread count.
+// contents (row counts, clustered keys, how many rows each build
+// side's scan predicates keep, binding names) and the statement text —
+// never of the FROM list's textual order. Permutations of the same
+// query must be bit-identical at every thread count.
 TEST(JoinParallelTest, FromListPermutationsBitIdentical) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -117,23 +152,164 @@ TEST(JoinParallelTest, FromListPermutationsBitIdentical) {
       " where s_nationkey = n_nationkey"
       " and n_regionkey = r_regionkey"
       " group by n_name order by n_name";
-  const std::vector<std::string> froms = {
-      "supplier, nation, region",
-      "region, nation, supplier",
-      "nation, region, supplier",
+  // Each case lists one query under several FROM orders.
+  std::vector<std::vector<std::string>> cases = {
+      {select + "supplier, nation, region" + where,
+       select + "region, nation, supplier" + where,
+       select + "nation, region, supplier" + where},
+      {*tpch::QuerySql(5)},
   };
+  for (const std::string& from : Q5Permutations()) {
+    cases[1].push_back(Q5From(from));
+  }
   for (int threads : {1, 4}) {
     Set(&db, "exec_threads = " + std::to_string(threads));
-    auto base = db.Execute(select + froms[0] + where);
-    ASSERT_TRUE(base.ok()) << base.status().ToString();
-    EXPECT_GT(base->stats.join_build_rows, 0u);
-    for (size_t i = 1; i < froms.size(); ++i) {
-      auto perm = db.Execute(select + froms[i] + where);
-      ASSERT_TRUE(perm.ok()) << perm.status().ToString();
-      SCOPED_TRACE(froms[i] + " threads=" + std::to_string(threads));
-      testutil::ExpectResultsIdentical(*base, *perm);
+    for (const std::vector<std::string>& perms : cases) {
+      auto base = db.Execute(perms[0]);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      EXPECT_GT(base->stats.join_build_rows, 0u);
+      for (size_t i = 1; i < perms.size(); ++i) {
+        auto perm = db.Execute(perms[i]);
+        ASSERT_TRUE(perm.ok()) << perm.status().ToString();
+        SCOPED_TRACE(perms[i] + " threads=" + std::to_string(threads));
+        testutil::ExpectResultsIdentical(*base, *perm);
+      }
     }
   }
+}
+
+// Plain EXPLAIN lists the join's scans in plan order: build stages in
+// chain order, then the driver. For Q5 the date-filtered orders build
+// is a key lookup that keeps about 1/7 of its rows, so it precedes
+// customer, which joins in last; the listing is the same under any
+// FROM order.
+TEST(JoinParallelTest, ExplainShowsChainOrderIndependentOfFromList) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  const std::vector<std::string> base = ExplainScans(&db, *tpch::QuerySql(5));
+  const std::vector<std::string> expect = {"orders", "supplier", "nation",
+                                           "region", "customer", "lineitem"};
+  EXPECT_EQ(base, expect);
+  for (const std::string& from : Q5Permutations()) {
+    SCOPED_TRACE(from);
+    EXPECT_EQ(ExplainScans(&db, Q5From(from)), base);
+  }
+}
+
+// Q5 must not fan out through c_nationkey = s_nationkey: a chain that
+// reaches customer before orders pairs every surviving lineitem row
+// with each customer of its supplier's nation. With orders first, its
+// semi-join filter drops most lineitem rows before any row
+// materializes, so probes plus filter skips stay within a few per
+// lineitem row.
+TEST(JoinParallelTest, Q5ProbeWorkBoundedByLineitem) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  Set(&db, "exec_threads = 1");
+  auto lineitem = db.Execute("select count(*) from lineitem");
+  ASSERT_TRUE(lineitem.ok()) << lineitem.status().ToString();
+  const uint64_t rows =
+      static_cast<uint64_t>(lineitem->rows[0][0].int_val());
+  auto q5 = db.Execute(*tpch::QuerySql(5));
+  ASSERT_TRUE(q5.ok()) << q5.status().ToString();
+  EXPECT_GT(q5->stats.join_probe_rows, 0u);
+  EXPECT_LE(q5->stats.join_probe_rows + q5->stats.filter_skipped_rows,
+            5 * rows);
+}
+
+// Shapes that stress the ordering inputs rather than TPC-H: a build
+// side whose declared clustered key holds duplicates (a "key lookup"
+// that fans out, since the key is not enforced unique), and build
+// sides filtered to zero rows (survival 0, so they go before larger
+// or smaller key lookups). Each must match the reference executor
+// and be bit-identical at every thread count.
+TEST(JoinParallelTest, OrderingEdgeCasesMatchReference) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  for (const char* ddl :
+       {"create table fact (f_id bigint, f_dim bigint, f_val double)",
+        "create table dim (d_key bigint not null primary key,"
+        " d_grp bigint, d_tag varchar(8))",
+        "create table grp (g_key bigint not null primary key,"
+        " g_name varchar(8))"}) {
+    ASSERT_TRUE(db.Execute(ddl).ok()) << ddl;
+  }
+  // 3 rows per dim key over 1200 keys (several build morsels), and
+  // fact keys that overshoot dim's range so some probes miss.
+  for (int i = 0; i < 3600; ++i) {
+    const int key = i % 1200;
+    ASSERT_TRUE(db.Execute("insert into dim values (" +
+                           std::to_string(key) + ", " +
+                           std::to_string((key + i) % 7) + ", '" +
+                           (key % 2 == 0 ? "even" : "odd") + "')")
+                    .ok());
+  }
+  for (int g = 0; g < 7; ++g) {
+    ASSERT_TRUE(db.Execute("insert into grp values (" + std::to_string(g) +
+                           ", 'g" + std::to_string(g) + "')")
+                    .ok());
+  }
+  for (int i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(db.Execute("insert into fact values (" + std::to_string(i) +
+                           ", " + std::to_string(i % 1300) + ", " +
+                           std::to_string(i) + ".5)")
+                    .ok());
+  }
+  const std::string dup_key =
+      "select g_name, count(*) as cnt, sum(f_val) as val"
+      " from fact, grp, dim"
+      " where f_dim = d_key and d_grp = g_key and d_tag = 'odd'"
+      " group by g_name order by g_name";
+  // dim and grp are both key lookups from fact; dim keeps no rows, so
+  // it goes first although grp is smaller. A global aggregate over the
+  // empty join still yields a row.
+  const std::string empty_dim =
+      "select count(*) as cnt, sum(f_val) as val, min(g_name) as g"
+      " from fact, grp, dim"
+      " where f_dim = d_key and f_id = g_key and d_grp = g_key"
+      " and d_tag = 'none'";
+  EXPECT_EQ(ExplainScans(&db, empty_dim),
+            (std::vector<std::string>{"dim", "grp", "fact"}));
+  const std::vector<std::string> queries = {
+      dup_key,
+      empty_dim,
+      // Q5 with region filtered to nothing.
+      [] {
+        std::string sql = *tpch::QuerySql(5);
+        sql.replace(sql.find("'ASIA'"), 6, "'ATLANTIS'");
+        return sql;
+      }(),
+  };
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    Set(&db, "exec_threads = 1");
+    auto base = db.Execute(sql);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_GT(base->stats.morsels, 0u);  // ran the morsel join
+    testutil::ExpectMatchesReference(*ref, *base);
+    for (int threads : {2, 8}) {
+      Set(&db, "exec_threads = " + std::to_string(threads));
+      auto par = db.Execute(sql);
+      ASSERT_TRUE(par.ok()) << par.status().ToString();
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      testutil::ExpectResultsIdentical(*base, *par);
+    }
+  }
+  // The duplicate-key case really fans out: every fact row with an
+  // odd key below 1200 pairs with all 3 dim rows of that key.
+  Set(&db, "exec_threads = 1");
+  auto dup = db.Execute(dup_key);
+  ASSERT_TRUE(dup.ok()) << dup.status().ToString();
+  int64_t joined = 0;
+  for (const Row& row : dup->rows) joined += row[1].int_val();
+  int64_t matched = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const int key = i % 1300;
+    if (key < 1200 && key % 2 == 1) ++matched;
+  }
+  EXPECT_EQ(joined, 3 * matched);
 }
 
 // Semi-join filter pushdown is a pure pruning optimization: it cuts
