@@ -11,11 +11,8 @@
 // tight enough — the pages those sub-queries would have scanned are
 // the approximate tier's entire saving.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <future>
 #include <map>
 #include <memory>
 #include <utility>
@@ -25,19 +22,12 @@
 #include "apuama/approx/sample_catalog.h"
 #include "common/string_util.h"
 #include "engine/database.h"
-#include "obs/trace.h"
 #include "sql/parser.h"
 #include "sql/unparse.h"
 
 namespace apuama {
 
 namespace {
-
-int64_t ApproxSteadyUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // Uniform double in [0, 1) from a 64-bit hash (top 53 bits), the
 // standard exact-in-IEEE conversion — membership tests are then
@@ -341,140 +331,11 @@ std::optional<Result<engine::QueryResult>> ApuamaEngine::MaybeExecuteApprox(
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
     const approx::ApproxQuerySpec& spec, SvpProfile* profile) {
-  std::vector<int> alive = replicas_->AvailableNodes();
-  if (alive.empty()) return Status::Unavailable("no node available");
-  const int n_alive = static_cast<int>(alive.size());
   const double error_target =
       approx_error_target_.load(std::memory_order_relaxed);
-
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const bool tracing = tracer.enabled();
-  const bool timed = profile != nullptr;
-  obs::Span approx_span = tracer.StartSpan("engine.approx", "engine");
-  if (approx_span.active()) approx_span.AddAttr("nodes", n_alive);
-  const uint64_t dispatch_parent =
-      approx_span.active() ? approx_span.id() : tracer.current_span_id();
-  if (timed) *profile = SvpProfile{};
-
-  // Consistency barrier — doubled as the staleness window: while
-  // writes are blocked and replicas agree, compare the scramble's
-  // built-at epochs against the live counters and rebuild in place on
-  // mismatch (with the entry's ORIGINAL seed, so a rebuild is
-  // bit-reproducible). An APPROX answer can therefore never be
-  // computed from a scramble older than the base table's last
-  // committed write.
   approx::SampleEntry entry;
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? ApproxSteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); });
-    const int64_t barrier_us =
-        (timed || tracing) ? ApproxSteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(sample_build_mu_);
-    auto current = sample_catalog_.ForBase(spec.base_table);
-    if (!current.has_value()) {
-      consistency_.EndSvpPrepare();
-      return Status::Unsupported("approx: sample was dropped");
-    }
-    bool stale = false;
-    for (const auto& [key, epoch] : current->built_epochs) {
-      stale = stale || result_cache_.TableEpoch(key) != epoch;
-    }
-    if (stale) {
-      Status s = BuildScramble(current->base_table, current->sample_table,
-                               current->requested_ratio, current->seed,
-                               /*rebuild=*/true);
-      if (!s.ok()) {
-        consistency_.EndSvpPrepare();
-        return s;
-      }
-      current = sample_catalog_.ForBase(spec.base_table);
-    }
-    entry = *current;
-  }
-
-  // Carve the stats query over the scramble's key space with the
-  // stock SVP machinery — more sub-queries than nodes, so the
-  // early-exit rule has prefixes to stop between.
-  auto route = RouteRead(spec.stats_sql);
-  if (!route.ok()) {
-    consistency_.EndSvpPrepare();
-    return route.status();
-  }
-  if ((*route)->kind != PlanCache::Kind::kSvp) {
-    consistency_.EndSvpPrepare();
-    return Status::Unsupported("approx: stats query is not SVP-rewritable");
-  }
-  SvpPlan plan = (*route)->plan.Clone();
-  int n_sub = 4 * n_alive;
-  if (entry.sample_rows > 0 &&
-      static_cast<uint64_t>(n_sub) > entry.sample_rows) {
-    n_sub = static_cast<int>(entry.sample_rows);
-  }
-  if (n_sub < 1) n_sub = 1;
-  auto intervals = plan.MakeIntervals(n_sub);
-  std::vector<std::string> sub_sql;
-  sub_sql.reserve(intervals.size());
-  for (const auto& [lo, hi] : intervals) {
-    sub_sql.push_back(plan.SubquerySql(lo, hi));
-  }
-  if (timed) {
-    profile->node_times_us.assign(intervals.size(), 0);
-    profile->node_ids.clear();
-    for (size_t i = 0; i < intervals.size(); ++i) {
-      profile->node_ids.push_back(alive[i % static_cast<size_t>(n_alive)]);
-    }
-    profile->sample_ratio = entry.actual_ratio;
-  }
-
-  // Dispatch every interval; a shared cancel flag lets the early exit
-  // turn not-yet-started sub-queries into no-ops (their pages are the
-  // saving). Dispatched BEFORE EndSvpPrepare, like SVP: updates may
-  // overlap execution but not dispatch.
-  auto cancel = std::make_shared<std::atomic<bool>>(false);
-  std::vector<std::future<Result<engine::QueryResult>>> futures;
-  futures.reserve(intervals.size());
-  for (size_t i = 0; i < intervals.size(); ++i) {
-    NodeProcessor* np =
-        processors_[static_cast<size_t>(
-                        alive[i % static_cast<size_t>(n_alive)])]
-            .get();
-    std::string stmt = sub_sql[i];
-    const int node = alive[i % static_cast<size_t>(n_alive)];
-    int64_t* time_slot = timed ? &profile->node_times_us[i] : nullptr;
-    futures.push_back(dispatch_pool_->Submit(
-        [np, stmt = std::move(stmt), &tracer, tracing, dispatch_parent,
-         node, time_slot, cancel]() -> Result<engine::QueryResult> {
-          if (cancel->load(std::memory_order_relaxed)) {
-            return engine::QueryResult{};  // skipped: empty partial
-          }
-          obs::Span span =
-              tracing ? tracer.StartSpanUnder(dispatch_parent,
-                                              "node.subquery", "node")
-                      : obs::Span();
-          if (span.active()) span.AddAttr("node", node);
-          const int64_t t0 = time_slot != nullptr ? ApproxSteadyUs() : 0;
-          auto r = np->ExecuteSubquery(stmt);
-          if (time_slot != nullptr) *time_slot = ApproxSteadyUs() - t0;
-          return r;
-        }));
-  }
-  consistency_.EndSvpPrepare();
-
-  // In-order streaming merge. Joining futures in interval order makes
-  // the merged prefix — and with it the stopping decision, the
-  // estimates, and the intervals — a pure function of the seed and
-  // the data, at any thread count.
-  StreamingComposition sink(plan.merge_program(), plan.composition_sql());
+  SvpPlan plan;
+  std::vector<std::pair<int64_t, int64_t>> intervals;
   std::map<std::string, std::vector<approx::GroupMoments>> cumulative;
   std::map<std::string, std::vector<std::vector<approx::GroupMoments>>>
       per_sub;  // group -> agg -> one entry per contributing interval
@@ -482,37 +343,65 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   int64_t total_cnt = 0;      // sample rows matched so far
   size_t merged = 0;
   bool stopped = false;
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < futures.size(); ++i) {
-    Result<engine::QueryResult> r = futures[i].get();
-    if (!first_error.ok() || stopped) continue;  // draining
-    if (!r.ok() && r.status().code() == StatusCode::kUnavailable) {
-      // Node died after dispatch: retry inline on the survivors (the
-      // moments accumulation below needs every merged interval to
-      // pass through this loop, so the SVP retry helper — which adds
-      // straight to the sink — cannot be used here).
-      for (int attempt = 1; attempt <= n_alive; ++attempt) {
-        const int cand =
-            alive[(i + static_cast<size_t>(attempt)) %
-                  static_cast<size_t>(n_alive)];
-        r = processors_[static_cast<size_t>(cand)]->ExecuteSubquery(
-            sub_sql[i]);
-        if (r.ok() || r.status().code() != StatusCode::kUnavailable) break;
+
+  DispatchSpec d;
+  d.span_name = "engine.approx";
+  // The consistency barrier doubles as the staleness window: while
+  // writes are blocked and replicas agree, compare the scramble's
+  // built-at epochs against the live counters and rebuild in place on
+  // mismatch (with the entry's ORIGINAL seed, so a rebuild is
+  // bit-reproducible). An APPROX answer can therefore never be
+  // computed from a scramble older than the base table's last
+  // committed write.
+  d.prepare = [&](const std::vector<int>& alive)
+      -> Result<std::vector<SubqueryTask>> {
+    {
+      std::lock_guard<std::mutex> lock(sample_build_mu_);
+      auto current = sample_catalog_.ForBase(spec.base_table);
+      if (!current.has_value()) {
+        return Status::Unsupported("approx: sample was dropped");
       }
-      if (r.ok()) {
-        stats_.svp_retries.fetch_add(1, std::memory_order_relaxed);
-        if (timed) profile->retries += 1;
+      bool stale = false;
+      for (const auto& [key, epoch] : current->built_epochs) {
+        stale = stale || result_cache_.TableEpoch(key) != epoch;
       }
+      if (stale) {
+        APUAMA_RETURN_NOT_OK(BuildScramble(
+            current->base_table, current->sample_table,
+            current->requested_ratio, current->seed, /*rebuild=*/true));
+        current = sample_catalog_.ForBase(spec.base_table);
+      }
+      entry = *current;
     }
-    if (!r.ok()) {
-      first_error = r.ok() ? Status::Unavailable("approx retry exhausted")
-                           : r.status();
-      cancel->store(true, std::memory_order_relaxed);
-      continue;
+    // Carve the stats query over the scramble's key space with the
+    // stock SVP machinery — more sub-queries than nodes, so the
+    // early-exit rule has prefixes to stop between.
+    APUAMA_ASSIGN_OR_RETURN(std::shared_ptr<const PlanCache::Entry> route,
+                            RouteRead(spec.stats_sql));
+    if (route->kind != PlanCache::Kind::kSvp) {
+      return Status::Unsupported("approx: stats query is not SVP-rewritable");
     }
-    stats_.NoteNodeStats(r->stats);
-    if (timed) profile->node_stats += r->stats;
-    for (const Row& row : r->rows) {
+    plan = route->plan.Clone();
+    int n_sub = 4 * static_cast<int>(alive.size());
+    if (entry.sample_rows > 0 &&
+        static_cast<uint64_t>(n_sub) > entry.sample_rows) {
+      n_sub = static_cast<int>(entry.sample_rows);
+    }
+    intervals = plan.MakeIntervals(std::max(n_sub, 1));
+    std::vector<SubqueryTask> tasks;
+    tasks.reserve(intervals.size());
+    for (size_t i = 0; i < intervals.size(); ++i) {
+      const auto [lo, hi] = intervals[i];
+      tasks.push_back(
+          {plan.SubquerySql(lo, hi), alive[i % alive.size()], alive});
+    }
+    return tasks;
+  };
+  // In-order moments: the merged prefix — and with it the stopping
+  // decision, the estimates, and the intervals — is a pure function of
+  // the seed and the data, at any thread count.
+  d.on_fold = [&](size_t task, const engine::QueryResult& partial) {
+    for (const Row& row : partial.rows) {
       const std::string key = GroupKeyOf(row, spec.num_group_cols);
       std::vector<approx::GroupMoments> moments = RowMoments(row, spec);
       auto& cum = cumulative[key];
@@ -528,48 +417,29 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
       }
     }
     covered_keys +=
-        static_cast<uint64_t>(intervals[i].second - intervals[i].first);
-    merged = i + 1;
-    Status add = sink.Add(std::move(r).value());
-    if (!add.ok()) {
-      first_error = add;
-      cancel->store(true, std::memory_order_relaxed);
-      continue;
+        static_cast<uint64_t>(intervals[task].second - intervals[task].first);
+    ++merged;
+    if (error_target <= 0.0 || total_cnt == 0 || merged == intervals.size()) {
+      return true;
     }
-    if (error_target > 0.0 && total_cnt > 0 &&
-        merged < futures.size()) {
-      const double f_now =
-          entry.base_rows > 0
-              ? static_cast<double>(covered_keys) /
-                    static_cast<double>(entry.base_rows)
-              : 0.0;
-      double worst = 0.0;
-      for (const auto& [key, cum] : cumulative) {
-        for (size_t a = 0; a < cum.size(); ++a) {
-          const approx::Estimate est =
-              approx::EstimateAgg(spec.aggs[a].kind, cum[a], f_now);
-          worst = std::max(worst, est.RelativeHalfWidth());
-        }
-      }
-      if (worst <= error_target) {
-        stopped = true;
-        cancel->store(true, std::memory_order_relaxed);
+    const double f_now =
+        entry.base_rows > 0 ? static_cast<double>(covered_keys) /
+                                  static_cast<double>(entry.base_rows)
+                            : 0.0;
+    double worst = 0.0;
+    for (const auto& [key, cum] : cumulative) {
+      for (size_t a = 0; a < cum.size(); ++a) {
+        const approx::Estimate est =
+            approx::EstimateAgg(spec.aggs[a].kind, cum[a], f_now);
+        worst = std::max(worst, est.RelativeHalfWidth());
       }
     }
-  }
-  APUAMA_RETURN_NOT_OK(first_error);
-  const uint64_t skipped =
-      static_cast<uint64_t>(futures.size() - merged);
-
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> stats_result = sink.Finish(&cstats);
-  compose_span.End();
-  APUAMA_RETURN_NOT_OK(stats_result.status());
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-  }
+    stopped = worst <= error_target;
+    return !stopped;
+  };
+  APUAMA_ASSIGN_OR_RETURN(engine::QueryResult stats_result,
+                          Dispatch(d, plan, profile));
+  const uint64_t skipped = static_cast<uint64_t>(intervals.size() - merged);
 
   // Finalize: scale the merged moments into estimates, attach the
   // per-group CLT (or bootstrap) intervals as trailing __ci columns,
@@ -591,7 +461,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
     }
   }
   double worst_rel = 0.0;
-  for (const Row& row : stats_result->rows) {
+  for (const Row& row : stats_result.rows) {
     const std::string key = GroupKeyOf(row, spec.num_group_cols);
     Row orow(spec.item_to_group.size());
     std::vector<Value> ci;
@@ -646,7 +516,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
       out.rows.size() > static_cast<size_t>(spec.limit)) {
     out.rows.resize(static_cast<size_t>(spec.limit));
   }
-  out.stats = stats_result->stats;
+  out.stats = stats_result.stats;
   out.approx.is_approx = true;
   out.approx.sample_ratio = entry.actual_ratio;
   out.approx.coverage =
@@ -658,7 +528,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   out.approx.max_rel_half_width = worst_rel;
   out.approx.seed = entry.seed;
   out.approx.subqueries_skipped = skipped;
-  if (timed) {
+  if (profile != nullptr) {
     profile->sample_ratio = entry.actual_ratio;
     profile->ci_half_width = worst_rel;
     profile->subqueries_skipped = skipped;
@@ -669,8 +539,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   }
   stats_.approx_subqueries_skipped.fetch_add(skipped,
                                              std::memory_order_relaxed);
-  stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                      std::memory_order_relaxed);
   return out;
 }
 

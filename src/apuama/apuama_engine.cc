@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
-#include <future>
+#include <deque>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <set>
 
 #include "apuama/share/query_fingerprint.h"
@@ -20,6 +23,11 @@
 namespace apuama {
 
 namespace {
+
+// Sub-query dispatch pool size: at least this many threads, and at
+// least one per node.
+constexpr size_t kMinDispatchThreads = 8;
+
 int64_t SteadyUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -108,9 +116,9 @@ ApuamaEngine::ApuamaEngine(cjdbc::ReplicaSet* replicas, DataCatalog catalog,
     processors_.push_back(
         std::make_unique<NodeProcessor>(i, replicas_, node_options));
   }
-  int threads = options.dispatch_threads;
-  if (threads < replicas_->num_nodes()) threads = replicas_->num_nodes();
-  dispatch_pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+  dispatch_pool_ = std::make_unique<ThreadPool>(
+      std::max(kMinDispatchThreads,
+               static_cast<size_t>(replicas_->num_nodes())));
   metrics_provider_ = obs::Registry::Global().RegisterProvider(
       "apuama", [this] { return stats_.Kv(); });
 }
@@ -192,10 +200,8 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteRead(
                             RouteRead(sql));
     switch (entry->kind) {
       case PlanCache::Kind::kSvp: {
-        SvpPlan plan = entry->plan.Clone();
-        auto result = options_.technique == IntraQueryTechnique::kAvp
-                          ? ExecuteAvpPlan(std::move(plan))
-                          : ExecuteSvpPlan(std::move(plan));
+        auto result =
+            ExecuteSvpPlan(entry->plan.Clone(), options_.technique);
         if (result.ok()) return result;
         if (result.status().code() != StatusCode::kUnsupported) {
           return result;  // real error
@@ -700,267 +706,205 @@ ApuamaEngine::ExecuteFragmentedPassthrough(int node_id,
 Result<engine::QueryResult> ApuamaEngine::ExecuteSvp(
     const sql::SelectStmt& query) {
   APUAMA_ASSIGN_OR_RETURN(SvpPlan plan, rewriter_.Rewrite(query));
-  return ExecuteSvpPlan(std::move(plan));
+  return ExecuteSvpPlan(std::move(plan), IntraQueryTechnique::kSvp);
 }
 
-Status ApuamaEngine::RetryFailedIntervals(
-    const std::vector<std::string>& sub_sql,
-    const std::vector<int>& dispatched_to, std::vector<size_t> pending,
-    StreamingComposition* sink) {
-  // Each wave resubmits every failed interval through the dispatch
-  // pool at once (a dead node strands up to 1/n of the key space —
-  // serial retries would add a full sub-query latency per straggler).
-  // A retry target that also dies rotates the interval to a survivor
-  // it has not tried yet; an interval that exhausted every survivor
-  // fails the query.
-  std::vector<std::set<int>> tried(sub_sql.size());
-  // Seed each interval with the node it already failed on: a flaky
-  // (not marked-down) node still shows up in AvailableNodes(), and
-  // resubmitting there first would waste the whole first wave.
-  for (size_t idx : pending) {
-    if (idx < dispatched_to.size()) tried[idx].insert(dispatched_to[idx]);
-  }
-  while (!pending.empty()) {
-    std::vector<int> alive = replicas_->AvailableNodes();
-    if (alive.empty()) {
-      return Status::Unavailable("no node available for retry");
-    }
-    std::vector<std::pair<size_t, int>> wave;  // (interval, target)
-    wave.reserve(pending.size());
-    for (size_t k = 0; k < pending.size(); ++k) {
-      const size_t idx = pending[k];
-      int target = -1;
-      for (size_t off = 0; off < alive.size(); ++off) {
-        // Offset by interval and position so a wave spreads over the
-        // survivors instead of piling onto one node.
-        int cand = alive[(idx + k + off) % alive.size()];
-        if (tried[idx].count(cand) == 0) {
-          target = cand;
-          break;
-        }
-      }
-      if (target < 0) {
-        return Status::Unavailable(
-            "every available node failed interval retry");
-      }
-      tried[idx].insert(target);
-      wave.emplace_back(idx, target);
-    }
-    std::vector<std::future<Result<engine::QueryResult>>> futures;
-    futures.reserve(wave.size());
-    for (const auto& [idx, target] : wave) {
-      NodeProcessor* np = processors_[static_cast<size_t>(target)].get();
-      std::string stmt = sub_sql[idx];
-      futures.push_back(dispatch_pool_->Submit(
-          [np, stmt = std::move(stmt)] { return np->ExecuteSubquery(stmt); }));
-    }
-    std::vector<size_t> still_failed;
-    for (size_t k = 0; k < futures.size(); ++k) {
-      stats_.svp_retries.fetch_add(1, std::memory_order_relaxed);
-      Result<engine::QueryResult> r = futures[k].get();
-      if (r.ok()) {
-        APUAMA_RETURN_NOT_OK(sink->Add(std::move(r).value()));
-      } else if (r.status().code() == StatusCode::kUnavailable) {
-        still_failed.push_back(wave[k].first);
-      } else {
-        return r.status();
-      }
-    }
-    pending = std::move(still_failed);
-  }
-  return Status::OK();
-}
+namespace {
 
-Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlanFragmented(
-    SvpPlan plan, SvpProfile* profile,
-    std::vector<FragmentationSpec> specs) {
-  // Fragmented variant of ExecuteSvpPlan: nodes hold only their
-  // placed fragments, so each interval runs on a node the exchange
-  // operator picks (zero-movement when placement allows, materialized
-  // temps otherwise), and intervals outside the query's predicate
-  // bounds are pruned instead of dispatched.
-  std::vector<int> alive = replicas_->AvailableNodes();
+// One finished attempt at a sub-query task, posted by a dispatch
+// worker to the dispatching thread.
+struct Attempt {
+  size_t task;
+  int node;
+  int64_t us;
+  Result<engine::QueryResult> result;
+};
+
+}  // namespace
+
+Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
+                                                   const SvpPlan& plan,
+                                                   SvpProfile* profile) {
+  // Partition over the *available* nodes: a crashed replica's key
+  // range is redistributed across the survivors.
+  const std::vector<int> alive = replicas_->AvailableNodes();
   if (alive.empty()) return Status::Unavailable("no node available");
-  const int n = static_cast<int>(alive.size());
-  auto intervals = plan.MakeIntervals(n);
-
-  // Fragment pruning: an interval entirely outside the inclusive
-  // predicate bounds contributes a provably empty partial. At least
-  // one interval always runs — partial-aggregate composition needs a
-  // feed even when it carries zero rows.
-  std::vector<size_t> kept;
-  for (size_t i = 0; i < intervals.size(); ++i) {
-    const auto [lo, hi] = intervals[i];
-    if (lo < hi && lo <= plan.pred_max() && hi - 1 >= plan.pred_min()) {
-      kept.push_back(i);
-    }
-  }
-  if (kept.empty()) kept.push_back(0);
-  const uint64_t pruned =
-      static_cast<uint64_t>(intervals.size() - kept.size());
-
   obs::Tracer& tracer = obs::Tracer::Global();
   const bool tracing = tracer.enabled();
-  const bool timed = profile != nullptr;
-  obs::Span svp_span = tracer.StartSpan("engine.svp", "engine");
-  if (svp_span.active()) svp_span.AddAttr("nodes", n);
-  const uint64_t dispatch_parent =
-      svp_span.active() ? svp_span.id() : tracer.current_span_id();
-
-  if (timed) {
-    *profile = SvpProfile{};
-    profile->node_times_us.assign(kept.size(), 0);
-    profile->node_ids.assign(kept.size(), -1);
-    profile->fragments_pruned = pruned;
+  obs::Span span = tracer.StartSpan(spec.span_name, "engine");
+  if (span.active()) {
+    span.AddAttr("nodes", static_cast<int64_t>(alive.size()));
   }
+  const uint64_t parent =
+      span.active() ? span.id() : tracer.current_span_id();
+  // Per-statement reset: a reused profile (same connection running
+  // several EXPLAIN ANALYZEs) must not accumulate the previous run's
+  // node_stats / retries, or merge-strategy and vectorized-row
+  // goldens become order-dependent.
+  if (profile != nullptr) *profile = SvpProfile{};
 
-  std::vector<std::pair<int64_t, int64_t>> kept_intervals;
-  std::vector<int> preferred;
-  kept_intervals.reserve(kept.size());
-  preferred.reserve(kept.size());
-  for (size_t k : kept) {
-    kept_intervals.push_back(intervals[k]);
-    // The node interval k would run on under full replication — kept
-    // so the co-partitioned aligned case routes identically to the
-    // replicated baseline.
-    preferred.push_back(alive[k]);
-  }
+  // Workers post finished attempts to `done`; only this thread reads
+  // them and touches the tasks, the plan, the sink and the profile.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Attempt> done;
+  std::atomic<bool> cancel{false};  // set once stopped or failed
+  size_t in_flight = 0;
+  std::vector<SubqueryTask> tasks;
+  std::vector<std::vector<int>> tried;  // per task: nodes it ran on
+  uint64_t retries = 0;
 
-  std::vector<const FragmentationSpec*> spec_ptrs;
-  spec_ptrs.reserve(specs.size());
-  for (const auto& s : specs) spec_ptrs.push_back(&s);
-  exchange::ExchangeOperator ex(
-      replicas_, exchange_seq_.fetch_add(1, std::memory_order_relaxed),
-      exchange_strategy_.load(std::memory_order_relaxed));
-  const std::vector<std::string> read_scope =
-      FragmentedReadScope(plan, specs);
-
-  // Scoped barrier, held through exchange planning: materialized
-  // slices must snapshot the same committed state the local fragments
-  // will serve when the sub-queries run.
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); },
-                                 read_scope);
-    const int64_t barrier_us =
-        (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
+  auto submit = [&](size_t t, int node) {
+    tried[t].push_back(node);
+    ++in_flight;
+    NodeProcessor* np = processors_[static_cast<size_t>(node)].get();
+    dispatch_pool_->Submit([&mu, &cv, &done, &cancel, &tracer, tracing,
+                            parent, np, t, node, sql = tasks[t].sql] {
+      // A task not yet started when the read stopped or failed is
+      // skipped: its pages are an early exit's whole saving.
+      Result<engine::QueryResult> r = engine::QueryResult{};
+      int64_t us = 0;
+      if (!cancel.load(std::memory_order_relaxed)) {
+        obs::Span sub = tracing ? tracer.StartSpanUnder(
+                                      parent, "node.subquery", "node")
+                                : obs::Span();
+        if (sub.active()) sub.AddAttr("node", node);
+        const int64_t t0 = SteadyUs();
+        try {
+          r = np->ExecuteSubquery(sql);
+        } catch (const std::exception& e) {
+          // The dispatcher waits for this post; it must always come.
+          r = Status::Internal(std::string("sub-query threw: ") + e.what());
+        }
+        us = SteadyUs() - t0;
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      done.push_back(Attempt{t, node, us, std::move(r)});
+      cv.notify_one();
+    });
+  };
+  auto add_task = [&](SubqueryTask task) {
+    tasks.push_back(std::move(task));
+    tried.emplace_back();
+    if (profile != nullptr) {
+      profile->node_times_us.push_back(0);
+      profile->node_ids.push_back(tasks.back().node);
     }
-  }
-  auto assignments_or =
-      ex.Prepare(kept_intervals, spec_ptrs, alive, preferred);
-  if (!assignments_or.ok()) {
-    consistency_.EndSvpPrepare(read_scope);
-    return assignments_or.status();
-  }
-  std::vector<exchange::Assignment> assignments =
-      std::move(assignments_or).value();
+    submit(tasks.size() - 1, tasks.back().node);
+  };
+  // The retry rule: the first available node of the task's eligible
+  // set it has not tried, scanning from an offset by task index so
+  // several failed tasks spread over the survivors.
+  auto retry_target = [&](size_t t) {
+    const std::vector<int>& eligible = tasks[t].eligible;
+    for (size_t off = 0; off < eligible.size(); ++off) {
+      const int cand = eligible[(t + off) % eligible.size()];
+      if (std::find(tried[t].begin(), tried[t].end(), cand) ==
+              tried[t].end() &&
+          replicas_->IsNodeAvailable(cand)) {
+        return cand;
+      }
+    }
+    return -1;
+  };
 
-  // Render all sub-queries before dispatch (rendering mutates the
-  // plan template and is not thread-safe; dispatch is).
-  std::vector<std::string> sub_sql(kept.size());
-  for (size_t k = 0; k < kept.size(); ++k) {
-    const auto [lo, hi] = kept_intervals[k];
-    sub_sql[k] = assignments[k].table_map.empty()
-                     ? plan.SubquerySql(lo, hi)
-                     : plan.SubquerySqlMapped(lo, hi,
-                                              assignments[k].table_map);
-    if (timed) profile->node_ids[k] = assignments[k].node;
+  // Consistency barrier: block new updates, wait for replicas to be
+  // mutually consistent, prepare and dispatch every first task, then
+  // unblock (updates may overlap sub-query *execution*, per the
+  // paper). The guard releases it on every exit.
+  const int64_t barrier_t0 = SteadyUs();
+  obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
+  ConsistencyManager::SvpPrepareGuard barrier(
+      &consistency_, [this] { return ReplicasConsistent(); },
+      spec.barrier_scope);
+  barrier_span.End();
+  const int64_t barrier_us = SteadyUs() - barrier_t0;
+  if (profile != nullptr) profile->barrier_wait_us = barrier_us;
+  if (tracing) {
+    obs::Registry::Global()
+        .GetHistogram("engine.barrier_wait_us",
+                      obs::Histogram::DefaultLatencyBoundsUs())
+        ->Observe(barrier_us);
   }
+  APUAMA_ASSIGN_OR_RETURN(std::vector<SubqueryTask> first,
+                          spec.prepare(alive));
+  for (SubqueryTask& task : first) add_task(std::move(task));
+  barrier.Release();  // all first tasks dispatched
 
-  std::vector<std::future<Result<engine::QueryResult>>> futures;
-  futures.reserve(kept.size());
-  for (size_t k = 0; k < kept.size(); ++k) {
-    NodeProcessor* np =
-        processors_[static_cast<size_t>(assignments[k].node)].get();
-    std::string stmt = sub_sql[k];
-    const int node = assignments[k].node;
-    int64_t* time_slot = timed ? &profile->node_times_us[k] : nullptr;
-    futures.push_back(dispatch_pool_->Submit(
-        [np, stmt = std::move(stmt), &tracer, tracing, dispatch_parent,
-         node, time_slot] {
-          obs::Span span =
-              tracing ? tracer.StartSpanUnder(dispatch_parent,
-                                              "node.subquery", "node")
-                      : obs::Span();
-          if (span.active()) span.AddAttr("node", node);
-          const int64_t t0 = time_slot != nullptr ? SteadyUs() : 0;
-          auto r = np->ExecuteSubquery(stmt);
-          if (time_slot != nullptr) *time_slot = SteadyUs() - t0;
-          return r;
-        }));
-  }
-  consistency_.EndSvpPrepare(read_scope);  // all sub-queries dispatched
-
+  // Streaming merge in task order, overlapping composition with the
+  // nodes still executing. A partial that finishes early waits in
+  // `ready` until every earlier task has folded, so a retried partial
+  // lands where the fault-free run put it (bit-identical results).
   StreamingComposition sink(plan.merge_program(), plan.composition_sql());
-  Status first_error = Status::OK();
-  std::vector<size_t> failed;
-  for (size_t k = 0; k < futures.size(); ++k) {
-    Result<engine::QueryResult> r = futures[k].get();
-    if (r.ok()) {
-      stats_.NoteNodeStats(r->stats);
-      if (timed) profile->node_stats += r->stats;
-      APUAMA_RETURN_NOT_OK(sink.Add(std::move(r).value()));
-    } else if (r.status().code() == StatusCode::kUnavailable) {
-      failed.push_back(k);
-    } else if (first_error.ok()) {
-      first_error = r.status();
+  std::map<size_t, engine::QueryResult> ready;
+  size_t next_fold = 0;
+  Status failure = Status::OK();
+  bool stopped = false;
+  while (in_flight > 0) {
+    Attempt a = [&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&done] { return !done.empty(); });
+      Attempt front = std::move(done.front());
+      done.pop_front();
+      return front;
+    }();
+    --in_flight;
+    if (stopped || !failure.ok()) continue;  // draining
+    if (!a.result.ok()) {
+      const bool unavailable =
+          a.result.status().code() == StatusCode::kUnavailable;
+      const int target = unavailable ? retry_target(a.task) : -1;
+      if (target >= 0) {
+        ++retries;
+        submit(a.task, target);
+      } else {
+        failure = unavailable ? Status::Unavailable(
+                                    "no eligible node left for a sub-query: " +
+                                    a.result.status().message())
+                              : a.result.status();
+        cancel.store(true, std::memory_order_relaxed);
+      }
+      continue;
     }
-  }
-  if (!first_error.ok()) return first_error;
-  // Retries stay within each interval's placement: only a node
-  // hosting the interval's fragments can rerun it (an exchanged
-  // interval's temps live on one node — no alternates).
-  if (timed) profile->retries += failed.size();
-  for (size_t idx : failed) {
-    stats_.svp_retries.fetch_add(1, std::memory_order_relaxed);
-    bool recovered = false;
-    for (int cand : assignments[idx].alternates) {
-      if (cand == assignments[idx].node) continue;
-      if (!replicas_->IsNodeAvailable(cand)) continue;
-      auto r =
-          processors_[static_cast<size_t>(cand)]->ExecuteSubquery(
-              sub_sql[idx]);
-      if (r.ok()) {
-        stats_.NoteNodeStats(r->stats);
-        if (timed) profile->node_stats += r->stats;
-        APUAMA_RETURN_NOT_OK(sink.Add(std::move(r).value()));
-        recovered = true;
+    if (profile != nullptr) {
+      profile->node_times_us[a.task] = a.us;
+      profile->node_ids[a.task] = a.node;
+    }
+    if (spec.next) {
+      if (std::optional<SubqueryTask> more =
+              spec.next(a.task, a.node, a.us)) {
+        add_task(std::move(*more));
+      }
+    }
+    ready.emplace(a.task, std::move(a.result).value());
+    while (!ready.empty() && ready.begin()->first == next_fold) {
+      engine::QueryResult partial = std::move(ready.begin()->second);
+      ready.erase(ready.begin());
+      stats_.NoteNodeStats(partial.stats);
+      if (profile != nullptr) profile->node_stats += partial.stats;
+      const bool more = !spec.on_fold || spec.on_fold(next_fold, partial);
+      ++next_fold;
+      failure = sink.Add(std::move(partial));
+      stopped = failure.ok() && !more;
+      if (stopped || !failure.ok()) {
+        cancel.store(true, std::memory_order_relaxed);
         break;
       }
-      if (r.status().code() != StatusCode::kUnavailable) {
-        return r.status();
-      }
-    }
-    if (!recovered) {
-      return Status::Unavailable(
-          "no placement-eligible node left for fragmented interval");
     }
   }
+  stats_.svp_retries.fetch_add(retries, std::memory_order_relaxed);
+  if (profile != nullptr) profile->retries = retries;
+  APUAMA_RETURN_NOT_OK(failure);
 
   CompositionStats cstats;
   obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> final_result = sink.Finish(&cstats);
+  Result<engine::QueryResult> result = sink.Finish(&cstats);
   compose_span.End();
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
+  if (profile != nullptr) {
+    profile->compose_us = static_cast<int64_t>(sink.compose_micros());
     profile->partial_rows = cstats.partial_rows;
-    profile->exchange_bytes = ex.bytes_shipped();
   }
-  stats_.fragments_pruned.fetch_add(pruned, std::memory_order_relaxed);
-  stats_.exchange_bytes.fetch_add(ex.bytes_shipped(),
-                                  std::memory_order_relaxed);
-  stats_.exchange_shuffles.fetch_add(ex.shuffles(),
-                                     std::memory_order_relaxed);
-  stats_.exchange_broadcasts.fetch_add(ex.broadcasts(),
-                                       std::memory_order_relaxed);
-  if (final_result.ok()) {
+  if (result.ok()) {
     stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
     stats_.partial_rows_total.fetch_add(cstats.partial_rows,
                                         std::memory_order_relaxed);
@@ -970,288 +914,145 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlanFragmented(
                            : stats_.compose_fallback)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  return final_result;
+  return result;
 }
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
-    SvpPlan plan, SvpProfile* profile) {
-  {
-    std::vector<FragmentationSpec> specs =
-        ActiveSpecsFor(plan.fact_tables());
-    if (!specs.empty()) {
-      return ExecuteSvpPlanFragmented(std::move(plan), profile,
-                                      std::move(specs));
-    }
-  }
-  // Intra-Query Executor. Partition over the *available* nodes: a
-  // crashed replica's key range is redistributed across the
-  // survivors (full replication makes any node able to serve any
-  // interval — the failover benefit of VP over physical partitioning).
-  std::vector<int> alive = replicas_->AvailableNodes();
-  if (alive.empty()) return Status::Unavailable("no node available");
-  const int n = static_cast<int>(alive.size());
-  auto intervals = plan.MakeIntervals(n);
-
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const bool tracing = tracer.enabled();
-  const bool timed = profile != nullptr;
-  obs::Span svp_span = tracer.StartSpan("engine.svp", "engine");
-  if (svp_span.active()) svp_span.AddAttr("nodes", n);
-  const uint64_t dispatch_parent =
-      svp_span.active() ? svp_span.id() : tracer.current_span_id();
-
-  // Render all sub-queries before dispatch (SubquerySql mutates the
-  // plan's template; rendering is not thread-safe, dispatch is).
-  std::vector<std::string> sub_sql;
-  sub_sql.reserve(static_cast<size_t>(n));
-  for (const auto& [lo, hi] : intervals) {
-    sub_sql.push_back(plan.SubquerySql(lo, hi));
-  }
-  if (timed) {
-    // Per-statement reset: a reused profile (same connection running
-    // several EXPLAIN ANALYZEs) must not accumulate the previous
-    // run's node_stats / retries, or merge-strategy and
-    // vectorized-row goldens become order-dependent.
-    *profile = SvpProfile{};
-    profile->node_times_us.assign(static_cast<size_t>(n), 0);
-    profile->node_ids.assign(alive.begin(), alive.end());
-  }
-
-  // Consistency barrier: block new updates, wait for replicas to be
-  // mutually consistent, dispatch everything, then unblock (updates
-  // may overlap sub-query *execution*, per the paper).
-  std::vector<std::future<Result<engine::QueryResult>>> futures;
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); });
-    const int64_t barrier_us =
-        (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    NodeProcessor* np = processors_[static_cast<size_t>(alive[i])].get();
-    std::string stmt = sub_sql[static_cast<size_t>(i)];
-    const int node = alive[static_cast<size_t>(i)];
-    int64_t* time_slot =
-        timed ? &profile->node_times_us[static_cast<size_t>(i)] : nullptr;
-    futures.push_back(dispatch_pool_->Submit(
-        [np, stmt = std::move(stmt), &tracer, tracing, dispatch_parent, node,
-         time_slot] {
-          obs::Span span =
-              tracing ? tracer.StartSpanUnder(dispatch_parent,
-                                              "node.subquery", "node")
-                      : obs::Span();
-          if (span.active()) span.AddAttr("node", node);
-          const int64_t t0 = time_slot != nullptr ? SteadyUs() : 0;
-          auto r = np->ExecuteSubquery(stmt);
-          // Each worker owns exactly its preallocated slot; the
-          // futures join below publishes the writes.
-          if (time_slot != nullptr) *time_slot = SteadyUs() - t0;
-          return r;
-        }));
-  }
-  consistency_.EndSvpPrepare();  // all sub-queries dispatched
-
-  // Streaming merge: each partial folds into the per-query composer
-  // as its future completes, overlapping composition with the nodes
-  // still executing. No global composer lock anywhere.
-  StreamingComposition sink(plan.merge_program(), plan.composition_sql());
-  Status first_error = Status::OK();
-  std::vector<size_t> failed_intervals;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    Result<engine::QueryResult> r = futures[i].get();
-    if (r.ok()) {
-      stats_.NoteNodeStats(r->stats);
-      if (timed) profile->node_stats += r->stats;
-      APUAMA_RETURN_NOT_OK(sink.Add(std::move(r).value()));
-    } else if (r.status().code() == StatusCode::kUnavailable) {
-      // Node died after dispatch: retry its interval elsewhere.
-      failed_intervals.push_back(i);
-    } else if (first_error.ok()) {
-      first_error = r.status();
-    }
-  }
-  if (!first_error.ok()) return first_error;
-  if (!failed_intervals.empty()) {
-    if (timed) profile->retries += failed_intervals.size();
-    APUAMA_RETURN_NOT_OK(RetryFailedIntervals(
-        sub_sql, alive, std::move(failed_intervals), &sink));
-  }
-
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> final_result = sink.Finish(&cstats);
-  compose_span.End();
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-  }
-  if (final_result.ok()) {
-    stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
-    stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                        std::memory_order_relaxed);
-    stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
-                                      std::memory_order_relaxed);
-    (cstats.used_fast_path ? stats_.compose_fastpath
-                           : stats_.compose_fallback)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  return final_result;
-}
-
-Result<engine::QueryResult> ApuamaEngine::ExecuteAvp(
-    const sql::SelectStmt& query) {
-  APUAMA_ASSIGN_OR_RETURN(SvpPlan plan, rewriter_.Rewrite(query));
-  return ExecuteAvpPlan(std::move(plan));
-}
-
-Result<engine::QueryResult> ApuamaEngine::ExecuteAvpPlan(
-    SvpPlan plan, SvpProfile* profile) {
-  {
-    // AVP's range stealing assumes any node can serve any chunk —
-    // false once tables are physically fragmented. Fall back to the
-    // placement-aware SVP dispatch for those plans.
-    std::vector<FragmentationSpec> specs =
-        ActiveSpecsFor(plan.fact_tables());
-    if (!specs.empty()) {
-      return ExecuteSvpPlanFragmented(std::move(plan), profile,
-                                      std::move(specs));
-    }
-  }
-  std::vector<int> alive = replicas_->AvailableNodes();
-  if (alive.empty()) return Status::Unavailable("no node available");
-  const int n = static_cast<int>(alive.size());
-
-  obs::Tracer& tracer = obs::Tracer::Global();
-  const bool tracing = tracer.enabled();
-  const bool timed = profile != nullptr;
-  obs::Span avp_span = tracer.StartSpan("engine.avp", "engine");
-  if (avp_span.active()) avp_span.AddAttr("nodes", n);
-  const uint64_t dispatch_parent =
-      avp_span.active() ? avp_span.id() : tracer.current_span_id();
-  if (timed) {
-    // Per-statement reset (see ExecuteSvpPlan): never accumulate a
-    // previous run's counters into a reused profile.
-    *profile = SvpProfile{};
-    // AVP workers pull chunks dynamically; per-worker wall time is
-    // the per-"node" figure (one worker per alive node).
-    profile->node_times_us.assign(static_cast<size_t>(n), 0);
-    profile->node_ids.assign(alive.begin(), alive.end());
-  }
-
-  // Shared adaptive state: the scheduler hands out chunks; the plan
-  // template is mutated per render; chunk partials stream into the
-  // per-query composition — all behind one per-query mutex.
-  AvpScheduler scheduler(n, plan.domain_min(), plan.domain_max(),
-                         options_.avp);
-  std::mutex mu;
-  StreamingComposition sink(plan.merge_program(), plan.composition_sql());
-  Status first_error = Status::OK();
-
-  auto worker = [&, this](int slot) {
-    NodeProcessor* np = processors_[static_cast<size_t>(alive[slot])].get();
-    obs::Span worker_span =
-        tracing ? tracer.StartSpanUnder(dispatch_parent, "node.avp_worker",
-                                        "node")
-                : obs::Span();
-    if (worker_span.active()) worker_span.AddAttr("node", alive[slot]);
-    while (true) {
-      std::string sub;
-      int64_t keys = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (!first_error.ok()) return;
-        auto chunk = scheduler.NextChunk(slot);
-        if (!chunk.has_value()) return;
-        keys = chunk->second - chunk->first;
-        sub = plan.SubquerySql(chunk->first, chunk->second);
+    SvpPlan plan, IntraQueryTechnique technique, SvpProfile* profile) {
+  DispatchSpec spec;
+  const std::vector<FragmentationSpec> specs =
+      ActiveSpecsFor(plan.fact_tables());
+  if (!specs.empty()) {
+    // Fragmented tables, under either technique (AVP's range stealing
+    // assumes any node can serve any chunk). Nodes hold only their
+    // placed fragments, so the exchange operator places each interval
+    // (zero movement when placement allows, materialized temps
+    // otherwise) and retries stay within that placement. Placement
+    // runs under the scoped barrier: materialized slices must
+    // snapshot the committed state the local fragments will serve.
+    std::vector<const FragmentationSpec*> spec_ptrs;
+    spec_ptrs.reserve(specs.size());
+    for (const auto& s : specs) spec_ptrs.push_back(&s);
+    exchange::ExchangeOperator ex(
+        replicas_, exchange_seq_.fetch_add(1, std::memory_order_relaxed),
+        exchange_strategy_.load(std::memory_order_relaxed));
+    uint64_t pruned = 0;
+    spec.barrier_scope = FragmentedReadScope(plan, specs);
+    spec.prepare = [&](const std::vector<int>& alive)
+        -> Result<std::vector<SubqueryTask>> {
+      const auto intervals = plan.MakeIntervals(static_cast<int>(alive.size()));
+      // Fragment pruning: an interval entirely outside the inclusive
+      // predicate bounds contributes a provably empty partial. At
+      // least one interval always runs — partial-aggregate
+      // composition needs a feed even when it carries zero rows.
+      // `preferred` is the node an interval runs on under full
+      // replication, so the co-partitioned aligned case routes
+      // identically to the replicated baseline.
+      std::vector<std::pair<int64_t, int64_t>> kept;
+      std::vector<int> preferred;
+      for (size_t i = 0; i < intervals.size(); ++i) {
+        const auto [lo, hi] = intervals[i];
+        if (lo < hi && lo <= plan.pred_max() && hi - 1 >= plan.pred_min()) {
+          kept.push_back(intervals[i]);
+          preferred.push_back(alive[i]);
+        }
       }
-      auto t0 = std::chrono::steady_clock::now();
-      auto r = np->ExecuteSubquery(sub);
-      auto t1 = std::chrono::steady_clock::now();
-      std::lock_guard<std::mutex> lock(mu);
-      if (!r.ok()) {
-        if (first_error.ok()) first_error = r.status();
-        return;
+      if (kept.empty()) {
+        kept.push_back(intervals[0]);
+        preferred.push_back(alive[0]);
       }
-      // Merge this chunk now (fast path) instead of buffering it:
-      // composition overlaps the other workers' execution.
-      stats_.NoteNodeStats(r->stats);
-      if (timed) profile->node_stats += r->stats;
-      Status s = sink.Add(std::move(r).value());
-      if (!s.ok()) {
-        if (first_error.ok()) first_error = s;
-        return;
+      pruned = static_cast<uint64_t>(intervals.size() - kept.size());
+      APUAMA_ASSIGN_OR_RETURN(std::vector<exchange::Assignment> placed,
+                              ex.Prepare(kept, spec_ptrs, alive, preferred));
+      std::vector<SubqueryTask> tasks(kept.size());
+      for (size_t k = 0; k < kept.size(); ++k) {
+        const auto [lo, hi] = kept[k];
+        tasks[k].sql = placed[k].table_map.empty()
+                           ? plan.SubquerySql(lo, hi)
+                           : plan.SubquerySqlMapped(lo, hi,
+                                                    placed[k].table_map);
+        tasks[k].node = placed[k].node;
+        tasks[k].eligible = std::move(placed[k].alternates);
       }
-      scheduler.ReportChunkTime(
-          slot, keys,
-          std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-              .count());
+      return tasks;
+    };
+    auto result = Dispatch(spec, plan, profile);
+    stats_.fragments_pruned.fetch_add(pruned, std::memory_order_relaxed);
+    stats_.exchange_bytes.fetch_add(ex.bytes_shipped(),
+                                    std::memory_order_relaxed);
+    stats_.exchange_shuffles.fetch_add(ex.shuffles(),
+                                       std::memory_order_relaxed);
+    stats_.exchange_broadcasts.fetch_add(ex.broadcasts(),
+                                         std::memory_order_relaxed);
+    if (profile != nullptr) {
+      profile->fragments_pruned = pruned;
+      profile->exchange_bytes = ex.bytes_shipped();
     }
+    return result;
+  }
+
+  if (technique == IntraQueryTechnique::kAvp) {
+    // AVP: every alive node starts on a chunk of its own range; the
+    // node that finishes a chunk asks the scheduler for that slot's
+    // next one (adaptive size, stealing from loaded peers once the
+    // range is drained). A retried chunk's slot continues on the node
+    // that finished it, so every slot's range still drains.
+    spec.span_name = "engine.avp";
+    std::optional<AvpScheduler> scheduler;
+    std::vector<int> nodes;
+    std::vector<std::pair<int, int64_t>> chunk_of;  // task: (slot, keys)
+    auto chunk = [&](int slot, int node) -> std::optional<SubqueryTask> {
+      const auto range = scheduler->NextChunk(slot);
+      if (!range.has_value()) return std::nullopt;
+      chunk_of.emplace_back(slot, range->second - range->first);
+      return SubqueryTask{plan.SubquerySql(range->first, range->second),
+                          node, nodes};
+    };
+    spec.prepare = [&](const std::vector<int>& alive)
+        -> Result<std::vector<SubqueryTask>> {
+      nodes = alive;
+      const int n = static_cast<int>(alive.size());
+      scheduler.emplace(n, plan.domain_min(), plan.domain_max(),
+                        options_.avp);
+      std::vector<SubqueryTask> tasks;
+      for (int slot = 0; slot < n; ++slot) {
+        if (auto t = chunk(slot, alive[static_cast<size_t>(slot)])) {
+          tasks.push_back(std::move(*t));
+        }
+      }
+      return tasks;
+    };
+    spec.next = [&](size_t finished, int node, int64_t us) {
+      const auto [slot, keys] = chunk_of[finished];
+      scheduler->ReportChunkTime(slot, keys, us);
+      return chunk(slot, node);
+    };
+    auto result = Dispatch(spec, plan, profile);
+    if (result.ok()) {
+      stats_.avp_chunks.fetch_add(
+          static_cast<uint64_t>(scheduler->chunks_issued()),
+          std::memory_order_relaxed);
+      stats_.avp_steals.fetch_add(static_cast<uint64_t>(scheduler->steals()),
+                                  std::memory_order_relaxed);
+    }
+    return result;
+  }
+
+  // SVP: one interval per alive node. Full replication lets any node
+  // serve any interval — the failover benefit of VP over physical
+  // partitioning.
+  spec.prepare = [&plan](const std::vector<int>& alive)
+      -> Result<std::vector<SubqueryTask>> {
+    const auto intervals = plan.MakeIntervals(static_cast<int>(alive.size()));
+    std::vector<SubqueryTask> tasks;
+    tasks.reserve(intervals.size());
+    for (size_t i = 0; i < intervals.size(); ++i) {
+      const auto [lo, hi] = intervals[i];
+      tasks.push_back({plan.SubquerySql(lo, hi), alive[i], alive});
+    }
+    return tasks;
   };
-
-  // Same consistency barrier as SVP; workers are "dispatched" once
-  // all of them are queued (each chunk then executes under statement
-  // isolation, like SVP sub-queries).
-  std::vector<std::future<void>> futures;
-  {
-    const int64_t barrier_t0 = (timed || tracing) ? SteadyUs() : 0;
-    obs::Span barrier_span = tracer.StartSpan("engine.barrier", "engine");
-    consistency_.BeginSvpPrepare([this] { return ReplicasConsistent(); });
-    const int64_t barrier_us =
-        (timed || tracing) ? SteadyUs() - barrier_t0 : 0;
-    if (timed) profile->barrier_wait_us = barrier_us;
-    if (tracing) {
-      obs::Registry::Global()
-          .GetHistogram("engine.barrier_wait_us",
-                        obs::Histogram::DefaultLatencyBoundsUs())
-          ->Observe(barrier_us);
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    int64_t* time_slot =
-        timed ? &profile->node_times_us[static_cast<size_t>(i)] : nullptr;
-    futures.push_back(dispatch_pool_->Submit([worker, i, time_slot] {
-      const int64_t t0 = time_slot != nullptr ? SteadyUs() : 0;
-      worker(i);
-      if (time_slot != nullptr) *time_slot = SteadyUs() - t0;
-    }));
-  }
-  consistency_.EndSvpPrepare();
-  for (auto& f : futures) f.get();
-  APUAMA_RETURN_NOT_OK(first_error);
-
-  CompositionStats cstats;
-  obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
-  Result<engine::QueryResult> final_result = sink.Finish(&cstats);
-  compose_span.End();
-  if (timed) {
-    profile->compose_us = sink.compose_micros();
-    profile->partial_rows = cstats.partial_rows;
-  }
-  if (final_result.ok()) {
-    stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
-    stats_.partial_rows_total.fetch_add(cstats.partial_rows,
-                                        std::memory_order_relaxed);
-    stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
-                                      std::memory_order_relaxed);
-    stats_.avp_chunks.fetch_add(
-        static_cast<uint64_t>(scheduler.chunks_issued()),
-        std::memory_order_relaxed);
-    stats_.avp_steals.fetch_add(static_cast<uint64_t>(scheduler.steals()),
-                                std::memory_order_relaxed);
-    (cstats.used_fast_path ? stats_.compose_fastpath
-                           : stats_.compose_fallback)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  return final_result;
+  return Dispatch(spec, plan, profile);
 }
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
@@ -1278,13 +1079,12 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
     APUAMA_ASSIGN_OR_RETURN(std::shared_ptr<const PlanCache::Entry> entry,
                             RouteRead(inner_sql));
     if (entry->kind == PlanCache::Kind::kSvp) {
-      SvpPlan plan = entry->plan.Clone();
-      const bool avp = options_.technique == IntraQueryTechnique::kAvp;
-      result = avp ? ExecuteAvpPlan(std::move(plan), &profile)
-                   : ExecuteSvpPlan(std::move(plan), &profile);
+      result = ExecuteSvpPlan(entry->plan.Clone(), options_.technique,
+                              &profile);
       if (result.ok() ||
           result.status().code() != StatusCode::kUnsupported) {
-        path = avp ? "avp" : "svp";
+        path = options_.technique == IntraQueryTechnique::kAvp ? "avp"
+                                                                : "svp";
         dispatched = true;
       } else {
         stats_.non_rewritable.fetch_add(1, std::memory_order_relaxed);

@@ -15,6 +15,7 @@
 #define APUAMA_APUAMA_APUAMA_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,8 +56,6 @@ struct ApuamaOptions {
   bool enable_intra_query = true;
   IntraQueryTechnique technique = IntraQueryTechnique::kSvp;
   AvpOptions avp;
-  /// Threads used to dispatch sub-queries concurrently.
-  int dispatch_threads = 8;
   /// Total intra-node (morsel) execution threads across the cluster,
   /// divided evenly per node with a floor of 1. 0 = one machine-wide
   /// default budget (engine::DefaultExecThreads()) — NOT the per-node
@@ -167,14 +166,15 @@ struct ApuamaStats {
 /// Per-query timing profile collected by EXPLAIN ANALYZE. The
 /// intra-query path crosses threads (dispatch pool), so these numbers
 /// travel in an explicit struct rather than the thread-local
-/// timeline: each dispatch worker writes its own preallocated slot.
+/// timeline: dispatch workers hand their timings to the dispatching
+/// thread, which alone writes the profile.
 struct SvpProfile {
   int64_t barrier_wait_us = 0;
-  std::vector<int64_t> node_times_us;  // one slot per sub-query
-  std::vector<int> node_ids;           // node that ran each sub-query
+  std::vector<int64_t> node_times_us;  // one slot per sub-query task
+  std::vector<int> node_ids;           // node that ran each task
   int64_t compose_us = 0;
   uint64_t partial_rows = 0;
-  uint64_t retries = 0;
+  uint64_t retries = 0;            // failover resubmissions
   uint64_t exchange_bytes = 0;     // moved for this query
   uint64_t fragments_pruned = 0;   // intervals pruned for this query
   engine::ExecStats node_stats;  // summed over all partials
@@ -297,14 +297,10 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// the same committed state) — the paper's SVP precondition.
   bool ReplicasConsistent() const;
 
-  /// Executes one SVP query end to end (used directly by the
-  /// simulator driver and tests; ExecuteRead routes here).
+  /// Executes one query end to end with SVP, whatever the configured
+  /// technique (tests call it directly; ExecuteRead goes through the
+  /// plan cache to the same dispatcher).
   Result<engine::QueryResult> ExecuteSvp(const sql::SelectStmt& query);
-
-  /// Executes one query with AVP: adaptive chunks per node, idle
-  /// nodes stealing from loaded ones. Same eligibility rules and
-  /// consistency barrier as SVP; more sub-queries, dynamic balance.
-  Result<engine::QueryResult> ExecuteAvp(const sql::SelectStmt& query);
 
  private:
   /// Plan-cache routing for one read: lookup, or build + insert the
@@ -347,32 +343,56 @@ class ApuamaEngine : public share::WorkSharingHooks {
   std::optional<Result<engine::QueryResult>> ExecuteFragmentedPassthrough(
       int node_id, const std::string& sql);
 
-  /// The fragmented SVP dispatch: prune intervals to the predicate
-  /// bounds, let the exchange operator place (and if needed move)
-  /// each interval, dispatch, compose. Called by ExecuteSvpPlan when
-  /// the plan touches fragmented tables.
-  Result<engine::QueryResult> ExecuteSvpPlanFragmented(
-      SvpPlan plan, SvpProfile* profile,
-      std::vector<FragmentationSpec> specs);
+  /// One sub-query of an intra-query read.
+  struct SubqueryTask {
+    std::string sql;
+    int node = -1;              // where the first attempt runs
+    std::vector<int> eligible;  // nodes a retry may pick from
+  };
 
-  /// Runs a rewritten plan end to end. Composition is per-query and
-  /// streaming: no shared composer, no global lock. A non-null
-  /// `profile` additionally collects EXPLAIN ANALYZE timings (the
-  /// normal path passes null and pays nothing).
+  /// What one read shape supplies to Dispatch: its tasks and hooks.
+  /// Everything else (barrier, tracing, timing, retry, fold, stats)
+  /// belongs to the dispatcher.
+  struct DispatchSpec {
+    const char* span_name = "engine.svp";
+    /// Barrier scope (empty = global).
+    std::vector<std::string> barrier_scope;
+    /// Runs under the consistency barrier with the alive-node
+    /// snapshot; returns the first tasks, in fold order.
+    std::function<Result<std::vector<SubqueryTask>>(const std::vector<int>&)>
+        prepare;
+    /// Optional task source (AVP): asked after task `finished`
+    /// succeeded on `node` in `us` microseconds; a returned task is
+    /// appended.
+    std::function<std::optional<SubqueryTask>(size_t finished, int node,
+                                              int64_t us)>
+        next;
+    /// Optional in-order hook: sees each partial just before it is
+    /// folded into the composition; false stops the read after it.
+    std::function<bool(size_t task, const engine::QueryResult&)> on_fold;
+  };
+
+  /// The one intra-query dispatcher (paper section 3). Snapshots the
+  /// alive nodes, holds the consistency barrier while `spec.prepare`
+  /// runs and its tasks are submitted, then folds the partials into
+  /// `plan`'s streaming composition in task order. A task failing
+  /// with kUnavailable is resubmitted at once to an available node of
+  /// its eligible set that it has not tried; when none is left the
+  /// read fails with kUnavailable. Every exit joins every submitted
+  /// sub-query first. `plan` is read after `prepare`, which may
+  /// replace it. A non-null `profile` collects EXPLAIN ANALYZE
+  /// timings.
+  Result<engine::QueryResult> Dispatch(const DispatchSpec& spec,
+                                       const SvpPlan& plan,
+                                       SvpProfile* profile);
+
+  /// Runs a rewritten plan end to end through Dispatch with the task
+  /// source for its shape: one interval per alive node (SVP),
+  /// scheduler chunks (AVP), or pruned, exchange-placed intervals
+  /// when the plan touches fragmented tables (either technique).
   Result<engine::QueryResult> ExecuteSvpPlan(SvpPlan plan,
+                                             IntraQueryTechnique technique,
                                              SvpProfile* profile = nullptr);
-  Result<engine::QueryResult> ExecuteAvpPlan(SvpPlan plan,
-                                             SvpProfile* profile = nullptr);
-
-  /// Resubmits failed intervals in parallel across the survivors,
-  /// rotating to a different node when a retry target dies too.
-  /// `dispatched_to[i]` is the node interval i originally ran on; it
-  /// is never picked as that interval's first retry target (a flaky
-  /// node can still be listed as available).
-  Status RetryFailedIntervals(const std::vector<std::string>& sub_sql,
-                              const std::vector<int>& dispatched_to,
-                              std::vector<size_t> pending,
-                              StreamingComposition* sink);
 
   /// The approximate tier's read hook: parses `sql`, checks a
   /// scramble exists and the query is estimable, and runs it through
@@ -382,10 +402,10 @@ class ApuamaEngine : public share::WorkSharingHooks {
   std::optional<Result<engine::QueryResult>> MaybeExecuteApprox(
       const std::string& sql, SvpProfile* profile = nullptr);
 
-  /// Runs one rewritten APPROX query: consistency barrier with a
-  /// staleness check (synchronous rebuild while writes are blocked),
-  /// SVP carve of the stats query over the scramble's key space,
-  /// in-order streaming merge with the CLT stopping rule, and
+  /// Runs one rewritten APPROX query through Dispatch: a staleness
+  /// check under the barrier (synchronous rebuild while writes are
+  /// blocked), a 4n carve of the stats query over the scramble's key
+  /// space, an in-order hook applying the CLT stopping rule, and
   /// finalization into estimates + `__ci_lo`/`__ci_hi` columns.
   Result<engine::QueryResult> ExecuteApproxPlan(
       const approx::ApproxQuerySpec& spec, SvpProfile* profile);

@@ -39,6 +39,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace apuama {
@@ -91,6 +92,31 @@ class ConsistencyManager {
   void BeginSvpPrepare(const std::function<bool()>& counters_equal,
                        const std::vector<std::string>& read_scope = {});
   void EndSvpPrepare(const std::vector<std::string>& read_scope = {});
+
+  /// RAII form of that bracket: Begin on construction, End on
+  /// Release() or destruction, whichever comes first, so every exit
+  /// of a dispatch releases the barrier exactly once.
+  class SvpPrepareGuard {
+   public:
+    SvpPrepareGuard(ConsistencyManager* manager,
+                    const std::function<bool()>& counters_equal,
+                    std::vector<std::string> read_scope)
+        : manager_(manager), read_scope_(std::move(read_scope)) {
+      manager_->BeginSvpPrepare(counters_equal, read_scope_);
+    }
+    ~SvpPrepareGuard() { Release(); }
+    SvpPrepareGuard(const SvpPrepareGuard&) = delete;
+    SvpPrepareGuard& operator=(const SvpPrepareGuard&) = delete;
+
+    void Release() {
+      if (manager_ != nullptr) manager_->EndSvpPrepare(read_scope_);
+      manager_ = nullptr;
+    }
+
+   private:
+    ConsistencyManager* manager_;
+    std::vector<std::string> read_scope_;
+  };
 
   /// Wakes waiters to re-check their predicates after an external
   /// state change (e.g. a recovery replay advanced a node's counter).

@@ -69,7 +69,9 @@ Result<engine::QueryResult> NodeProcessor::ExecuteSubquery(
   // SET / query / SET sequence below is not interleaved with other
   // statements' planning on the same node... almost: ExecuteOn locks
   // per statement. Take the node mutex across the whole bracket so
-  // the forced setting cannot leak into an unrelated statement.
+  // the forced setting cannot leak into an unrelated statement, after
+  // the same down-node and injected-fault check ExecuteOn makes.
+  APUAMA_RETURN_NOT_OK(replicas_->AcceptStatement(node_id_));
   std::lock_guard<std::mutex> node_lock(*replicas_->node_mutex(node_id_));
   engine::Database* db = replicas_->node(node_id_);
   const bool saved = db->settings()->enable_seqscan;

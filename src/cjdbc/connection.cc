@@ -20,8 +20,7 @@ Status ReplicaSet::ApplyToAll(const std::string& sql) {
   return Status::OK();
 }
 
-Result<engine::QueryResult> ReplicaSet::ExecuteOn(int node_id,
-                                                  const std::string& sql) {
+Status ReplicaSet::AcceptStatement(int node_id) {
   if (node_id < 0 || node_id >= num_nodes()) {
     return Status::InvalidArgument("bad node id");
   }
@@ -36,36 +35,25 @@ Result<engine::QueryResult> ReplicaSet::ExecuteOn(int node_id,
                                  " dropped statement (injected fault)");
     }
   }
+  return Status::OK();
+}
+
+Result<engine::QueryResult> ReplicaSet::ExecuteOn(int node_id,
+                                                  const std::string& sql) {
+  APUAMA_RETURN_NOT_OK(AcceptStatement(node_id));
+  NodeState& n = *nodes_[static_cast<size_t>(node_id)];
   std::lock_guard<std::mutex> lock(n.mu);
   return n.db->Execute(sql);
 }
 
 std::vector<Result<engine::QueryResult>> ReplicaSet::ExecuteSharedOn(
     int node_id, const std::vector<std::string>& sqls) {
-  std::vector<Result<engine::QueryResult>> out;
-  auto fail_all = [&](const Status& s) {
-    out.clear();
-    out.reserve(sqls.size());
-    for (size_t i = 0; i < sqls.size(); ++i) out.push_back(s);
-    return out;
-  };
-  if (node_id < 0 || node_id >= num_nodes()) {
-    return fail_all(Status::InvalidArgument("bad node id"));
-  }
-  NodeState& n = *nodes_[static_cast<size_t>(node_id)];
-  if (!n.available.load()) {
-    return fail_all(Status::Unavailable("node " + std::to_string(node_id) +
-                                        " is down"));
-  }
   // The batch counts as one statement for fault injection: it reaches
   // the node as one shared dispatch.
-  for (int cur = n.fail_next.load(); cur > 0;) {
-    if (n.fail_next.compare_exchange_weak(cur, cur - 1)) {
-      return fail_all(
-          Status::Unavailable("node " + std::to_string(node_id) +
-                              " dropped statement (injected fault)"));
-    }
+  if (Status s = AcceptStatement(node_id); !s.ok()) {
+    return std::vector<Result<engine::QueryResult>>(sqls.size(), s);
   }
+  NodeState& n = *nodes_[static_cast<size_t>(node_id)];
   std::lock_guard<std::mutex> lock(n.mu);
   return std::move(n.db->ExecuteSharedSelects(sqls).results);
 }

@@ -109,9 +109,15 @@ class ReplicaSet {
   /// load scripts). Stops at the first error.
   Status ApplyToAll(const std::string& sql);
 
-  /// Executes on one node under its mutex. Unavailable when the node
-  /// is marked down.
+  /// Executes on one node under its mutex, after AcceptStatement.
   Result<engine::QueryResult> ExecuteOn(int node_id, const std::string& sql);
+
+  /// The check every statement for `node_id` passes before it takes
+  /// the node mutex: InvalidArgument for a bad id, Unavailable when
+  /// the node is marked down or an injected fault is pending (which
+  /// this call consumes). Callers that lock the node themselves must
+  /// run it first.
+  Status AcceptStatement(int node_id);
 
   /// Executes a read batch on one node under its mutex, via the
   /// node's shared-scan pipeline when its session settings allow

@@ -535,33 +535,106 @@ TEST(SvpFailoverTest, WritesDuringOutageDoNotDeadlockSvp) {
 }
 
 // A flaky node (fails a statement but is never marked down) stays in
-// AvailableNodes(), so the retry wave must be seeded with the node
-// the interval just failed on: one injected failure, one retry on
-// the *other* survivor, exact results. With two injected failures a
-// retry aimed back at the flaky node would burn a whole extra wave.
+// AvailableNodes(), so a retry must skip the node the interval just
+// failed on: one injected failure, one retry on the *other* survivor,
+// exact results. With two injected failures a retry aimed back at the
+// flaky node would fail again. Forced-index sub-queries bypass
+// ReplicaSet::ExecuteOn, so both settings of the option must see the
+// fault.
 TEST(SvpFailoverTest, FlakyNodeRetryAvoidsFailedNode) {
-  cjdbc::ReplicaSet replicas(
-      2, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
-  ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
-  ApuamaOptions opts;
-  // Route sub-queries through ReplicaSet::ExecuteOn so the injected
-  // fault is visible to the dispatch path.
-  opts.node_options.force_index_for_svp = false;
-  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()), opts);
   engine::Database reference(
       engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(SharedData().LoadInto(&reference).ok());
   auto expected = reference.Execute(*tpch::QuerySql(6));
   auto parsed = sql::ParseSelect(*tpch::QuerySql(6));
+  for (bool force_index : {true, false}) {
+    SCOPED_TRACE(force_index ? "forced index" : "plain ExecuteOn");
+    cjdbc::ReplicaSet replicas(
+        2, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+    ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
+    ApuamaOptions opts;
+    opts.node_options.force_index_for_svp = force_index;
+    ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()),
+                        opts);
+    replicas.FailNextStatements(1, 2);
+    auto r = engine.ExecuteSvp(**parsed);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    testutil::ExpectResultsEqual(*expected, *r);
+    // Node 1's interval was resubmitted exactly once — straight to the
+    // survivor, never back to the node that just failed it.
+    EXPECT_EQ(engine.stats().svp_retries, 1u);
+    replicas.FailNextStatements(1, 0);  // clear the unconsumed fault
+  }
+}
 
-  replicas.FailNextStatements(1, 2);
-  auto r = engine.ExecuteSvp(**parsed);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  testutil::ExpectResultsEqual(*expected, *r);
-  // Node 1's interval was resubmitted exactly once — straight to the
-  // survivor, never back to the node that just failed it.
-  EXPECT_EQ(engine.stats().svp_retries, 1u);
-  replicas.FailNextStatements(1, 0);  // clear the unconsumed fault
+// One injected fault on node 1 before a read, for each read shape the
+// dispatcher serves: the failed sub-query is resubmitted once to
+// another eligible node and the read answers what the fault-free run
+// answers. SVP, fragmented and approx fold partials in task order, so
+// the retried partial lands where it did without the fault and the
+// results are bit-identical; AVP issues chunks in completion order,
+// so its fold order (and last bits) may differ between runs.
+TEST(SvpFailoverTest, OneInjectedFaultRetriesOnceOnEveryShape) {
+  struct Shape {
+    const char* name;
+    int nodes;
+    IntraQueryTechnique technique;
+    std::string setup;
+    std::string sql;
+    bool bit_identical;
+  };
+  const std::string q1 = *tpch::QuerySql(1);
+  const std::string q6 = *tpch::QuerySql(6);
+  const std::vector<Shape> shapes = {
+      {"svp", 4, IntraQueryTechnique::kSvp, "", q1, true},
+      {"fragmented", 4, IntraQueryTechnique::kSvp,
+       "alter table lineitem fragment by hash(l_orderkey) into 4 replica 2",
+       q6, true},
+      {"avp", 3, IntraQueryTechnique::kAvp, "", q6, false},
+      {"approx", 3, IntraQueryTechnique::kSvp,
+       "create sample lineitem ratio 1.0", "APPROX " + q6, true},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    cjdbc::ReplicaSet replicas(
+        shape.nodes, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+    ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
+    ApuamaOptions opts;
+    opts.technique = shape.technique;
+    ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()),
+                        opts);
+    cjdbc::Controller controller(std::make_unique<ApuamaDriver>(&engine));
+    if (!shape.setup.empty()) {
+      auto setup = controller.Execute(shape.setup);
+      ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+    }
+
+    auto clean = engine.ExecuteRead(0, shape.sql);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_EQ(engine.stats().svp_retries, 0u);
+
+    replicas.FailNextStatements(1, 1);
+    auto faulted = engine.ExecuteRead(0, shape.sql);
+    ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
+    EXPECT_EQ(engine.stats().svp_retries, 1u);
+    if (shape.bit_identical) {
+      testutil::ExpectResultsIdentical(*clean, *faulted);
+    } else {
+      testutil::ExpectResultsEqual(*clean, *faulted);
+    }
+
+    replicas.FailNextStatements(1, 1);
+    auto analyze = controller.Execute("EXPLAIN ANALYZE " + shape.sql);
+    ASSERT_TRUE(analyze.ok()) << analyze.status().ToString();
+    int64_t retries = -1;
+    for (const Row& row : analyze->rows) {
+      if (row[0].str_val() == "engine" && row[1].str_val() == "retries") {
+        retries = row[2].int_val();
+      }
+    }
+    EXPECT_EQ(retries, 1);
+    EXPECT_EQ(engine.stats().svp_retries, 2u);
+  }
 }
 
 TEST(SvpFailoverTest, AllNodesDownIsUnavailable) {
