@@ -2,9 +2,11 @@
 //
 // The paper reports that HSQLDB-based composition "took no more than
 // one second even with large partial results involving several
-// columns". This bench loads synthetic partials of growing size into
+// columns". This bench feeds synthetic partials of growing size to
 // the composer and reports wall-clock composition time plus the
-// virtual-time charge the cost model assigns.
+// virtual-time charge the cost model assigns. It checks the claim:
+// exit status 1 when a composition fails or takes a second or more.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -46,6 +48,7 @@ int main() {
                "wall time (ms)", "virtual charge", "output rows"});
   Rng rng(17);
   sim::CostModel cost;
+  double slowest_ms = 0;
   for (int nodes : {4, 16, 32}) {
     for (int rows : {10, 1000, 20000}) {
       int groups = rows >= 1000 ? 100 : 4;
@@ -66,6 +69,7 @@ int main() {
         return 1;
       }
       double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+      slowest_ms = std::max(slowest_ms, ms);
       t.AddRow({StrFormat("%d", nodes), StrFormat("%d", rows),
                 StrFormat("%d", groups),
                 StrFormat("%llu",
@@ -78,7 +82,9 @@ int main() {
     }
   }
   t.Print();
-  std::printf("\nComposition stays far below per-node scan costs — the "
-              "paper's 'no more than one second' claim holds here too.\n");
-  return 0;
+  const bool holds = slowest_ms < 1000.0;
+  std::printf("\nSlowest composition took %.2f ms: the paper's 'no more "
+              "than one second' claim %s here.\n",
+              slowest_ms, holds ? "holds" : "does NOT hold");
+  return holds ? 0 : 1;
 }

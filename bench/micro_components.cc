@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the hot components: SQL
-// parsing, SVP rewriting, single-node execution, composition merge,
+// parsing, SVP rewriting, single-node execution, composition,
 // buffer-pool bookkeeping, LIKE matching.
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include "apuama/admission/admission.h"
 #include "apuama/apuama_engine.h"
 #include "apuama/exchange/exchange.h"
-#include "apuama/partial_merger.h"
 #include "apuama/plan_cache.h"
 #include "apuama/result_composer.h"
 #include "apuama/svp_rewriter.h"
@@ -151,10 +150,10 @@ std::vector<engine::QueryResult> MakeComposePartials(int rows) {
 constexpr char kComposeSql[] =
     "select g0, sum(a0) as s from partials group by g0";
 
-// The two composition tiers on the same partial set: direct hash
-// merge (compile + fold, no table build) vs the MemDb general path
-// (schema inference + bulk load + parse/analyze/execute).
-void BM_ComposeFastPath(benchmark::State& state) {
+// Composition of 8 partials on the sequential executor: parse and
+// fold the composition SQL, gather the partial rows into one
+// relation, re-aggregate.
+void BM_Compose(benchmark::State& state) {
   auto partials = MakeComposePartials(static_cast<int>(state.range(0)));
   std::vector<const engine::QueryResult*> ptrs;
   for (const auto& p : partials) ptrs.push_back(&p);
@@ -166,47 +165,7 @@ void BM_ComposeFastPath(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0) * 8);
 }
-BENCHMARK(BM_ComposeFastPath)->Arg(100)->Arg(2000);
-
-void BM_ComposeViaMemDb(benchmark::State& state) {
-  auto partials = MakeComposePartials(static_cast<int>(state.range(0)));
-  std::vector<const engine::QueryResult*> ptrs;
-  for (const auto& p : partials) ptrs.push_back(&p);
-  ResultComposer composer;
-  for (auto _ : state) {
-    CompositionStats stats;
-    auto r = composer.ComposeViaMemDb(ptrs, kComposeSql, &stats);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 8);
-}
-BENCHMARK(BM_ComposeViaMemDb)->Arg(100)->Arg(2000);
-
-// Streaming merge with a pre-compiled program — what the engine runs
-// per query once the plan cache is warm.
-void BM_ComposeStreamingPrecompiled(benchmark::State& state) {
-  auto partials = MakeComposePartials(static_cast<int>(state.range(0)));
-  auto parsed = sql::ParseSelect(kComposeSql);
-  auto program = MergeProgram::Compile(std::move(*parsed));
-  if (!program.ok()) {
-    state.SkipWithError("merge program did not compile");
-    return;
-  }
-  for (auto _ : state) {
-    StreamingComposition sink(*program, kComposeSql);
-    for (const auto& p : partials) {
-      if (!sink.Add(p).ok()) {
-        state.SkipWithError("feed failed");
-        return;
-      }
-    }
-    CompositionStats stats;
-    auto r = sink.Finish(&stats);
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * 8);
-}
-BENCHMARK(BM_ComposeStreamingPrecompiled)->Arg(100)->Arg(2000);
+BENCHMARK(BM_Compose)->Arg(100)->Arg(2000);
 
 // Morsel-driven parallel aggregation over a 200k-row table.
 // Args: {exec_threads, group cardinality} — 50 groups keeps the merge

@@ -8,8 +8,8 @@
 // the scramble whose select list carries the moments every estimator
 // needs — group keys, per-aggregate sum(e) and sum(e*e), and one
 // shared count(*) — all decomposable, so the stock SVP rewriter
-// carves it into `__skey` range sub-queries that merge on the
-// streaming composer's fast path.
+// carves it into `__skey` range sub-queries whose partials the
+// ordinary composition re-aggregates.
 #ifndef APUAMA_APUAMA_APPROX_APPROX_REWRITER_H_
 #define APUAMA_APUAMA_APPROX_APPROX_REWRITER_H_
 

@@ -47,8 +47,6 @@ std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
           {"compose_ms", v(compose_ms_total)},
           {"avp_chunks", v(avp_chunks)},
           {"avp_steals", v(avp_steals)},
-          {"compose_fastpath", v(compose_fastpath)},
-          {"compose_fallback", v(compose_fallback)},
           {"plan_cache_hits", v(plan_cache_hits)},
           {"plan_cache_misses", v(plan_cache_misses)},
           {"svp_retries", v(svp_retries)},
@@ -183,6 +181,14 @@ Result<std::shared_ptr<const PlanCache::Entry>> ApuamaEngine::RouteRead(
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteRead(
     int node_id, const std::string& sql) {
+  const char* path = nullptr;
+  return RunRead(node_id, sql, /*profile=*/nullptr, &path);
+}
+
+Result<engine::QueryResult> ApuamaEngine::RunRead(int node_id,
+                                                  const std::string& sql,
+                                                  SvpProfile* profile,
+                                                  const char** path) {
   if (node_id < 0 || node_id >= num_nodes()) {
     return Status::InvalidArgument("bad node id");
   }
@@ -191,7 +197,8 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteRead(
   // present; ineligible queries fall back to exact execution below.
   if (approx_on_.load(std::memory_order_relaxed) ||
       approx::StartsWithApproxVerb(sql)) {
-    if (auto approx_result = MaybeExecuteApprox(sql)) {
+    if (auto approx_result = MaybeExecuteApprox(sql, profile)) {
+      *path = "approx";
       return std::move(*approx_result);
     }
   }
@@ -201,13 +208,16 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteRead(
     switch (entry->kind) {
       case PlanCache::Kind::kSvp: {
         auto result =
-            ExecuteSvpPlan(entry->plan.Clone(), options_.technique);
-        if (result.ok()) return result;
-        if (result.status().code() != StatusCode::kUnsupported) {
-          return result;  // real error
+            ExecuteSvpPlan(entry->plan.Clone(), options_.technique, profile);
+        if (result.ok() ||
+            result.status().code() != StatusCode::kUnsupported) {
+          *path = options_.technique == IntraQueryTechnique::kAvp ? "avp"
+                                                                   : "svp";
+          return result;
         }
         // Unsupported at runtime: fall through to inter-query path.
         stats_.non_rewritable.fetch_add(1, std::memory_order_relaxed);
+        if (profile != nullptr) *profile = SvpProfile{};  // aborted attempt
         break;
       }
       case PlanCache::Kind::kNonRewritable:
@@ -217,13 +227,23 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteRead(
         break;
     }
   }
+  *path = "passthrough";
   stats_.passthrough_reads.fetch_add(1, std::memory_order_relaxed);
-  if (auto fragmented = ExecuteFragmentedPassthrough(node_id, sql)) {
-    if (fragmented->ok()) stats_.NoteNodeStats((**fragmented).stats);
-    return std::move(*fragmented);
+  const int64_t t0 = profile != nullptr ? SteadyUs() : 0;
+  std::optional<Result<engine::QueryResult>> fragmented =
+      ExecuteFragmentedPassthrough(node_id, sql);
+  Result<engine::QueryResult> result =
+      fragmented.has_value()
+          ? std::move(*fragmented)
+          : processors_[static_cast<size_t>(node_id)]->Execute(sql);
+  if (profile != nullptr) {
+    profile->node_times_us = {SteadyUs() - t0};
+    profile->node_ids = {node_id};
   }
-  auto result = processors_[static_cast<size_t>(node_id)]->Execute(sql);
-  if (result.ok()) stats_.NoteNodeStats(result->stats);
+  if (result.ok()) {
+    stats_.NoteNodeStats(result->stats);
+    if (profile != nullptr) profile->node_stats = result->stats;
+  }
   return result;
 }
 
@@ -529,34 +549,6 @@ std::vector<std::string> ApuamaEngine::FragmentedReadScope(
   return scope;
 }
 
-namespace {
-
-/// The int64 key a top-level equality conjunct pins `key_column` to,
-/// if any (`col = lit` or `lit = col`).
-std::optional<int64_t> EqualityKey(const sql::Expr* where,
-                                   const std::string& key_column) {
-  for (const sql::Expr* c : sql::SplitConjuncts(where)) {
-    if (c == nullptr || c->kind != sql::ExprKind::kBinary ||
-        c->binary_op != sql::BinaryOp::kEq) {
-      continue;
-    }
-    const sql::Expr* lhs = c->children[0].get();
-    const sql::Expr* rhs = c->children[1].get();
-    if (lhs->kind == sql::ExprKind::kLiteral) std::swap(lhs, rhs);
-    if (lhs->kind != sql::ExprKind::kColumnRef ||
-        rhs->kind != sql::ExprKind::kLiteral ||
-        rhs->literal.type() != ValueType::kInt64) {
-      continue;
-    }
-    if (ToLower(lhs->column_name) == key_column) {
-      return rhs->literal.int_val();
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 ApuamaEngine::WriteRoute ApuamaEngine::ComputeWriteRoute(
     const std::string& sql) {
   WriteRoute route;
@@ -577,83 +569,16 @@ ApuamaEngine::WriteRoute ApuamaEngine::ComputeWriteRoute(
   const FragmentationSpec* installed = catalog_.FragmentationFor(table);
   if (installed == nullptr) return route;
   const FragmentationSpec spec = *installed;  // copy (ALTER race)
-  auto parsed = sql::Parse(sql);
-  if (!parsed.ok()) return route;
-  std::vector<int64_t> written_keys;
-  switch ((*parsed)->kind()) {
-    case sql::StmtKind::kInsert: {
-      const auto& ins = static_cast<const sql::InsertStmt&>(**parsed);
-      int pos = -1;
-      if (!ins.columns.empty()) {
-        for (size_t i = 0; i < ins.columns.size(); ++i) {
-          if (ToLower(ins.columns[i]) == spec.key_column) {
-            pos = static_cast<int>(i);
-            break;
-          }
-        }
-      } else {
-        // Schema-order insert: the key's position comes from the
-        // node schema (immutable after CREATE TABLE, so reading it
-        // without the node mutex is safe).
-        auto t = replicas_->node(0)->catalog()->GetTable(spec.table);
-        if (t.ok()) pos = (*t)->schema().FindColumn(spec.key_column);
-      }
-      if (pos < 0) return route;
-      for (const auto& row : ins.rows) {
-        if (static_cast<size_t>(pos) >= row.size()) return route;
-        const sql::Expr* e = row[static_cast<size_t>(pos)].get();
-        if (e->kind != sql::ExprKind::kLiteral ||
-            e->literal.type() != ValueType::kInt64) {
-          return route;  // not statically attributable: broadcast
-        }
-        written_keys.push_back(e->literal.int_val());
-      }
-      break;
-    }
-    case sql::StmtKind::kDelete: {
-      const auto& del = static_cast<const sql::DeleteStmt&>(**parsed);
-      auto key = EqualityKey(del.where.get(), spec.key_column);
-      if (!key.has_value()) return route;
-      written_keys.push_back(*key);
-      break;
-    }
-    case sql::StmtKind::kUpdate: {
-      const auto& upd = static_cast<const sql::UpdateStmt&>(**parsed);
-      for (const auto& [col, expr] : upd.assignments) {
-        // An UPDATE that rewrites the key could move the row to a
-        // different fragment; never route those.
-        if (ToLower(col) == spec.key_column) return route;
-      }
-      auto key = EqualityKey(upd.where.get(), spec.key_column);
-      if (!key.has_value()) return route;
-      written_keys.push_back(*key);
-      break;
-    }
-    default:
-      return route;
-  }
-  if (written_keys.empty()) return route;
-  std::vector<int> fragments;
-  for (int64_t k : written_keys) {
-    const int f = spec.FragmentOf(k);
-    if (std::find(fragments.begin(), fragments.end(), f) ==
-        fragments.end()) {
-      fragments.push_back(f);
-    }
-  }
-  std::sort(fragments.begin(), fragments.end());
+  // The node schema is immutable after CREATE TABLE, so reading it
+  // without the node mutex is safe.
+  auto t = replicas_->node(0)->catalog()->GetTable(spec.table);
+  if (!t.ok()) return route;
+  std::optional<std::vector<int>> fragments =
+      spec.WrittenFragments(sql, (*t)->schema());
+  if (!fragments.has_value()) return route;  // not attributable
   std::vector<std::string> keys;
-  std::vector<int> targets;
-  for (int f : fragments) {
-    keys.push_back(table + "#" + std::to_string(f));
-    for (int h : spec.HostsOf(f)) {
-      if (std::find(targets.begin(), targets.end(), h) == targets.end()) {
-        targets.push_back(h);
-      }
-    }
-  }
-  std::sort(targets.begin(), targets.end());
-  route.targets = std::move(targets);
+  for (int f : *fragments) keys.push_back(table + "#" + std::to_string(f));
+  route.targets = spec.HostsOf(*fragments);
   route.scope = keys;
   route.epoch_keys = std::move(keys);
   return route;
@@ -831,11 +756,12 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
   for (SubqueryTask& task : first) add_task(std::move(task));
   barrier.Release();  // all first tasks dispatched
 
-  // Streaming merge in task order, overlapping composition with the
-  // nodes still executing. A partial that finishes early waits in
-  // `ready` until every earlier task has folded, so a retried partial
-  // lands where the fault-free run put it (bit-identical results).
-  StreamingComposition sink(plan.merge_program(), plan.composition_sql());
+  // Partials join the composition in task order as they arrive; the
+  // composition itself runs in Finish. A partial that finishes early
+  // waits in `ready` until every earlier task has folded, so a retried
+  // partial lands where the fault-free run put it (bit-identical
+  // results).
+  StreamingComposition sink(plan.composition());
   std::map<size_t, engine::QueryResult> ready;
   size_t next_fold = 0;
   Status failure = Status::OK();
@@ -910,9 +836,6 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
                                         std::memory_order_relaxed);
     stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
                                       std::memory_order_relaxed);
-    (cstats.used_fast_path ? stats_.compose_fastpath
-                           : stats_.compose_fallback)
-        .fetch_add(1, std::memory_order_relaxed);
   }
   return result;
 }
@@ -1057,58 +980,12 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
     int node_id, const sql::ExplainStmt& stmt) {
-  if (node_id < 0 || node_id >= num_nodes()) {
-    return Status::InvalidArgument("bad node id");
-  }
   const std::string inner_sql = sql::UnparseSelect(*stmt.query);
   SvpProfile profile;
-  std::string path = "passthrough";
+  const char* path = nullptr;
   const int64_t t_begin = SteadyUs();
   Result<engine::QueryResult> result =
-      Status::Internal("analyze not dispatched");
-  bool dispatched = false;
-  if (stmt.query->approx || approx_on_.load(std::memory_order_relaxed)) {
-    if (auto approx_result = MaybeExecuteApprox(inner_sql, &profile)) {
-      APUAMA_RETURN_NOT_OK(approx_result->status());
-      result = std::move(*approx_result);
-      path = "approx";
-      dispatched = true;
-    }
-  }
-  if (!dispatched && options_.enable_intra_query) {
-    APUAMA_ASSIGN_OR_RETURN(std::shared_ptr<const PlanCache::Entry> entry,
-                            RouteRead(inner_sql));
-    if (entry->kind == PlanCache::Kind::kSvp) {
-      result = ExecuteSvpPlan(entry->plan.Clone(), options_.technique,
-                              &profile);
-      if (result.ok() ||
-          result.status().code() != StatusCode::kUnsupported) {
-        path = options_.technique == IntraQueryTechnique::kAvp ? "avp"
-                                                                : "svp";
-        dispatched = true;
-      } else {
-        stats_.non_rewritable.fetch_add(1, std::memory_order_relaxed);
-        profile = SvpProfile{};  // discard the aborted attempt
-      }
-    } else if (entry->kind == PlanCache::Kind::kNonRewritable) {
-      stats_.non_rewritable.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!dispatched) {
-    stats_.passthrough_reads.fetch_add(1, std::memory_order_relaxed);
-    const int64_t t0 = SteadyUs();
-    if (auto fragmented = ExecuteFragmentedPassthrough(node_id, inner_sql)) {
-      result = std::move(*fragmented);
-    } else {
-      result = processors_[static_cast<size_t>(node_id)]->Execute(inner_sql);
-    }
-    profile.node_times_us = {SteadyUs() - t0};
-    profile.node_ids = {node_id};
-    if (result.ok()) {
-      stats_.NoteNodeStats(result->stats);
-      profile.node_stats = result->stats;
-    }
-  }
+      RunRead(node_id, inner_sql, &profile, &path);
   APUAMA_RETURN_NOT_OK(result.status());
   const int64_t elapsed_us = SteadyUs() - t_begin;
 

@@ -98,8 +98,6 @@ struct ApuamaStats {
   std::atomic<uint64_t> compose_ms_total{0};   // wall time spent composing
   std::atomic<uint64_t> avp_chunks{0};         // AVP: sub-queries issued
   std::atomic<uint64_t> avp_steals{0};         // AVP: ranges stolen
-  std::atomic<uint64_t> compose_fastpath{0};   // direct-merge compositions
-  std::atomic<uint64_t> compose_fallback{0};   // MemDb compositions
   std::atomic<uint64_t> plan_cache_hits{0};
   std::atomic<uint64_t> plan_cache_misses{0};
   std::atomic<uint64_t> svp_retries{0};        // failover resubmissions
@@ -303,6 +301,15 @@ class ApuamaEngine : public share::WorkSharingHooks {
   Result<engine::QueryResult> ExecuteSvp(const sql::SelectStmt& query);
 
  private:
+  /// The read router behind ExecuteRead and ExecuteAnalyze: the
+  /// approximate tier, then the plan cache's SVP/AVP dispatch (a plan
+  /// the runtime declines counts as non-rewritable), then fragmented
+  /// or single-node passthrough. Sets `*path` to the route that
+  /// answered: "approx", "svp", "avp" or "passthrough". A non-null
+  /// `profile` collects EXPLAIN ANALYZE timings.
+  Result<engine::QueryResult> RunRead(int node_id, const std::string& sql,
+                                      SvpProfile* profile, const char** path);
+
   /// Plan-cache routing for one read: lookup, or build + insert the
   /// entry on a miss (counts cache hit/miss stats). Errors only on a
   /// real rewrite failure, which is never cached.

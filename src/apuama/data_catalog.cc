@@ -1,8 +1,40 @@
 #include "apuama/data_catalog.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
+#include "sql/analyzer.h"
+#include "sql/parser.h"
 
 namespace apuama {
+
+namespace {
+
+/// The int64 key a top-level equality conjunct pins `key_column` to,
+/// if any (`col = lit` or `lit = col`).
+std::optional<int64_t> EqualityKey(const sql::Expr* where,
+                                   const std::string& key_column) {
+  for (const sql::Expr* c : sql::SplitConjuncts(where)) {
+    if (c == nullptr || c->kind != sql::ExprKind::kBinary ||
+        c->binary_op != sql::BinaryOp::kEq) {
+      continue;
+    }
+    const sql::Expr* lhs = c->children[0].get();
+    const sql::Expr* rhs = c->children[1].get();
+    if (lhs->kind == sql::ExprKind::kLiteral) std::swap(lhs, rhs);
+    if (lhs->kind != sql::ExprKind::kColumnRef ||
+        rhs->kind != sql::ExprKind::kLiteral ||
+        rhs->literal.type() != ValueType::kInt64) {
+      continue;
+    }
+    if (ToLower(lhs->column_name) == key_column) {
+      return rhs->literal.int_val();
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::vector<std::pair<int64_t, int64_t>> KeyIntervals(int64_t min_value,
                                                       int64_t max_value,
@@ -38,6 +70,81 @@ bool FragmentationSpec::Intersects(int fragment, int64_t lo,
   if (fragment > 0 && hi < bounds[f]) return false;
   if (fragment < fragments - 1 && lo >= bounds[f + 1]) return false;
   return true;
+}
+
+std::vector<int> FragmentationSpec::HostsOf(
+    const std::vector<int>& fragments) const {
+  std::vector<int> hosts;
+  for (int f : fragments) {
+    for (int h : HostsOf(f)) {
+      if (std::find(hosts.begin(), hosts.end(), h) == hosts.end()) {
+        hosts.push_back(h);
+      }
+    }
+  }
+  std::sort(hosts.begin(), hosts.end());
+  return hosts;
+}
+
+std::optional<std::vector<int>> FragmentationSpec::WrittenFragments(
+    const std::string& sql, const Schema& schema) const {
+  auto parsed = sql::Parse(sql);
+  if (!parsed.ok()) return std::nullopt;
+  std::vector<int64_t> written_keys;
+  switch ((*parsed)->kind()) {
+    case sql::StmtKind::kInsert: {
+      const auto& ins = static_cast<const sql::InsertStmt&>(**parsed);
+      int pos = -1;
+      if (ins.columns.empty()) {
+        pos = schema.FindColumn(key_column);
+      } else {
+        for (size_t i = 0; i < ins.columns.size(); ++i) {
+          if (ToLower(ins.columns[i]) == key_column) {
+            pos = static_cast<int>(i);
+            break;
+          }
+        }
+      }
+      if (pos < 0) return std::nullopt;
+      for (const auto& row : ins.rows) {
+        if (static_cast<size_t>(pos) >= row.size()) return std::nullopt;
+        const sql::Expr* e = row[static_cast<size_t>(pos)].get();
+        if (e->kind != sql::ExprKind::kLiteral ||
+            e->literal.type() != ValueType::kInt64) {
+          return std::nullopt;
+        }
+        written_keys.push_back(e->literal.int_val());
+      }
+      break;
+    }
+    case sql::StmtKind::kDelete: {
+      const auto& del = static_cast<const sql::DeleteStmt&>(**parsed);
+      auto key = EqualityKey(del.where.get(), key_column);
+      if (!key.has_value()) return std::nullopt;
+      written_keys.push_back(*key);
+      break;
+    }
+    case sql::StmtKind::kUpdate: {
+      const auto& upd = static_cast<const sql::UpdateStmt&>(**parsed);
+      for (const auto& [col, expr] : upd.assignments) {
+        // Rewriting the key could move the row to another fragment.
+        if (ToLower(col) == key_column) return std::nullopt;
+      }
+      auto key = EqualityKey(upd.where.get(), key_column);
+      if (!key.has_value()) return std::nullopt;
+      written_keys.push_back(*key);
+      break;
+    }
+    default:
+      return std::nullopt;
+  }
+  if (written_keys.empty()) return std::nullopt;
+  std::vector<int> fragments;
+  for (int64_t k : written_keys) fragments.push_back(FragmentOf(k));
+  std::sort(fragments.begin(), fragments.end());
+  fragments.erase(std::unique(fragments.begin(), fragments.end()),
+                  fragments.end());
+  return fragments;
 }
 
 const VirtualPartitionSpace::Member* VirtualPartitionSpace::FindMember(

@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "types/schema.h"
 
 namespace apuama {
 
@@ -68,6 +70,20 @@ struct FragmentationSpec {
   const std::vector<int>& HostsOf(int fragment) const {
     return placement[static_cast<size_t>(fragment)];
   }
+
+  /// Sorted, deduplicated union of the hosts of `fragments`.
+  std::vector<int> HostsOf(const std::vector<int>& fragments) const;
+
+  /// Which fragments of this table the INSERT, UPDATE or DELETE `sql`
+  /// writes: sorted and deduplicated, or nullopt when the write is not
+  /// statically attributable and must broadcast. Attributable means
+  /// every inserted key is an integer literal, or the UPDATE/DELETE
+  /// WHERE pins the key with a top-level `key = literal` conjunct (an
+  /// UPDATE that assigns the key is never attributable). `schema` is
+  /// the table's schema; it locates the key in an INSERT without a
+  /// column list. The one write router of the engine and simulator.
+  std::optional<std::vector<int>> WrittenFragments(const std::string& sql,
+                                                   const Schema& schema) const;
 };
 
 struct VirtualPartitionSpace {

@@ -6,8 +6,8 @@
 // routing decision for a read — pass through, fact query that SVP
 // declined, or an SvpPlan prototype — so a repeat query skips parse,
 // analysis and rewrite entirely. Plans are stored once and Clone()d
-// per execution (rendering mutates template literals); the compiled
-// merge program inside is shared, not copied.
+// per execution (rendering mutates template literals); the
+// composition statement inside is shared, not copied.
 //
 // Entries are invalidated wholesale when the Data Catalog version
 // changes (domain refresh / new partition space): interval math and

@@ -1,24 +1,23 @@
 #include "apuama/result_composer.h"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
 
-#include "apuama/svp_rewriter.h"
-#include "memdb/memdb.h"
+#include "common/string_util.h"
+#include "engine/executor.h"
+#include "sql/analyzer.h"
 #include "sql/parser.h"
 
 namespace apuama {
 
 namespace {
 
-Result<engine::QueryResult> MergeAll(
-    const std::vector<const engine::QueryResult*>& partials,
-    std::shared_ptr<const MergeProgram> program, CompositionStats* stats) {
-  PartialMerger merger(std::move(program));
-  for (const auto* p : partials) {
-    APUAMA_RETURN_NOT_OK(merger.Feed(*p));
-  }
-  return merger.Finish(stats);
+uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 }  // namespace
@@ -27,89 +26,72 @@ Result<engine::QueryResult> ResultComposer::Compose(
     const std::vector<const engine::QueryResult*>& partials,
     const std::string& composition_sql, CompositionStats* stats) {
   if (partials.empty()) {
-    return Status::InvalidArgument("no partial results to load");
+    return Status::InvalidArgument("no partial results to compose");
   }
-  auto parsed = sql::ParseSelect(composition_sql);
-  if (parsed.ok()) {
-    auto program = MergeProgram::Compile(std::move(parsed).value());
-    if (program.ok()) {
-      return MergeAll(partials, std::move(program).value(), stats);
-    }
-  }
-  return ComposeViaMemDb(partials, composition_sql, stats);
-}
-
-Result<engine::QueryResult> ResultComposer::ComposeWithPlan(
-    const std::vector<const engine::QueryResult*>& partials,
-    const SvpPlan& plan, CompositionStats* stats) {
-  if (partials.empty()) {
-    return Status::InvalidArgument("no partial results to load");
-  }
-  if (plan.merge_program() != nullptr) {
-    return MergeAll(partials, plan.merge_program(), stats);
-  }
-  return ComposeViaMemDb(partials, plan.composition_sql(), stats);
-}
-
-Result<engine::QueryResult> ResultComposer::ComposeViaMemDb(
-    const std::vector<const engine::QueryResult*>& partials,
-    const std::string& composition_sql, CompositionStats* stats) {
-  // A fresh MemDb per composition: no cross-query lock, and the
-  // partials table dies with it.
-  memdb::MemDb memdb;
-  APUAMA_RETURN_NOT_OK(memdb.LoadPartials(kPartialsTable, partials));
-  auto result = memdb.Execute(composition_sql);
-  if (stats != nullptr && result.ok()) {
-    stats->partial_rows = 0;
-    for (const auto* p : partials) stats->partial_rows += p->rows.size();
-    stats->output_rows = result->rows.size();
-    stats->used_fast_path = false;
-    stats->compose_exec = result->stats;
-  }
-  return result;
+  APUAMA_ASSIGN_OR_RETURN(std::unique_ptr<sql::SelectStmt> comp,
+                          sql::ParseSelect(composition_sql));
+  sql::FoldConstants(comp.get());
+  StreamingComposition sink(std::move(comp));
+  for (const auto* p : partials) APUAMA_RETURN_NOT_OK(sink.Add(*p));
+  return sink.Finish(stats);
 }
 
 StreamingComposition::StreamingComposition(
-    std::shared_ptr<const MergeProgram> program, std::string fallback_sql)
-    : fallback_sql_(std::move(fallback_sql)) {
-  if (program != nullptr) merger_.emplace(std::move(program));
-}
+    std::shared_ptr<const sql::SelectStmt> composition)
+    : composition_(std::move(composition)) {}
 
 Status StreamingComposition::Add(engine::QueryResult partial) {
-  combined_ += partial.stats;
-  if (merger_.has_value()) {
-    auto t0 = std::chrono::steady_clock::now();
-    Status s = merger_->Feed(partial);
-    auto t1 = std::chrono::steady_clock::now();
-    compose_micros_ += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
-            .count());
-    return s;
+  const auto t0 = std::chrono::steady_clock::now();
+  const size_t width = partial.column_names.size();
+  if (num_partials_ > 0 && width != partials_.columns.size()) {
+    return Status::InvalidArgument("partial results disagree on column count");
   }
-  buffered_.push_back(std::move(partial));
+  for (const Row& r : partial.rows) {
+    if (r.size() < width) {
+      return Status::InvalidArgument("short row in partial result");
+    }
+  }
+  if (num_partials_ == 0) {
+    // The executor rejects a statement without exactly one FROM entry;
+    // the binding only has to exist when there is one.
+    const std::string binding = composition_->from.size() == 1
+                                    ? ToLower(composition_->from[0].binding())
+                                    : std::string();
+    for (const auto& name : partial.column_names) {
+      partials_.columns.push_back(
+          engine::ColumnBinding{binding, ToLower(name)});
+    }
+  }
+  ++num_partials_;
+  combined_ += partial.stats;
+  partials_.rows.insert(partials_.rows.end(),
+                        std::make_move_iterator(partial.rows.begin()),
+                        std::make_move_iterator(partial.rows.end()));
+  compose_micros_ += MicrosSince(t0);
   return Status::OK();
 }
 
 Result<engine::QueryResult> StreamingComposition::Finish(
     CompositionStats* stats) {
-  auto t0 = std::chrono::steady_clock::now();
-  Result<engine::QueryResult> result = [&]() -> Result<engine::QueryResult> {
-    if (merger_.has_value()) return merger_->Finish(stats);
-    std::vector<const engine::QueryResult*> ptrs;
-    ptrs.reserve(buffered_.size());
-    for (const auto& p : buffered_) ptrs.push_back(&p);
-    ResultComposer composer;
-    return composer.ComposeViaMemDb(ptrs, fallback_sql_, stats);
-  }();
-  auto t1 = std::chrono::steady_clock::now();
-  compose_micros_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count());
-  if (result.ok()) {
-    engine::ExecStats out = combined_;
-    if (stats != nullptr) out.cpu_ops += stats->compose_exec.cpu_ops;
-    out.tuples_output = result->rows.size();
-    result->stats = out;
+  if (num_partials_ == 0) {
+    return Status::InvalidArgument("no partial results to compose");
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  const uint64_t partial_rows = partials_.rows.size();
+  engine::ExecStats exec;
+  Result<engine::QueryResult> result = engine::Executor::ExecuteOverRelation(
+      *composition_, std::move(partials_), &exec);
+  compose_micros_ += MicrosSince(t0);
+  if (!result.ok()) return result;
+  if (stats != nullptr) {
+    stats->partial_rows = partial_rows;
+    stats->output_rows = result->rows.size();
+    stats->compose_exec = exec;
+  }
+  engine::ExecStats out = combined_;
+  out.cpu_ops += exec.cpu_ops;
+  out.tuples_output = result->rows.size();
+  result->stats = out;
   return result;
 }
 

@@ -1,83 +1,77 @@
-// Result Composer (paper Fig. 1(b)): merges SVP partial results.
+// Result Composer (paper Fig. 1(b)): merges intra-query partial
+// results.
 //
-// Two-tier pipeline. Tier 1 is the direct-merge fast path: pure
-// re-aggregation compositions run through a compiled MergeProgram
-// (apuama/partial_merger.h) — an in-memory hash merge on the group
-// key with no table build and no SQL round-trip. Tier 2 is the
-// general path: partials are loaded into a fresh in-memory database
-// (memdb, the HSQLDB stand-in) as the `partials` table and the
-// composition SQL runs there — still needed for HAVING, DISTINCT and
-// plain row-union compositions.
+// The paper loads the partials into an embedded in-memory DBMS
+// (HSQLDB) and runs the composition query there. Here the partial
+// rows are held as one in-memory relation and the composition
+// statement's aggregate or projection tail runs over it on the
+// sequential row executor (Executor::ExecuteOverRelation) — the same
+// code, and so the same aggregation, ordering and typing rules, as
+// the single-node reference. One path serves every composition
+// shape: re-aggregation, HAVING, DISTINCT and plain row unions.
 //
-// ResultComposer is stateless: every composition gets its own MemDb,
-// so N concurrent queries compose on N cores with no shared lock.
+// Composition is per query and holds no shared state, so N
+// concurrent queries compose on N cores with no shared lock.
 #ifndef APUAMA_APUAMA_RESULT_COMPOSER_H_
 #define APUAMA_APUAMA_RESULT_COMPOSER_H_
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "apuama/partial_merger.h"
 #include "common/status.h"
+#include "engine/eval.h"
+#include "engine/exec_stats.h"
 #include "engine/query_result.h"
+#include "sql/ast.h"
 
 namespace apuama {
 
-class SvpPlan;
+struct CompositionStats {
+  uint64_t partial_rows = 0;       // rows composed from all partials
+  uint64_t output_rows = 0;
+  engine::ExecStats compose_exec;  // cost of the composition
+};
 
 class ResultComposer {
  public:
-  /// Composes `partials` with `composition_sql`. Tries to compile the
-  /// SQL into a direct-merge program first; falls back to MemDb.
+  /// Parses `composition_sql` and composes `partials` with it — the
+  /// entry point for callers that hold SQL text rather than a plan.
   /// Thread-safe (no shared state across calls).
   Result<engine::QueryResult> Compose(
       const std::vector<const engine::QueryResult*>& partials,
       const std::string& composition_sql, CompositionStats* stats);
-
-  /// Composes with a rewritten plan: uses its pre-compiled merge
-  /// program when present (no per-composition parse), else MemDb.
-  Result<engine::QueryResult> ComposeWithPlan(
-      const std::vector<const engine::QueryResult*>& partials,
-      const SvpPlan& plan, CompositionStats* stats);
-
-  /// The general path, forced: loads partials into a per-call MemDb
-  /// and executes the composition SQL (benchmarks compare this
-  /// against the fast path; HAVING et al. land here).
-  Result<engine::QueryResult> ComposeViaMemDb(
-      const std::vector<const engine::QueryResult*>& partials,
-      const std::string& composition_sql, CompositionStats* stats);
 };
 
-/// Per-query streaming composition: partials are fed in as node
-/// futures complete. With a merge program each partial folds straight
-/// into the merge state and is dropped (peak memory is one merge
-/// table, and composition overlaps node execution); without one,
-/// partials buffer for the MemDb fallback. Not thread-safe — the
-/// engine serializes Add under its per-query collection path.
+/// Per-query composition fed as partials arrive: each partial's rows
+/// move into the one relation the composition statement reads, and
+/// Finish runs the statement over it. Partials fold in the order they
+/// were added. Not thread-safe — the engine adds from its dispatching
+/// thread only.
 class StreamingComposition {
  public:
-  StreamingComposition(std::shared_ptr<const MergeProgram> program,
-                       std::string fallback_sql);
+  /// `composition` is a constant-folded composition statement
+  /// (SvpPlan::composition()).
+  explicit StreamingComposition(
+      std::shared_ptr<const sql::SelectStmt> composition);
 
-  /// Accepts one node's partial result.
+  /// Accepts one partial result. Every partial must have the column
+  /// count of the first, and no row may be shorter than that.
   Status Add(engine::QueryResult partial);
 
-  /// Produces the final result with combined per-node ExecStats plus
-  /// composition cost folded in. Call once, after every Add.
+  /// Produces the final result with combined per-partial ExecStats
+  /// plus composition cost folded in. Call once, after every Add.
   Result<engine::QueryResult> Finish(CompositionStats* stats);
 
-  /// Wall time spent merging/composing so far, in microseconds.
+  /// Wall time spent in Add and Finish, in microseconds.
   uint64_t compose_micros() const { return compose_micros_; }
 
-  bool fast_path() const { return merger_.has_value(); }
-
  private:
-  std::optional<PartialMerger> merger_;  // fast path when engaged
-  std::string fallback_sql_;
-  std::vector<engine::QueryResult> buffered_;  // fallback only
-  engine::ExecStats combined_;  // accumulated per-node stats
+  std::shared_ptr<const sql::SelectStmt> composition_;
+  engine::Relation partials_;  // columns named by the first partial
+  size_t num_partials_ = 0;
+  engine::ExecStats combined_;  // accumulated per-partial stats
   uint64_t compose_micros_ = 0;
 };
 

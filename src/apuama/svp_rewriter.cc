@@ -94,7 +94,7 @@ void CollectStmtExprs(const SelectStmt* s, std::vector<const Expr*>* out) {
 SvpPlan SvpPlan::Clone() const {
   SvpPlan out;
   out.composition_sql_ = composition_sql_;
-  out.merge_ = merge_;
+  out.composition_ = composition_;
   out.domain_min_ = domain_min_;
   out.domain_max_ = domain_max_;
   out.pred_min_ = pred_min_;
@@ -691,12 +691,8 @@ Result<SvpPlan> SvpRewriter::Rewrite(const SelectStmt& query) const {
   }
 
   plan.composition_sql_ = sql::UnparseSelect(*comp);
-  // Compile the direct-merge fast path from the composition AST while
-  // we still own it. Pure re-aggregations (every rewritable TPC-H
-  // read) get a program; anything else keeps merge_ null and composes
-  // through MemDb off the SQL text.
-  auto program = MergeProgram::Compile(std::move(comp));
-  if (program.ok()) plan.merge_ = std::move(program).value();
+  sql::FoldConstants(comp.get());
+  plan.composition_ = std::move(comp);
   plan.template_ = std::move(work);
   return plan;
 }

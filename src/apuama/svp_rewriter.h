@@ -12,10 +12,10 @@
 //      `vpa >= :lo AND vpa < :hi` range predicates on every
 //      constrained fact reference (including inside correlated
 //      subqueries — the derived-partitioning trick);
-//   3. produces the composition SQL that the Result Composer runs
-//      over the in-memory `partials` table: re-aggregation
-//      (sum of sums, sum of counts, min of mins, guarded
-//      sum/count for avg), HAVING, global ORDER BY and LIMIT.
+//   3. produces the composition statement that the Result Composer
+//      runs over the partial rows (the `partials` relation):
+//      re-aggregation (sum of sums, sum of counts, min of mins,
+//      guarded sum/count for avg), HAVING, global ORDER BY and LIMIT.
 //
 // A non-rewritable query is not an error for Apuama: the caller
 // falls back to plain inter-query routing (one node executes the
@@ -30,13 +30,13 @@
 #include <vector>
 
 #include "apuama/data_catalog.h"
-#include "apuama/partial_merger.h"
 #include "common/status.h"
 #include "sql/ast.h"
 
 namespace apuama {
 
-/// Name of the composer's partial-result table.
+/// FROM name of the composition statement: the relation holding
+/// every partial row.
 inline constexpr char kPartialsTable[] = "partials";
 
 /// Renames FROM references in `stmt` through `table_map` (original ->
@@ -71,16 +71,16 @@ class SvpPlan {
   /// Composition query text (over kPartialsTable).
   const std::string& composition_sql() const { return composition_sql_; }
 
-  /// Compiled direct-merge program for the composition, or null when
-  /// the composition needs the general MemDb path (HAVING, plain row
-  /// unions, ...). Immutable and shared across plan clones.
-  const std::shared_ptr<const MergeProgram>& merge_program() const {
-    return merge_;
+  /// The composition statement, constant-folded, built once per
+  /// rewrite. Immutable and shared across plan clones, so a cached
+  /// plan never re-parses its composition.
+  const std::shared_ptr<const sql::SelectStmt>& composition() const {
+    return composition_;
   }
 
   /// Deep-copies the plan so a cached prototype can be rendered
   /// concurrently (SubquerySql mutates template literals in place).
-  /// The compiled merge program is shared, not copied.
+  /// The composition statement is shared, not copied.
   SvpPlan Clone() const;
 
   int64_t domain_min() const { return domain_min_; }
@@ -120,7 +120,7 @@ class SvpPlan {
   std::unique_ptr<sql::SelectStmt> template_;
   std::vector<Patch> patches_;
   std::string composition_sql_;
-  std::shared_ptr<const MergeProgram> merge_;
+  std::shared_ptr<const sql::SelectStmt> composition_;
   int64_t domain_min_ = 0;
   int64_t domain_max_ = 0;
   int64_t pred_min_ = 0;

@@ -787,20 +787,6 @@ Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
     settings_.exchange_strategy = value;
     return QueryResult{};
   }
-  if (name == "merge_strategy") {
-    if (value == "auto") {
-      settings_.merge_strategy = MergeStrategy::kAuto;
-    } else if (value == "central") {
-      settings_.merge_strategy = MergeStrategy::kCentral;
-    } else if (value == "partitioned") {
-      settings_.merge_strategy = MergeStrategy::kPartitioned;
-    } else if (value == "radix") {
-      settings_.merge_strategy = MergeStrategy::kRadix;
-    } else {
-      return reject("one of: auto, central, partitioned, radix");
-    }
-    return QueryResult{};
-  }
   // Observability knobs flip process-wide state (the tracer and the
   // logger are global), so a clustered SET broadcast applying them
   // once per backend stays idempotent.

@@ -24,9 +24,10 @@
 
 namespace apuama::engine {
 
-/// How a columnar aggregate merges its per-morsel partial groups.
+/// How a columnar aggregate merges its per-morsel partial groups,
+/// picked from the partial-group cardinality the first wave of
+/// morsels observed. Values are the EXPLAIN `node/merge_strategy` codes.
 enum class MergeStrategy {
-  kAuto = 0,         // pick from observed partial-group cardinality
   kCentral = 1,      // single-threaded fold (few groups)
   kPartitioned = 2,  // 16-way hash-partitioned fold (medium)
   kRadix = 3,        // 64-way radix fold + parallel finalize (many)
@@ -51,12 +52,6 @@ struct SessionSettings {
   /// the knob (caching happens above the node, in apuama/share);
   /// keeping it a session setting gives SET a uniform surface.
   bool enable_result_cache = false;
-  /// Adaptive aggregation-merge override: `SET merge_strategy =
-  /// auto | central | partitioned | radix`. Auto picks from the
-  /// partial-group cardinality observed after the first wave of
-  /// morsels; forcing a strategy changes scheduling and accounting
-  /// only, never result bits.
-  MergeStrategy merge_strategy = MergeStrategy::kAuto;
   /// Middleware knobs, recorded so clustered SET broadcasts apply
   /// cleanly on every backend: physical-fragmentation overlay on/off
   /// and the exchange movement strategy (auto | shuffle | broadcast).

@@ -1526,6 +1526,27 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
   return result;
 }
 
+Result<QueryResult> Executor::ExecuteOverRelation(const SelectStmt& stmt,
+                                                  Relation rel,
+                                                  ExecStats* stats) {
+  if (stmt.from.size() != 1 || stmt.where != nullptr ||
+      StmtHasSubquery(stmt)) {
+    return Status::InvalidArgument(
+        "a statement over a relation needs one FROM entry, no WHERE and "
+        "no subqueries");
+  }
+  Executor exec(/*db=*/nullptr, stats, /*sequential_only=*/true);
+  Result<QueryResult> result =
+      StmtHasAggregation(stmt)
+          ? exec.AggregateAndProject(stmt, std::move(rel), nullptr)
+          : exec.ProjectOnly(stmt, std::move(rel), nullptr);
+  if (result.ok()) {
+    stats->tuples_output = result->rows.size();
+    result->stats = *stats;
+  }
+  return result;
+}
+
 namespace {
 
 // Sorts (sort_key, payload) pairs by keys with per-key direction.
@@ -1672,7 +1693,7 @@ constexpr size_t kRadixBuckets = 64;
 // that are ~3/4 distinct — the signature of high global cardinality.
 // Clustered tables can under-report (each morsel sees few of many
 // global groups) and land on central: results are unaffected, only
-// scheduling, and `SET merge_strategy` overrides the guess.
+// scheduling.
 constexpr size_t kCentralMaxGroups = 128;
 constexpr size_t kRadixMinGroups = 768;
 
@@ -1966,12 +1987,8 @@ void FoldVecGlobal(const ColAggSpec& spec, const VecData& vd, size_t n,
 // `threads` in morsel order — the set that completes earliest under
 // any scheduling). Uses the MAX partial-group count: the most
 // discriminating single-morsel signal a 1024-row window can give.
-MergeStrategy ChooseMergeStrategy(const SessionSettings& settings,
-                                  const std::vector<ColumnarPartial>& partials,
+MergeStrategy ChooseMergeStrategy(const std::vector<ColumnarPartial>& partials,
                                   size_t threads) {
-  if (settings.merge_strategy != MergeStrategy::kAuto) {
-    return settings.merge_strategy;
-  }
   const size_t wave = std::min(threads < 1 ? size_t{1} : threads,
                                partials.size());
   size_t est = 0;
@@ -2041,7 +2058,7 @@ Status MergeColumnarPartials(ThreadPool* pool, MergeStrategy strat,
           }));
       break;
     }
-    default: {  // kRadix (kAuto resolved before this point)
+    case MergeStrategy::kRadix: {
       APUAMA_RETURN_NOT_OK(
           ParallelFor(pool, 0, kRadixBuckets, [&](size_t b) -> Status {
             merge_bucket(b);
@@ -2334,7 +2351,6 @@ Status RunColumnarMorsel(const storage::Table& t, size_t mi,
 // the adaptive strategy, and projects/sorts the output. `threads` is
 // the morsel region's width; a null `pool` runs everything inline.
 Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
-                                            const SessionSettings& settings,
                                             ThreadPool* pool, size_t threads,
                                             ColumnarConsumer* c) {
   const SelectStmt& stmt = *c->stmt;
@@ -2390,7 +2406,7 @@ Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
                           nullptr);
   }
 
-  const MergeStrategy strat = ChooseMergeStrategy(settings, partials, threads);
+  const MergeStrategy strat = ChooseMergeStrategy(partials, threads);
   switch (strat) {
     case MergeStrategy::kCentral:
       ++stats->merge_central;
@@ -2674,8 +2690,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
           return RunColumnarMorsel(t, mi, sm.Selection(mi), &c);
         }));
   }
-  return FinishColumnarAggregate(this, stats_, *db_->settings(), pool,
-                                 threads, &c);
+  return FinishColumnarAggregate(this, stats_, pool, threads, &c);
 }
 
 std::vector<uint32_t> Executor::ScanMorsels::Selection(size_t mi) const {
@@ -2862,8 +2877,8 @@ Executor::ExecuteSharedAggregates(
     ExecStats& qs = qstats[i];
     qs.shared_scans = 1;
     qs.shared_scan_queries = n;
-    Result<QueryResult> r = FinishColumnarAggregate(
-        &execs[i], &qs, *db->settings(), pool, threads, &consumers[i]);
+    Result<QueryResult> r = FinishColumnarAggregate(&execs[i], &qs, pool,
+                                                    threads, &consumers[i]);
     if (r.ok()) {
       r->stats = qs;
       r->stats.tuples_output = r->rows.size();

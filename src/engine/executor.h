@@ -89,6 +89,16 @@ class Executor {
                           const std::vector<const sql::SelectStmt*>& stmts,
                           ExecStats* batch_stats);
 
+  /// Runs `stmt`'s aggregate or projection tail on the sequential row
+  /// executor over `rel` instead of its FROM and WHERE: the
+  /// composition step of an intra-query read, whose partial rows
+  /// arrive as one relation (paper section 3). `stmt` must have
+  /// exactly one FROM entry, no WHERE and no subqueries, so no
+  /// Database is needed; anything else is InvalidArgument.
+  static Result<QueryResult> ExecuteOverRelation(const sql::SelectStmt& stmt,
+                                                 Relation rel,
+                                                 ExecStats* stats);
+
  private:
   struct ConjunctInfo;
 

@@ -5,12 +5,11 @@
 #include <limits>
 #include <numeric>
 
+#include "apuama/result_composer.h"
 #include "apuama/share/query_fingerprint.h"
-#include "common/string_util.h"
 #include "engine/database.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sql/analyzer.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
 
@@ -28,31 +27,6 @@ constexpr uint64_t kExchangeRowBytes = 64;
 // the anchor of the sim's deterministic early-exit rule (the real
 // stack computes the width from per-group moments instead).
 constexpr double kSimFullScrambleHalfWidth = 0.005;
-
-/// The int64 key a top-level equality conjunct pins `key_column` to,
-/// if any (`col = lit` or `lit = col`) — the sim mirror of the
-/// engine's write router.
-std::optional<int64_t> EqualityKey(const sql::Expr* where,
-                                   const std::string& key_column) {
-  for (const sql::Expr* c : sql::SplitConjuncts(where)) {
-    if (c == nullptr || c->kind != sql::ExprKind::kBinary ||
-        c->binary_op != sql::BinaryOp::kEq) {
-      continue;
-    }
-    const sql::Expr* lhs = c->children[0].get();
-    const sql::Expr* rhs = c->children[1].get();
-    if (lhs->kind == sql::ExprKind::kLiteral) std::swap(lhs, rhs);
-    if (lhs->kind != sql::ExprKind::kColumnRef ||
-        rhs->kind != sql::ExprKind::kLiteral ||
-        rhs->literal.type() != ValueType::kInt64) {
-      continue;
-    }
-    if (ToLower(lhs->column_name) == key_column) {
-      return rhs->literal.int_val();
-    }
-  }
-  return std::nullopt;
-}
 
 /// Fraction of the key span [lo, hi) whose owning fragments do NOT
 /// host `node` — the rows the exchange operator must ship to serve
@@ -709,12 +683,15 @@ void ClusterSim::ComposeAndFinish(std::shared_ptr<SvpTicket> ticket) {
     if (ticket->finish) ticket->finish(ticket->outcome, nullptr);
     return;
   }
-  std::vector<const QueryResult*> ptrs;
-  ptrs.reserve(ticket->partials.size());
-  for (const auto& p : ticket->partials) ptrs.push_back(&p);
+  StreamingComposition sink(ticket->plan.composition());
+  Status added = Status::OK();
+  for (auto& p : ticket->partials) {
+    added = sink.Add(std::move(p));
+    if (!added.ok()) break;
+  }
   CompositionStats cstats;
   auto final_result = std::make_shared<Result<QueryResult>>(
-      composer_.ComposeWithPlan(ptrs, ticket->plan, &cstats));
+      added.ok() ? sink.Finish(&cstats) : Result<QueryResult>(added));
   ticket->outcome.status = final_result->status();
   SimTime compose_time =
       final_result->ok()
@@ -816,18 +793,28 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
   // the paper's Fig. 4 stall at 16-32 nodes ("the consistency
   // protocol makes the update propagation delay hurt performance").
   // Under the fragmentation overlay a statically attributable write
-  // routes to the owning fragment's replica set, so the sync round
+  // (FragmentationSpec::WrittenFragments, the engine's router too)
+  // routes to the owning fragments' replica sets, so the sync round
   // spans replica_factor nodes regardless of cluster size; the
   // remaining replicas receive the forwarded statement as a
   // background apply (full copies stay converged — the overlay is
   // logical) that costs node busy time but neither sync overhead nor
   // client latency. FIFO node queues order every background apply
   // before any read enqueued after the commit, so results stay exact.
-  std::optional<std::vector<int>> routed;
-  if (options_.fragmentation) routed = RoutedWriteTargets(ticket->sql);
+  std::optional<std::vector<int>> fragments;
+  const FragmentationSpec* spec =
+      options_.fragmentation
+          ? catalog_.FragmentationFor(share::WriteTargetTable(ticket->sql))
+          : nullptr;
+  if (spec != nullptr) {
+    auto t = replicas_->node(0)->catalog()->GetTable(spec->table);
+    if (t.ok()) {
+      fragments = spec->WrittenFragments(ticket->sql, (*t)->schema());
+    }
+  }
   std::vector<int> owners;
-  if (routed.has_value()) {
-    owners = *routed;
+  if (fragments.has_value()) {
+    owners = spec->HostsOf(*fragments);
     ++routed_writes_;
   } else {
     owners.resize(static_cast<size_t>(n));
@@ -863,7 +850,7 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
           MaybeReleaseBarrier();
         }});
   }
-  if (!routed.has_value()) return;
+  if (!fragments.has_value()) return;
   for (int i = 0; i < n; ++i) {
     if (std::find(owners.begin(), owners.end(), i) != owners.end()) {
       continue;
@@ -876,79 +863,6 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
         },
         [](SimTime) {}});
   }
-}
-
-std::optional<std::vector<int>> ClusterSim::RoutedWriteTargets(
-    const std::string& sql) const {
-  const std::string table = share::WriteTargetTable(sql);
-  if (table.empty()) return std::nullopt;
-  const FragmentationSpec* spec = catalog_.FragmentationFor(table);
-  if (spec == nullptr) return std::nullopt;
-  auto parsed = sql::Parse(sql);
-  if (!parsed.ok()) return std::nullopt;
-  std::vector<int64_t> written_keys;
-  switch ((*parsed)->kind()) {
-    case sql::StmtKind::kInsert: {
-      const auto& ins = static_cast<const sql::InsertStmt&>(**parsed);
-      int pos = -1;
-      if (!ins.columns.empty()) {
-        for (size_t i = 0; i < ins.columns.size(); ++i) {
-          if (ToLower(ins.columns[i]) == spec->key_column) {
-            pos = static_cast<int>(i);
-            break;
-          }
-        }
-      } else {
-        auto t = replicas_->node(0)->catalog()->GetTable(spec->table);
-        if (t.ok()) pos = (*t)->schema().FindColumn(spec->key_column);
-      }
-      if (pos < 0) return std::nullopt;
-      for (const auto& row : ins.rows) {
-        if (static_cast<size_t>(pos) >= row.size()) return std::nullopt;
-        const sql::Expr* e = row[static_cast<size_t>(pos)].get();
-        if (e->kind != sql::ExprKind::kLiteral ||
-            e->literal.type() != ValueType::kInt64) {
-          return std::nullopt;  // not statically attributable
-        }
-        written_keys.push_back(e->literal.int_val());
-      }
-      break;
-    }
-    case sql::StmtKind::kDelete: {
-      const auto& del = static_cast<const sql::DeleteStmt&>(**parsed);
-      auto key = EqualityKey(del.where.get(), spec->key_column);
-      if (!key.has_value()) return std::nullopt;
-      written_keys.push_back(*key);
-      break;
-    }
-    case sql::StmtKind::kUpdate: {
-      const auto& upd = static_cast<const sql::UpdateStmt&>(**parsed);
-      for (const auto& [col, expr] : upd.assignments) {
-        // Rewriting the key could migrate the row: never route.
-        if (ToLower(col) == spec->key_column) return std::nullopt;
-      }
-      auto key = EqualityKey(upd.where.get(), spec->key_column);
-      if (!key.has_value()) return std::nullopt;
-      written_keys.push_back(*key);
-      break;
-    }
-    default:
-      return std::nullopt;
-  }
-  if (written_keys.empty()) return std::nullopt;
-  std::vector<int> targets;
-  for (int64_t k : written_keys) {
-    for (int h : spec->HostsOf(spec->FragmentOf(k))) {
-      if (std::find(targets.begin(), targets.end(), h) == targets.end()) {
-        targets.push_back(h);
-      }
-    }
-  }
-  std::sort(targets.begin(), targets.end());
-  if (static_cast<int>(targets.size()) >= options_.num_nodes) {
-    return std::nullopt;  // full fan-out anyway: plain broadcast
-  }
-  return targets;
 }
 
 void ClusterSim::MaybeReleaseBarrier() {

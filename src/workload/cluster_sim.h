@@ -32,7 +32,6 @@
 
 #include "apuama/admission/admission.h"
 #include "apuama/avp.h"
-#include "apuama/result_composer.h"
 #include "apuama/share/result_cache.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/load_balancer.h"
@@ -299,10 +298,6 @@ class ClusterSim {
   void StartAvpChunk(std::shared_ptr<SvpTicket> ticket, int node);
   void ComposeAndFinish(std::shared_ptr<SvpTicket> ticket);
   void DispatchWrite(std::shared_ptr<WriteTicket> ticket);
-  /// Replica-set node ids a statically attributable write under the
-  /// fragmentation overlay routes to; nullopt = broadcast.
-  std::optional<std::vector<int>> RoutedWriteTargets(
-      const std::string& sql) const;
   void MaybeReleaseBarrier();
   std::vector<int> PendingCounts() const;
   SimTime Scaled(int node, SimTime t) const;
@@ -314,7 +309,6 @@ class ClusterSim {
   std::vector<std::unique_ptr<sim::SimServer>> servers_;
   DataCatalog catalog_;
   std::unique_ptr<SvpRewriter> rewriter_;
-  ResultComposer composer_;
   cjdbc::LoadBalancer balancer_;
   std::unique_ptr<admission::AdmissionController> admission_;
 

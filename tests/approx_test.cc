@@ -603,12 +603,15 @@ TEST(ApproxKnobTest, SetKnobRejectionsListAcceptedValues) {
                                  {"x", "-0.1", "2", "on"});
   testutil::ExpectKnobValidation(exec, "approx", {"on", "off", "1", "0"},
                                  {"maybe", "2"});
-  testutil::ExpectKnobValidation(exec, "merge_strategy",
-                                 {"auto", "central", "partitioned", "radix"},
-                                 {"fancy", "1"});
   testutil::ExpectKnobValidation(exec, "exchange_strategy",
                                  {"auto", "shuffle", "broadcast"},
                                  {"teleport", "on"});
+  // The merge strategy follows observed cardinality; there is no
+  // override knob.
+  Status merge = exec("set merge_strategy = radix");
+  EXPECT_EQ(merge.code(), StatusCode::kNotFound) << merge.ToString();
+  EXPECT_NE(merge.message().find("unknown setting"), std::string::npos)
+      << merge.ToString();
   // The engine-level mirrors followed the accepted values.
   EXPECT_FALSE(c.engine->approx_enabled());  // last accepted was "0"
 }

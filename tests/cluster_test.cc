@@ -1,4 +1,4 @@
-// Unit tests for memdb, sim, cjdbc, and the Apuama components.
+// Unit tests for sim, cjdbc, and the Apuama components.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -9,7 +9,6 @@
 #include "apuama/data_catalog.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/controller.h"
-#include "memdb/memdb.h"
 #include "sim/cost_model.h"
 #include "sim/event_sim.h"
 #include "sql/parser.h"
@@ -17,58 +16,6 @@
 
 namespace apuama {
 namespace {
-
-using engine::QueryResult;
-
-// ---------------------------------------------------------------------------
-// memdb
-// ---------------------------------------------------------------------------
-
-QueryResult MakePartial(std::vector<std::string> cols,
-                        std::vector<Row> rows) {
-  QueryResult qr;
-  qr.column_names = std::move(cols);
-  qr.rows = std::move(rows);
-  return qr;
-}
-
-TEST(MemDbTest, LoadAndCompose) {
-  memdb::MemDb db;
-  QueryResult p1 = MakePartial({"g0", "a0"}, {{Value::Str("A"), Value::Int(10)},
-                                              {Value::Str("B"), Value::Int(5)}});
-  QueryResult p2 = MakePartial({"g0", "a0"}, {{Value::Str("A"), Value::Int(7)}});
-  ASSERT_TRUE(db.LoadPartials("partials", {&p1, &p2}).ok());
-  EXPECT_EQ(db.TotalRows("partials"), 3u);
-  auto r = db.Execute(
-      "select g0, sum(a0) as total from partials group by g0 order by g0");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->rows.size(), 2u);
-  EXPECT_EQ(r->rows[0][1].int_val(), 17);
-  EXPECT_EQ(r->rows[1][1].int_val(), 5);
-}
-
-TEST(MemDbTest, ReloadReplacesTable) {
-  memdb::MemDb db;
-  QueryResult p = MakePartial({"x"}, {{Value::Int(1)}});
-  ASSERT_TRUE(db.LoadPartials("partials", {&p}).ok());
-  QueryResult p2 = MakePartial({"x"}, {{Value::Int(2)}, {Value::Int(3)}});
-  ASSERT_TRUE(db.LoadPartials("partials", {&p2}).ok());
-  EXPECT_EQ(db.TotalRows("partials"), 2u);
-}
-
-TEST(MemDbTest, AllNullColumnGetsStringType) {
-  QueryResult p = MakePartial({"x"}, {{Value::Null()}});
-  auto t = memdb::InferColumnType({&p}, 0);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(*t, ValueType::kString);
-}
-
-TEST(MemDbTest, ColumnCountMismatchRejected) {
-  memdb::MemDb db;
-  QueryResult p1 = MakePartial({"a"}, {});
-  QueryResult p2 = MakePartial({"a", "b"}, {});
-  EXPECT_FALSE(db.LoadPartials("partials", {&p1, &p2}).ok());
-}
 
 // ---------------------------------------------------------------------------
 // sim

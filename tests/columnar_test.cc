@@ -152,36 +152,35 @@ engine::Database* MakeGroupedDb(int rows, int groups) {
   return db;
 }
 
-// Every forced merge strategy must return the same exact bits — the
-// strategy changes scheduling and accounting only — and the forcing
-// knob must actually pick the strategy it names.
+// Each merge strategy, reached through the group cardinality of its
+// input (few / medium / mostly-distinct morsels), matches the
+// sequential reference and returns the same exact bits at every
+// thread count — the strategy changes scheduling and accounting only.
 TEST(ColumnarTest, ForcedMergeStrategiesAreBitIdentical) {
-  std::unique_ptr<engine::Database> db(MakeGroupedDb(6000, 400));
   const std::string sql =
       "select g, count(*), sum(v), avg(v), min(v), max(v) from t "
       "group by g order by g";
-  auto ref = db->ExecuteReference(sql);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  Set(db.get(), "exec_threads", "1");
-  auto row = db->Execute(sql);
-  ASSERT_TRUE(row.ok()) << row.status().ToString();
-  testutil::ExpectMatchesReference(*ref, *row);
-  const std::vector<std::pair<std::string, int>> strategies = {
-      {"central", 1}, {"partitioned", 2}, {"radix", 3}};
-  for (int threads : {1, 4}) {
-    Set(db.get(), "exec_threads", std::to_string(threads));
-    for (const auto& [name, code] : strategies) {
-      Set(db.get(), "merge_strategy", name);
+  const std::vector<std::pair<int, int>> groups_to_code = {
+      {10, 1}, {400, 2}, {2000, 3}};  // central, partitioned, radix
+  for (const auto& [groups, code] : groups_to_code) {
+    SCOPED_TRACE("groups=" + std::to_string(groups));
+    std::unique_ptr<engine::Database> db(MakeGroupedDb(4000, groups));
+    auto ref = db->ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    std::optional<engine::QueryResult> first;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      Set(db.get(), "exec_threads", std::to_string(threads));
       auto col = db->Execute(sql);
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
       EXPECT_EQ(col->stats.MergeStrategyCode(), code);
-      testutil::ExpectResultsIdentical(*row, *col);
+      testutil::ExpectMatchesReference(*ref, *col);
+      if (first.has_value()) {
+        testutil::ExpectResultsIdentical(*first, *col);
+      } else {
+        first = std::move(col).value();
+      }
     }
-    Set(db.get(), "merge_strategy", "auto");
-    auto col = db->Execute(sql);
-    ASSERT_TRUE(col.ok());
-    testutil::ExpectResultsIdentical(*row, *col);
   }
 }
 
@@ -303,16 +302,16 @@ TEST(ColumnarTest, DivisionByZeroErrorsOnBothPaths) {
 
 TEST(ColumnarTest, KnobValidationAndDefaults) {
   engine::Database db;
-  EXPECT_EQ(db.settings()->merge_strategy, engine::MergeStrategy::kAuto);
-  EXPECT_FALSE(db.Execute("set merge_strategy = diagonal").ok());
-  ASSERT_TRUE(db.Execute("set merge_strategy = radix").ok());
-  EXPECT_EQ(db.settings()->merge_strategy, engine::MergeStrategy::kRadix);
-  ASSERT_TRUE(db.Execute("set merge_strategy = auto").ok());
-  EXPECT_EQ(db.settings()->merge_strategy, engine::MergeStrategy::kAuto);
   // The columnar pipelines are the only morsel pipelines and have no
   // off switches: `SET columnar_exec` / `columnar_join` are unknown.
-  for (const char* knob : {"columnar_exec", "columnar_join"}) {
-    auto r = db.Execute(std::string("set ") + knob + " = off");
+  // The merge strategy follows the observed cardinality; there is no
+  // `SET merge_strategy` override.
+  const std::vector<std::pair<std::string, std::string>> unknown = {
+      {"columnar_exec", "off"},
+      {"columnar_join", "off"},
+      {"merge_strategy", "radix"}};
+  for (const auto& [knob, value] : unknown) {
+    auto r = db.Execute("set " + knob + " = " + value);
     ASSERT_FALSE(r.ok()) << knob;
     EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << knob;
     EXPECT_NE(r.status().message().find("unknown setting"),

@@ -1,7 +1,6 @@
-// The two-tier composition pipeline: direct-merge fast path
-// (MergeProgram + PartialMerger) vs the MemDb fallback, streaming
-// composition under heavy client concurrency, the plan cache, and
-// MemDb partial-type inference.
+// Result composition on the sequential executor: every composition
+// shape, dynamically typed partial values, streaming composition
+// under heavy client concurrency, and the plan cache.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,12 +8,10 @@
 #include <vector>
 
 #include "apuama/apuama_engine.h"
-#include "apuama/partial_merger.h"
 #include "apuama/plan_cache.h"
 #include "apuama/result_composer.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/controller.h"
-#include "memdb/memdb.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
@@ -48,21 +45,73 @@ std::vector<const engine::QueryResult*> Ptrs(
   return ptrs;
 }
 
-// Both tiers must reject an empty partial set the same way.
-TEST(PartialMergerTest, EmptyPartialsRejected) {
+// An empty partial set has nothing to compose.
+TEST(ComposerTest, EmptyPartialsRejected) {
   ResultComposer composer;
   CompositionStats stats;
   auto r = composer.Compose({}, "select sum(a0) from partials", &stats);
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  auto m = composer.ComposeViaMemDb({}, "select sum(a0) from partials",
-                                    &stats);
-  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Partials must agree on their column count, and no row may be
+// shorter than its partial's column list.
+TEST(ComposerTest, ColumnCountMismatchRejected) {
+  ResultComposer composer;
+  CompositionStats stats;
+  engine::QueryResult p1 = MakePartial({"a"}, {});
+  engine::QueryResult p2 = MakePartial({"a", "b"}, {});
+  auto r = composer.Compose({&p1, &p2}, "select a from partials", &stats);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  engine::QueryResult shorty = MakePartial(
+      {"a", "b"}, {{Value::Int(1), Value::Int(2)}, {Value::Int(3)}});
+  r = composer.Compose({&shorty}, "select a from partials", &stats);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// The executor composes over the partial rows in place of FROM and
+// WHERE, so it refuses any statement that needs more: a WHERE, a
+// second FROM entry, or a subquery.
+TEST(ComposerTest, StatementOutsideCompositionShapeRejected) {
+  engine::QueryResult p = MakePartial({"a"}, {{Value::Int(1)}});
+  ResultComposer composer;
+  for (const char* comp :
+       {"select a from partials where a > 0",
+        "select a from partials, other",
+        "select a from partials order by (select max(a) from partials)"}) {
+    SCOPED_TRACE(comp);
+    CompositionStats stats;
+    auto r = composer.Compose({&p}, comp, &stats);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+}
+
+// Grouped re-aggregation across partials, with the row accounting.
+TEST(ComposerTest, GroupedSumAcrossPartials) {
+  engine::QueryResult p1 = MakePartial(
+      {"g0", "a0"},
+      {{Value::Str("A"), Value::Int(10)}, {Value::Str("B"), Value::Int(5)}});
+  engine::QueryResult p2 =
+      MakePartial({"g0", "a0"}, {{Value::Str("A"), Value::Int(7)}});
+  ResultComposer composer;
+  CompositionStats stats;
+  auto r = composer.Compose(
+      {&p1, &p2},
+      "select g0, sum(a0) as total from partials group by g0 order by g0",
+      &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(stats.partial_rows, 3u);
+  EXPECT_EQ(stats.output_rows, 2u);
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->column_names, (std::vector<std::string>{"g0", "total"}));
+  EXPECT_EQ(r->rows[0][1].int_val(), 17);
+  EXPECT_EQ(r->rows[1][1].int_val(), 5);
 }
 
 // A node whose key range matched nothing returns one all-NULL row for
 // an ungrouped aggregate; merged output must skip the NULLs, and an
 // all-NULL column overall must stay NULL.
-TEST(PartialMergerTest, AllNullPartialsYieldNull) {
+TEST(ComposerTest, AllNullPartialsYieldNull) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial({"a0", "a1"},
                                  {{Value::Null(), Value::Null()}}));
@@ -76,24 +125,16 @@ TEST(PartialMergerTest, AllNullPartialsYieldNull) {
       Ptrs(partials), "select sum(a0) as s, min(a1) as m from partials",
       &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
   ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].type(), ValueType::kInt64);
   EXPECT_EQ(r->rows[0][0].int_val(), 7);
   EXPECT_TRUE(r->rows[0][1].is_null());
-  // The MemDb tier agrees.
-  CompositionStats mstats;
-  auto m = composer.ComposeViaMemDb(
-      Ptrs(partials), "select sum(a0) as s, min(a1) as m from partials",
-      &mstats);
-  ASSERT_TRUE(m.ok());
-  EXPECT_FALSE(mstats.used_fast_path);
-  testutil::ExpectResultsEqual(*m, *r);
 }
 
 // AVG arrives split into sum+count partial columns with the rewriter's
 // CASE-guarded quotient; the merged quotient must equal the true mean
 // and guard against zero-count groups.
-TEST(PartialMergerTest, AvgRecombination) {
+TEST(ComposerTest, AvgRecombination) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial(
       {"g0", "a0s", "a0c"},
@@ -111,19 +152,15 @@ TEST(PartialMergerTest, AvgRecombination) {
   CompositionStats stats;
   auto r = composer.Compose(Ptrs(partials), comp, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
   ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->rows[0][0].str_val(), "x");
   EXPECT_DOUBLE_EQ(r->rows[0][1].double_val(), 2.0);  // 12 / 6
   EXPECT_TRUE(r->rows[1][1].is_null());               // zero-count group
-  CompositionStats mstats;
-  auto m = composer.ComposeViaMemDb(Ptrs(partials), comp, &mstats);
-  ASSERT_TRUE(m.ok());
-  testutil::ExpectResultsEqual(*m, *r);
 }
 
 // Global ORDER BY (desc, with ties broken by the group key), OFFSET
 // and LIMIT applied after the merge.
-TEST(PartialMergerTest, OrderByLimitOffset) {
+TEST(ComposerTest, OrderByLimitOffset) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial(
       {"g0", "a0"},
@@ -139,21 +176,18 @@ TEST(PartialMergerTest, OrderByLimitOffset) {
   CompositionStats stats;
   auto r = composer.Compose(Ptrs(partials), comp, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
   // Sums: g0=1 -> 9, 2 -> 9, 3 -> 9, 4 -> 1. Desc by s then g0 asc:
   // (1,9),(2,9),(3,9),(4,1); offset 1 limit 2 -> (2,9),(3,9).
   ASSERT_EQ(r->rows.size(), 2u);
   EXPECT_EQ(r->rows[0][0].int_val(), 2);
+  EXPECT_EQ(r->rows[0][1].int_val(), 9);
   EXPECT_EQ(r->rows[1][0].int_val(), 3);
-  CompositionStats mstats;
-  auto m = composer.ComposeViaMemDb(Ptrs(partials), comp, &mstats);
-  ASSERT_TRUE(m.ok());
-  testutil::ExpectResultsEqual(*m, *r);
+  EXPECT_EQ(r->rows[1][1].int_val(), 9);
 }
 
 // Integer sums must stay integers until a double appears anywhere in
-// the column (mirrors the executor's promotion rule).
-TEST(PartialMergerTest, IntegerSumsStayIntegers) {
+// the column (the executor's promotion rule).
+TEST(ComposerTest, IntegerSumsStayIntegers) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(
       MakePartial({"a0", "a1"}, {{Value::Int(3), Value::Int(3)}}));
@@ -165,16 +199,15 @@ TEST(PartialMergerTest, IntegerSumsStayIntegers) {
       Ptrs(partials), "select sum(a0) as s, sum(a1) as t from partials",
       &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(stats.used_fast_path);
   EXPECT_EQ(r->rows[0][0].type(), ValueType::kInt64);
   EXPECT_EQ(r->rows[0][0].int_val(), 7);
   EXPECT_EQ(r->rows[0][1].type(), ValueType::kDouble);
   EXPECT_DOUBLE_EQ(r->rows[0][1].double_val(), 3.5);
 }
 
-// Compositions the program cannot prove equivalent must fall back to
-// MemDb — and still answer.
-TEST(PartialMergerTest, UnsupportedShapesFallBackToMemDb) {
+// HAVING, DISTINCT, a plain row union and a non-decomposable merge
+// function compose on the same path as re-aggregations.
+TEST(ComposerTest, HavingDistinctAndRowUnionShapes) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial(
       {"g0", "a0"},
@@ -182,33 +215,41 @@ TEST(PartialMergerTest, UnsupportedShapesFallBackToMemDb) {
   partials.push_back(
       MakePartial({"g0", "a0"}, {{Value::Int(1), Value::Int(2)}}));
   ResultComposer composer;
-  const std::vector<std::string> general = {
-      // HAVING: global filter over merged aggregates.
-      "select g0, sum(a0) as s from partials group by g0 "
-      "having sum(a0) > 3",
-      // DISTINCT.
-      "select distinct g0 from partials",
-      // Plain row union (no aggregates at all).
-      "select g0, a0 from partials order by g0, a0",
+  const std::vector<std::pair<std::string, std::vector<Row>>> cases = {
+      // HAVING: global filter over merged aggregates (g0=1 sums to 7).
+      {"select g0, sum(a0) as s from partials group by g0 "
+       "having sum(a0) > 3",
+       {{Value::Int(1), Value::Int(7)}}},
+      // DISTINCT keeps first occurrences in partial order.
+      {"select distinct g0 from partials", {{Value::Int(1)}, {Value::Int(2)}}},
+      // Plain row union (no aggregates at all), globally ordered.
+      {"select g0, a0 from partials order by g0, a0",
+       {{Value::Int(1), Value::Int(2)},
+        {Value::Int(1), Value::Int(5)},
+        {Value::Int(2), Value::Int(1)}}},
       // Non-decomposable merge function.
-      "select count(distinct g0) from partials",
+      {"select count(distinct g0) from partials", {{Value::Int(2)}}},
   };
-  for (const auto& comp : general) {
+  for (const auto& [comp, want] : cases) {
     SCOPED_TRACE(comp);
     CompositionStats stats;
     auto r = composer.Compose(Ptrs(partials), comp, &stats);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(stats.used_fast_path);
-    CompositionStats mstats;
-    auto m = composer.ComposeViaMemDb(Ptrs(partials), comp, &mstats);
-    ASSERT_TRUE(m.ok());
-    testutil::ExpectResultsEqual(*m, *r);
+    EXPECT_EQ(stats.partial_rows, 3u);
+    ASSERT_EQ(r->rows.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(r->rows[i].size(), want[i].size());
+      for (size_t c = 0; c < want[i].size(); ++c) {
+        EXPECT_EQ(r->rows[i][c].type(), want[i][c].type());
+        EXPECT_EQ(r->rows[i][c].Compare(want[i][c]), 0)
+            << "row " << i << " col " << c;
+      }
+    }
   }
 }
 
-// The acceptance bar for the fast path: every composition the SVP
-// rewriter emits for the paper's TPC-H set (and the extended set)
-// compiles into a merge program — zero MemDb fallbacks end to end.
+// Every composition the SVP rewriter emits for the paper's TPC-H set
+// (and the extended set) answers exactly what a single node answers.
 TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
   engine::Database reference(
       engine::DatabaseOptions{.buffer_pool_pages = 0});
@@ -220,7 +261,7 @@ TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
 
   std::vector<int> all = tpch::PaperQueryNumbers();
   for (int q : tpch::ExtendedQueryNumbers()) all.push_back(q);
-  uint64_t expected_fastpath = 0;
+  uint64_t composed = 0;
   for (int q : all) {
     SCOPED_TRACE("Q" + std::to_string(q));
     auto sql = tpch::QuerySql(q);
@@ -229,26 +270,22 @@ TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
     ASSERT_TRUE(parsed.ok());
     auto plan = SvpRewriter(engine.data_catalog()).Rewrite(**parsed);
     if (!plan.ok()) continue;  // non-rewritable never composes
-    EXPECT_NE(plan->merge_program(), nullptr)
-        << "composition not merge-compilable: " << plan->composition_sql();
     auto expected = reference.Execute(*sql);
     ASSERT_TRUE(expected.ok());
     auto actual = engine.ExecuteRead(0, *sql);
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     testutil::ExpectResultsEqual(*expected, *actual, true);
-    ++expected_fastpath;
+    ++composed;
   }
-  EXPECT_GT(expected_fastpath, 0u);
-  EXPECT_EQ(engine.stats().compose_fastpath, expected_fastpath);
-  EXPECT_EQ(engine.stats().compose_fallback, 0u);
+  EXPECT_GT(composed, 0u);
+  EXPECT_EQ(engine.stats().svp_queries, composed);
 }
 
 // Many clients hammering SVP aggregates while a writer churns the
-// fact tables: every result must be internally consistent, the final
-// state must match a single node, and the per-query streaming
-// composition must have run on the fast path throughout. This is the
-// schedule that deadlocked/serialized on the old global composer lock
-// (run under TSan in CI).
+// fact tables: every result must be internally consistent and the
+// final state must match a single node. This is the schedule that
+// deadlocked/serialized on the old global composer lock (run under
+// TSan in CI).
 TEST(ConcurrentCompositionTest, EightClientsWithUpdates) {
   cjdbc::ReplicaSet replicas(
       3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
@@ -304,10 +341,6 @@ TEST(ConcurrentCompositionTest, EightClientsWithUpdates) {
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     testutil::ExpectResultsEqual(*expected, *actual, true);
   }
-  // Every composition above is a pure re-aggregation.
-  EXPECT_GT(engine.stats().compose_fastpath,
-            static_cast<uint64_t>(kClients * kItersPerClient) - 1);
-  EXPECT_EQ(engine.stats().compose_fallback, 0u);
 }
 
 TEST(PlanCacheTest, NormalizeSqlCollapsesCaseAndWhitespace) {
@@ -453,72 +486,54 @@ TEST(PlanCacheTest, CachesNonSvpOutcomes) {
       << rendered;
 }
 
-// MemDb type inference must scan all partials: a node whose range
-// matched nothing returns all-NULL columns, and typing those off the
-// first partial alone would poison the merge table.
-TEST(MemDbInferenceTest, AllNullFirstPartialTypedFromLater) {
+// Partial values stay dynamically typed, as in the single-node
+// executor. A node whose range matched nothing returns all-NULL
+// columns; whichever partial comes first, the NULLs are skipped.
+TEST(CompositionTypingTest, AllNullFirstPartialComposes) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial({"a0", "g0"},
                                  {{Value::Null(), Value::Null()}}));
   partials.push_back(MakePartial(
       {"a0", "g0"}, {{Value::Double(1.5), Value::Str("x")}}));
-  auto ptrs = Ptrs(partials);
-  ASSERT_TRUE(memdb::InferColumnType(ptrs, 0).ok());
-  EXPECT_EQ(*memdb::InferColumnType(ptrs, 0), ValueType::kDouble);
-  EXPECT_EQ(*memdb::InferColumnType(ptrs, 1), ValueType::kString);
-  memdb::MemDb db;
-  ASSERT_TRUE(db.LoadPartials("partials", ptrs).ok());
-  auto r = db.Execute("select sum(a0), min(g0) from partials");
+  ResultComposer composer;
+  CompositionStats stats;
+  auto r = composer.Compose(Ptrs(partials),
+                            "select sum(a0), min(g0) from partials", &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_DOUBLE_EQ(r->rows[0][0].double_val(), 1.5);
+  EXPECT_EQ(r->rows[0][1].str_val(), "x");
 }
 
-// Mixed integer/double numeric columns promote to DOUBLE so every
-// partial's values load (one node's sum stayed integral).
-TEST(MemDbInferenceTest, MixedNumericPromotesToDouble) {
+// One node's sum stayed integral, another's went double: the merged
+// sum promotes to DOUBLE exactly as the executor's running sum does.
+TEST(CompositionTypingTest, MixedIntDoubleSumPromotesToDouble) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial({"a0"}, {{Value::Int(2)}}));
   partials.push_back(MakePartial({"a0"}, {{Value::Double(0.5)}}));
-  auto ptrs = Ptrs(partials);
-  ASSERT_TRUE(memdb::InferColumnType(ptrs, 0).ok());
-  EXPECT_EQ(*memdb::InferColumnType(ptrs, 0), ValueType::kDouble);
-  memdb::MemDb db;
-  ASSERT_TRUE(db.LoadPartials("partials", ptrs).ok());
-  auto r = db.Execute("select sum(a0) from partials");
+  ResultComposer composer;
+  CompositionStats stats;
+  auto r = composer.Compose(Ptrs(partials), "select sum(a0) from partials",
+                            &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows[0][0].type(), ValueType::kDouble);
   EXPECT_DOUBLE_EQ(r->rows[0][0].double_val(), 2.5);
 }
 
-TEST(MemDbInferenceTest, AllNullEverywhereStaysString) {
+// A column that is NULL in every partial (or absent because a partial
+// is empty) composes to NULL.
+TEST(CompositionTypingTest, AllNullEverywhereComposesToNull) {
   std::vector<engine::QueryResult> partials;
   partials.push_back(MakePartial({"a0"}, {{Value::Null()}}));
   partials.push_back(MakePartial({"a0"}, {}));
-  auto t = memdb::InferColumnType(Ptrs(partials), 0);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(*t, ValueType::kString);
-}
-
-// A column mixing numeric and non-numeric values across partials has
-// no type every value fits: inference must reject it, not type it by
-// whichever non-int value happens to scan first.
-TEST(MemDbInferenceTest, MixedNumericAndStringRejected) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0"}, {{Value::Int(7)}}));
-  partials.push_back(MakePartial({"a0"}, {{Value::Str("oops")}}));
-  auto ptrs = Ptrs(partials);
-  auto t = memdb::InferColumnType(ptrs, 0);
-  EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
-  memdb::MemDb db;
-  EXPECT_EQ(db.LoadPartials("partials", ptrs).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(MemDbInferenceTest, MixedNonNumericTypesRejected) {
-  std::vector<engine::QueryResult> partials;
-  partials.push_back(MakePartial({"a0"}, {{Value::Str("x")}}));
-  partials.push_back(MakePartial({"a0"}, {{Value::Date(10)}}));
-  EXPECT_EQ(memdb::InferColumnType(Ptrs(partials), 0).status().code(),
-            StatusCode::kInvalidArgument);
+  ResultComposer composer;
+  CompositionStats stats;
+  auto r = composer.Compose(
+      Ptrs(partials), "select sum(a0) as s, max(a0) as m from partials",
+      &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_TRUE(r->rows[0][0].is_null());
+  EXPECT_TRUE(r->rows[0][1].is_null());
 }
 
 }  // namespace

@@ -521,24 +521,30 @@ TEST(FragmentationStressTest, WritersOnDistinctFragmentsDuringShuffledJoins) {
 // Event-sim mirror
 // ---------------------------------------------------------------------------
 
+// Fan-out per routed write = replica factor, not cluster size. A
+// replica set covering every node is still a routed write (fragment
+// scoped), exactly as the engine counts it.
 TEST(FragmentationSimTest, RoutedWritesShrinkFanoutAndConverge) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
-  workload::ClusterSimOptions opt;
-  opt.num_nodes = 4;
-  opt.fragmentation = true;
-  opt.replica_factor = 1;
-  opt.key_headroom = 2000;
-  workload::ClusterSim sim(data, opt);
-  auto stream = tpch::MakeRefreshStream(data.max_orderkey() + 1, 4, 3);
-  for (const auto& st : stream) {
-    auto o = sim.RunToCompletion(st.sql, /*is_write=*/true);
-    ASSERT_TRUE(o.status.ok()) << st.sql << ": " << o.status.ToString();
+  for (int replica_factor : {1, 4}) {
+    SCOPED_TRACE("replica_factor=" + std::to_string(replica_factor));
+    workload::ClusterSimOptions opt;
+    opt.num_nodes = 4;
+    opt.fragmentation = true;
+    opt.replica_factor = replica_factor;
+    opt.key_headroom = 2000;
+    workload::ClusterSim sim(data, opt);
+    auto stream = tpch::MakeRefreshStream(data.max_orderkey() + 1, 4, 3);
+    for (const auto& st : stream) {
+      auto o = sim.RunToCompletion(st.sql, /*is_write=*/true);
+      ASSERT_TRUE(o.status.ok()) << st.sql << ": " << o.status.ToString();
+    }
+    EXPECT_EQ(sim.routed_writes(), stream.size());
+    EXPECT_EQ(sim.write_fanout_total(),
+              stream.size() * static_cast<size_t>(replica_factor));
+    // Background applies keep the full copies converged.
+    EXPECT_TRUE(sim.ReplicasConverged());
   }
-  EXPECT_EQ(sim.routed_writes(), stream.size());
-  // Fan-out per routed write = replica factor, not cluster size.
-  EXPECT_EQ(sim.write_fanout_total(), stream.size());
-  // Background applies keep the full copies converged.
-  EXPECT_TRUE(sim.ReplicasConverged());
 }
 
 TEST(FragmentationSimTest, PredicatePrunesIntervals) {

@@ -242,6 +242,61 @@ TEST(ExtendedQueriesTest, HavingEquivalence) {
   EXPECT_LT(actual->rows.size(), 7u);
 }
 
+// DISTINCT over a plain row union: every node returns its distinct
+// rows, and the composition dedupes across nodes before the global
+// order.
+TEST(ExtendedQueriesTest, DistinctRowUnionEquivalence) {
+  engine::Database reference(
+      engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadInto(&reference).ok());
+  cjdbc::ReplicaSet replicas(
+      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()));
+  const std::string sql =
+      "select distinct l_shipmode, l_returnflag from lineitem "
+      "order by l_shipmode, l_returnflag";
+  auto expected = reference.Execute(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto actual = engine.ExecuteRead(0, sql);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  testutil::ExpectResultsEqual(*expected, *actual, /*ignore_order=*/false);
+  EXPECT_EQ(engine.stats().svp_queries, 1u);
+  // Each of the three partials repeats the combinations, so the
+  // composition had duplicates to remove.
+  EXPECT_GT(engine.stats().partial_rows_total, expected->rows.size());
+}
+
+// HAVING under AVP: many adaptive chunks feed one composition, and
+// the global filter over the merged aggregates still equals
+// single-node HAVING.
+TEST(ExtendedQueriesTest, HavingUnderAvpEquivalence) {
+  engine::Database reference(
+      engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadInto(&reference).ok());
+  cjdbc::ReplicaSet replicas(
+      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
+  ApuamaOptions options;
+  options.technique = IntraQueryTechnique::kAvp;
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()),
+                      options);
+  const std::string sql =
+      "select l_shipmode, count(*) as n, avg(l_quantity) as aq "
+      "from lineitem group by l_shipmode "
+      "having count(*) > 1500 and avg(l_quantity) > 25.0 "
+      "order by l_shipmode";
+  auto expected = reference.Execute(sql);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  auto actual = engine.ExecuteRead(0, sql);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  testutil::ExpectResultsEqual(*expected, *actual, /*ignore_order=*/false);
+  EXPECT_GT(actual->rows.size(), 0u);
+  EXPECT_LT(actual->rows.size(), 7u);
+  EXPECT_EQ(engine.stats().svp_queries, 1u);
+  EXPECT_GT(engine.stats().avp_chunks, 3u);  // more chunks than nodes
+}
+
 TEST(RefreshTest, StreamShape) {
   auto stream = tpch::MakeRefreshStream(1000, 5, 42);
   ASSERT_EQ(stream.size(), 20u);  // 2 inserts + 2 deletes per order
