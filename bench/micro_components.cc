@@ -167,74 +167,14 @@ void BM_Compose(benchmark::State& state) {
 }
 BENCHMARK(BM_Compose)->Arg(100)->Arg(2000);
 
-// Morsel-driven parallel aggregation over a 200k-row table.
-// Args: {exec_threads, group cardinality} — 50 groups keeps the merge
-// trivial and isolates scan fan-out; 50k groups stresses the
-// partial-hash-table build and the morsel-order merge.
-//
-// Wall time only shows a speedup when the host has cores to spare; CI
-// boxes are often 1-core, so the counters also report the cost
-// model's critical-path view: `charged` = sequential ops +
-// ceil(parallel ops / threads), and `model_speedup` = total ops /
-// charged — the virtual-time speedup the simulator uses.
-void BM_MorselAggregate(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const int groups = static_cast<int>(state.range(1));
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  if (!db.Execute("create table m (g int, v double)").ok()) {
-    state.SkipWithError("create failed");
-    return;
-  }
-  constexpr int kRows = 200000;
-  std::vector<Row> rows;
-  rows.reserve(kRows);
-  for (int i = 0; i < kRows; ++i) {
-    rows.push_back(
-        {Value::Int(i % groups), Value::Double((i % 97) * 0.5)});
-  }
-  auto table = db.catalog()->GetTable("m");
-  if (!table.ok() || !(*table)->BulkLoad(std::move(rows)).ok()) {
-    state.SkipWithError("load failed");
-    return;
-  }
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok()) {
-    state.SkipWithError("set exec_threads failed");
-    return;
-  }
-  const std::string sql =
-      "select g, count(*), sum(v), min(v), max(v) from m group by g";
-  engine::ExecStats stats;
-  for (auto _ : state) {
-    auto r = db.Execute(sql);
-    if (!r.ok()) {
-      state.SkipWithError("query failed");
-      return;
-    }
-    stats = r->stats;
-    benchmark::DoNotOptimize(r);
-  }
-  const uint64_t par = std::min(stats.cpu_ops_parallel, stats.cpu_ops);
-  const uint64_t width = static_cast<uint64_t>(threads);
-  const uint64_t charged =
-      (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["morsels"] = static_cast<double>(stats.morsels);
-  state.counters["cpu_ops"] = static_cast<double>(stats.cpu_ops);
-  state.counters["charged"] = static_cast<double>(charged);
-  state.counters["model_speedup"] =
-      static_cast<double>(stats.cpu_ops) / static_cast<double>(charged);
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_MorselAggregate)
-    ->ArgsProduct({{1, 2, 4, 8}, {50, 50000}})
-    ->Unit(benchmark::kMillisecond);
-
 // Morsel-parallel partitioned hash join: a selective dimension build
 // side probed by a 200k-row fact side.
 // Args: {build rows, exec_threads} — 1k build rows keep ~99% of probes
 // missing (the semi-join filter's best case); 100k build rows make
 // most probes hit, so the filter is pure overhead there.
-// Counters mirror BM_MorselAggregate's cost-model view and add
-// `filter_skipped` so the pushdown's pruning is visible directly.
+// Counters: the cost model's view as in BM_ColumnarAggregate below,
+// plus `model_speedup` = cpu_ops / charged and `filter_skipped`, so
+// the pushdown's pruning is visible directly.
 void BM_HashJoin(benchmark::State& state) {
   const int build_rows = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
@@ -304,13 +244,15 @@ BENCHMARK(BM_HashJoin)
     ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// Columnar vectorized aggregation with the adaptive merge.
-// Args: {exec_threads, group cardinality}. The table scales with the
-// group count so 500k groups is a real high-cardinality merge, not a
-// capped one. Counters: `cpu_ops` / `charged` (the cost model's
-// critical-path view, as in BM_MorselAggregate), `vec_rows`, and
-// `merge_strategy` — what the adaptive chooser picked (1=central,
-// 2=partitioned, 3=radix).
+// Columnar vectorized aggregation: morsel-private group tables, then
+// the bucket-by-bucket merge in morsel order.
+// Args: {exec_threads, group cardinality}. 50 groups keeps the merge
+// trivial and isolates scan fan-out; the table scales with the group
+// count so 500k groups is a real high-cardinality merge, not a capped
+// one. Wall time only shows a speedup when the host has cores to
+// spare, so the counters also report the cost model's critical-path
+// view: `charged` = sequential ops + ceil(parallel ops / threads) out
+// of `cpu_ops`. `vec_rows` counts rows through vectorized kernels.
 void BM_ColumnarAggregate(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const int groups = static_cast<int>(state.range(1));
@@ -356,8 +298,6 @@ void BM_ColumnarAggregate(benchmark::State& state) {
   state.counters["charged"] = static_cast<double>(charged);
   state.counters["vec_rows"] =
       static_cast<double>(stats.vectorized_rows);
-  state.counters["merge_strategy"] =
-      static_cast<double>(stats.MergeStrategyCode());
   state.SetItemsProcessed(state.iterations() * rows_n);
 }
 BENCHMARK(BM_ColumnarAggregate)

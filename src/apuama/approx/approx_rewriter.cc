@@ -21,19 +21,6 @@ bool HasSubquery(const sql::Expr& e) {
   return false;
 }
 
-// Mirrors the executor's OutputName: alias, else column name, else
-// function name, else a positional placeholder.
-std::string OutputName(const sql::SelectItem& item, size_t ordinal) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr != nullptr && item.expr->kind == sql::ExprKind::kColumnRef) {
-    return item.expr->column_name;
-  }
-  if (item.expr != nullptr && item.expr->kind == sql::ExprKind::kFuncCall) {
-    return item.expr->func_name;
-  }
-  return StrFormat("column%zu", ordinal + 1);
-}
-
 // Classifies one select item as a supported aggregate; nullopt when
 // it is not an aggregate call at all; Unsupported when it is an
 // aggregate the tier cannot estimate.
@@ -130,7 +117,7 @@ Result<ApproxQuerySpec> BuildApproxQuery(const sql::SelectStmt& query,
     }
     APUAMA_ASSIGN_OR_RETURN(std::optional<AggKind> agg,
                             ClassifyAggregate(*item.expr));
-    spec.column_names.push_back(OutputName(item, i));
+    spec.column_names.push_back(sql::OutputName(item, i));
     if (agg.has_value()) {
       if (*agg != AggKind::kCount &&
           HasSubquery(*item.expr->children[0])) {

@@ -60,9 +60,6 @@ std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
           {"probe_vectorized_rows", v(probe_vectorized_rows)},
           {"columnar_chunks", v(columnar_chunks)},
           {"columnar_rebuilds", v(columnar_rebuilds)},
-          {"merge_central", v(merge_central)},
-          {"merge_partitioned", v(merge_partitioned)},
-          {"merge_radix", v(merge_radix)},
           {"routed_writes", v(routed_writes)},
           {"write_fanout", v(write_fanout_total)},
           {"exchange_bytes", v(exchange_bytes)},
@@ -664,8 +661,8 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
       span.active() ? span.id() : tracer.current_span_id();
   // Per-statement reset: a reused profile (same connection running
   // several EXPLAIN ANALYZEs) must not accumulate the previous run's
-  // node_stats / retries, or merge-strategy and vectorized-row
-  // goldens become order-dependent.
+  // node_stats / retries, or vectorized-row goldens become
+  // order-dependent.
   if (profile != nullptr) *profile = SvpProfile{};
 
   // Workers post finished attempts to `done`; only this thread reads
@@ -1039,7 +1036,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
       static_cast<int64_t>(profile.node_stats.dict_hits));
   add("node", "probe_vectorized_rows",
       static_cast<int64_t>(profile.node_stats.probe_vectorized_rows));
-  add("node", "merge_strategy", profile.node_stats.MergeStrategyCode());
   add("compose", "compose_us", profile.compose_us);
   add("compose", "partial_rows", static_cast<int64_t>(profile.partial_rows));
   add("compose", "output_rows", static_cast<int64_t>(result->rows.size()));

@@ -113,9 +113,6 @@ struct ApuamaStats {
   std::atomic<uint64_t> probe_vectorized_rows{0};  // vectorized join probes
   std::atomic<uint64_t> columnar_chunks{0};    // chunks built first-time
   std::atomic<uint64_t> columnar_rebuilds{0};  // chunks rebuilt after writes
-  std::atomic<uint64_t> merge_central{0};      // adaptive-merge decisions
-  std::atomic<uint64_t> merge_partitioned{0};
-  std::atomic<uint64_t> merge_radix{0};
   // Physical fragmentation (shared-nothing overlay):
   std::atomic<uint64_t> routed_writes{0};      // writes sent to a replica
                                                // set instead of broadcast
@@ -147,9 +144,6 @@ struct ApuamaStats {
     bump(probe_vectorized_rows, s.probe_vectorized_rows);
     bump(columnar_chunks, s.columnar_chunks_built);
     bump(columnar_rebuilds, s.columnar_chunk_rebuilds);
-    bump(merge_central, s.merge_central);
-    bump(merge_partitioned, s.merge_partitioned);
-    bump(merge_radix, s.merge_radix);
   }
 
   /// SHOW-style one-line rendering of every counter (observability:

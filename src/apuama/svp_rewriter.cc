@@ -357,17 +357,6 @@ Result<ExprPtr> SubstituteForComposition(
   return clone;
 }
 
-std::string OriginalOutputName(const sql::SelectItem& item, size_t ordinal) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr && item.expr->kind == ExprKind::kColumnRef) {
-    return item.expr->column_name;
-  }
-  if (item.expr && item.expr->kind == ExprKind::kFuncCall) {
-    return item.expr->func_name;
-  }
-  return StrFormat("column%zu", ordinal + 1);
-}
-
 }  // namespace
 
 bool SvpRewriter::TouchesFactTable(const SelectStmt& query) const {
@@ -551,7 +540,7 @@ Result<SvpPlan> SvpRewriter::Rewrite(const SelectStmt& query) const {
       APUAMA_ASSIGN_OR_RETURN(
           item.expr, SubstituteForComposition(*work->items[i].expr, agg_map,
                                               work->group_by));
-      item.alias = OriginalOutputName(work->items[i], i);
+      item.alias = sql::OutputName(work->items[i], i);
       comp->items.push_back(std::move(item));
     }
     // Composition GROUP BY over partial group columns.
@@ -620,7 +609,7 @@ Result<SvpPlan> SvpRewriter::Rewrite(const SelectStmt& query) const {
     }
     std::vector<std::string> out_names;
     for (size_t i = 0; i < work->items.size(); ++i) {
-      out_names.push_back(OriginalOutputName(work->items[i], i));
+      out_names.push_back(sql::OutputName(work->items[i], i));
     }
     comp->distinct = work->distinct;
     for (size_t i = 0; i < work->items.size(); ++i) {

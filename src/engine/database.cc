@@ -41,9 +41,6 @@ std::vector<std::pair<std::string, uint64_t>> ExecStats::Kv() const {
           {"vec_rows", vectorized_rows},
           {"col_chunks", columnar_chunks_built},
           {"col_rebuilds", columnar_chunk_rebuilds},
-          {"merge_central", merge_central},
-          {"merge_part", merge_partitioned},
-          {"merge_radix", merge_radix},
           {"dict_hits", dict_hits},
           {"probe_vec", probe_vectorized_rows}};
 }
@@ -345,7 +342,6 @@ Result<QueryResult> Database::ExecuteExplain(const sql::ExplainStmt& stmt) {
     add("node", "dict_hits", static_cast<int64_t>(stats.dict_hits));
     add("node", "probe_vectorized_rows",
         static_cast<int64_t>(stats.probe_vectorized_rows));
-    add("node", "merge_strategy", stats.MergeStrategyCode());
     add("node", "output_rows", static_cast<int64_t>(inner.rows.size()));
     qr.stats = stats;
     return qr;

@@ -24,15 +24,6 @@
 
 namespace apuama::engine {
 
-/// How a columnar aggregate merges its per-morsel partial groups,
-/// picked from the partial-group cardinality the first wave of
-/// morsels observed. Values are the EXPLAIN `node/merge_strategy` codes.
-enum class MergeStrategy {
-  kCentral = 1,      // single-threaded fold (few groups)
-  kPartitioned = 2,  // 16-way hash-partitioned fold (medium)
-  kRadix = 3,        // 64-way radix fold + parallel finalize (many)
-};
-
 /// Session-level settings, PostgreSQL-style. Apuama flips
 /// enable_seqscan off around SVP sub-queries (paper section 3).
 struct SessionSettings {

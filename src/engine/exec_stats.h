@@ -63,12 +63,6 @@ struct ExecStats {
   /// Columnar chunks re-materialized because a write moved the
   /// table's data_version past the cached chunk.
   uint64_t columnar_chunk_rebuilds = 0;
-  /// Adaptive-merge strategy the columnar aggregate chose (counts,
-  /// so engine-level sums stay meaningful): central single-threaded,
-  /// 16-way partitioned, or 64-way radix.
-  uint64_t merge_central = 0;
-  uint64_t merge_partitioned = 0;
-  uint64_t merge_radix = 0;
   /// Row-slots filtered through dictionary-code kernels (string
   /// predicates compiled to code-space compares; each kernel pass
   /// over n selected rows counts n).
@@ -97,23 +91,9 @@ struct ExecStats {
     vectorized_rows += o.vectorized_rows;
     columnar_chunks_built += o.columnar_chunks_built;
     columnar_chunk_rebuilds += o.columnar_chunk_rebuilds;
-    merge_central += o.merge_central;
-    merge_partitioned += o.merge_partitioned;
-    merge_radix += o.merge_radix;
     dict_hits += o.dict_hits;
     probe_vectorized_rows += o.probe_vectorized_rows;
     return *this;
-  }
-
-  /// Adaptive-merge strategy as a compact code for EXPLAIN ANALYZE:
-  /// 0 = none (row path / no columnar merge ran), 1 = central,
-  /// 2 = partitioned, 3 = radix. When multiple statements are summed
-  /// the highest-fanout strategy wins the label.
-  int MergeStrategyCode() const {
-    return merge_radix != 0        ? 3
-           : merge_partitioned != 0 ? 2
-           : merge_central != 0     ? 1
-                                    : 0;
   }
 
   /// The counters as ordered key/value pairs; ToString() (the classic

@@ -301,6 +301,23 @@ struct AggGroup {
 // Groups ordered by key so finalization order is deterministic.
 using GroupMap = std::map<Row, AggGroup, storage::KeyLess>;
 
+// Folds the row under ctx's scope into `grp`: every aggregate argument
+// is evaluated row-wise and applied through AggUpdate, one op each.
+Status FoldRow(const std::vector<const Expr*>& agg_nodes,
+               const EvalContext& ctx, AggGroup* grp) {
+  for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
+    const Expr& agg = *agg_nodes[ai];
+    ++*ctx.cpu_ops;
+    if (agg.star_arg) {
+      AggUpdate(&grp->accs[ai], agg, Value::Null());
+    } else {
+      APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*agg.children[0], ctx));
+      AggUpdate(&grp->accs[ai], agg, v);
+    }
+  }
+  return Status::OK();
+}
+
 bool ExprHasSubquery(const Expr& e) {
   if (e.subquery != nullptr) return true;
   for (const auto& c : e.children) {
@@ -350,9 +367,10 @@ size_t MorselWidth(int exec_threads, size_t morsels) {
                           morsels);
 }
 
-// Hash partitions for the parallel merge of per-morsel aggregation
-// partials. Fixed (never thread-dependent) so the decomposition and
-// all accounting are identical at every thread count.
+// Hash partitions of a morsel join's build side (its rows, hash table
+// and semi-join filter). Fixed (never thread-dependent) so the
+// decomposition and all accounting are identical at every thread
+// count.
 constexpr size_t kMergePartitions = 16;
 
 // Collects aggregate call nodes reachable without crossing a subquery.
@@ -408,121 +426,6 @@ class KeyFilter {
 
   std::array<uint64_t, kBits / 64> words_{};
 };
-
-// Morsel-private partial state of the join pipeline: every driver
-// morsel owns a private set of hash tables and counters, so workers
-// share no mutable state. Keys are hash-partitioned at build time so
-// the merge can fan out too; the partition count is a fixed constant
-// (never thread-dependent) to keep the decomposition — and thus all
-// accounting — identical at every thread count.
-struct MorselPartial {
-  std::array<std::unordered_map<Row, AggGroup, RowHash, RowEq>,
-             kMergePartitions>
-      groups;
-  uint64_t cpu = 0;
-  uint64_t scanned = 0;
-  uint64_t probed = 0;
-  uint64_t filter_skipped = 0;
-  uint64_t vec_rows = 0;
-  uint64_t probe_vec = 0;   // rows through the vectorized probe kernel
-  uint64_t dict_hits = 0;   // rows through dictionary-code kernels
-};
-
-// One joined row's contribution to a morsel-private partial: evaluate
-// the GROUP BY key against ctx's current scope row, bucket it into its
-// fixed merge partition, and fold every aggregate argument into the
-// group's accumulators. The tail of the morsel join probe chain;
-// ctx.cpu_ops must point at the morsel's private counter.
-Status AccumulateRow(const SelectStmt& stmt,
-                     const std::vector<const Expr*>& agg_nodes,
-                     const EvalContext& ctx, const Row& repr,
-                     MorselPartial* part) {
-  Row key;
-  key.reserve(stmt.group_by.size());
-  for (const auto& g : stmt.group_by) {
-    APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*g, ctx));
-    key.push_back(std::move(v));
-  }
-  const size_t bucket = RowHash{}(key) % kMergePartitions;
-  auto [it, inserted] = part->groups[bucket].try_emplace(std::move(key));
-  AggGroup& grp = it->second;
-  if (inserted) {
-    grp.repr = repr;
-    grp.accs.resize(agg_nodes.size());
-  }
-  for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-    const Expr& agg = *agg_nodes[ai];
-    ++*ctx.cpu_ops;
-    if (agg.star_arg) {
-      AggUpdate(&grp.accs[ai], agg, Value::Null());
-    } else {
-      APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*agg.children[0], ctx));
-      AggUpdate(&grp.accs[ai], agg, v);
-    }
-  }
-  return Status::OK();
-}
-
-// Partitioned merge of per-morsel partials into the canonical ordered
-// group map. Each key lives in exactly one partition (its hash is the
-// same in every morsel), so partitions are independent and merge in
-// parallel. Within a partition, partials fold in morsel-index order —
-// the first morsel to see a key contributes its accumulators
-// wholesale, later ones fold in via AggMerge — so values never depend
-// on which thread ran what, and thread count 1 takes the exact same
-// code path. The final fold into the ordered map is the sequential
-// tail of the pipeline and is charged as such.
-Result<GroupMap> MergeMorselPartials(
-    ThreadPool* pool, std::vector<MorselPartial>* partials,
-    const std::vector<const Expr*>& agg_nodes, ExecStats* stats) {
-  struct PartitionResult {
-    std::unordered_map<Row, AggGroup, RowHash, RowEq> groups;
-    uint64_t cpu = 0;
-  };
-  std::vector<PartitionResult> merged(kMergePartitions);
-  auto merge_partition = [&](size_t p) -> Status {
-    PartitionResult& out = merged[p];
-    for (size_t mi = 0; mi < partials->size(); ++mi) {
-      for (auto& [key, lg] : (*partials)[mi].groups[p]) {
-        auto [it, inserted] = out.groups.try_emplace(key);
-        ++out.cpu;
-        if (inserted) {
-          it->second = std::move(lg);
-          continue;
-        }
-        for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-          ++out.cpu;
-          AggMerge(&it->second.accs[ai], lg.accs[ai], *agg_nodes[ai]);
-        }
-      }
-    }
-    return Status::OK();
-  };
-  APUAMA_RETURN_NOT_OK(
-      ParallelFor(pool, 0, kMergePartitions, merge_partition));
-
-  GroupMap groups;
-  for (PartitionResult& pr : merged) {
-    stats->cpu_ops += pr.cpu;
-    stats->cpu_ops_parallel += pr.cpu;
-    for (auto& [key, g] : pr.groups) {
-      ++stats->cpu_ops;
-      groups.emplace(key, std::move(g));
-    }
-  }
-  return groups;
-}
-
-std::string OutputName(const sql::SelectItem& item, size_t ordinal) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr && item.expr->kind == ExprKind::kColumnRef) {
-    return item.expr->column_name;
-  }
-  if (item.expr && item.expr->kind == ExprKind::kFuncCall) {
-    return item.expr->func_name;
-  }
-  return StrFormat("column%zu", ordinal + 1);
-}
 
 }  // namespace
 
@@ -1616,7 +1519,7 @@ Result<QueryResult> FinalizeGroups(Executor* exec, ExecStats* stats,
                                    const EvalScope* outer) {
   QueryResult qr;
   for (const auto& it : stmt.items) {
-    qr.column_names.push_back(OutputName(it, qr.column_names.size()));
+    qr.column_names.push_back(sql::OutputName(it, qr.column_names.size()));
   }
   std::vector<bool> desc;
   for (const auto& o : stmt.order_by) desc.push_back(o.desc);
@@ -1679,23 +1582,12 @@ Result<QueryResult> FinalizeGroups(Executor* exec, ExecStats* stats,
 // ---------------------------------------------------------------------------
 namespace {
 
-// Merge buckets for the columnar path. A superset of the join
-// pipeline's 16 partitions: the radix strategy merges all 64 in
-// parallel, the partitioned strategy assigns 4 buckets to each of 16
-// tasks, and the central strategy folds them on the coordinator.
-// Fixed (never thread-dependent) so the decomposition is identical at
-// every exec_threads.
-constexpr size_t kRadixBuckets = 64;
-
-// Auto-strategy thresholds on the maximum partial-group count any
-// morsel in the first wave observed. A 1024-row morsel caps the
-// observable count at 1024, so the radix trigger asks for morsels
-// that are ~3/4 distinct — the signature of high global cardinality.
-// Clustered tables can under-report (each morsel sees few of many
-// global groups) and land on central: results are unaffected, only
-// scheduling.
-constexpr size_t kCentralMaxGroups = 128;
-constexpr size_t kRadixMinGroups = 768;
+// Buckets of a morsel's group table: a key's hash picks its bucket,
+// the merge folds each bucket as one task, and the fast finalize tail
+// projects and sorts each bucket as one task. Fixed (never
+// thread-dependent) so the decomposition is identical at every
+// exec_threads.
+constexpr size_t kGroupBuckets = 64;
 
 // Wrapping add via unsigned arithmetic: same bits as the row path's
 // int64 `+=` for every non-overflowing input, defined behavior when
@@ -1787,19 +1679,32 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
   return cp;
 }
 
-// Morsel-private columnar partial: 64-way bucketed group maps (the
-// radix superset; every coarser strategy folds subsets of these) plus
-// the global-aggregate accumulator for GROUP BY-less queries.
-struct ColumnarPartial {
-  std::array<std::unordered_map<Row, AggGroup, RowHash, RowEq>, kRadixBuckets>
+// Morsel-private partial state of every morsel pipeline (aggregate,
+// shared scan and join probe): the morsel's group table plus its
+// counters, so workers share no mutable state. A GROUP BY-less
+// statement keeps its one group under the empty key.
+struct MorselPartial {
+  std::array<std::unordered_map<Row, AggGroup, RowHash, RowEq>, kGroupBuckets>
       buckets;
-  size_t group_n = 0;  // distinct groups this morsel saw
-  AggGroup global;
-  bool global_any = false;
   uint64_t cpu = 0;
   uint64_t scanned = 0;
   uint64_t vec_rows = 0;
   uint64_t dict_hits = 0;
+  uint64_t probed = 0;          // join: hash-table probes issued
+  uint64_t filter_skipped = 0;  // join: rows the semi-join filter dropped
+  uint64_t probe_vec = 0;       // join: rows through the vectorized probe
+
+  // The group for `key`; a new group copies `repr` as its
+  // representative row and starts `naggs` empty accumulators.
+  AggGroup& Group(Row key, const Row& repr, size_t naggs) {
+    const size_t b = RowHash{}(key) % kGroupBuckets;
+    auto [it, inserted] = buckets[b].try_emplace(std::move(key));
+    if (inserted) {
+      it->second.repr = repr;
+      it->second.accs.resize(naggs);
+    }
+    return it->second;
+  }
 };
 
 // AggUpdate specialized on a vectorized argument lane: identical
@@ -1983,91 +1888,41 @@ void FoldVecGlobal(const ColAggSpec& spec, const VecData& vd, size_t n,
   }
 }
 
-// Picks the merge fanout from the first wave of morsels (the first
-// `threads` in morsel order — the set that completes earliest under
-// any scheduling). Uses the MAX partial-group count: the most
-// discriminating single-morsel signal a 1024-row window can give.
-MergeStrategy ChooseMergeStrategy(const std::vector<ColumnarPartial>& partials,
-                                  size_t threads) {
-  const size_t wave = std::min(threads < 1 ? size_t{1} : threads,
-                               partials.size());
-  size_t est = 0;
-  for (size_t i = 0; i < wave; ++i) {
-    est = std::max(est, partials[i].group_n);
-  }
-  if (est <= kCentralMaxGroups) return MergeStrategy::kCentral;
-  if (est >= kRadixMinGroups) return MergeStrategy::kRadix;
-  return MergeStrategy::kPartitioned;
-}
+using MergedBuckets = std::array<GroupMap, kGroupBuckets>;
 
-// Folds every partial's bucket `b` into one ordered per-bucket group
-// map, in morsel-index order — the same op-for-op discipline (and the
-// same charge structure) as MergeMorselPartials, so the bits never
-// depend on thread count or strategy.
-void MergeColumnarBucket(std::vector<ColumnarPartial>* partials,
-                         const std::vector<const Expr*>& agg_nodes, size_t b,
-                         GroupMap* gm, uint64_t* cpu) {
-  for (size_t mi = 0; mi < partials->size(); ++mi) {
-    for (auto& [key, lg] : (*partials)[mi].buckets[b]) {
-      ++*cpu;
-      auto [it, inserted] = gm->try_emplace(key);
-      if (inserted) {
-        it->second = std::move(lg);
-        continue;
-      }
-      for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-        ++*cpu;
-        AggMerge(&it->second.accs[ai], lg.accs[ai], *agg_nodes[ai]);
-      }
-    }
-  }
-  // Ordered-map residency charge, the analogue of the row path's
-  // sequential fold into the canonical GroupMap.
-  *cpu += gm->size();
-}
-
-struct ColumnarMerged {
-  std::array<GroupMap, kRadixBuckets> buckets;
-  std::array<uint64_t, kRadixBuckets> cpu{};
-};
-
-// Runs the bucket merges under the chosen strategy. Central charges
-// the work as sequential critical path; partitioned and radix charge
-// it as parallel (the cost model divides by exec_threads).
-Status MergeColumnarPartials(ThreadPool* pool, MergeStrategy strat,
-                             std::vector<ColumnarPartial>* partials,
-                             const std::vector<const Expr*>& agg_nodes,
-                             ColumnarMerged* merged, ExecStats* stats) {
-  auto merge_bucket = [&](size_t b) {
-    MergeColumnarBucket(partials, agg_nodes, b, &merged->buckets[b],
-                        &merged->cpu[b]);
-  };
-  switch (strat) {
-    case MergeStrategy::kCentral: {
-      for (size_t b = 0; b < kRadixBuckets; ++b) merge_bucket(b);
-      for (uint64_t c : merged->cpu) stats->cpu_ops += c;
-      return Status::OK();
-    }
-    case MergeStrategy::kPartitioned: {
-      APUAMA_RETURN_NOT_OK(ParallelFor(
-          pool, 0, kMergePartitions, [&](size_t p) -> Status {
-            for (size_t b = p; b < kRadixBuckets; b += kMergePartitions) {
-              merge_bucket(b);
+// Merges the morsels' group tables one bucket per ParallelFor task
+// (inline when `pool` is null). Within a bucket, partials fold in
+// morsel-index order: the first morsel to hold a key contributes its
+// group wholesale, later ones fold in through AggMerge. A key hashes
+// to the same bucket in every morsel, so its fold sequence depends
+// neither on the bucket count nor on which thread ran what, and the
+// bits are identical at every exec_threads. Charged as parallel work.
+Status MergeGroupBuckets(ThreadPool* pool, std::vector<MorselPartial>* partials,
+                         const std::vector<const Expr*>& agg_nodes,
+                         MergedBuckets* merged, ExecStats* stats) {
+  std::array<uint64_t, kGroupBuckets> cpu{};
+  APUAMA_RETURN_NOT_OK(
+      ParallelFor(pool, 0, kGroupBuckets, [&](size_t b) -> Status {
+        GroupMap& gm = (*merged)[b];
+        for (MorselPartial& part : *partials) {
+          for (auto& [key, lg] : part.buckets[b]) {
+            ++cpu[b];
+            auto [it, inserted] = gm.try_emplace(key);
+            if (inserted) {
+              it->second = std::move(lg);
+              continue;
             }
-            return Status::OK();
-          }));
-      break;
-    }
-    case MergeStrategy::kRadix: {
-      APUAMA_RETURN_NOT_OK(
-          ParallelFor(pool, 0, kRadixBuckets, [&](size_t b) -> Status {
-            merge_bucket(b);
-            return Status::OK();
-          }));
-      break;
-    }
-  }
-  for (uint64_t c : merged->cpu) {
+            for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
+              ++cpu[b];
+              AggMerge(&it->second.accs[ai], lg.accs[ai], *agg_nodes[ai]);
+            }
+          }
+        }
+        // Ordered-map residency charge.
+        cpu[b] += gm.size();
+        return Status::OK();
+      }));
+  for (uint64_t c : cpu) {
     stats->cpu_ops += c;
     stats->cpu_ops_parallel += c;
   }
@@ -2210,17 +2065,16 @@ bool FastRowBefore(const FastRow& a, const FastRow& b,
   return storage::KeyLess{}(*a.gkey, *b.gkey);
 }
 
-// One query riding a columnar morsel scan: its compiled plan, scan
-// header and aggregate inventory, plus one private partial per
-// morsel. Solo execution runs one consumer; a shared scan runs several
-// over the same morsels through the same two functions below, so each
-// consumer's result is bit-identical to its solo run.
+// One query riding a columnar morsel scan: its compiled plan and scan
+// header, plus one private partial per morsel. Solo execution runs one
+// consumer; a shared scan runs several over the same morsels through
+// the same two functions below, so each consumer's result is
+// bit-identical to its solo run.
 struct ColumnarConsumer {
   const SelectStmt* stmt = nullptr;
   const Relation* header = nullptr;
-  const std::vector<const Expr*>* agg_nodes = nullptr;
   ColumnarPlan plan;
-  std::vector<ColumnarPartial> partials;
+  std::vector<MorselPartial> partials;
 };
 
 // Runs morsel `mi` of one consumer. `sel` holds the morsel's heap
@@ -2230,7 +2084,7 @@ struct ColumnarConsumer {
 Status RunColumnarMorsel(const storage::Table& t, size_t mi,
                          std::vector<uint32_t> sel, ColumnarConsumer* c) {
   const ColumnarPlan& cp = c->plan;
-  ColumnarPartial& part = c->partials[mi];
+  MorselPartial& part = c->partials[mi];
   part.scanned += sel.size();
 
   // Row-wise fallback machinery, used only by non-vectorizable
@@ -2272,12 +2126,7 @@ Status RunColumnarMorsel(const storage::Table& t, size_t mi,
   }
 
   if (c->stmt->group_by.empty()) {
-    AggGroup& g = part.global;
-    if (!part.global_any) {
-      g.repr = t.row(sel[0]);
-      g.accs.resize(cp.aggs.size());
-      part.global_any = true;
-    }
+    AggGroup& g = part.Group(Row{}, t.row(sel[0]), cp.aggs.size());
     for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
       const ColAggSpec& spec = cp.aggs[ai];
       if (spec.star || spec.arg != nullptr) {
@@ -2312,17 +2161,9 @@ Status RunColumnarMorsel(const storage::Table& t, size_t mi,
         key.push_back(std::move(v));
       }
     }
-    // Key gather + hash + group lookup: one op per row, the same rate
-    // as the join pipeline's AccumulateRow bucketing.
+    // Key gather + hash + group lookup: one op per row.
     ++part.cpu;
-    const size_t bucket = RowHash{}(key) % kRadixBuckets;
-    auto [it, inserted] = part.buckets[bucket].try_emplace(std::move(key));
-    AggGroup& grp = it->second;
-    if (inserted) {
-      grp.repr = r;
-      grp.accs.resize(cp.aggs.size());
-      ++part.group_n;
-    }
+    AggGroup& grp = part.Group(std::move(key), r, cp.aggs.size());
     for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
       const ColAggSpec& spec = cp.aggs[ai];
       if (spec.star || spec.arg != nullptr) {
@@ -2346,89 +2187,54 @@ Status RunColumnarMorsel(const storage::Table& t, size_t mi,
   return Status::OK();
 }
 
-// Merge + finalize for one consumer once all its morsels ran: charges
-// the partials' counters to `stats`, merges the partial groups under
-// the adaptive strategy, and projects/sorts the output. `threads` is
-// the morsel region's width; a null `pool` runs everything inline.
-Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
-                                            ThreadPool* pool, size_t threads,
-                                            ColumnarConsumer* c) {
-  const SelectStmt& stmt = *c->stmt;
-  const Relation& header = *c->header;
-  const std::vector<const Expr*>& agg_nodes = *c->agg_nodes;
-  std::vector<ColumnarPartial>& partials = c->partials;
-
-  stats->morsels += partials.size();
+// The finish of every morsel pipeline once all its morsels ran:
+// charges the partials' counters to `stats`, merges their group
+// tables, adds the empty-input group of a GROUP BY-less statement,
+// and projects and sorts through the fast tail or FinalizeGroups.
+// `header` is the layout the group representatives were drawn from;
+// `threads` is the morsel region's width; a null `pool` runs
+// everything inline.
+Result<QueryResult> FinishMorselAggregate(
+    Executor* exec, ExecStats* stats, ThreadPool* pool, size_t threads,
+    const SelectStmt& stmt, const Relation& header,
+    const std::vector<const Expr*>& agg_nodes,
+    std::vector<MorselPartial>* partials) {
+  stats->morsels += partials->size();
   if (static_cast<uint32_t>(threads) > stats->exec_threads) {
     stats->exec_threads = static_cast<uint32_t>(threads);
   }
-  for (const ColumnarPartial& part : partials) {
+  for (const MorselPartial& part : *partials) {
     stats->tuples_scanned += part.scanned;
     stats->cpu_ops += part.cpu;
     stats->cpu_ops_parallel += part.cpu;
     stats->vectorized_rows += part.vec_rows;
     stats->dict_hits += part.dict_hits;
+    stats->join_probe_rows += part.probed;
+    stats->filter_skipped_rows += part.filter_skipped;
+    stats->probe_vectorized_rows += part.probe_vec;
   }
 
   obs::Span merge_span =
       obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
+  auto merged = std::make_unique<MergedBuckets>();
+  APUAMA_RETURN_NOT_OK(
+      MergeGroupBuckets(pool, partials, agg_nodes, merged.get(), stats));
+  merge_span.End();
+
   if (stmt.group_by.empty()) {
-    // GROUP BY-less: one accumulator per morsel, folded sequentially
-    // in morsel order (a central merge by definition).
-    ++stats->merge_central;
-    GroupMap groups;
-    AggGroup g;
-    bool any = false;
-    uint64_t mcpu = 0;
-    for (ColumnarPartial& part : partials) {
-      if (!part.global_any) continue;
-      ++mcpu;
-      if (!any) {
-        g = std::move(part.global);
-        any = true;
-        continue;
-      }
-      for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-        ++mcpu;
-        AggMerge(&g.accs[ai], part.global.accs[ai], *agg_nodes[ai]);
-      }
-    }
-    stats->cpu_ops += mcpu;
-    if (!any) {
-      // Global aggregate over empty input still yields one group.
+    // Global aggregate over empty input still yields one group.
+    GroupMap& gm = (*merged)[RowHash{}(Row{}) % kGroupBuckets];
+    if (gm.empty()) {
+      AggGroup g;
       g.repr = Row(header.columns.size(), Value::Null());
       g.accs.resize(agg_nodes.size());
+      gm.emplace(Row{}, std::move(g));
     }
-    ++stats->cpu_ops;
-    groups.emplace(Row{}, std::move(g));
-    merge_span.End();
-    return FinalizeGroups(exec, stats, stmt, header, &groups, agg_nodes,
-                          nullptr);
   }
-
-  const MergeStrategy strat = ChooseMergeStrategy(partials, threads);
-  switch (strat) {
-    case MergeStrategy::kCentral:
-      ++stats->merge_central;
-      break;
-    case MergeStrategy::kPartitioned:
-      ++stats->merge_partitioned;
-      break;
-    default:
-      ++stats->merge_radix;
-      break;
-  }
-  if (merge_span.active()) {
-    merge_span.AddAttr("strategy", static_cast<int64_t>(strat));
-  }
-  auto merged = std::make_unique<ColumnarMerged>();
-  APUAMA_RETURN_NOT_OK(MergeColumnarPartials(pool, strat, &partials,
-                                             agg_nodes, merged.get(), stats));
-  merge_span.End();
 
   std::vector<std::string> out_names;
   for (const auto& it : stmt.items) {
-    out_names.push_back(OutputName(it, out_names.size()));
+    out_names.push_back(sql::OutputName(it, out_names.size()));
   }
   FastFinalizePlan fp;
   if (!PlanFastFinalize(stmt, header, agg_nodes, out_names, &fp)) {
@@ -2436,7 +2242,7 @@ Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
     // (bucket order is irrelevant — the map sorts) and run the shared
     // sequential finalizer.
     GroupMap groups;
-    for (GroupMap& gm : merged->buckets) {
+    for (GroupMap& gm : *merged) {
       for (auto& [key, g] : gm) {
         ++stats->cpu_ops;
         groups.emplace(key, std::move(g));
@@ -2446,30 +2252,20 @@ Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
                           nullptr);
   }
 
-  // Fast tail: per-bucket projection + sort runs under the same
-  // parallel structure as the merge (central stays sequential), then a
-  // sequential k-way merge stitches the bucket runs together.
+  // Fast tail: per-bucket projection + sort, one bucket per task, then
+  // a sequential k-way merge stitches the bucket runs together.
   auto frows =
-      std::make_unique<std::array<std::vector<FastRow>, kRadixBuckets>>();
-  std::array<uint64_t, kRadixBuckets> fcpu{};
-  auto finalize_bucket = [&](size_t b) {
-    fcpu[b] =
-        FastFinalizeBucket(merged->buckets[b], fp, agg_nodes, &(*frows)[b]);
-  };
-  if (strat == MergeStrategy::kCentral) {
-    for (size_t b = 0; b < kRadixBuckets; ++b) finalize_bucket(b);
-    for (uint64_t cost : fcpu) stats->cpu_ops += cost;
-  } else {
-    const size_t tasks =
-        strat == MergeStrategy::kPartitioned ? kMergePartitions : kRadixBuckets;
-    APUAMA_RETURN_NOT_OK(ParallelFor(pool, 0, tasks, [&](size_t p) -> Status {
-      for (size_t b = p; b < kRadixBuckets; b += tasks) finalize_bucket(b);
-      return Status::OK();
-    }));
-    for (uint64_t cost : fcpu) {
-      stats->cpu_ops += cost;
-      stats->cpu_ops_parallel += cost;
-    }
+      std::make_unique<std::array<std::vector<FastRow>, kGroupBuckets>>();
+  std::array<uint64_t, kGroupBuckets> fcpu{};
+  APUAMA_RETURN_NOT_OK(
+      ParallelFor(pool, 0, kGroupBuckets, [&](size_t b) -> Status {
+        fcpu[b] = FastFinalizeBucket((*merged)[b], fp, agg_nodes,
+                                     &(*frows)[b]);
+        return Status::OK();
+      }));
+  for (uint64_t cost : fcpu) {
+    stats->cpu_ops += cost;
+    stats->cpu_ops_parallel += cost;
   }
 
   QueryResult qr;
@@ -2477,12 +2273,12 @@ Result<QueryResult> FinishColumnarAggregate(Executor* exec, ExecStats* stats,
   size_t total = 0;
   for (const auto& v : *frows) total += v.size();
   qr.rows.reserve(total);
-  std::array<size_t, kRadixBuckets> cursor{};
+  std::array<size_t, kGroupBuckets> cursor{};
   for (size_t produced = 0; produced < total; ++produced) {
-    size_t best = kRadixBuckets;
-    for (size_t b = 0; b < kRadixBuckets; ++b) {
+    size_t best = kGroupBuckets;
+    for (size_t b = 0; b < kGroupBuckets; ++b) {
       if (cursor[b] >= (*frows)[b].size()) continue;
-      if (best == kRadixBuckets ||
+      if (best == kGroupBuckets ||
           FastRowBefore((*frows)[b][cursor[b]], (*frows)[best][cursor[best]],
                         fp.desc)) {
         best = b;
@@ -2509,7 +2305,7 @@ Result<QueryResult> Executor::ProjectOnly(const SelectStmt& stmt,
     if (it.star) {
       for (const auto& cb : rel.columns) qr.column_names.push_back(cb.name);
     } else {
-      qr.column_names.push_back(OutputName(it, qr.column_names.size()));
+      qr.column_names.push_back(sql::OutputName(it, qr.column_names.size()));
     }
   }
 
@@ -2591,16 +2387,7 @@ Result<QueryResult> Executor::AggregateAndProject(const SelectStmt& stmt,
       grp.repr = r;
       grp.accs.resize(agg_nodes.size());
     }
-    for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-      const Expr& agg = *agg_nodes[ai];
-      ++stats_->cpu_ops;
-      if (agg.star_arg) {
-        AggUpdate(&grp.accs[ai], agg, Value::Null());
-      } else {
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*agg.children[0], ctx));
-        AggUpdate(&grp.accs[ai], agg, v);
-      }
-    }
+    APUAMA_RETURN_NOT_OK(FoldRow(agg_nodes, ctx, &grp));
   }
 
   // Global aggregate over empty input still yields one group.
@@ -2665,7 +2452,6 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   ColumnarConsumer c;
   c.stmt = &stmt;
   c.header = &header;
-  c.agg_nodes = &agg_nodes;
   c.plan = CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
 
   // Coordinator-only spans: per-morsel worker spans would make trace
@@ -2690,7 +2476,8 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
           return RunColumnarMorsel(t, mi, sm.Selection(mi), &c);
         }));
   }
-  return FinishColumnarAggregate(this, stats_, pool, threads, &c);
+  return FinishMorselAggregate(this, stats_, pool, threads, stmt, header,
+                               agg_nodes, &c.partials);
 }
 
 std::vector<uint32_t> Executor::ScanMorsels::Selection(size_t mi) const {
@@ -2846,7 +2633,6 @@ Executor::ExecuteSharedAggregates(
   for (size_t i = 0; i < n; ++i) {
     consumers[i].stmt = stmts[i];
     consumers[i].header = &headers[i];
-    consumers[i].agg_nodes = &agg_nodes[i];
     consumers[i].plan = CompileColumnar(*stmts[i], headers[i], *chunk.chunk,
                                         preds[i], agg_nodes[i]);
     consumers[i].partials.resize(morsels);
@@ -2870,15 +2656,16 @@ Executor::ExecuteSharedAggregates(
   std::vector<Result<QueryResult>> results;
   results.reserve(n);
   uint64_t rows_scanned_once = 0;
-  for (const ColumnarPartial& part : consumers[0].partials) {
+  for (const MorselPartial& part : consumers[0].partials) {
     rows_scanned_once += part.scanned;
   }
   for (size_t i = 0; i < n; ++i) {
     ExecStats& qs = qstats[i];
     qs.shared_scans = 1;
     qs.shared_scan_queries = n;
-    Result<QueryResult> r = FinishColumnarAggregate(&execs[i], &qs, pool,
-                                                    threads, &consumers[i]);
+    Result<QueryResult> r = FinishMorselAggregate(
+        &execs[i], &qs, pool, threads, *stmts[i], headers[i], agg_nodes[i],
+        &consumers[i].partials);
     if (r.ok()) {
       r->stats = qs;
       r->stats.tuples_output = r->rows.size();
@@ -3369,8 +3156,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   const std::vector<const Expr*>& dpreds = scan_preds[driver];
   APUAMA_ASSIGN_OR_RETURN(ScanPlan dplan, PlanScan(dfb, dpreds, nullptr));
   ScanMorsels dsm = TouchAndMorselize(dt, dplan);
-  stats_->morsels += dsm.morsels.size();
-  note_threads(dsm.morsels.size());
 
   // ---- Driver compile (vectorized probe). The chunk lookup and all
   // compilation happen here on the coordinator — the column store is
@@ -3482,7 +3267,15 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     };
     descend = [&](size_t k) -> Status {
       if (k == stages.size()) {
-        return AccumulateRow(stmt, agg_nodes, ctxs[k], scratch, &part);
+        // The chain's last stage: fold the joined row into its group.
+        Row key;
+        key.reserve(stmt.group_by.size());
+        for (const auto& g : stmt.group_by) {
+          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*g, ctxs[k]));
+          key.push_back(std::move(v));
+        }
+        return FoldRow(agg_nodes, ctxs[k],
+                       &part.Group(std::move(key), scratch, agg_nodes.size()));
       }
       const BuildStage& st = stages[k];
       const BuiltStage& bs = built[k];
@@ -3632,35 +3425,11 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
         ParallelFor(pool, 0, dsm.morsels.size(), probe_morsel));
   }
 
-  for (const MorselPartial& part : partials) {
-    stats_->tuples_scanned += part.scanned;
-    stats_->cpu_ops += part.cpu;
-    stats_->cpu_ops_parallel += part.cpu;
-    stats_->join_probe_rows += part.probed;
-    stats_->filter_skipped_rows += part.filter_skipped;
-    stats_->vectorized_rows += part.vec_rows;
-    stats_->probe_vectorized_rows += part.probe_vec;
-    stats_->dict_hits += part.dict_hits;
-  }
-
-  obs::Span join_merge_span =
-      obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
   APUAMA_ASSIGN_OR_RETURN(
-      GroupMap groups,
-      MergeMorselPartials(pool, &partials, agg_nodes, stats_));
-  join_merge_span.End();
-
-  // Global aggregate over empty input still yields one group.
-  if (groups.empty() && stmt.group_by.empty()) {
-    AggGroup g;
-    g.repr = Row(layouts.back().columns.size(), Value::Null());
-    g.accs.resize(agg_nodes.size());
-    groups.emplace(Row{}, std::move(g));
-  }
-
-  APUAMA_ASSIGN_OR_RETURN(
-      QueryResult qr, FinalizeGroups(this, stats_, stmt, layouts.back(),
-                                     &groups, agg_nodes, nullptr));
+      QueryResult qr,
+      FinishMorselAggregate(this, stats_, pool,
+                            MorselWidth(want, dsm.morsels.size()), stmt,
+                            layouts.back(), agg_nodes, &partials));
   return std::optional<QueryResult>(std::move(qr));
 }
 

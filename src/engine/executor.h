@@ -137,11 +137,11 @@ class Executor {
   /// morsels process per-column slices through vectorized kernels
   /// (selection vectors, typed accumulation), with a per-conjunct,
   /// per-aggregate and per-key row-wise Eval fallback for whatever
-  /// does not compile. The partial-group merge picks its fanout
-  /// adaptively (central / partitioned / radix) from the cardinality
-  /// the first wave of morsels observed. The morsel decomposition and
-  /// the merge order depend only on table contents — never on the
-  /// thread count — so results are bit-identical at any width.
+  /// does not compile. Each morsel folds into a private group table;
+  /// the tables merge bucket by bucket in morsel-index order. The
+  /// morsel decomposition and the merge order depend only on table
+  /// contents — never on the thread count — so results are
+  /// bit-identical at any width.
   Result<QueryResult> ExecuteMorselAggregate(const sql::SelectStmt& stmt);
 
   /// Cheap gate for the morsel-parallel join pipeline: a multi-table
@@ -158,10 +158,11 @@ class Executor {
   /// (partitions built concurrently). Then the
   /// driver table streams page-aligned morsels as selection vectors
   /// through the full probe chain (vectorized filter -> key hash ->
-  /// semi-join filter -> probe -> residual filter -> ... -> partial
-  /// aggregate) without materializing intermediate relations.
-  /// Partials fold in morsel-index order, so results are bit-identical
-  /// at every `exec_threads` setting. Returns nullopt when planning
+  /// semi-join filter -> probe -> residual filter -> ... -> the
+  /// morsel's group table) without materializing intermediate
+  /// relations. The group tables merge and finish exactly as in
+  /// ExecuteMorselAggregate, so results are bit-identical at every
+  /// `exec_threads` setting. Returns nullopt when planning
   /// finds a shape the pipeline cannot run (cross join, outer
   /// references, subquery predicates) — the caller then falls back to
   /// the legacy sequential chain. Planning is side-effect free until

@@ -76,17 +76,17 @@ struct CostModel {
 
   /// Service time of one statement executed at a node. CPU work done
   /// inside the morsel-parallel region shrinks by the intra-node
-  /// thread count (critical-path charging); planning, merge, and
-  /// finalization stay sequential. Join build and probe work
-  /// (join_build_rows / join_probe_rows) is counted into
-  /// cpu_ops_parallel by the morsel join pipeline, so ClusterSim
+  /// thread count (critical-path charging); planning and the
+  /// sequential part of finalization are charged in full, while the
+  /// morsel pipelines' bucket merge counts as parallel. Join build
+  /// and probe work (join_build_rows / join_probe_rows) is counted
+  /// into cpu_ops_parallel by the morsel join pipeline, so ClusterSim
   /// figures reflect intra-node join speedup — and semi-join filter
   /// pushdown shows up as fewer probe ops, not just fewer tuples.
   /// Vectorized kernels charge one op per 8-row slice into BOTH
   /// cpu_ops and cpu_ops_parallel (they run inside morsel workers),
   /// so the columnar path's saving lands on this same critical path:
-  /// fewer ops per row AND divided by the thread width. Only the
-  /// adaptive merge's central strategy keeps its fold sequential.
+  /// fewer ops per row AND divided by the thread width.
   SimTime StatementTime(const engine::ExecStats& s) const {
     const uint64_t par =
         s.cpu_ops_parallel < s.cpu_ops ? s.cpu_ops_parallel : s.cpu_ops;

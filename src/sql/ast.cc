@@ -1,5 +1,7 @@
 #include "sql/ast.h"
 
+#include "common/string_util.h"
+
 namespace apuama::sql {
 
 bool IsComparison(BinaryOp op) {
@@ -171,6 +173,17 @@ ExprPtr AndCombine(ExprPtr a, ExprPtr b) {
   if (!a) return b;
   if (!b) return a;
   return MakeBinary(BinaryOp::kAnd, std::move(a), std::move(b));
+}
+
+std::string OutputName(const SelectItem& item, size_t ordinal) {
+  if (!item.alias.empty()) return item.alias;
+  if (item.expr && item.expr->kind == ExprKind::kColumnRef) {
+    return item.expr->column_name;
+  }
+  if (item.expr && item.expr->kind == ExprKind::kFuncCall) {
+    return item.expr->func_name;
+  }
+  return StrFormat("column%zu", ordinal + 1);
 }
 
 }  // namespace apuama::sql

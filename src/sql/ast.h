@@ -172,6 +172,11 @@ struct SelectItem {
   bool star = false;   // SELECT *
 };
 
+/// Output column name of a select item: its alias, else the column
+/// name of a bare column ref, else the function name of a call, else
+/// "column<ordinal + 1>".
+std::string OutputName(const SelectItem& item, size_t ordinal);
+
 struct OrderItem {
   ExprPtr expr;        // may be an integer literal => 1-based ordinal
   bool desc = false;

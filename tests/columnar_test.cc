@@ -1,5 +1,5 @@
 // Columnar vectorized execution: agreement with the sequential row
-// executor, adaptive-merge strategy forcing, chunk invalidation after
+// executor, a group-cardinality sweep, chunk invalidation after
 // writes, the row-wise fallbacks and index-order selections inside
 // the columnar pipelines, shared scans, and knob validation.
 //
@@ -92,15 +92,12 @@ TEST(ColumnarTest, VectorizedCountersLightUpOnTheColumnarPath) {
     auto on = db.Execute(*sql);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
     EXPECT_GT(on->stats.vectorized_rows, 0u) << "Q" << q;
-    EXPECT_GT(on->stats.merge_central + on->stats.merge_partitioned +
-                  on->stats.merge_radix,
-              0u)
-        << "Q" << q;
+    EXPECT_GT(on->stats.morsels, 0u) << "Q" << q;
     auto ref = db.ExecuteReference(*sql);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     EXPECT_EQ(ref->stats.vectorized_rows, 0u) << "Q" << q;
     EXPECT_EQ(ref->stats.columnar_chunks_built, 0u) << "Q" << q;
-    EXPECT_EQ(ref->stats.MergeStrategyCode(), 0) << "Q" << q;
+    EXPECT_EQ(ref->stats.morsels, 0u) << "Q" << q;
     testutil::ExpectMatchesReference(*ref, *on);
   }
 }
@@ -152,17 +149,15 @@ engine::Database* MakeGroupedDb(int rows, int groups) {
   return db;
 }
 
-// Each merge strategy, reached through the group cardinality of its
-// input (few / medium / mostly-distinct morsels), matches the
+// The one group-table merge across group cardinalities (few groups
+// per morsel, some, and mostly-distinct morsels): each matches the
 // sequential reference and returns the same exact bits at every
-// thread count — the strategy changes scheduling and accounting only.
-TEST(ColumnarTest, ForcedMergeStrategiesAreBitIdentical) {
+// thread count.
+TEST(ColumnarTest, GroupCardinalitySweepIsBitIdentical) {
   const std::string sql =
       "select g, count(*), sum(v), avg(v), min(v), max(v) from t "
       "group by g order by g";
-  const std::vector<std::pair<int, int>> groups_to_code = {
-      {10, 1}, {400, 2}, {2000, 3}};  // central, partitioned, radix
-  for (const auto& [groups, code] : groups_to_code) {
+  for (int groups : {10, 400, 2000}) {
     SCOPED_TRACE("groups=" + std::to_string(groups));
     std::unique_ptr<engine::Database> db(MakeGroupedDb(4000, groups));
     auto ref = db->ExecuteReference(sql);
@@ -173,7 +168,6 @@ TEST(ColumnarTest, ForcedMergeStrategiesAreBitIdentical) {
       Set(db.get(), "exec_threads", std::to_string(threads));
       auto col = db->Execute(sql);
       ASSERT_TRUE(col.ok()) << col.status().ToString();
-      EXPECT_EQ(col->stats.MergeStrategyCode(), code);
       testutil::ExpectMatchesReference(*ref, *col);
       if (first.has_value()) {
         testutil::ExpectResultsIdentical(*first, *col);
@@ -182,20 +176,6 @@ TEST(ColumnarTest, ForcedMergeStrategiesAreBitIdentical) {
       }
     }
   }
-}
-
-// The auto decision follows observed partial-group cardinality: few
-// groups fold centrally, morsels that are mostly-distinct go radix.
-TEST(ColumnarTest, AutoStrategyTracksGroupCardinality) {
-  std::unique_ptr<engine::Database> few(MakeGroupedDb(4000, 10));
-  auto r = few->Execute("select g, sum(v) from t group by g");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.MergeStrategyCode(), 1);  // central
-
-  std::unique_ptr<engine::Database> many(MakeGroupedDb(4000, 2000));
-  r = many->Execute("select g, sum(v) from t group by g");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.MergeStrategyCode(), 3);  // radix
 }
 
 // Chunks build lazily on the first columnar scan and rebuild (never
@@ -304,8 +284,8 @@ TEST(ColumnarTest, KnobValidationAndDefaults) {
   engine::Database db;
   // The columnar pipelines are the only morsel pipelines and have no
   // off switches: `SET columnar_exec` / `columnar_join` are unknown.
-  // The merge strategy follows the observed cardinality; there is no
-  // `SET merge_strategy` override.
+  // Every morsel pipeline merges its group tables one way; there is
+  // no `SET merge_strategy`.
   const std::vector<std::pair<std::string, std::string>> unknown = {
       {"columnar_exec", "off"},
       {"columnar_join", "off"},

@@ -221,8 +221,12 @@ TEST(JoinParallelTest, Q5ProbeWorkBoundedByLineitem) {
 // side whose declared clustered key holds duplicates (a "key lookup"
 // that fans out, since the key is not enforced unique), and build
 // sides filtered to zero rows (survival 0, so they go before larger
-// or smaller key lookups). Each must match the reference executor
-// and be bit-identical at every thread count.
+// or smaller key lookups). Two more group the join by f_dim into
+// 1,100-1,200 groups: one with HAVING and an expression item (the
+// general finalize tail), one with bare items and an ORDER BY full of
+// ties (the fast tail, whose bucket merge must break ties in group-key
+// order). Each must match the reference executor and be bit-identical
+// at every thread count.
 TEST(JoinParallelTest, OrderingEdgeCasesMatchReference) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
@@ -273,6 +277,12 @@ TEST(JoinParallelTest, OrderingEdgeCasesMatchReference) {
   const std::vector<std::string> queries = {
       dup_key,
       empty_dim,
+      "select f_dim, count(*) as cnt, sum(f_val) * 2 as val2,"
+      " max(d_grp) + 1 as mg from fact, dim where f_dim = d_key"
+      " group by f_dim having count(*) > 9 order by val2 desc",
+      "select f_dim, d_tag, count(*) as cnt, sum(f_val) as val,"
+      " min(d_grp) as g from fact, dim where f_dim = d_key"
+      " group by f_dim, d_tag order by cnt desc",
       // Q5 with region filtered to nothing.
       [] {
         std::string sql = *tpch::QuerySql(5);

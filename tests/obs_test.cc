@@ -307,7 +307,6 @@ TEST(ExplainAnalyzeTest, SingleNodeBreakdownShape) {
       {"node", "vectorized_rows"},
       {"node", "dict_hits"},
       {"node", "probe_vectorized_rows"},
-      {"node", "merge_strategy"},
       {"node", "output_rows"},
   };
   ASSERT_EQ(r->rows.size(), golden.size());
@@ -315,10 +314,8 @@ TEST(ExplainAnalyzeTest, SingleNodeBreakdownShape) {
     EXPECT_EQ(r->rows[i][0].str_val(), golden[i].first) << "row " << i;
     EXPECT_EQ(r->rows[i][1].str_val(), golden[i].second) << "row " << i;
   }
-  // Q6 is a global aggregate: the columnar path vectorizes it and a
-  // GROUP BY-less merge is central by definition (code 1).
+  // Q6 is a global aggregate the columnar path vectorizes.
   EXPECT_GT(r->rows[10][2].int_val(), 0);  // vectorized_rows
-  EXPECT_EQ(r->rows[13][2].int_val(), 1);  // merge_strategy = central
   // Plain EXPLAIN still returns the plan, not a breakdown.
   auto plan = db.Execute("explain " + *tpch::QuerySql(6));
   ASSERT_TRUE(plan.ok());
@@ -352,7 +349,6 @@ TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
       {"node", "vectorized_rows"},
       {"node", "dict_hits"},
       {"node", "probe_vectorized_rows"},
-      {"node", "merge_strategy"},
       {"compose", "compose_us"},
       {"compose", "partial_rows"},
       {"compose", "output_rows"},
@@ -381,7 +377,7 @@ TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
     // a non-empty composed answer.
     EXPECT_EQ(r->rows[0][2].str_val(), "svp");
     EXPECT_EQ(r->rows[6][2].int_val(), 2);   // subqueries
-    EXPECT_GT(r->rows[21][2].int_val(), 0);  // output_rows
+    EXPECT_GT(r->rows[20][2].int_val(), 0);  // output_rows
   }
 }
 
