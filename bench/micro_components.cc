@@ -583,8 +583,7 @@ void BM_Exchange(benchmark::State& state) {
   uint64_t shuffles = 0;
   uint64_t broadcasts = 0;
   for (auto _ : state) {
-    exchange::ExchangeOperator ex(&replicas, ++seq,
-                                  exchange::Strategy::kAuto);
+    exchange::ExchangeOperator ex(&replicas, ++seq);
     auto assignments = ex.Prepare(intervals, specs, alive, preferred);
     if (!assignments.ok()) {
       state.SkipWithError("exchange prepare failed");

@@ -53,6 +53,17 @@ int main() {
               "(failovers detected: %llu)\n",
               static_cast<unsigned long long>(
                   controller.stats().failovers));
+  // Statements every survivor rejects fail for the client and stay
+  // out of the recovery log, so they cannot block node 2's rejoin.
+  const bool bad_insert_rejected =
+      !controller.Execute("insert into region values (1)").ok();
+  const bool bad_set_rejected =
+      !controller.Execute("set exec_threads = 0").ok();
+  std::printf("malformed INSERT rejected: %s; SET exec_threads = 0 "
+              "rejected: %s\n",
+              bad_insert_rejected ? "yes" : "NO",
+              bad_set_rejected ? "yes" : "NO");
+  if (!bad_insert_rejected || !bad_set_rejected) return 1;
   // OLAP keeps answering: node 2's key interval went to the survivors.
   q = controller.Execute(*tpch::QuerySql(6));
   std::printf("Q6 over 3 survivors: %s (revenue=%s)\n",

@@ -10,7 +10,6 @@ AdmissionController::AdmissionController(Options options)
       window_us_(options.window_base_us),
       default_slo_us_(options.default_slo_us),
       default_priority_(options.default_priority),
-      queue_limit_(options.queue_limit),
       ewma_us_(std::max<int64_t>(1, options.ewma_seed_us)),
       queue_wait_hist_(std::make_unique<obs::Histogram>(
           obs::Histogram::DefaultLatencyBoundsUs())) {}
@@ -32,11 +31,6 @@ void AdmissionController::set_default_slo_us(int64_t v) {
 void AdmissionController::set_default_priority(int v) {
   std::lock_guard<std::mutex> lock(mu_);
   default_priority_ = std::clamp(v, 0, 7);
-}
-
-void AdmissionController::set_queue_limit(int v) {
-  std::lock_guard<std::mutex> lock(mu_);
-  queue_limit_ = std::max(1, v);
 }
 
 AdmissionController::ClassTrack& AdmissionController::TrackLocked(
@@ -169,7 +163,7 @@ void AdmissionController::Submit(const Request& request, int64_t now_us,
                static_cast<double>(std::max(1, options_.max_inflight)) +
            static_cast<double>(ewma_us_)) /
           static_cast<double>(std::max<int64_t>(1, w.slo_us));
-      const bool queue_full = queued_ >= queue_limit_;
+      const bool queue_full = queued_ >= options_.queue_limit;
       const bool hopeless =
           model > options_.shed_at * static_cast<double>(w.priority + 1);
       if (options_.allow_shed && (queue_full || hopeless)) {

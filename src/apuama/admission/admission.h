@@ -160,14 +160,13 @@ class AdmissionController {
   /// inside this call, on this thread.
   void OnComplete(const Ticket& ticket, int64_t now_us, bool ok);
 
-  // --- Knobs (SET broadcast interception / sim options). -------------
+  // --- Knobs (the controller's SET knobs / sim options). -------------
   void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_default_slo_us(int64_t v);
   void set_default_priority(int v);
-  void set_queue_limit(int v);
 
   // --- Introspection. ------------------------------------------------
   /// Current stage-1 window from the latest overload estimate.
@@ -231,7 +230,6 @@ class AdmissionController {
   mutable std::mutex mu_;
   int64_t default_slo_us_;
   int default_priority_;
-  int queue_limit_;
   int64_t ewma_us_;
   int inflight_ = 0;
   uint64_t next_id_ = 1;

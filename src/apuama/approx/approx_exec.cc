@@ -12,7 +12,6 @@
 // the approximate tier's entire saving.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <utility>
@@ -93,14 +92,6 @@ std::vector<approx::GroupMoments> RowMoments(
 }
 
 }  // namespace
-
-void ApuamaEngine::SetApproxEnabled(bool on) {
-  approx_on_.store(on, std::memory_order_relaxed);
-}
-
-bool ApuamaEngine::approx_enabled() const {
-  return approx_on_.load(std::memory_order_relaxed);
-}
 
 void ApuamaEngine::SetSampleSeed(int64_t seed) {
   sample_seed_.store(seed, std::memory_order_relaxed);
@@ -305,14 +296,9 @@ std::optional<Result<engine::QueryResult>> ApuamaEngine::MaybeExecuteApprox(
   auto parsed = sql::ParseSelect(sql);
   if (!parsed.ok()) return std::nullopt;
   const sql::SelectStmt& query = **parsed;
-  const bool requested = query.approx;
-  if (!requested && !approx_on_.load(std::memory_order_relaxed)) {
-    return std::nullopt;
-  }
+  if (!query.approx) return std::nullopt;
   auto fallback = [&]() -> std::optional<Result<engine::QueryResult>> {
-    if (requested) {
-      stats_.approx_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
+    stats_.approx_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   };
   if (query.from.size() != 1) return fallback();

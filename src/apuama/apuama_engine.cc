@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <set>
+#include <tuple>
 
 #include "apuama/share/query_fingerprint.h"
 #include "cjdbc/controller.h"
@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
+#include "sql/settings.h"
 #include "sql/unparse.h"
 
 namespace apuama {
@@ -85,11 +86,7 @@ ApuamaEngine::ApuamaEngine(cjdbc::ReplicaSet* replicas, DataCatalog catalog,
       consistency_(replicas->num_nodes(), [replicas](int i) {
         return replicas->IsNodeAvailable(i);
       }),
-      result_cache_(options.result_cache_entries),
-      share_scans_on_(options.enable_share_scans),
-      result_cache_on_(options.enable_result_cache),
-      fragmentation_on_(options.enable_fragmentation),
-      exchange_strategy_(exchange::ParseStrategy(options.exchange_strategy)) {
+      result_cache_(options.result_cache_entries) {
   write_credits_ = std::make_unique<std::atomic<uint64_t>[]>(
       static_cast<size_t>(replicas->num_nodes()));
   for (int i = 0; i < replicas->num_nodes(); ++i) {
@@ -190,10 +187,8 @@ Result<engine::QueryResult> ApuamaEngine::RunRead(int node_id,
     return Status::InvalidArgument("bad node id");
   }
   // Approximate tier. The verb check keeps the exact hot path
-  // untouched when the session knob is off and no APPROX verb is
-  // present; ineligible queries fall back to exact execution below.
-  if (approx_on_.load(std::memory_order_relaxed) ||
-      approx::StartsWithApproxVerb(sql)) {
+  // untouched; ineligible queries fall back to exact execution below.
+  if (approx::StartsWithApproxVerb(sql)) {
     if (auto approx_result = MaybeExecuteApprox(sql, profile)) {
       *path = "approx";
       return std::move(*approx_result);
@@ -300,6 +295,8 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteWriteOn(
     write_credits_[static_cast<size_t>(node_id)].fetch_add(
         1, std::memory_order_release);
     consistency_.NotifyStateChange();
+    std::lock_guard<std::mutex> lock(route_mu_);
+    routed_tables_.insert(route.table);
   }
   if (consistency_.EndNodeWrite(node_id, cls)) {
     // Completion bump: after this, no lookup can return a result
@@ -339,8 +336,7 @@ std::vector<Result<engine::QueryResult>> ApuamaEngine::ExecuteSharedRead(
   std::vector<size_t> batch_idx;
   batch_idx.reserve(sqls.size());
   for (size_t i = 0; i < sqls.size(); ++i) {
-    if (approx_on_.load(std::memory_order_relaxed) ||
-        approx::StartsWithApproxVerb(sqls[i])) {
+    if (approx::StartsWithApproxVerb(sqls[i])) {
       // Approx candidates never join a shared scan: the node batch
       // would answer them exactly, silently ignoring the APPROX verb.
       out[i] = ExecuteRead(node_id, sqls[i]);
@@ -403,12 +399,7 @@ int64_t ApuamaEngine::admission_window_us() const {
 
 std::shared_ptr<const engine::QueryResult> ApuamaEngine::CacheLookup(
     const std::string& fingerprint) {
-  // An exact query must never be served an approximate entry; the
-  // reverse (exact entry for an approx lookup) is always safe.
-  const bool accept_approx = approx_on_.load(std::memory_order_relaxed) ||
-                             approx::StartsWithApproxVerb(fingerprint);
-  auto hit =
-      result_cache_.Lookup(fingerprint, catalog_.version(), accept_approx);
+  auto hit = result_cache_.Lookup(fingerprint, catalog_.version());
   (hit != nullptr ? stats_.result_cache_hits : stats_.result_cache_misses)
       .fetch_add(1, std::memory_order_relaxed);
   return hit;
@@ -470,35 +461,38 @@ void ApuamaEngine::SetResultCache(bool on) {
 
 void ApuamaEngine::InvalidateResultCache() { result_cache_.InvalidateAll(); }
 
-void ApuamaEngine::SetFragmentationEnabled(bool on) {
-  const bool was = fragmentation_on_.exchange(on, std::memory_order_relaxed);
-  // Epoch keys change meaning across the flip (fragment keys stop or
-  // start being bumped): drop everything cached under the old regime.
-  if (was != on) InvalidateResultCache();
-}
-
-void ApuamaEngine::SetExchangeStrategy(const std::string& name) {
-  exchange_strategy_.store(exchange::ParseStrategy(name),
-                           std::memory_order_relaxed);
-}
-
-bool ApuamaEngine::fragmentation_active() const {
-  return fragmentation_on_.load(std::memory_order_relaxed) &&
-         catalog_.any_fragmented();
-}
-
 Status ApuamaEngine::ApplyFragmentationDdl(
     const sql::AlterFragmentStmt& stmt) {
-  if (stmt.unfragment) {
-    return catalog_.ClearFragmentation(ToLower(stmt.table));
-  }
   FragmentationSpec spec;
   spec.table = ToLower(stmt.table);
   spec.key_column = ToLower(stmt.column);
   spec.method = stmt.by_hash ? FragmentationSpec::Method::kHash
                              : FragmentationSpec::Method::kRange;
   spec.fragments = static_cast<int>(stmt.fragments);
-  spec.replica_factor = static_cast<int>(stmt.replica_factor);
+  spec.replica_factor =
+      std::min(static_cast<int>(stmt.replica_factor), num_nodes());
+  {
+    std::lock_guard<std::mutex> lock(route_mu_);
+    if (routed_tables_.count(spec.table) > 0) {
+      // A routed write's rows live only on its fragment's hosts, so
+      // any other layout would let reads miss them. The installed spec
+      // stays as it is: its bounds placed those rows.
+      auto layout = [](const FragmentationSpec& f) {
+        return std::tie(f.key_column, f.method, f.fragments,
+                        f.replica_factor);
+      };
+      const FragmentationSpec* installed =
+          catalog_.FragmentationFor(spec.table);
+      if (!stmt.unfragment && installed != nullptr &&
+          layout(*installed) == layout(spec)) {
+        return Status::OK();
+      }
+      return Status::Unsupported(
+          "table " + spec.table +
+          " has taken fragment-routed writes; its layout cannot change");
+    }
+  }
+  if (stmt.unfragment) return catalog_.ClearFragmentation(spec.table);
   return catalog_.SetFragmentation(std::move(spec), num_nodes());
 }
 
@@ -515,7 +509,6 @@ void ApuamaEngine::NoteRecoveryReplay(int node, bool routed) {
 std::vector<FragmentationSpec> ApuamaEngine::ActiveSpecsFor(
     const std::vector<std::string>& tables) const {
   std::vector<FragmentationSpec> out;
-  if (!fragmentation_active()) return out;
   for (const auto& t : tables) {
     const FragmentationSpec* spec = catalog_.FragmentationFor(t);
     if (spec == nullptr) continue;
@@ -550,6 +543,7 @@ ApuamaEngine::WriteRoute ApuamaEngine::ComputeWriteRoute(
     const std::string& sql) {
   WriteRoute route;
   const std::string table = share::WriteTargetTable(sql);
+  route.table = table;
   route.epoch_keys = {table};  // "" = global epoch, the legacy behavior
   if (!fragmentation_active()) {
     return route;  // empty scope = global barrier conflict (legacy)
@@ -603,8 +597,7 @@ ApuamaEngine::ExecuteFragmentedPassthrough(int node_id,
   // a node that hosts every fragment, materializing whole-table
   // copies there when no node does.
   exchange::ExchangeOperator ex(
-      replicas_, exchange_seq_.fetch_add(1, std::memory_order_relaxed),
-      exchange_strategy_.load(std::memory_order_relaxed));
+      replicas_, exchange_seq_.fetch_add(1, std::memory_order_relaxed));
   auto assignment = ex.PrepareWholeTables(spec_ptrs, alive, node_id);
   if (!assignment.ok()) {
     return Result<engine::QueryResult>(assignment.status());
@@ -854,8 +847,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
     spec_ptrs.reserve(specs.size());
     for (const auto& s : specs) spec_ptrs.push_back(&s);
     exchange::ExchangeOperator ex(
-        replicas_, exchange_seq_.fetch_add(1, std::memory_order_relaxed),
-        exchange_strategy_.load(std::memory_order_relaxed));
+        replicas_, exchange_seq_.fetch_add(1, std::memory_order_relaxed));
     uint64_t pruned = 0;
     spec.barrier_scope = FragmentedReadScope(plan, specs);
     spec.prepare = [&](const std::vector<int>& alive)
@@ -1061,30 +1053,22 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
 
 namespace {
 
-// Some SETs also flip engine-level state: the controller's admission
-// gate reads the sharing flags before any node session sees a query,
-// and routing, exchange and the approximate tier live above the
-// nodes. Called only after the node's ExecuteSet accepted the
-// statement, so the value is already validated. Idempotent, so the
+// The SETs the engine acts on: the controller's gate reads the
+// sharing flags before any node session sees a query, and the
+// approximate tier lives above the nodes. Idempotent, so the
 // per-node broadcast calling this once per backend is harmless.
-void MirrorEngineKnob(ApuamaEngine* engine, const sql::SetStmt& set) {
-  const std::string name = ToLower(set.name);
-  const std::string value = ToLower(set.value);
-  const bool on = value == "on" || value == "true" || value == "1";
-  if (name == "exchange_strategy") {
-    engine->SetExchangeStrategy(value);
-  } else if (name == "sample_seed") {
-    engine->SetSampleSeed(std::strtoll(value.c_str(), nullptr, 10));
-  } else if (name == "approx_error_target") {
-    engine->SetApproxErrorTarget(std::strtod(value.c_str(), nullptr));
-  } else if (name == "share_scans") {
-    engine->SetShareScans(on);
-  } else if (name == "result_cache") {
-    engine->SetResultCache(on);
-  } else if (name == "approx") {
-    engine->SetApproxEnabled(on);
-  } else if (name == "fragmentation") {
-    engine->SetFragmentationEnabled(on);
+void ApplyEngineKnob(ApuamaEngine* engine, const sql::Setting& setting) {
+  switch (setting.knob) {
+    case sql::Knob::kShareScans:
+      return engine->SetShareScans(setting.on);
+    case sql::Knob::kResultCache:
+      return engine->SetResultCache(setting.on);
+    case sql::Knob::kSampleSeed:
+      return engine->SetSampleSeed(setting.integer);
+    case sql::Knob::kApproxErrorTarget:
+      return engine->SetApproxErrorTarget(setting.real);
+    default:
+      return;
   }
 }
 
@@ -1163,13 +1147,16 @@ class ApuamaConnection : public cjdbc::Connection {
         return result;
       }
       case cjdbc::RequestKind::kControl: {
-        // The node validates first: a rejected SET must leave the
-        // engine-level mirror untouched.
-        auto result = engine_->processor(node_id_)->Execute(sql);
-        if (result.ok() && parsed->kind() == sql::StmtKind::kSet) {
-          MirrorEngineKnob(engine_,
-                           static_cast<const sql::SetStmt&>(*parsed));
+        if (parsed->kind() != sql::StmtKind::kSet) {
+          return engine_->processor(node_id_)->Execute(sql);
         }
+        // A rejected SET leaves the engine untouched; an accepted one
+        // still goes on to the node.
+        APUAMA_ASSIGN_OR_RETURN(
+            sql::Setting setting,
+            sql::ParseSetting(static_cast<const sql::SetStmt&>(*parsed)));
+        auto result = engine_->processor(node_id_)->Execute(sql);
+        if (result.ok()) ApplyEngineKnob(engine_, setting);
         return result;
       }
     }

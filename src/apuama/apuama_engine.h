@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,24 +65,12 @@ struct ApuamaOptions {
   int exec_thread_budget = 0;
   /// Entries in the parse+rewrite plan cache (0 disables it).
   size_t plan_cache_entries = 128;
-  /// Initial state of the versioned result cache (SET result_cache
-  /// flips it at runtime) and its capacity in entries.
-  bool enable_result_cache = false;
+  /// Capacity of the versioned result cache in entries (`SET
+  /// result_cache = on` enables it).
   size_t result_cache_entries = 256;
-  /// Initial state of shared-scan admission batching (SET share_scans
-  /// flips it at runtime) and how long the controller's gate holds a
-  /// batch open for more arrivals.
-  bool enable_share_scans = false;
+  /// How long the controller's gate holds a shared-scan batch open
+  /// for more arrivals (`SET share_scans = on` enables batching).
   int64_t admission_window_us = 200;
-  /// Initial state of the physical-fragmentation overlay
-  /// (SET fragmentation flips it at runtime). Inert until a
-  /// FragmentationSpec is installed in the Data Catalog; with no spec
-  /// the engine behaves identically either way.
-  bool enable_fragmentation = true;
-  /// Initial exchange movement strategy: "auto" (broadcast-small when
-  /// possible, else shuffle), "shuffle", or "broadcast"
-  /// (SET exchange_strategy flips it at runtime).
-  std::string exchange_strategy = "auto";
 };
 
 /// Cumulative engine statistics (observability / tests / benches).
@@ -227,23 +216,18 @@ class ApuamaEngine : public share::WorkSharingHooks {
       std::shared_ptr<const engine::QueryResult> result) override;
   void NoteCoalesced(uint64_t n) override;
 
-  /// Runtime knob flips (the connection layer intercepts the
+  /// Runtime knob flips (the connection layer applies the
   /// SET share_scans / SET result_cache broadcasts).
   void SetShareScans(bool on);
   void SetResultCache(bool on);
-  /// SET fragmentation on|off — toggles the physical-fragmentation
-  /// overlay (routing, scoped barrier, exchange). Turning it off does
-  /// NOT re-replicate data already diverged by routed writes: the
-  /// byte-for-byte restoration contract holds when no routed write
-  /// happened while it was on. Drops the result cache (epoch keys
-  /// change meaning across the flip).
-  void SetFragmentationEnabled(bool on);
-  /// SET exchange_strategy = auto|shuffle|broadcast.
-  void SetExchangeStrategy(const std::string& name);
-  /// True when the overlay is on AND at least one table has a spec.
-  bool fragmentation_active() const;
+  /// True when at least one table has a fragmentation spec.
+  bool fragmentation_active() const { return catalog_.any_fragmented(); }
   /// Applies ALTER TABLE ... FRAGMENT BY / UNFRAGMENT to the Data
-  /// Catalog (middleware-level DDL: no stored rows move).
+  /// Catalog (middleware-level DDL: no stored rows move). A table
+  /// that has taken a fragment-routed write keeps its layout:
+  /// UNFRAGMENT or a different spec returns Unsupported, re-applying
+  /// the installed one succeeds (the controller fans DDL out once per
+  /// backend).
   Status ApplyFragmentationDdl(const sql::AlterFragmentStmt& stmt);
   /// Applies CREATE SAMPLE / DROP SAMPLE: materializes (or removes)
   /// a scramble on every replica and (de)registers its private
@@ -251,11 +235,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// finds a fresh identical scramble is a no-op, so the controller's
   /// per-backend DDL fan-out builds once.
   Status ApplySampleDdl(const sql::Stmt& stmt);
-  /// SET approx on|off — routes eligible plain SELECTs through the
-  /// approximate tier. Off (default) leaves every existing read path
-  /// byte-for-byte untouched; the APPROX verb works either way.
-  void SetApproxEnabled(bool on);
-  bool approx_enabled() const;
   /// SET sample_seed = N — seed for subsequent scramble builds.
   void SetSampleSeed(int64_t seed);
   /// SET approx_error_target = x — relative CI half-width at which
@@ -312,6 +291,8 @@ class ApuamaEngine : public share::WorkSharingHooks {
 
   /// Where a write goes and which epochs it bumps.
   struct WriteRoute {
+    /// The written table ("" = not attributable).
+    std::string table;
     /// Nodes that must apply the write; nullopt = broadcast.
     std::optional<std::vector<int>> targets;
     /// Barrier conflict scope (empty = global, the legacy behavior).
@@ -327,7 +308,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
 
   /// Installed specs for the given tables, copied (an ALTER replacing
   /// a spec must not invalidate pointers a running query holds).
-  /// Empty when the overlay is off.
   std::vector<FragmentationSpec> ActiveSpecsFor(
       const std::vector<std::string>& tables) const;
 
@@ -395,11 +375,11 @@ class ApuamaEngine : public share::WorkSharingHooks {
                                              IntraQueryTechnique technique,
                                              SvpProfile* profile = nullptr);
 
-  /// The approximate tier's read hook: parses `sql`, checks a
-  /// scramble exists and the query is estimable, and runs it through
-  /// ExecuteApproxPlan. nullopt = not applicable; the caller falls
-  /// through to the exact path unchanged (counted as a fallback when
-  /// the APPROX verb asked for approximation).
+  /// The approximate tier's read hook: parses `sql`, checks it carries
+  /// the APPROX verb, a scramble exists and the query is estimable,
+  /// and runs it through ExecuteApproxPlan. nullopt = not applicable;
+  /// the caller falls through to the exact path unchanged (counted as
+  /// a fallback when the verb asked for approximation).
   std::optional<Result<engine::QueryResult>> MaybeExecuteApprox(
       const std::string& sql, SvpProfile* profile = nullptr);
 
@@ -429,14 +409,11 @@ class ApuamaEngine : public share::WorkSharingHooks {
   share::ResultCache result_cache_;
   // Knobs read on every gated read; atomics because SET broadcasts
   // race with concurrent readers of the flags.
-  std::atomic<bool> share_scans_on_;
-  std::atomic<bool> result_cache_on_;
-  std::atomic<bool> fragmentation_on_;
-  std::atomic<exchange::Strategy> exchange_strategy_;
+  std::atomic<bool> share_scans_on_{false};
+  std::atomic<bool> result_cache_on_{false};
   // Approximate tier knobs + scramble registry. Builds serialize on
   // sample_build_mu_ (a rebuild during one query's barrier must not
   // race another query's rebuild of the same scramble).
-  std::atomic<bool> approx_on_{false};
   std::atomic<int64_t> sample_seed_{42};
   std::atomic<double> approx_error_target_{0.0};
   approx::SampleCatalog sample_catalog_;
@@ -459,6 +436,9 @@ class ApuamaEngine : public share::WorkSharingHooks {
   // otherwise wait on per-node statements that never arrive).
   std::mutex route_mu_;
   std::unordered_map<std::string, WriteRoute> route_cache_;
+  // Tables that have taken a routed write (guarded by route_mu_):
+  // their layout is frozen (ApplyFragmentationDdl).
+  std::set<std::string> routed_tables_;
   // Fan-out (node count) of the most recent logical write, surfaced
   // by EXPLAIN ANALYZE as fragment/write_fanout.
   std::atomic<uint64_t> last_write_fanout_{0};

@@ -4,7 +4,6 @@
 #include <limits>
 #include <mutex>
 
-#include "common/string_util.h"
 #include "engine/database.h"
 #include "storage/catalog.h"
 #include "storage/table.h"
@@ -42,25 +41,8 @@ bool NodeHostsAll(const FragmentationSpec& spec,
 
 }  // namespace
 
-Strategy ParseStrategy(const std::string& name) {
-  const std::string lowered = ToLower(name);
-  if (lowered == "shuffle") return Strategy::kShuffle;
-  if (lowered == "broadcast") return Strategy::kBroadcast;
-  return Strategy::kAuto;
-}
-
-const char* StrategyName(Strategy s) {
-  switch (s) {
-    case Strategy::kShuffle: return "shuffle";
-    case Strategy::kBroadcast: return "broadcast";
-    case Strategy::kAuto: break;
-  }
-  return "auto";
-}
-
-ExchangeOperator::ExchangeOperator(cjdbc::ReplicaSet* replicas, uint64_t seq,
-                                   Strategy strategy)
-    : replicas_(replicas), seq_(seq), strategy_(strategy) {}
+ExchangeOperator::ExchangeOperator(cjdbc::ReplicaSet* replicas, uint64_t seq)
+    : replicas_(replicas), seq_(seq) {}
 
 ExchangeOperator::~ExchangeOperator() { Cleanup(); }
 
@@ -233,7 +215,7 @@ Result<std::vector<Assignment>> ExchangeOperator::Prepare(
     // 2. Broadcast-small-build: run where the largest table's needed
     // fragments live and ship the smaller tables there whole (reused
     // across this query's intervals on the same node).
-    if (strategy_ != Strategy::kShuffle && specs.size() > 1) {
+    if (specs.size() > 1) {
       std::vector<int> l_candidates;
       for (int c : alive) {
         if (NodeHostsAll(*specs[largest], needed[largest], c)) {

@@ -9,7 +9,8 @@
 // compute node, and the sub-query is rendered with its fact
 // references redirected at the temps (SvpPlan::SubquerySqlMapped).
 //
-// Three movement strategies, cheapest first:
+// Three movement strategies, cheapest first; data placement picks
+// one per interval:
 //   local      — some node hosts every needed fragment: zero bytes.
 //                The co-partitioned preset (fragments == SVP
 //                intervals, fragment f placed on node f) always
@@ -43,14 +44,6 @@
 
 namespace apuama::exchange {
 
-/// Movement-strategy selection (`SET exchange_strategy = ...`).
-enum class Strategy { kAuto, kShuffle, kBroadcast };
-
-/// Parses a strategy name ("auto" | "shuffle" | "broadcast");
-/// anything else returns kAuto.
-Strategy ParseStrategy(const std::string& name);
-const char* StrategyName(Strategy s);
-
 /// Where one SVP interval's sub-query runs after exchange planning.
 struct Assignment {
   int node = -1;
@@ -69,8 +62,7 @@ struct Assignment {
 class ExchangeOperator {
  public:
   /// `seq` disambiguates temp names across concurrent queries.
-  ExchangeOperator(cjdbc::ReplicaSet* replicas, uint64_t seq,
-                   Strategy strategy);
+  ExchangeOperator(cjdbc::ReplicaSet* replicas, uint64_t seq);
   ~ExchangeOperator();
 
   ExchangeOperator(const ExchangeOperator&) = delete;
@@ -121,7 +113,6 @@ class ExchangeOperator {
 
   cjdbc::ReplicaSet* replicas_;
   uint64_t seq_;
-  Strategy strategy_;
   uint64_t bytes_shipped_ = 0;
   uint64_t shuffles_ = 0;
   uint64_t broadcasts_ = 0;

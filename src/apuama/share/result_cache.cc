@@ -3,17 +3,10 @@
 namespace apuama::share {
 
 std::shared_ptr<const engine::QueryResult> ResultCache::Lookup(
-    const std::string& key, uint64_t catalog_version, bool accept_approx) {
+    const std::string& key, uint64_t catalog_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
   if (it == map_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  if (it->second->second.approx && !accept_approx) {
-    // An approximate entry can never answer an exact query. The entry
-    // itself may still be fresh (valid for approximate lookups), so it
-    // is kept — only this lookup misses.
     ++misses_;
     return nullptr;
   }
@@ -66,7 +59,6 @@ bool ResultCache::Insert(const FillTicket& ticket,
     }
   }
   Entry e;
-  e.approx = result->approx.is_approx;
   e.result = std::move(result);
   e.catalog_version = ticket.catalog_version;
   e.global_epoch = ticket.global_epoch;

@@ -64,16 +64,11 @@ class ResultCache {
   /// at `catalog_version` and the current epochs; stale entries are
   /// erased and counted as misses.
   ///
-  /// Exactness contract: an entry whose result is approximate
-  /// (`QueryResult::approx.is_approx`, recorded at Insert) is only
-  /// served when the caller passes `accept_approx` — an exact query
-  /// must never receive an approximate answer, no matter how the
-  /// approx/result_cache knobs were toggled in between. The reverse
-  /// direction is always safe: an exact entry satisfies an
-  /// approximate query.
+  /// Exactness: only an `APPROX SELECT` computes an approximate
+  /// answer, and the key (normalized SQL) keeps the verb, so an exact
+  /// query never looks up an approximate entry.
   std::shared_ptr<const engine::QueryResult> Lookup(
-      const std::string& key, uint64_t catalog_version,
-      bool accept_approx = false);
+      const std::string& key, uint64_t catalog_version);
 
   /// Snapshots the epochs guarding `tables` (lowercased table names
   /// the query reads). Call BEFORE executing the query, then pass the
@@ -128,9 +123,6 @@ class ResultCache {
     std::shared_ptr<const engine::QueryResult> result;
     uint64_t catalog_version = 0;
     uint64_t global_epoch = 0;
-    /// True when `result->approx.is_approx`: the answer carries error
-    /// bounds and must not satisfy an exact lookup.
-    bool approx = false;
     std::vector<std::pair<std::string, uint64_t>> table_epochs;
   };
 

@@ -1,17 +1,14 @@
 #include "cjdbc/controller.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
-#include <set>
 
 #include "apuama/share/query_fingerprint.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
+#include "sql/settings.h"
 
 namespace apuama::cjdbc {
 
@@ -21,37 +18,6 @@ int64_t SteadyUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Cheap detection of "EXPLAIN ANALYZE ..." without lexing: decides
-// whether to activate the per-request timeline before classification.
-// False positives are harmless (an inert timeline on the stack);
-// normal queries fail the first keyword compare immediately.
-bool IsExplainAnalyzeText(const std::string& sql) {
-  size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < sql.size() &&
-           std::isspace(static_cast<unsigned char>(sql[i]))) {
-      ++i;
-    }
-  };
-  auto match_kw = [&](const char* kw) {
-    size_t n = std::strlen(kw);
-    if (sql.size() - i < n) return false;
-    for (size_t k = 0; k < n; ++k) {
-      if (std::toupper(static_cast<unsigned char>(sql[i + k])) != kw[k]) {
-        return false;
-      }
-    }
-    i += n;
-    return true;
-  };
-  skip_ws();
-  if (!match_kw("EXPLAIN")) return false;
-  size_t before = i;
-  skip_ws();
-  if (i == before) return false;  // EXPLAINANALYZE is not the verb
-  return match_kw("ANALYZE");
 }
 
 }  // namespace
@@ -158,7 +124,8 @@ Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
         if (admission_->enabled()) return ExecuteAdmitted(sql, *stmt);
         return ExecuteRead(sql);
       };
-      if (IsExplainAnalyzeText(sql)) {
+      if (stmt->kind() == sql::StmtKind::kExplain &&
+          static_cast<const sql::ExplainStmt&>(*stmt).analyze) {
         // EXPLAIN ANALYZE: give the layers below a timeline to stamp
         // (admission wait) — it lives on this stack frame and the
         // whole request runs on this thread.
@@ -188,11 +155,19 @@ Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
       Scheduler::WriteTicket ticket = scheduler_.BeginWrite(&seq);
       return ExecuteBroadcast(sql);
     }
-    case RequestKind::kControl:
-      // Session control is broadcast so all replicas stay in step;
-      // admission knobs also steer the middleware scheduler itself.
-      MaybeApplyAdmissionKnob(*stmt);
+    case RequestKind::kControl: {
+      if (stmt->kind() == sql::StmtKind::kSet) {
+        // A rejected SET changes no layer and never reaches the log.
+        APUAMA_ASSIGN_OR_RETURN(
+            sql::Setting setting,
+            sql::ParseSetting(static_cast<const sql::SetStmt&>(*stmt)));
+        if (ApplyAdmissionKnob(setting)) return engine::QueryResult{};
+      }
+      // Session control is broadcast so all replicas stay in step.
+      uint64_t seq = 0;
+      Scheduler::WriteTicket ticket = scheduler_.BeginWrite(&seq);
       return ExecuteBroadcast(sql);
+    }
   }
   return Status::Internal("unreachable");
 }
@@ -270,39 +245,22 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
   return result;
 }
 
-void Controller::MaybeApplyAdmissionKnob(const sql::Stmt& stmt) {
-  if (stmt.kind() != sql::StmtKind::kSet) return;
-  const auto& set = static_cast<const sql::SetStmt&>(stmt);
-  std::string name = set.name;
-  for (char& c : name) c = static_cast<char>(std::tolower(
-                               static_cast<unsigned char>(c)));
-  if (name == "admission") {
-    std::string value = set.value;
-    for (char& c : value) c = static_cast<char>(std::tolower(
-                                  static_cast<unsigned char>(c)));
-    if (value == "on" || value == "true" || value == "1") {
-      admission_->set_enabled(true);
-    } else if (value == "off" || value == "false" || value == "0") {
-      admission_->set_enabled(false);
+bool Controller::ApplyAdmissionKnob(const sql::Setting& setting) {
+  switch (setting.knob) {
+    case sql::Knob::kAdmission:
+      admission_->set_enabled(setting.on);
       // Restore the configured window so disabled means byte-for-byte
       // pre-admission behavior, whatever the ladder last chose.
-      gate_->set_window_us(gate_window_base_us_);
-    }
-    return;  // bad value: the node's own ExecuteSet reports it
-  }
-  if (name != "slo_target_us" && name != "priority" &&
-      name != "admission_queue_limit") {
-    return;
-  }
-  char* end = nullptr;
-  const long long v = std::strtoll(set.value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || set.value.empty()) return;
-  if (name == "slo_target_us" && v >= 1 && v <= 1'000'000'000) {
-    admission_->set_default_slo_us(static_cast<int64_t>(v));
-  } else if (name == "priority" && v >= 0 && v <= 7) {
-    admission_->set_default_priority(static_cast<int>(v));
-  } else if (name == "admission_queue_limit" && v >= 1 && v <= 1'000'000) {
-    admission_->set_queue_limit(static_cast<int>(v));
+      if (!setting.on) gate_->set_window_us(gate_window_base_us_);
+      return true;
+    case sql::Knob::kSloTargetUs:
+      admission_->set_default_slo_us(setting.integer);
+      return true;
+    case sql::Knob::kPriority:
+      admission_->set_default_priority(static_cast<int>(setting.integer));
+      return true;
+    default:
+      return false;
   }
 }
 
@@ -436,24 +394,14 @@ std::vector<Result<engine::QueryResult>> Controller::ExecuteGateBatch(
 Result<engine::QueryResult> Controller::ExecuteBroadcast(
     const std::string& sql,
     const std::optional<std::vector<int>>& targets) {
-  // Append to the recovery log first: disabled (or newly failing)
-  // backends will replay from here when they rejoin. Caller holds the
-  // write ticket, so the log order IS the replica write order.
-  size_t log_index;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    recovery_log_.push_back(
-        LogEntry{sql, targets.value_or(std::vector<int>{})});
-    log_index = recovery_log_.size();
-  }
   auto is_target = [&](int node_id) {
-    if (!targets.has_value()) return true;
-    for (int t : *targets) {
-      if (t == node_id) return true;
-    }
-    return false;
+    return !targets.has_value() || std::find(targets->begin(), targets->end(),
+                                             node_id) != targets->end();
   };
   engine::QueryResult last;
+  // Backends up to date with this statement once it is logged: the
+  // ones that applied it, and the ones a routed write does not touch.
+  std::vector<Backend*> current;
   bool any = false;
   Status first_error = Status::OK();
   int node_id = -1;
@@ -461,16 +409,13 @@ Result<engine::QueryResult> Controller::ExecuteBroadcast(
     ++node_id;
     if (!b.enabled) continue;
     if (!is_target(node_id)) {
-      // Routed write: this backend does not host the touched
-      // fragment. It is up to date with respect to this log entry
-      // without executing anything.
-      b.applied_up_to = log_index;
+      current.push_back(&b);
       continue;
     }
     auto r = b.conn->Execute(sql);
     if (r.ok()) {
       last = std::move(r).value();
-      b.applied_up_to = log_index;
+      current.push_back(&b);
       any = true;
       stats_.broadcast_statements.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -484,6 +429,17 @@ Result<engine::QueryResult> Controller::ExecuteBroadcast(
       continue;
     }
     if (first_error.ok()) first_error = r.status();
+  }
+  if (any) {
+    // Disabled (or newly failing) backends replay from here when they
+    // rejoin. A statement no backend applied stays out of the log: the
+    // client was told it failed, and its replay would fail the same
+    // way and strand the rejoining backend. Caller holds the write
+    // ticket, so the log order IS the replica write order.
+    std::lock_guard<std::mutex> lock(log_mu_);
+    recovery_log_.push_back(
+        LogEntry{sql, targets.value_or(std::vector<int>{})});
+    for (Backend* b : current) b->applied_up_to = recovery_log_.size();
   }
   APUAMA_RETURN_NOT_OK(first_error);
   if (!any) return Status::Unavailable("no backend available");

@@ -26,6 +26,7 @@
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "sql/ast.h"
+#include "sql/settings.h"
 
 namespace apuama::cjdbc {
 
@@ -116,12 +117,10 @@ class Controller {
   /// queued), then shed / degrade-to-APPROX / admit per the ticket.
   Result<engine::QueryResult> ExecuteAdmitted(const std::string& sql,
                                               const sql::Stmt& stmt);
-  /// Intercepts `SET admission|slo_target_us|priority|
-  /// admission_queue_limit` before the broadcast so the middleware
-  /// scheduler follows the session knob (mirrors the sharing knobs'
-  /// interception in the Apuama connection layer). Invalid values are
-  /// left to the node's own validation to report.
-  void MaybeApplyAdmissionKnob(const sql::Stmt& stmt);
+  /// Applies `SET admission|slo_target_us|priority` to the admission
+  /// ladder, which lives here and nowhere below. False for every
+  /// other knob: those are broadcast.
+  bool ApplyAdmissionKnob(const sql::Setting& setting);
   /// The pre-sharing read path: acquire a backend, execute, release.
   /// `affinity` biases least-pending ties toward one backend.
   Result<engine::QueryResult> ExecuteReadDirect(
@@ -133,9 +132,11 @@ class Controller {
   /// publishes cacheable results. Results align with `sqls`.
   std::vector<Result<engine::QueryResult>> ExecuteGateBatch(
       const std::vector<std::string>& sqls, uint64_t affinity);
-  /// Applies a write/DDL to `targets` (nullopt = every enabled
-  /// backend). Targeted entries still enter the recovery log with
-  /// their target set, so rejoin replay routes the same way.
+  /// Applies a write, DDL or control statement to `targets` (nullopt
+  /// = every enabled backend). Caller holds the write ticket. A
+  /// statement at least one backend applied enters the recovery log
+  /// with its target set, so rejoin replay routes the same way; one
+  /// no backend applied leaves the log unchanged.
   Result<engine::QueryResult> ExecuteBroadcast(
       const std::string& sql,
       const std::optional<std::vector<int>>& targets = std::nullopt);
@@ -150,10 +151,11 @@ class Controller {
   std::unique_ptr<share::ScanShareManager> gate_;
   std::unique_ptr<admission::AdmissionController> admission_;
   int64_t gate_window_base_us_ = 0;  // restored when admission turns off
-  // Total-ordered log of every broadcast statement (writes + DDL),
-  // kept for recovering rejoining backends. Guarded by the write
-  // ticket (one broadcast at a time) plus log_mu_ for readers. An
-  // entry with a non-empty target set only replays on those nodes.
+  // Total-ordered log of every applied broadcast statement (writes,
+  // DDL and session control), kept for recovering rejoining backends.
+  // Guarded by the write ticket (one broadcast at a time) plus log_mu_
+  // for readers. An entry with a non-empty target set only replays on
+  // those nodes.
   struct LogEntry {
     std::string sql;
     std::vector<int> targets;  // empty = all nodes

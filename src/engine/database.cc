@@ -15,6 +15,7 @@
 #include "obs/trace.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
+#include "sql/settings.h"
 
 namespace apuama::engine {
 
@@ -682,130 +683,32 @@ Result<QueryResult> Database::ExecuteCreateIndex(
 }
 
 Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
-  std::string name = ToLower(stmt.name);
-  std::string value = ToLower(stmt.value);
-  // Every rejection names the accepted values — a mistyped knob value
-  // should teach its own spelling.
-  auto reject = [&](const std::string& accepted) -> Status {
-    return Status::InvalidArgument("bad value for " + name + ": " +
-                                   stmt.value + " (expected " + accepted +
-                                   ")");
-  };
-  auto parse_bool = [&](bool* out) -> Status {
-    if (value == "off" || value == "false" || value == "0") {
-      *out = false;
-    } else if (value == "on" || value == "true" || value == "1") {
-      *out = true;
-    } else {
-      return reject("one of: on, off, true, false, 1, 0");
-    }
-    return Status::OK();
-  };
-  auto set_bool = [&](bool* target) -> Result<QueryResult> {
-    APUAMA_RETURN_NOT_OK(parse_bool(target));
-    return QueryResult{};
-  };
-  auto parse_int = [&](int64_t lo, int64_t hi, int64_t* out) -> Status {
-    char* end = nullptr;
-    long long v = std::strtoll(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || v < lo || v > hi) {
-      return reject("an integer in [" + std::to_string(lo) + ", " +
-                    std::to_string(hi) + "]");
-    }
-    *out = v;
-    return Status::OK();
-  };
-  auto set_int = [&](int64_t lo, int64_t hi,
-                     int64_t* target) -> Result<QueryResult> {
-    APUAMA_RETURN_NOT_OK(parse_int(lo, hi, target));
-    return QueryResult{};
-  };
-  if (name == "enable_seqscan") return set_bool(&settings_.enable_seqscan);
-  if (name == "exec_threads") {
-    int64_t v = 0;
-    APUAMA_RETURN_NOT_OK(parse_int(1, 128, &v));
-    settings_.exec_threads = static_cast<int>(v);
-    return QueryResult{};
+  APUAMA_ASSIGN_OR_RETURN(sql::Setting setting, sql::ParseSetting(stmt));
+  switch (setting.knob) {
+    case sql::Knob::kEnableSeqscan:
+      settings_.enable_seqscan = setting.on;
+      break;
+    case sql::Knob::kExecThreads:
+      settings_.exec_threads = static_cast<int>(setting.integer);
+      break;
+    case sql::Knob::kShareScans:
+      settings_.enable_share_scans = setting.on;
+      break;
+    // Observability knobs flip process-wide state (the tracer and the
+    // logger are global), so a clustered SET broadcast applying them
+    // once per backend stays idempotent.
+    case sql::Knob::kTrace:
+      obs::Tracer::Global().SetEnabled(setting.on);
+      break;
+    case sql::Knob::kLogLevel:
+      SetLogLevel(setting.level);
+      break;
+    default:
+      // A middleware knob: it acts above the node. Accepting it here
+      // keeps recovery replay and callers of a bare Database working.
+      break;
   }
-  if (name == "share_scans") return set_bool(&settings_.enable_share_scans);
-  if (name == "result_cache") {
-    return set_bool(&settings_.enable_result_cache);
-  }
-  if (name == "fragmentation") {
-    // Middleware knob (fragment routing + exchange live above the
-    // node). Validated and recorded here so the clustered SET
-    // broadcast succeeds on every backend.
-    return set_bool(&settings_.enable_fragmentation);
-  }
-  if (name == "approx") {
-    // Middleware knob: the approximate tier executes above the node;
-    // recorded here so the clustered SET broadcast applies cleanly.
-    return set_bool(&settings_.enable_approx);
-  }
-  if (name == "admission") {
-    // Middleware knob (the SLO gate lives in the controller).
-    // Validated and recorded here so the clustered SET broadcast
-    // succeeds on every backend.
-    return set_bool(&settings_.enable_admission);
-  }
-  if (name == "slo_target_us") {
-    return set_int(1, 1'000'000'000, &settings_.slo_target_us);
-  }
-  if (name == "priority") {
-    int64_t v = 0;
-    APUAMA_RETURN_NOT_OK(parse_int(0, 7, &v));
-    settings_.admission_priority = static_cast<int>(v);
-    return QueryResult{};
-  }
-  if (name == "admission_queue_limit") {
-    return set_int(1, 1'000'000, &settings_.admission_queue_limit);
-  }
-  if (name == "sample_seed") {
-    int64_t v = 0;
-    APUAMA_RETURN_NOT_OK(
-        parse_int(INT64_MIN / 2, INT64_MAX / 2, &v));
-    settings_.sample_seed = v;
-    return QueryResult{};
-  }
-  if (name == "approx_error_target") {
-    char* end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || !(v >= 0.0) || v >= 1.0) {
-      return reject("a relative half-width in [0, 1), 0 = no early exit");
-    }
-    settings_.approx_error_target = v;
-    return QueryResult{};
-  }
-  if (name == "exchange_strategy") {
-    if (value != "auto" && value != "shuffle" && value != "broadcast") {
-      return reject("one of: auto, shuffle, broadcast");
-    }
-    settings_.exchange_strategy = value;
-    return QueryResult{};
-  }
-  // Observability knobs flip process-wide state (the tracer and the
-  // logger are global), so a clustered SET broadcast applying them
-  // once per backend stays idempotent.
-  if (name == "trace") {
-    bool on = false;
-    APUAMA_RETURN_NOT_OK(parse_bool(&on));
-    obs::Tracer::Global().SetEnabled(on);
-    return QueryResult{};
-  }
-  if (name == "trace_output") {
-    // Keep the caller's case: this is a filesystem path.
-    obs::Tracer::Global().SetOutputPath(stmt.value);
-    return QueryResult{};
-  }
-  if (name == "log_level") {
-    std::optional<LogLevel> level = ParseLogLevel(value);
-    if (!level.has_value()) {
-      return reject("one of: debug, info, warn, error, off");
-    }
-    SetLogLevel(*level);
-    return QueryResult{};
-  }
-  return Status::NotFound("unknown setting: " + stmt.name);
+  return QueryResult{};
 }
 
 }  // namespace apuama::engine

@@ -24,8 +24,10 @@
 
 namespace apuama::engine {
 
-/// Session-level settings, PostgreSQL-style. Apuama flips
-/// enable_seqscan off around SVP sub-queries (paper section 3).
+/// The session settings the node reads, PostgreSQL-style. Apuama
+/// flips enable_seqscan off around SVP sub-queries (paper section 3).
+/// `SET` validates every knob through sql::ParseSetting; the ones the
+/// middleware acts on are accepted here without being stored.
 struct SessionSettings {
   bool enable_seqscan = true;
   /// Intra-node threads for morsel-parallel aggregates (third level of
@@ -38,39 +40,6 @@ struct SessionSettings {
   /// one shared morsel scan (ExecuteSharedSelects). Off by default —
   /// the off position is byte-for-byte today's solo execution.
   bool enable_share_scans = false;
-  /// `SET result_cache = on` enables the middleware's versioned
-  /// result cache for this session's reads. The engine only records
-  /// the knob (caching happens above the node, in apuama/share);
-  /// keeping it a session setting gives SET a uniform surface.
-  bool enable_result_cache = false;
-  /// Middleware knobs, recorded so clustered SET broadcasts apply
-  /// cleanly on every backend: physical-fragmentation overlay on/off
-  /// and the exchange movement strategy (auto | shuffle | broadcast).
-  /// The node planner itself ignores both — routing happens above.
-  bool enable_fragmentation = true;
-  std::string exchange_strategy = "auto";
-  /// Approximate query tier (middleware): `SET approx = on` routes
-  /// eligible plain SELECTs through the scrambled-sample path; the
-  /// APPROX SELECT verb forces it per query. Off by default — the off
-  /// position leaves every existing path byte-for-byte untouched.
-  bool enable_approx = false;
-  /// Deterministic seed for scramble construction (`SET
-  /// sample_seed = N`). Same seed + same base data = bit-identical
-  /// sample on every replica and at every thread count.
-  int64_t sample_seed = 42;
-  /// Target relative CI half-width for APPROX queries (`SET
-  /// approx_error_target = x`). 0 disables early exit: all n
-  /// sub-queries are merged.
-  double approx_error_target = 0.0;
-  /// SLO admission gate (middleware): `SET admission = on` activates
-  /// the controller's overload ladder; off (the default) leaves every
-  /// existing path byte-for-byte untouched. The remaining knobs set
-  /// the session's SLO deadline, its priority class (0 = shed first,
-  /// 7 = shed last), and the bounded admission queue's waiting cap.
-  bool enable_admission = false;
-  int64_t slo_target_us = 50'000;
-  int admission_priority = 4;
-  int64_t admission_queue_limit = 256;
 };
 
 /// Default intra-node execution threads: the APUAMA_EXEC_THREADS

@@ -834,8 +834,9 @@ class Parser {
   Result<StmtPtr> ParseSet() {
     APUAMA_RETURN_NOT_OK(ExpectKeyword("SET"));
     auto stmt = std::make_unique<SetStmt>();
-    // Setting names may collide with keywords (e.g. the `approx` knob
-    // vs the APPROX verb) — accept either token type here.
+    // Accept a keyword as the name too, so `SET approx = on` (a
+    // deleted knob that is now the APPROX verb) reaches ParseSetting
+    // and gets "unknown setting" rather than a parse error.
     if (Cur().type == TokenType::kKeyword) {
       stmt->name = ToLower(Cur().text);
       Advance();

@@ -64,8 +64,8 @@ struct ClusterSim::SvpTicket {
   std::vector<std::string> sub_sql;  // SVP only
   int remaining = 0;                 // SVP: nodes outstanding;
                                      // AVP: nodes still pumping chunks
-  /// Serve from the modeled scramble (the global approx knob, or a
-  /// stage-2 degrade for this request alone).
+  /// Serve from the modeled scramble (the APPROX verb, or a stage-2
+  /// degrade for this request alone).
   bool approx = false;
   std::unique_ptr<AvpScheduler> avp;
   SimOutcome outcome;
@@ -228,8 +228,10 @@ void ClusterSim::SubmitRead(const std::string& sql, const ReadTag& tag,
                           const SimOutcome& o, const QueryResult*) {
     if (done) done(o);
   };
+  auto parsed = sql::ParseSelect(sql);
+  const bool approx = parsed.ok() && (*parsed)->approx;
   if (!admission_) {
-    SubmitReadFront(sql, outcome, std::move(finish), options_.approx);
+    SubmitReadFront(sql, outcome, std::move(finish), approx);
     return;
   }
   // Admission ladder first: the sim mirror of the controller's
@@ -239,14 +241,11 @@ void ClusterSim::SubmitRead(const std::string& sql, const ReadTag& tag,
   request.priority = tag.priority;
   request.slo_us = tag.slo_us;
   request.tenant = tag.tenant;
-  if (options_.admission_degrade && !options_.approx) {
-    auto parsed = sql::ParseSelect(sql);
-    request.degradable = parsed.ok() && !(*parsed)->approx;
-  }
+  request.degradable = options_.admission_degrade && parsed.ok() && !approx;
   admission_->Submit(
       request, static_cast<int64_t>(sim_.now()),
-      [this, sql, outcome,
-       finish](const admission::AdmissionController::Ticket& ticket) mutable {
+      [this, sql, outcome, finish,
+       approx](const admission::AdmissionController::Ticket& ticket) mutable {
         if (ticket.shed()) {
           // Stage 3: the rejection still costs the client one message
           // round trip before the retryable error lands.
@@ -270,16 +269,15 @@ void ClusterSim::SubmitRead(const std::string& sql, const ReadTag& tag,
             };
         if (ticket.degraded()) {
           // Stage 2: this read alone runs on the approx tier, and —
-          // like the global approx knob — bypasses the sharing front
-          // end so a sampled answer never fills the exact cache.
+          // like an APPROX read — bypasses the sharing front end so a
+          // sampled answer never fills the exact cache.
           SimOutcome degraded = outcome;
           degraded.degraded = true;
           SubmitReadCore(sql, degraded, std::move(wrapped), std::nullopt,
                          /*approx=*/true);
           return;
         }
-        SubmitReadFront(sql, outcome, std::move(wrapped),
-                        options_.approx);
+        SubmitReadFront(sql, outcome, std::move(wrapped), approx);
       });
 }
 

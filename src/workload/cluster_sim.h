@@ -91,15 +91,15 @@ struct ClusterSimOptions {
   /// today's behavior.
   bool result_cache = false;
   bool share_scans = false;
-  /// Approximate-tier mirror (`SET approx` on the real stack):
-  /// SVP-eligible reads run as 4n sub-queries over a modeled scramble
-  /// of `sample_ratio`, each charged sample_ratio of the exact scan
-  /// cost. `error_target` > 0 enables the deterministic early-exit
-  /// model: only the sub-query prefix the CLT scaling needs for that
-  /// relative half-width is dispatched, the rest are skipped
-  /// (counted). Timing mirror only — composed rows come from the
-  /// truncated exact scan, so approx runs bypass the sharing layer.
-  bool approx = false;
+  /// Approximate-tier mirror, for `APPROX SELECT` reads and stage-2
+  /// degrades: SVP-eligible reads run as 4n sub-queries over a
+  /// modeled scramble of `sample_ratio`, each charged sample_ratio of
+  /// the exact scan cost. `error_target` > 0 enables the
+  /// deterministic early-exit model: only the sub-query prefix the
+  /// CLT scaling needs for that relative half-width is dispatched,
+  /// the rest are skipped (counted). Timing mirror only — composed
+  /// rows come from the truncated exact scan, so approx runs bypass
+  /// the sharing layer.
   double sample_ratio = 0.1;
   double error_target = 0.0;
   /// Physical fragmentation overlay (the shared-nothing experiment):
@@ -279,7 +279,7 @@ class ClusterSim {
 
   /// The post-admission read path: sharing front end (cache probe,
   /// coalescing window) or straight to the core. `approx` carries the
-  /// per-request approx decision (the global knob or a stage-2
+  /// per-request approx decision (the APPROX verb or a stage-2
   /// degrade).
   void SubmitReadFront(const std::string& sql, SimOutcome outcome,
                        ReadFinish finish, bool approx);

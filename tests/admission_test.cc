@@ -530,9 +530,11 @@ TEST(AdmissionKnobTest, KnobsValidateOnTheWholeCluster) {
                                  {"0", "-1", "fast", "1000000001"});
   testutil::ExpectKnobValidation(exec, "priority", {"0", "4", "7"},
                                  {"-1", "8", "high"});
-  testutil::ExpectKnobValidation(exec, "admission_queue_limit",
-                                 {"1", "256", "1000000"},
-                                 {"0", "-3", "1000001", "big"});
+  // The queue's capacity is the controller's, not a session's.
+  Status limit = exec("set admission_queue_limit = 10");
+  EXPECT_EQ(limit.code(), StatusCode::kNotFound) << limit.ToString();
+  EXPECT_NE(limit.message().find("unknown setting"), std::string::npos)
+      << limit.ToString();
 }
 
 TEST(AdmissionOffTest, TogglingOffRestoresByteForByteBaseline) {

@@ -477,24 +477,19 @@ TEST(ApproxCacheTest, ExactQueryNeverServedAnApproximateEntry) {
       "select sum(l_quantity) as s, count(*) as n from lineitem";
   const QueryResult exact = c.Exact(q);
 
-  // With the session knob on, the *plain* text runs approximately and
-  // its answer is cached under the plain fingerprint, tagged approx.
-  c.MustExec("set approx = on");
-  auto ar = c.Exec(q);
-  ASSERT_TRUE(ar.ok()) << ar.status().ToString();
-  ASSERT_TRUE(ar->approx.is_approx);
-  ASSERT_EQ(ar->num_columns(), 6u);
-
-  // Toggle the cache off and on around the flip back to exact — the
-  // tagged entry survives the toggles, but the exact lookup must
-  // refuse it and recompute.
-  c.MustExec("set result_cache = off");
-  c.MustExec("set result_cache = on");
-  c.MustExec("set approx = off");
-  auto er = c.Exec(q);
-  ASSERT_TRUE(er.ok()) << er.status().ToString();
-  EXPECT_FALSE(er->approx.is_approx);
-  testutil::ExpectResultsEqual(exact, *er);
+  // The APPROX text and the plain text alternate with the cache on:
+  // each approximate answer is cached under the APPROX fingerprint,
+  // and the plain text, hit or miss, is answered exactly every time.
+  for (int round = 0; round < 2; ++round) {
+    auto ar = c.Exec("APPROX " + q);
+    ASSERT_TRUE(ar.ok()) << ar.status().ToString();
+    ASSERT_TRUE(ar->approx.is_approx);
+    ASSERT_EQ(ar->num_columns(), 6u);
+    auto er = c.Exec(q);
+    ASSERT_TRUE(er.ok()) << er.status().ToString();
+    EXPECT_FALSE(er->approx.is_approx);
+    testutil::ExpectResultsEqual(exact, *er);
+  }
 
   // Epoch churn: a committed write invalidates both flavors; the
   // approx rerun rebuilds its scramble and still never leaks into
@@ -503,15 +498,15 @@ TEST(ApproxCacheTest, ExactQueryNeverServedAnApproximateEntry) {
   const QueryResult exact2 = c.Exact(
       "select sum(l_quantity) as s, count(*) as n from lineitem"
       " where l_orderkey <> 1");
-  c.MustExec("set approx = on");
-  auto ar2 = c.Exec(q);
-  ASSERT_TRUE(ar2.ok());
-  EXPECT_TRUE(ar2->approx.is_approx);
-  c.MustExec("set approx = off");
-  auto er2 = c.Exec(q);
-  ASSERT_TRUE(er2.ok());
-  EXPECT_FALSE(er2->approx.is_approx);
-  testutil::ExpectResultsEqual(exact2, *er2);
+  for (int round = 0; round < 2; ++round) {
+    auto ar2 = c.Exec("APPROX " + q);
+    ASSERT_TRUE(ar2.ok());
+    EXPECT_TRUE(ar2->approx.is_approx);
+    auto er2 = c.Exec(q);
+    ASSERT_TRUE(er2.ok());
+    EXPECT_FALSE(er2->approx.is_approx);
+    testutil::ExpectResultsEqual(exact2, *er2);
+  }
 }
 
 TEST(ApproxCacheTest, ApproxRepeatsMayShareTheTaggedEntry) {
@@ -601,19 +596,16 @@ TEST(ApproxKnobTest, SetKnobRejectionsListAcceptedValues) {
   testutil::ExpectKnobValidation(exec, "approx_error_target",
                                  {"0", "0.05", "0.5"},
                                  {"x", "-0.1", "2", "on"});
-  testutil::ExpectKnobValidation(exec, "approx", {"on", "off", "1", "0"},
-                                 {"maybe", "2"});
-  testutil::ExpectKnobValidation(exec, "exchange_strategy",
-                                 {"auto", "shuffle", "broadcast"},
-                                 {"teleport", "on"});
-  // The merge strategy follows observed cardinality; there is no
-  // override knob.
-  Status merge = exec("set merge_strategy = radix");
-  EXPECT_EQ(merge.code(), StatusCode::kNotFound) << merge.ToString();
-  EXPECT_NE(merge.message().find("unknown setting"), std::string::npos)
-      << merge.ToString();
-  // The engine-level mirrors followed the accepted values.
-  EXPECT_FALSE(c.engine->approx_enabled());  // last accepted was "0"
+  // The merge strategy follows observed cardinality and the exchange
+  // strategy follows data placement; the APPROX verb replaces the
+  // session-wide approx switch. None has a knob.
+  for (const char* sql : {"set merge_strategy = radix", "set approx = on",
+                          "set exchange_strategy = shuffle"}) {
+    Status s = exec(sql);
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << sql << ": " << s.ToString();
+    EXPECT_NE(s.message().find("unknown setting"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 // A SET the nodes reject must leave the engine-level mirror exactly
@@ -622,9 +614,11 @@ TEST(ApproxKnobTest, SetKnobRejectionsListAcceptedValues) {
 TEST(ApproxKnobTest, RejectedSetLeavesEngineStateUntouched) {
   ApproxCluster c;
   c.MustExec("create sample lineitem ratio 1.0");
+  const size_t logged = c.controller->recovery_log_size();
   auto bad_target = c.Exec("set approx_error_target = 2");
   ASSERT_FALSE(bad_target.ok());
   EXPECT_EQ(bad_target.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(c.controller->recovery_log_size(), logged);
   auto r = c.Exec("APPROX select sum(l_quantity) from lineitem");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->approx.subqueries_skipped, 0u);
@@ -637,9 +631,11 @@ TEST(ApproxKnobTest, RejectedSetLeavesEngineStateUntouched) {
   auto before = c.Exec(approx_sql);
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   c.MustExec("drop sample lineitem");
+  const size_t logged_before_seed = c.controller->recovery_log_size();
   auto bad_seed = c.Exec("set sample_seed = 9223372036854775807");
   ASSERT_FALSE(bad_seed.ok());
   EXPECT_EQ(bad_seed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(c.controller->recovery_log_size(), logged_before_seed);
   c.MustExec("create sample lineitem ratio 0.1");
   auto after = c.Exec(approx_sql);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
@@ -648,13 +644,8 @@ TEST(ApproxKnobTest, RejectedSetLeavesEngineStateUntouched) {
 
 TEST(ApproxKnobTest, ApproxKnobDefaultsOffAndRoundTrips) {
   ApproxCluster c(2);
-  EXPECT_FALSE(c.engine->approx_enabled());
-  c.MustExec("set approx = on");
-  EXPECT_TRUE(c.engine->approx_enabled());
-  c.MustExec("set approx = off");
-  EXPECT_FALSE(c.engine->approx_enabled());
-  // Off + no verb: plain queries carry no approx metadata or CI
-  // columns even when a scramble exists.
+  // No verb: plain queries carry no approx metadata or CI columns
+  // even when a scramble exists.
   c.MustExec("create sample lineitem ratio 0.5");
   auto r = c.Exec("select count(*) from lineitem");
   ASSERT_TRUE(r.ok());
@@ -678,10 +669,9 @@ TEST(ApproxSimTest, SampledRunsCutLatencyAndCountApproxQueries) {
 
   workload::ClusterSimOptions opts;
   opts.num_nodes = 3;
-  opts.approx = true;
   opts.sample_ratio = 0.05;
   workload::ClusterSim sim(TinyData(), opts);
-  const auto out = sim.RunToCompletion(q6);
+  const auto out = sim.RunToCompletion("APPROX " + q6);
   ASSERT_TRUE(out.status.ok());
   EXPECT_EQ(sim.approx_queries(), 1u);
   EXPECT_EQ(sim.approx_subqueries_skipped(), 0u);  // no error target
@@ -692,13 +682,12 @@ TEST(ApproxSimTest, ErrorTargetSkipsSubqueriesDeterministically) {
   const std::string q6 = *tpch::QuerySql(6);
   workload::ClusterSimOptions opts;
   opts.num_nodes = 4;
-  opts.approx = true;
   opts.sample_ratio = 0.1;
   opts.error_target = 0.1;
   uint64_t first_skipped = 0;
   for (int run = 0; run < 2; ++run) {
     workload::ClusterSim sim(TinyData(), opts);
-    ASSERT_TRUE(sim.RunToCompletion(q6).status.ok());
+    ASSERT_TRUE(sim.RunToCompletion("APPROX " + q6).status.ok());
     EXPECT_EQ(sim.approx_queries(), 1u);
     EXPECT_EQ(sim.approx_early_exits(), 1u);
     EXPECT_GT(sim.approx_subqueries_skipped(), 0u);

@@ -326,30 +326,23 @@ TEST(FragmentationIdentityTest, MisalignedFragmentsExchangeAndMatch) {
   // 3 fragments over 4 nodes: SVP intervals cross fragment
   // boundaries, so reads must move data through the exchange.
   FragmentBoth(frag.controller.get(), 3, 1);
-  for (const char* strategy : {"auto", "shuffle", "broadcast"}) {
-    ASSERT_TRUE(frag.controller
-                    ->Execute(std::string("set exchange_strategy = ") +
-                              strategy)
-                    .ok());
-    for (int q : {1, 3, 12}) {
-      const std::string sql = *tpch::QuerySql(q);
-      auto expect = baseline.controller->Execute(sql);
-      ASSERT_TRUE(expect.ok());
-      auto got = frag.controller->Execute(sql);
-      ASSERT_TRUE(got.ok()) << "Q" << q << " (" << strategy
-                            << "): " << got.status().ToString();
-      // Rematerialized exchange temps have their own page/morsel
-      // layout, so double accumulation order inside a shipped slice
-      // can differ in the last ULP — numerically equal, not
-      // bit-identical. Strict identity is the aligned preset's
-      // contract (FuzzedReadsMatchReplicatedBaseline).
-      testutil::ExpectResultsEqual(*expect, *got);
-    }
+  for (int q : {1, 3, 12}) {
+    const std::string sql = *tpch::QuerySql(q);
+    auto expect = baseline.controller->Execute(sql);
+    ASSERT_TRUE(expect.ok());
+    auto got = frag.controller->Execute(sql);
+    ASSERT_TRUE(got.ok()) << "Q" << q << ": " << got.status().ToString();
+    // Rematerialized exchange temps have their own page/morsel
+    // layout, so double accumulation order inside a shipped slice
+    // can differ in the last ULP — numerically equal, not
+    // bit-identical. Strict identity is the aligned preset's
+    // contract (FuzzedReadsMatchReplicatedBaseline).
+    testutil::ExpectResultsEqual(*expect, *got);
   }
   EXPECT_GT(frag.engine->stats().exchange_bytes.load(), 0u);
 }
 
-TEST(FragmentationIdentityTest, SetOffRestoresReplicatedPath) {
+TEST(FragmentationIdentityTest, UnfragmentRestoresReplicatedPath) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
   Stack baseline = MakeStack(data, 4);
   Stack frag = MakeStack(data, 4);
@@ -363,16 +356,90 @@ TEST(FragmentationIdentityTest, SetOffRestoresReplicatedPath) {
   ExpectResultsIdentical(*expect, *on);
 
   // No routed writes happened, so every replica still holds the full
-  // copy: SET fragmentation off must restore the replicated plan
-  // byte for byte.
-  ASSERT_TRUE(frag.controller->Execute("set fragmentation = off").ok());
+  // copy: UNFRAGMENT must restore the replicated plan byte for byte.
+  ASSERT_TRUE(frag.controller->Execute("alter table lineitem unfragment").ok());
+  ASSERT_TRUE(frag.controller->Execute("alter table orders unfragment").ok());
   EXPECT_FALSE(frag.engine->fragmentation_active());
   auto off = frag.controller->Execute(sql);
   ASSERT_TRUE(off.ok());
   ExpectResultsIdentical(*expect, *off);
 
-  ASSERT_TRUE(frag.controller->Execute("set fragmentation = on").ok());
+  FragmentBoth(frag.controller.get(), 4, 1);
   EXPECT_TRUE(frag.engine->fragmentation_active());
+  auto again = frag.controller->Execute(sql);
+  ASSERT_TRUE(again.ok());
+  ExpectResultsIdentical(*expect, *again);
+}
+
+// A routed write reaches only its fragment's replica set, so any other
+// layout would let SVP read intervals from nodes that never saw it:
+// UNFRAGMENT and a different spec are refused, and the installed spec
+// keeps reads equal to the replicated baseline.
+TEST(FragmentationIdentityTest, LayoutDdlAfterRoutedWriteIsRefused) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
+  const std::string sum = "select sum(l_quantity) as q from lineitem";
+  const std::string count = "select count(*) as n from lineitem";
+  auto expect_refused = [](Stack& s, const std::string& ddl) {
+    const uint64_t version = s.engine->data_catalog()->version();
+    auto r = s.controller->Execute(ddl);
+    ASSERT_FALSE(r.ok()) << ddl;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("lineitem"), std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(s.engine->data_catalog()->version(), version);
+    const FragmentationSpec* spec =
+        s.engine->data_catalog()->FragmentationFor("lineitem");
+    ASSERT_NE(spec, nullptr);
+    EXPECT_EQ(spec->fragments, 3);
+  };
+  auto expect_reads_match = [&](Stack& baseline, Stack& frag) {
+    for (const std::string& sql : {sum, count}) {
+      auto want = baseline.controller->Execute(sql);
+      auto got = frag.controller->Execute(sql);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      testutil::ExpectResultsEqual(*want, *got);
+    }
+  };
+
+  // One routed update, then UNFRAGMENT.
+  {
+    Stack baseline = MakeStack(data, 4);
+    Stack frag = MakeStack(data, 4);
+    FragmentBoth(frag.controller.get(), 3, 1);
+    const std::string update =
+        "update lineitem set l_quantity = 1 where l_orderkey = 1000";
+    ASSERT_TRUE(baseline.controller->Execute(update).ok());
+    const uint64_t routed = frag.engine->stats().routed_writes.load();
+    ASSERT_TRUE(frag.controller->Execute(update).ok());
+    ASSERT_EQ(frag.engine->stats().routed_writes.load(), routed + 1);
+    expect_refused(frag, "alter table lineitem unfragment");
+    expect_reads_match(baseline, frag);
+    // Re-applying the installed spec is accepted and changes nothing.
+    FragmentBoth(frag.controller.get(), 3, 1);
+    expect_reads_match(baseline, frag);
+  }
+  // Routed inserts, then a different fragment count.
+  {
+    Stack baseline = MakeStack(data, 4, ApuamaOptions{}, /*headroom=*/2000);
+    Stack frag = MakeStack(data, 4, ApuamaOptions{}, /*headroom=*/2000);
+    FragmentBoth(frag.controller.get(), 3, 1);
+    auto stream = tpch::MakeRefreshStream(data.max_orderkey() + 1, 8, 5);
+    int inserts = 0;
+    for (const auto& st : stream) {
+      if (!st.is_insert) continue;
+      ASSERT_TRUE(baseline.controller->Execute(st.sql).ok()) << st.sql;
+      ASSERT_TRUE(frag.controller->Execute(st.sql).ok()) << st.sql;
+      ++inserts;
+    }
+    ASSERT_GT(inserts, 0);
+    ASSERT_GT(frag.engine->stats().routed_writes.load(), 0u);
+    expect_refused(frag,
+                   "alter table lineitem fragment by hash(l_orderkey) "
+                   "into 2 replica 1");
+    expect_reads_match(baseline, frag);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,9 +488,8 @@ TEST(FragmentationCacheTest, DdlInvalidatesCachedPlansAndResults) {
 
 TEST(FragmentationCacheTest, WriteBumpsOnlyWrittenFragmentEpoch) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
-  ApuamaOptions options;
-  options.enable_result_cache = true;
-  Stack s = MakeStack(data, 4, options);
+  Stack s = MakeStack(data, 4);
+  ASSERT_TRUE(s.controller->Execute("set result_cache = on").ok());
   FragmentBoth(s.controller.get(), 4, 1);
   const FragmentationSpec* spec =
       s.engine->data_catalog()->FragmentationFor("lineitem");

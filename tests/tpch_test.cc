@@ -541,6 +541,15 @@ TEST(SvpFailoverTest, RecoveryLogReplaysMissedWrites) {
   ASSERT_TRUE(during.ok()) << during.status().ToString();
   EXPECT_EQ(during->rows[0][0].int_val(), 2);
 
+  // Statements every backend rejects stay out of the recovery log:
+  // replaying them would fail the same way and strand node 2.
+  const size_t logged = controller.recovery_log_size();
+  auto bad_insert = controller.Execute("insert into region values (1)");
+  EXPECT_FALSE(bad_insert.ok());
+  auto bad_set = controller.Execute("set exec_threads = 0");
+  EXPECT_FALSE(bad_set.ok());
+  EXPECT_EQ(controller.recovery_log_size(), logged);
+
   // Node 2 comes back: replica 2 missed the second insert.
   replicas.SetNodeAvailable(2, true);
   auto stale = replicas.ExecuteOn(
