@@ -464,87 +464,6 @@ void BM_BufferPoolTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolTouch);
 
-// Shared morsel scan: N aggregate consumers riding ONE scan of a
-// 200k-row table (inter-query work sharing) vs. N solo executions.
-// Args: {batch size, exec_threads}. The headline counter is
-// `page_savings` = solo page traffic / shared page traffic — ideally
-// ≈ N, since the batch faults the heap once no matter how many
-// queries consume it. `model_speedup` charges scan-bound work once
-// for the batch against N solo scans.
-void BM_SharedScan(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  if (!db.Execute("create table s (g int, v double)").ok()) {
-    state.SkipWithError("create failed");
-    return;
-  }
-  constexpr int kRows = 200000;
-  std::vector<Row> rows;
-  rows.reserve(kRows);
-  for (int i = 0; i < kRows; ++i) {
-    rows.push_back(
-        {Value::Int(i % 128), Value::Double((i % 97) * 0.5)});
-  }
-  auto table = db.catalog()->GetTable("s");
-  if (!table.ok() || !(*table)->BulkLoad(std::move(rows)).ok()) {
-    state.SkipWithError("load failed");
-    return;
-  }
-  if (!db.Execute("set exec_threads = " + std::to_string(threads)).ok() ||
-      !db.Execute("set share_scans = on").ok()) {
-    state.SkipWithError("set failed");
-    return;
-  }
-  // Distinct consumers so the batch is real work, not deduplication.
-  std::vector<std::string> sqls;
-  for (int i = 0; i < batch; ++i) {
-    sqls.push_back("select g, count(*), sum(v) from s where g >= " +
-                   std::to_string(i) + " group by g");
-  }
-  // Solo baseline page traffic (warm pool after the first pass).
-  uint64_t solo_pages = 0;
-  for (const auto& sql : sqls) {
-    auto r = db.Execute(sql);
-    if (!r.ok()) {
-      state.SkipWithError("solo failed");
-      return;
-    }
-    solo_pages += r->stats.pages_disk + r->stats.pages_cache;
-  }
-  engine::ExecStats stats;
-  bool shared = true;
-  for (auto _ : state) {
-    auto out = db.ExecuteSharedSelects(sqls);
-    shared = shared && out.shared;
-    stats = out.batch_stats;
-    benchmark::DoNotOptimize(out);
-  }
-  if (!shared) {
-    state.SkipWithError("batch fell back to solo execution");
-    return;
-  }
-  const uint64_t batch_pages = stats.pages_disk + stats.pages_cache;
-  state.counters["shared_scans"] =
-      static_cast<double>(stats.shared_scans);
-  state.counters["consumers"] =
-      static_cast<double>(stats.shared_scan_queries);
-  state.counters["pages_batch"] = static_cast<double>(batch_pages);
-  state.counters["page_savings"] =
-      static_cast<double>(solo_pages) /
-      static_cast<double>(std::max<uint64_t>(batch_pages, 1));
-  const uint64_t par = std::min(stats.cpu_ops_parallel, stats.cpu_ops);
-  const uint64_t width = static_cast<uint64_t>(threads);
-  const uint64_t charged =
-      (stats.cpu_ops - par) + (par + width - 1) / width;
-  state.counters["model_speedup"] =
-      static_cast<double>(stats.cpu_ops) / static_cast<double>(charged);
-  state.SetItemsProcessed(state.iterations() * kRows * batch);
-}
-BENCHMARK(BM_SharedScan)
-    ->ArgsProduct({{2, 4, 8}, {1, 4}})
-    ->Unit(benchmark::kMillisecond);
-
 // Exchange operator: plan + materialize the data movement for one
 // 4-interval SVP dispatch over a 4-node cluster.
 // Arg: fragment count — 4 is the co-partitioned preset (every interval

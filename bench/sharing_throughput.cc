@@ -4,11 +4,12 @@
 // concurrent clients on a fixed 4-node cluster.
 //
 // "Off" is the paper's configuration (every read pays full price);
-// "on" enables the versioned result cache plus admission-window scan
-// sharing (`SET result_cache` / `SET share_scans` mirrored into the
-// simulator). Acceptance: >= 2x model throughput at 8 identical
-// clients, with queries actually coalescing and the cache actually
-// hitting (both counters printed).
+// "on" enables the versioned result cache plus admission-window
+// coalescing of identical reads (`SET result_cache` / `SET
+// share_scans` mirrored into the simulator). Acceptance: >= 2x model
+// throughput at 8 identical clients, with queries actually coalescing
+// and the cache actually hitting (both counters printed).
+#include <cinttypes>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -79,8 +80,8 @@ int main() {
     RunPoint off = RunOnce(data, clients, /*sharing=*/false, reps);
     RunPoint on = RunOnce(data, clients, /*sharing=*/true, reps);
     t.AddRow({StrFormat("%d", clients), Ratio(off.qpm), Ratio(on.qpm),
-              Ratio(on.qpm / off.qpm), StrFormat("%llu", on.coalesced),
-              StrFormat("%llu", on.cache_hits)});
+              Ratio(on.qpm / off.qpm), StrFormat("%" PRIu64, on.coalesced),
+              StrFormat("%" PRIu64, on.cache_hits)});
     off_series.push_back(off.qpm);
     on_series.push_back(on.qpm);
     xs.push_back(StrFormat("%d", clients));

@@ -8,9 +8,9 @@
 // recent service times (EWMA) and the current backlog, and applies a
 // three-stage overload ladder:
 //
-//   stage 1  widen the scan-share admission window so more queries
-//            coalesce into shared batches (capacity grows, nothing
-//            is turned away);
+//   stage 1  widen the coalescing window so more identical reads
+//            share one execution (capacity grows, nothing is
+//            turned away);
 //   stage 2  degrade eligible plain SELECTs to APPROX — shedding
 //            precision instead of queries (the PR 9 tier answers
 //            from a scramble at a fraction of the exact cost), with
@@ -66,7 +66,7 @@ class AdmissionController {
     /// Waiting requests beyond this are shed regardless of priority —
     /// the bounded admission queue.
     int queue_limit = 256;
-    /// Scan-share window ladder (stage 1): base when healthy, widened
+    /// Coalescing window ladder (stage 1): base when healthy, widened
     /// proportionally to predicted overload, capped at max.
     int64_t window_base_us = 200;
     int64_t window_max_us = 2'000;
@@ -114,7 +114,7 @@ class AdmissionController {
     int64_t dispatch_us = 0;
     int64_t slo_us = 0;
     int priority = 0;
-    /// Stage-1 window at dispatch time (what the scan-share gate
+    /// Stage-1 window at dispatch time (what the coalescing gate
     /// should hold open for this request's batch).
     int64_t window_us = 0;
     std::string tenant;

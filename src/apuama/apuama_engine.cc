@@ -54,8 +54,6 @@ std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
           {"result_cache_hits", v(result_cache_hits)},
           {"result_cache_misses", v(result_cache_misses)},
           {"queries_coalesced", v(queries_coalesced)},
-          {"shared_scans", v(shared_scans)},
-          {"shared_scan_queries", v(shared_scan_queries)},
           {"vectorized_rows", v(vectorized_rows)},
           {"dict_hits", v(dict_hits)},
           {"probe_vectorized_rows", v(probe_vectorized_rows)},
@@ -309,80 +307,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteWriteOn(
     result_cache_.EndTableWrite(keys);
   }
   return result;
-}
-
-std::vector<Result<engine::QueryResult>> ApuamaEngine::ExecuteSharedRead(
-    int node_id, const std::vector<std::string>& sqls) {
-  std::vector<Result<engine::QueryResult>> out(
-      sqls.size(), Result<engine::QueryResult>(
-                       Status::Internal("shared read not dispatched")));
-  if (node_id < 0 || node_id >= num_nodes()) {
-    for (auto& r : out) r = Status::InvalidArgument("bad node id");
-    return out;
-  }
-  if (fragmentation_active()) {
-    // A shared scan reads the landing node's local fragments, which
-    // only hold part of a fragmented table: route each query through
-    // the placement-aware read path instead of batching.
-    for (size_t i = 0; i < sqls.size(); ++i) {
-      out[i] = ExecuteRead(node_id, sqls[i]);
-    }
-    return out;
-  }
-  // Partition the batch: SVP-eligible queries keep the composition
-  // path (their results must stay bit-identical to solo execution, so
-  // they never enter a shared scan); the rest run as one shared
-  // batch on the node.
-  std::vector<size_t> batch_idx;
-  batch_idx.reserve(sqls.size());
-  for (size_t i = 0; i < sqls.size(); ++i) {
-    if (approx::StartsWithApproxVerb(sqls[i])) {
-      // Approx candidates never join a shared scan: the node batch
-      // would answer them exactly, silently ignoring the APPROX verb.
-      out[i] = ExecuteRead(node_id, sqls[i]);
-      continue;
-    }
-    if (!options_.enable_intra_query) {
-      batch_idx.push_back(i);
-      continue;
-    }
-    auto entry = RouteRead(sqls[i]);
-    if (!entry.ok()) {
-      out[i] = entry.status();
-    } else if ((*entry)->kind == PlanCache::Kind::kSvp) {
-      // Re-routes through ExecuteRead (plan-cache hit now), keeping
-      // the SVP retry/fallback semantics intact.
-      out[i] = ExecuteRead(node_id, sqls[i]);
-    } else {
-      batch_idx.push_back(i);
-    }
-  }
-  if (batch_idx.size() == 1) {
-    out[batch_idx[0]] = ExecuteRead(node_id, sqls[batch_idx[0]]);
-    return out;
-  }
-  if (batch_idx.empty()) return out;
-  std::vector<std::string> batch_sqls;
-  batch_sqls.reserve(batch_idx.size());
-  for (size_t i : batch_idx) batch_sqls.push_back(sqls[i]);
-  std::vector<Result<engine::QueryResult>> results =
-      processors_[static_cast<size_t>(node_id)]->ExecuteShared(batch_sqls);
-  stats_.passthrough_reads.fetch_add(batch_idx.size(),
-                                     std::memory_order_relaxed);
-  bool shared = false;
-  for (size_t k = 0; k < results.size() && k < batch_idx.size(); ++k) {
-    if (results[k].ok()) {
-      if (results[k]->stats.shared_scans > 0) shared = true;
-      stats_.NoteNodeStats(results[k]->stats);
-    }
-    out[batch_idx[k]] = std::move(results[k]);
-  }
-  if (shared) {
-    stats_.shared_scans.fetch_add(1, std::memory_order_relaxed);
-    stats_.shared_scan_queries.fetch_add(batch_idx.size(),
-                                         std::memory_order_relaxed);
-  }
-  return out;
 }
 
 bool ApuamaEngine::sharing_enabled() const {
@@ -1161,11 +1085,6 @@ class ApuamaConnection : public cjdbc::Connection {
       }
     }
     return Status::Internal("unreachable");
-  }
-
-  std::vector<Result<engine::QueryResult>> ExecuteShared(
-      const std::vector<std::string>& sqls) override {
-    return engine_->ExecuteSharedRead(node_id_, sqls);
   }
 
   int node_id() const override { return node_id_; }

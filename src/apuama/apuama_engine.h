@@ -68,8 +68,8 @@ struct ApuamaOptions {
   /// Capacity of the versioned result cache in entries (`SET
   /// result_cache = on` enables it).
   size_t result_cache_entries = 256;
-  /// How long the controller's gate holds a shared-scan batch open
-  /// for more arrivals (`SET share_scans = on` enables batching).
+  /// How long the controller's gate holds a read open for identical
+  /// arrivals (`SET share_scans = on` enables coalescing).
   int64_t admission_window_us = 200;
 };
 
@@ -92,11 +92,9 @@ struct ApuamaStats {
   std::atomic<uint64_t> svp_retries{0};        // failover resubmissions
   std::atomic<uint64_t> result_cache_hits{0};  // reads served from cache
   std::atomic<uint64_t> result_cache_misses{0};
-  std::atomic<uint64_t> queries_coalesced{0};  // rode another's admission
-  std::atomic<uint64_t> shared_scans{0};       // batches that shared a scan
-  std::atomic<uint64_t> shared_scan_queries{0};  // queries in those batches
+  std::atomic<uint64_t> queries_coalesced{0};  // served by an identical read
   // Columnar execution, summed over every node result the engine saw
-  // (SVP partials, passthrough reads, shared batches):
+  // (SVP partials and passthrough reads):
   std::atomic<uint64_t> vectorized_rows{0};    // row-slots through kernels
   std::atomic<uint64_t> dict_hits{0};          // slots through dict kernels
   std::atomic<uint64_t> probe_vectorized_rows{0};  // vectorized join probes
@@ -182,15 +180,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// recognizes the broadcast and brackets it as one logical write.
   Result<engine::QueryResult> ExecuteWriteOn(int node_id,
                                              const std::string& sql);
-
-  /// Batch read entry point for backend `node_id` — the controller's
-  /// admission gate hands a whole batch here. SVP-eligible queries
-  /// keep their composition path (bit-identity with solo execution);
-  /// the rest run as one shared morsel scan on the node, falling back
-  /// to one-by-one execution when the batch is not shareable. Results
-  /// align with `sqls`.
-  std::vector<Result<engine::QueryResult>> ExecuteSharedRead(
-      int node_id, const std::vector<std::string>& sqls);
 
   /// EXPLAIN ANALYZE entry point: runs the statement's query through
   /// the normal read routing while collecting an SvpProfile, and

@@ -51,13 +51,6 @@ Result<engine::QueryResult> NodeProcessor::Execute(const std::string& sql) {
   return replicas_->ExecuteOn(node_id_, sql);
 }
 
-std::vector<Result<engine::QueryResult>> NodeProcessor::ExecuteShared(
-    const std::vector<std::string>& sqls) {
-  PoolSlot slot(&pool_mu_, &pool_cv_, &pool_available_);
-  statements_.fetch_add(sqls.size(), std::memory_order_relaxed);
-  return replicas_->ExecuteSharedOn(node_id_, sqls);
-}
-
 Result<engine::QueryResult> NodeProcessor::ExecuteSubquery(
     const std::string& sql) {
   PoolSlot slot(&pool_mu_, &pool_cv_, &pool_available_);

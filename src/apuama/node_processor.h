@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "cjdbc/connection.h"
 #include "common/status.h"
@@ -45,12 +44,6 @@ class NodeProcessor {
 
   /// Pass-through execution (OLTP statements, non-SVP reads).
   Result<engine::QueryResult> Execute(const std::string& sql);
-
-  /// Batch pass-through: the whole batch occupies one pool slot and
-  /// may run as one shared morsel scan on the node
-  /// (Database::ExecuteSharedSelects). Results align with `sqls`.
-  std::vector<Result<engine::QueryResult>> ExecuteShared(
-      const std::vector<std::string>& sqls);
 
   /// Executes one SVP sub-query with forced index usage.
   Result<engine::QueryResult> ExecuteSubquery(const std::string& sql);

@@ -26,11 +26,11 @@ class WorkSharingHooks {
  public:
   virtual ~WorkSharingHooks() = default;
 
-  /// SET share_scans: admission batching + shared scans.
+  /// SET share_scans: coalescing of identical concurrent reads.
   virtual bool sharing_enabled() const = 0;
   /// SET result_cache: versioned result caching.
   virtual bool cache_enabled() const = 0;
-  /// How long the gate holds a batch open for more arrivals.
+  /// How long the gate holds a batch open for identical arrivals.
   virtual int64_t admission_window_us() const = 0;
 
   /// Probes the result cache; counts a hit/miss in engine stats.
@@ -38,8 +38,8 @@ class WorkSharingHooks {
       const std::string& fingerprint) = 0;
 
   /// Snapshots cache epochs before executing a read over `tables`
-  /// (nullopt when the result must not be cached, e.g. the read's
-  /// table set could not be determined safely).
+  /// (nullopt when the cache is off or the result must not be cached,
+  /// e.g. the read's table set could not be determined safely).
   virtual std::optional<ResultCache::FillTicket> CacheBeginFill(
       const std::string& fingerprint,
       const std::set<std::string>& tables) = 0;
@@ -50,7 +50,7 @@ class WorkSharingHooks {
       const ResultCache::FillTicket& ticket,
       std::shared_ptr<const engine::QueryResult> result) = 0;
 
-  /// Stats: `n` queries rode another query's admission.
+  /// Stats: `n` reads got an identical concurrent read's result.
   virtual void NoteCoalesced(uint64_t n) = 0;
 };
 

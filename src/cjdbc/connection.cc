@@ -46,18 +46,6 @@ Result<engine::QueryResult> ReplicaSet::ExecuteOn(int node_id,
   return n.db->Execute(sql);
 }
 
-std::vector<Result<engine::QueryResult>> ReplicaSet::ExecuteSharedOn(
-    int node_id, const std::vector<std::string>& sqls) {
-  // The batch counts as one statement for fault injection: it reaches
-  // the node as one shared dispatch.
-  if (Status s = AcceptStatement(node_id); !s.ok()) {
-    return std::vector<Result<engine::QueryResult>>(sqls.size(), s);
-  }
-  NodeState& n = *nodes_[static_cast<size_t>(node_id)];
-  std::lock_guard<std::mutex> lock(n.mu);
-  return std::move(n.db->ExecuteSharedSelects(sqls).results);
-}
-
 void ReplicaSet::SetNodeAvailable(int node_id, bool available) {
   if (node_id >= 0 && node_id < num_nodes()) {
     nodes_[static_cast<size_t>(node_id)]->available.store(available);
@@ -91,11 +79,6 @@ class DirectConnection : public Connection {
 
   Result<engine::QueryResult> Execute(const std::string& sql) override {
     return replicas_->ExecuteOn(node_id_, sql);
-  }
-
-  std::vector<Result<engine::QueryResult>> ExecuteShared(
-      const std::vector<std::string>& sqls) override {
-    return replicas_->ExecuteSharedOn(node_id_, sqls);
   }
 
   int node_id() const override { return node_id_; }

@@ -50,10 +50,10 @@ class Connection {
     return Execute(sql);
   }
 
-  /// Executes a batch of read statements admitted together by the
-  /// controller's work-sharing gate. Results align with `sqls`.
-  /// Default: one-by-one execution (no sharing). Drivers that can
-  /// run the batch over one shared scan override this.
+  /// Executes `sqls` one by one; results align with `sqls`. Nothing
+  /// in the controller calls it. It stays only because the wall-clock
+  /// benchmark's timing connection (wallbench/harness.cc) overrides
+  /// it and that harness's unit test calls it.
   virtual std::vector<Result<engine::QueryResult>> ExecuteShared(
       const std::vector<std::string>& sqls) {
     std::vector<Result<engine::QueryResult>> out;
@@ -118,12 +118,6 @@ class ReplicaSet {
   /// this call consumes). Callers that lock the node themselves must
   /// run it first.
   Status AcceptStatement(int node_id);
-
-  /// Executes a read batch on one node under its mutex, via the
-  /// node's shared-scan pipeline when its session settings allow
-  /// (Database::ExecuteSharedSelects). Results align with `sqls`.
-  std::vector<Result<engine::QueryResult>> ExecuteSharedOn(
-      int node_id, const std::vector<std::string>& sqls);
 
   /// Failure injection: a node marked unavailable refuses statements
   /// until brought back. Its data is untouched (a crashed-but-

@@ -64,7 +64,6 @@ std::vector<std::pair<std::string, uint64_t>> ControllerStats::Kv() const {
           {"recovered_statements", v(recovered_statements)},
           {"result_cache_hits", v(result_cache_hits)},
           {"queries_coalesced", v(queries_coalesced)},
-          {"shared_batches", v(shared_batches)},
           {"admission_queue_wait_us", v(admission_queue_wait_us)},
           {"admission_degraded", v(admission_degraded)},
           {"admission_shed", v(admission_shed)}};
@@ -87,11 +86,11 @@ Controller::Controller(std::unique_ptr<Driver> driver, BalancePolicy policy)
     }
   }
   sharing_ = driver_->work_sharing();
-  share::ScanShareManager::Options gate_options;
+  share::CoalescingGate::Options gate_options;
   if (sharing_ != nullptr) {
     gate_options.window_us = sharing_->admission_window_us();
   }
-  gate_ = std::make_unique<share::ScanShareManager>(gate_options);
+  gate_ = std::make_unique<share::CoalescingGate>(gate_options);
   gate_window_base_us_ = gate_options.window_us;
   admission::AdmissionController::Options adm_options;
   // Off until `SET admission = on`: the read path stays bit-identical
@@ -173,11 +172,44 @@ Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
 }
 
 Result<engine::QueryResult> Controller::ExecuteRead(const std::string& sql) {
-  if (sharing_ != nullptr &&
-      (sharing_->sharing_enabled() || sharing_->cache_enabled())) {
-    return ExecuteSharedRead(sql);
+  // With sharing off, and for reads the cache cannot key (EXPLAIN, for
+  // one), this is the plain read path.
+  const bool sharing =
+      sharing_ != nullptr &&
+      (sharing_->sharing_enabled() || sharing_->cache_enabled());
+  auto tables = sharing ? share::ReadTableSet(sql) : std::nullopt;
+  if (!tables.has_value()) {
+    return ExecuteReadDirect(sql, std::nullopt);
   }
-  return ExecuteReadDirect(sql, std::nullopt);
+  const std::string fingerprint = share::NormalizeSql(sql);
+  // Cache hits are served immediately — no window, no backend.
+  if (sharing_->cache_enabled()) {
+    if (auto hit = sharing_->CacheLookup(fingerprint)) {
+      stats_.result_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      obs::Tracer::Global().Instant("cache.hit", "share");
+      return *hit;
+    }
+  }
+  if (!sharing_->sharing_enabled()) {
+    return ExecuteAndFill(sql, fingerprint, *tables);
+  }
+  // Coalescing gate: an identical read already inside its window
+  // shares that read's execution; followers block until it publishes.
+  auto admission = gate_->Admit(fingerprint);
+  if (!admission.leader) {
+    sharing_->NoteCoalesced(1);
+    stats_.queries_coalesced.fetch_add(1, std::memory_order_relaxed);
+    obs::Tracer::Global().Instant("gate.coalesced", "share");
+    return gate_->Await(admission);
+  }
+  obs::Span window_span =
+      obs::Tracer::Global().StartSpan("gate.window", "share");
+  gate_->WaitWindow(admission);
+  window_span.End();
+  Result<engine::QueryResult> result =
+      ExecuteAndFill(sql, fingerprint, *tables);
+  gate_->Publish(admission, result);
+  return result;
 }
 
 Result<engine::QueryResult> Controller::ExecuteAdmitted(
@@ -224,8 +256,8 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
         "admission control shed the query (priority " +
         std::to_string(ticket.priority) + "); retry later");
   }
-  // Stage 1: hand the ladder's window to the scan-share gate so the
-  // next batch coalesces more under overload.
+  // Stage 1: hand the ladder's window to the coalescing gate so more
+  // identical reads coalesce under overload.
   gate_->set_window_us(ticket.window_us);
   const bool degraded = ticket.degraded();
   if (degraded) {
@@ -234,7 +266,7 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
   }
   // Degraded answers bypass the sharing front end: an approximate
   // result must never fill the exact-result cache or answer for an
-  // exact batch member. (The node falls back to exact execution by
+  // exact follower. (The node falls back to exact execution by
   // itself when no scramble covers the query.)
   Result<engine::QueryResult> result =
       degraded ? ExecuteReadDirect("APPROX " + sql, std::nullopt)
@@ -291,104 +323,16 @@ Result<engine::QueryResult> Controller::ExecuteReadDirect(
   return result;
 }
 
-Result<engine::QueryResult> Controller::ExecuteSharedRead(
-    const std::string& sql) {
-  auto tables = share::ReadTableSet(sql);
-  if (!tables.has_value()) {
-    return ExecuteReadDirect(sql, std::nullopt);
+Result<engine::QueryResult> Controller::ExecuteAndFill(
+    const std::string& sql, const std::string& fingerprint,
+    const std::set<std::string>& tables) {
+  auto ticket = sharing_->CacheBeginFill(fingerprint, tables);
+  auto result = ExecuteReadDirect(sql, share::FingerprintHash(fingerprint));
+  if (result.ok() && ticket.has_value()) {
+    sharing_->CacheInsert(
+        *ticket, std::make_shared<engine::QueryResult>(*result));
   }
-  const std::string fingerprint = share::NormalizeSql(sql);
-  const uint64_t affinity = share::FingerprintHash(fingerprint);
-  // Cache hits are served immediately — no window, no backend.
-  if (sharing_->cache_enabled()) {
-    if (auto hit = sharing_->CacheLookup(fingerprint)) {
-      stats_.result_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      obs::Tracer::Global().Instant("cache.hit", "share");
-      return *hit;
-    }
-  }
-  if (!sharing_->sharing_enabled()) {
-    // Cache-only mode: solo execution under a fill ticket (the ticket
-    // snapshots write epochs BEFORE the read runs, so a racing write
-    // rejects the fill).
-    auto ticket = sharing_->CacheBeginFill(fingerprint, *tables);
-    auto result = ExecuteReadDirect(sql, affinity);
-    if (result.ok() && ticket.has_value()) {
-      sharing_->CacheInsert(
-          *ticket, std::make_shared<engine::QueryResult>(*result));
-    }
-    return result;
-  }
-  // Admission gate: rendezvous with concurrent reads over the same
-  // table set. Non-leaders block until the leader publishes.
-  std::string group;
-  for (const auto& t : *tables) group += t + ",";
-  auto admission = gate_->Admit(group, fingerprint, sql);
-  if (!admission.leader) {
-    sharing_->NoteCoalesced(1);
-    stats_.queries_coalesced.fetch_add(1, std::memory_order_relaxed);
-    obs::Tracer::Global().Instant("gate.coalesced", "share");
-    return gate_->Await(admission);
-  }
-  obs::Span window_span =
-      obs::Tracer::Global().StartSpan("gate.window", "share");
-  std::vector<std::string> batch = gate_->WaitWindow(admission);
-  window_span.End();
-  std::vector<Result<engine::QueryResult>> results =
-      ExecuteGateBatch(batch, affinity);
-  if (batch.size() > 1) {
-    stats_.shared_batches.fetch_add(1, std::memory_order_relaxed);
-    obs::Tracer::Global().Instant("gate.batch", "share", "size",
-                                  static_cast<int64_t>(batch.size()));
-  }
-  Result<engine::QueryResult> own = results[admission.index];
-  gate_->Publish(admission, std::move(results));
-  return own;
-}
-
-std::vector<Result<engine::QueryResult>> Controller::ExecuteGateBatch(
-    const std::vector<std::string>& sqls, uint64_t affinity) {
-  // Snapshot cache epochs per entry before anything executes.
-  std::vector<std::optional<share::ResultCache::FillTicket>> tickets(
-      sqls.size());
-  if (sharing_->cache_enabled()) {
-    for (size_t i = 0; i < sqls.size(); ++i) {
-      if (auto tables = share::ReadTableSet(sqls[i])) {
-        tickets[i] = sharing_->CacheBeginFill(
-            share::NormalizeSql(sqls[i]), *tables);
-      }
-    }
-  }
-  std::vector<Result<engine::QueryResult>> results;
-  int node = balancer_.Acquire(affinity);
-  if (!backends_[static_cast<size_t>(node)].enabled) {
-    balancer_.Release(node);
-    int fallback = -1;
-    for (int i = 0; i < num_backends(); ++i) {
-      if (backends_[static_cast<size_t>(i)].enabled) {
-        fallback = i;
-        break;
-      }
-    }
-    if (fallback < 0) {
-      for (size_t i = 0; i < sqls.size(); ++i) {
-        results.push_back(Status::Unavailable("no backend available"));
-      }
-      return results;
-    }
-    results = backends_[static_cast<size_t>(fallback)].conn->ExecuteShared(
-        sqls);
-  } else {
-    results = backends_[static_cast<size_t>(node)].conn->ExecuteShared(sqls);
-    balancer_.Release(node);
-  }
-  for (size_t i = 0; i < results.size() && i < tickets.size(); ++i) {
-    if (results[i].ok() && tickets[i].has_value()) {
-      sharing_->CacheInsert(
-          *tickets[i], std::make_shared<engine::QueryResult>(*results[i]));
-    }
-  }
-  return results;
+  return result;
 }
 
 Result<engine::QueryResult> Controller::ExecuteBroadcast(

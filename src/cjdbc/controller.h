@@ -13,12 +13,13 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "apuama/admission/admission.h"
-#include "apuama/share/scan_share.h"
+#include "apuama/share/coalescing_gate.h"
 #include "apuama/share/work_sharing.h"
 #include "cjdbc/connection.h"
 #include "cjdbc/load_balancer.h"
@@ -53,8 +54,7 @@ struct ControllerStats {
   std::atomic<uint64_t> failovers{0};             // backends auto-disabled
   std::atomic<uint64_t> recovered_statements{0};  // replayed on rejoin
   std::atomic<uint64_t> result_cache_hits{0};     // served without a backend
-  std::atomic<uint64_t> queries_coalesced{0};     // rode another's batch
-  std::atomic<uint64_t> shared_batches{0};        // batches with > 1 query
+  std::atomic<uint64_t> queries_coalesced{0};     // served by an identical read
   std::atomic<uint64_t> admission_queue_wait_us{0};  // total queued time
   std::atomic<uint64_t> admission_degraded{0};    // ladder stage 2 hits
   std::atomic<uint64_t> admission_shed{0};        // ladder stage 3 hits
@@ -81,7 +81,6 @@ class Controller {
   /// The SLO scheduler in front of the read path (off by default;
   /// `SET admission = on` flips it).
   admission::AdmissionController* admission() { return admission_.get(); }
-  share::ScanShareManager* gate() { return gate_.get(); }
 
   /// Disables a backend (failure injection / administrative removal);
   /// reads avoid it and broadcasts skip it, with every skipped write
@@ -112,6 +111,8 @@ class Controller {
           applied_up_to(o.applied_up_to) {}
   };
 
+  /// The read path: result-cache probe, then the coalescing gate when
+  /// `share_scans` is on, else ExecuteReadDirect.
   Result<engine::QueryResult> ExecuteRead(const std::string& sql);
   /// Read path behind the admission ladder: Submit (blocking when
   /// queued), then shed / degrade-to-APPROX / admit per the ticket.
@@ -125,13 +126,12 @@ class Controller {
   /// `affinity` biases least-pending ties toward one backend.
   Result<engine::QueryResult> ExecuteReadDirect(
       const std::string& sql, std::optional<uint64_t> affinity);
-  /// Work-sharing read path: cache probe, admission gate, batch
-  /// execution with cache fills.
-  Result<engine::QueryResult> ExecuteSharedRead(const std::string& sql);
-  /// Executes a gate batch on one affinity-chosen backend and
-  /// publishes cacheable results. Results align with `sqls`.
-  std::vector<Result<engine::QueryResult>> ExecuteGateBatch(
-      const std::vector<std::string>& sqls, uint64_t affinity);
+  /// ExecuteReadDirect under a result-cache fill ticket: the ticket
+  /// snapshots write epochs BEFORE the read runs, so a racing write
+  /// rejects the fill.
+  Result<engine::QueryResult> ExecuteAndFill(
+      const std::string& sql, const std::string& fingerprint,
+      const std::set<std::string>& tables);
   /// Applies a write, DDL or control statement to `targets` (nullopt
   /// = every enabled backend). Caller holds the write ticket. A
   /// statement at least one backend applied enters the recovery log
@@ -148,7 +148,7 @@ class Controller {
   /// Hooks into the middleware's work-sharing state (null when the
   /// driver has no middleware layer — the gate stays inert).
   share::WorkSharingHooks* sharing_ = nullptr;
-  std::unique_ptr<share::ScanShareManager> gate_;
+  std::unique_ptr<share::CoalescingGate> gate_;
   std::unique_ptr<admission::AdmissionController> admission_;
   int64_t gate_window_base_us_ = 0;  // restored when admission turns off
   // Total-ordered log of every applied broadcast statement (writes,

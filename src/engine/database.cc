@@ -35,8 +35,6 @@ std::vector<std::pair<std::string, uint64_t>> ExecStats::Kv() const {
           {"join_build", join_build_rows},
           {"join_probe", join_probe_rows},
           {"filter_skipped", filter_skipped_rows},
-          {"shared_scans", shared_scans},
-          {"shared_queries", shared_scan_queries},
           {"seq", used_seq_scan ? 1u : 0u},
           {"idx", used_index_scan ? 1u : 0u},
           {"vec_rows", vectorized_rows},
@@ -98,53 +96,6 @@ Result<QueryResult> Database::Execute(const std::string& sql) {
   return ExecuteStmt(*stmt);
 }
 
-Database::SharedExecResult Database::ExecuteSharedSelects(
-    const std::vector<std::string>& sqls) {
-  SharedExecResult out;
-  if (settings_.enable_share_scans && sqls.size() >= 2) {
-    // Parse + fold every statement exactly as the solo path would; any
-    // non-SELECT or parse failure sends the whole batch to fallback
-    // (where each statement surfaces its own error).
-    std::vector<std::unique_ptr<sql::SelectStmt>> selects;
-    selects.reserve(sqls.size());
-    bool all_selects = true;
-    for (const auto& sql : sqls) {
-      auto parsed = sql::Parse(sql);
-      if (!parsed.ok() ||
-          (*parsed)->kind() != sql::StmtKind::kSelect) {
-        all_selects = false;
-        break;
-      }
-      auto select =
-          static_cast<const sql::SelectStmt&>(**parsed).Clone();
-      sql::FoldConstants(select.get());
-      selects.push_back(std::move(select));
-    }
-    if (all_selects) {
-      std::vector<const sql::SelectStmt*> ptrs;
-      ptrs.reserve(selects.size());
-      for (const auto& s : selects) ptrs.push_back(s.get());
-      auto shared =
-          Executor::ExecuteSharedAggregates(this, ptrs, &out.batch_stats);
-      if (shared.has_value()) {
-        out.results = std::move(*shared);
-        out.shared = true;
-        return out;
-      }
-      out.batch_stats = ExecStats{};  // aborted attempt leaves no residue
-    }
-  }
-  // Fallback: solo execution; the batch's physical work is the sum of
-  // the solo runs (no sharing happened, charge full price).
-  out.results.reserve(sqls.size());
-  for (const auto& sql : sqls) {
-    auto r = Execute(sql);
-    if (r.ok()) out.batch_stats += r->stats;
-    out.results.push_back(std::move(r));
-  }
-  return out;
-}
-
 Result<QueryResult> Database::ExecuteReference(const std::string& sql) {
   APUAMA_ASSIGN_OR_RETURN(sql::StmtPtr stmt, sql::Parse(sql));
   if (stmt->kind() != StmtKind::kSelect) {
@@ -197,6 +148,12 @@ Result<QueryResult> Database::ExecuteStmt(const Stmt& stmt) {
       return Status::InvalidArgument(
           "sample DDL is middleware-level; run it through the cluster "
           "controller");
+    case StmtKind::kAlterFragment:
+      // Fragment placement is middleware metadata; a single node
+      // stores whole tables and has no placement to change.
+      return Status::InvalidArgument(
+          "fragmentation DDL is middleware-level; run it through the "
+          "cluster controller");
     case StmtKind::kSet:
       return ExecuteSet(static_cast<const sql::SetStmt&>(stmt));
     case StmtKind::kExplain:
@@ -690,9 +647,6 @@ Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
       break;
     case sql::Knob::kExecThreads:
       settings_.exec_threads = static_cast<int>(setting.integer);
-      break;
-    case sql::Knob::kShareScans:
-      settings_.enable_share_scans = setting.on;
       break;
     // Observability knobs flip process-wide state (the tracer and the
     // logger are global), so a clustered SET broadcast applying them

@@ -35,11 +35,6 @@ struct SessionSettings {
   /// pipeline inline. Seeded from DefaultExecThreads(); `SET
   /// exec_threads = N` overrides per session.
   int exec_threads = 1;
-  /// Inter-query work sharing: `SET share_scans = on` lets a batch of
-  /// concurrent single-table aggregates over the same access path run
-  /// one shared morsel scan (ExecuteSharedSelects). Off by default —
-  /// the off position is byte-for-byte today's solo execution.
-  bool enable_share_scans = false;
 };
 
 /// Default intra-node execution threads: the APUAMA_EXEC_THREADS
@@ -67,27 +62,6 @@ class Database {
   /// The oracle tests compare the morsel pipelines against; values
   /// agree up to floating-point association.
   Result<QueryResult> ExecuteReference(const std::string& sql);
-
-  /// Result of executing a batch of SELECTs, possibly over one shared
-  /// scan. `results[i]` corresponds to `sqls[i]` and is bit-identical
-  /// to solo execution; `batch_stats` charges the batch's actual
-  /// physical work ONCE (pages touched once, every query's cpu) so
-  /// the cost model sees the saving. Per-query stats inside results
-  /// keep solo semantics for the counters tests assert on.
-  struct SharedExecResult {
-    std::vector<Result<QueryResult>> results;
-    ExecStats batch_stats;
-    /// True when a shared morsel scan actually ran (vs. fallback
-    /// one-by-one execution).
-    bool shared = false;
-  };
-
-  /// Executes a batch of SELECT statements. When `share_scans` is on
-  /// and every statement is a morsel-eligible aggregate over the same
-  /// table and access path, they run as N columnar consumers of ONE
-  /// morsel scan; otherwise each executes solo (fallback, still
-  /// correct).
-  SharedExecResult ExecuteSharedSelects(const std::vector<std::string>& sqls);
 
   storage::Catalog* catalog() { return &catalog_; }
   const storage::Catalog* catalog() const { return &catalog_; }

@@ -46,11 +46,6 @@ struct ExecStats {
   /// Probe-side tuples dropped by a pushed-down build-side semi-join
   /// filter before ever touching a join hash table.
   uint64_t filter_skipped_rows = 0;
-  /// Morsel scans that fed more than one query (inter-query work
-  /// sharing; 0 when the statement ran solo).
-  uint64_t shared_scans = 0;
-  /// Queries served by those shared scans (consumers fed).
-  uint64_t shared_scan_queries = 0;
   /// True when the plan used at least one full (sequential) scan.
   bool used_seq_scan = false;
   /// True when the plan used at least one index path.
@@ -84,8 +79,6 @@ struct ExecStats {
     join_build_rows += o.join_build_rows;
     join_probe_rows += o.join_probe_rows;
     filter_skipped_rows += o.filter_skipped_rows;
-    shared_scans += o.shared_scans;
-    shared_scan_queries += o.shared_scan_queries;
     used_seq_scan = used_seq_scan || o.used_seq_scan;
     used_index_scan = used_index_scan || o.used_index_scan;
     vectorized_rows += o.vectorized_rows;

@@ -1679,10 +1679,12 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
   return cp;
 }
 
-// Morsel-private partial state of every morsel pipeline (aggregate,
-// shared scan and join probe): the morsel's group table plus its
-// counters, so workers share no mutable state. A GROUP BY-less
-// statement keeps its one group under the empty key.
+}  // namespace
+
+// Morsel-private partial state of every morsel pipeline (aggregate
+// and join probe): the morsel's group table plus its counters, so
+// workers share no mutable state. A GROUP BY-less statement keeps its
+// one group under the empty key.
 struct MorselPartial {
   std::array<std::unordered_map<Row, AggGroup, RowHash, RowEq>, kGroupBuckets>
       buckets;
@@ -1706,6 +1708,8 @@ struct MorselPartial {
     return it->second;
   }
 };
+
+namespace {
 
 // AggUpdate specialized on a vectorized argument lane: identical
 // state transitions (count/has_value/promotion/tie rules), minus the
@@ -2065,31 +2069,20 @@ bool FastRowBefore(const FastRow& a, const FastRow& b,
   return storage::KeyLess{}(*a.gkey, *b.gkey);
 }
 
-// One query riding a columnar morsel scan: its compiled plan and scan
-// header, plus one private partial per morsel. Solo execution runs one
-// consumer; a shared scan runs several over the same morsels through
-// the same two functions below, so each consumer's result is
-// bit-identical to its solo run.
-struct ColumnarConsumer {
-  const SelectStmt* stmt = nullptr;
-  const Relation* header = nullptr;
-  ColumnarPlan plan;
-  std::vector<MorselPartial> partials;
-};
-
-// Runs morsel `mi` of one consumer. `sel` holds the morsel's heap
-// positions in scan order; the WHERE conjuncts narrow it in order,
-// then each vectorized aggregate argument is evaluated once over the
-// survivors and folded into the morsel's private partial.
-Status RunColumnarMorsel(const storage::Table& t, size_t mi,
-                         std::vector<uint32_t> sel, ColumnarConsumer* c) {
-  const ColumnarPlan& cp = c->plan;
-  MorselPartial& part = c->partials[mi];
+// Runs one morsel of a columnar aggregate. `sel` holds the morsel's
+// heap positions in scan order; the WHERE conjuncts narrow it in
+// order, then each vectorized aggregate argument is evaluated once
+// over the survivors and folded into the morsel's private partial.
+// `header` is the scan's row layout.
+Status RunColumnarMorsel(const storage::Table& t, const Relation& header,
+                         const ColumnarPlan& cp, std::vector<uint32_t> sel,
+                         MorselPartial* partial) {
+  MorselPartial& part = *partial;
   part.scanned += sel.size();
 
   // Row-wise fallback machinery, used only by non-vectorizable
   // predicates / arguments / key expressions.
-  ColumnResolver resolver(c->header);
+  ColumnResolver resolver(&header);
   EvalScope scope{&resolver, nullptr, nullptr};
   EvalContext ctx;
   ctx.scope = &scope;
@@ -2125,7 +2118,7 @@ Status RunColumnarMorsel(const storage::Table& t, size_t mi,
     }
   }
 
-  if (c->stmt->group_by.empty()) {
+  if (cp.keys.empty()) {
     AggGroup& g = part.Group(Row{}, t.row(sel[0]), cp.aggs.size());
     for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
       const ColAggSpec& spec = cp.aggs[ai];
@@ -2187,38 +2180,32 @@ Status RunColumnarMorsel(const storage::Table& t, size_t mi,
   return Status::OK();
 }
 
-// The finish of every morsel pipeline once all its morsels ran:
-// charges the partials' counters to `stats`, merges their group
-// tables, adds the empty-input group of a GROUP BY-less statement,
-// and projects and sorts through the fast tail or FinalizeGroups.
-// `header` is the layout the group representatives were drawn from;
-// `threads` is the morsel region's width; a null `pool` runs
-// everything inline.
-Result<QueryResult> FinishMorselAggregate(
-    Executor* exec, ExecStats* stats, ThreadPool* pool, size_t threads,
-    const SelectStmt& stmt, const Relation& header,
-    const std::vector<const Expr*>& agg_nodes,
+}  // namespace
+
+Result<QueryResult> Executor::FinishMorselAggregate(
+    ThreadPool* pool, size_t threads, const SelectStmt& stmt,
+    const Relation& header, const std::vector<const Expr*>& agg_nodes,
     std::vector<MorselPartial>* partials) {
-  stats->morsels += partials->size();
-  if (static_cast<uint32_t>(threads) > stats->exec_threads) {
-    stats->exec_threads = static_cast<uint32_t>(threads);
+  stats_->morsels += partials->size();
+  if (static_cast<uint32_t>(threads) > stats_->exec_threads) {
+    stats_->exec_threads = static_cast<uint32_t>(threads);
   }
   for (const MorselPartial& part : *partials) {
-    stats->tuples_scanned += part.scanned;
-    stats->cpu_ops += part.cpu;
-    stats->cpu_ops_parallel += part.cpu;
-    stats->vectorized_rows += part.vec_rows;
-    stats->dict_hits += part.dict_hits;
-    stats->join_probe_rows += part.probed;
-    stats->filter_skipped_rows += part.filter_skipped;
-    stats->probe_vectorized_rows += part.probe_vec;
+    stats_->tuples_scanned += part.scanned;
+    stats_->cpu_ops += part.cpu;
+    stats_->cpu_ops_parallel += part.cpu;
+    stats_->vectorized_rows += part.vec_rows;
+    stats_->dict_hits += part.dict_hits;
+    stats_->join_probe_rows += part.probed;
+    stats_->filter_skipped_rows += part.filter_skipped;
+    stats_->probe_vectorized_rows += part.probe_vec;
   }
 
   obs::Span merge_span =
       obs::Tracer::Global().StartSpan("morsel.merge", "morsel");
   auto merged = std::make_unique<MergedBuckets>();
   APUAMA_RETURN_NOT_OK(
-      MergeGroupBuckets(pool, partials, agg_nodes, merged.get(), stats));
+      MergeGroupBuckets(pool, partials, agg_nodes, merged.get(), stats_));
   merge_span.End();
 
   if (stmt.group_by.empty()) {
@@ -2244,11 +2231,11 @@ Result<QueryResult> FinishMorselAggregate(
     GroupMap groups;
     for (GroupMap& gm : *merged) {
       for (auto& [key, g] : gm) {
-        ++stats->cpu_ops;
+        ++stats_->cpu_ops;
         groups.emplace(key, std::move(g));
       }
     }
-    return FinalizeGroups(exec, stats, stmt, header, &groups, agg_nodes,
+    return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
                           nullptr);
   }
 
@@ -2264,8 +2251,8 @@ Result<QueryResult> FinishMorselAggregate(
         return Status::OK();
       }));
   for (uint64_t cost : fcpu) {
-    stats->cpu_ops += cost;
-    stats->cpu_ops_parallel += cost;
+    stats_->cpu_ops += cost;
+    stats_->cpu_ops_parallel += cost;
   }
 
   QueryResult qr;
@@ -2286,14 +2273,12 @@ Result<QueryResult> FinishMorselAggregate(
     }
     qr.rows.push_back(std::move((*frows)[best][cursor[best]].out));
     ++cursor[best];
-    ++stats->cpu_ops;
+    ++stats_->cpu_ops;
   }
   if (stmt.distinct) DedupePreservingOrder(&qr.rows);
   ApplyOffsetLimit(stmt, &qr.rows);
   return qr;
 }
-
-}  // namespace
 
 Result<QueryResult> Executor::ProjectOnly(const SelectStmt& stmt,
                                           Relation rel,
@@ -2449,10 +2434,8 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   storage::ColumnStore::GetResult chunk = db_->column_store()->Get(t);
   if (chunk.built) ++stats_->columnar_chunks_built;
   if (chunk.rebuilt) ++stats_->columnar_chunk_rebuilds;
-  ColumnarConsumer c;
-  c.stmt = &stmt;
-  c.header = &header;
-  c.plan = CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
+  const ColumnarPlan cp =
+      CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
 
   // Coordinator-only spans: per-morsel worker spans would make trace
   // shape depend on thread timing, so only the pipeline phases are
@@ -2463,7 +2446,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   if (agg_span.active()) {
     agg_span.AddAttr("morsels", static_cast<int64_t>(sm.morsels.size()));
   }
-  c.partials.resize(sm.morsels.size());
+  std::vector<MorselPartial> partials(sm.morsels.size());
 
   const size_t threads =
       MorselWidth(db_->settings()->exec_threads, sm.morsels.size());
@@ -2473,11 +2456,12 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
         obs::Tracer::Global().StartSpan("morsel.scan", "morsel");
     APUAMA_RETURN_NOT_OK(
         ParallelFor(pool, 0, sm.morsels.size(), [&](size_t mi) -> Status {
-          return RunColumnarMorsel(t, mi, sm.Selection(mi), &c);
+          return RunColumnarMorsel(t, header, cp, sm.Selection(mi),
+                                   &partials[mi]);
         }));
   }
-  return FinishMorselAggregate(this, stats_, pool, threads, stmt, header,
-                               agg_nodes, &c.partials);
+  return FinishMorselAggregate(pool, threads, stmt, header, agg_nodes,
+                               &partials);
 }
 
 std::vector<uint32_t> Executor::ScanMorsels::Selection(size_t mi) const {
@@ -2543,159 +2527,6 @@ Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
     }
   }
   return sm;
-}
-
-// ---------------------------------------------------------------------------
-// Inter-query shared morsel scans
-// ---------------------------------------------------------------------------
-
-std::optional<std::vector<Result<QueryResult>>>
-Executor::ExecuteSharedAggregates(
-    Database* db, const std::vector<const sql::SelectStmt*>& stmts,
-    ExecStats* batch_stats) {
-  const size_t n = stmts.size();
-  if (n < 2) return std::nullopt;
-
-  // Per-query stats keep solo counter semantics (cpu, scanned,
-  // morsels, access-path flags); only page traffic lands exclusively
-  // in batch_stats, because pages really are touched once.
-  std::vector<ExecStats> qstats(n);
-  std::vector<Executor> execs;
-  execs.reserve(n);
-  for (size_t i = 0; i < n; ++i) execs.emplace_back(db, &qstats[i]);
-
-  // Every statement must be a morsel-eligible aggregate over one
-  // common table. All checks up to TouchAndMorselize are free of
-  // observable side effects, so a nullopt here leaves no residue.
-  const std::string table_name = stmts[0]->from.empty()
-                                     ? std::string()
-                                     : ToLower(stmts[0]->from[0].table);
-  if (table_name.empty()) return std::nullopt;
-  for (size_t i = 0; i < n; ++i) {
-    if (!StmtHasAggregation(*stmts[i])) return std::nullopt;
-    if (!execs[i].MorselEligible(*stmts[i], nullptr)) return std::nullopt;
-    if (ToLower(stmts[i]->from[0].table) != table_name) return std::nullopt;
-  }
-
-  auto table_result =
-      static_cast<const storage::Catalog*>(db->catalog())
-          ->GetTable(table_name);
-  if (!table_result.ok()) return std::nullopt;
-  const storage::Table& t = **table_result;
-
-  std::vector<FromBinding> fbs(n);
-  std::vector<std::vector<const Expr*>> preds(n);
-  std::vector<ScanPlan> plans;
-  plans.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    fbs[i].binding = ToLower(stmts[i]->from[0].binding());
-    fbs[i].table = &t;
-    preds[i] = sql::SplitConjuncts(stmts[i]->where.get());
-    auto plan = execs[i].PlanScan(fbs[i], preds[i], nullptr);
-    if (!plan.ok()) return std::nullopt;
-    plans.push_back(std::move(plan).value());
-  }
-  // One scan can only feed consumers that read the same positions in
-  // the same order: identical access path, range, and position list.
-  for (size_t i = 1; i < n; ++i) {
-    if (plans[i].path != plans[0].path ||
-        plans[i].range_begin != plans[0].range_begin ||
-        plans[i].range_end != plans[0].range_end ||
-        plans[i].index_positions != plans[0].index_positions) {
-      return std::nullopt;
-    }
-  }
-  const ScanPlan& plan = plans[0];
-
-  std::vector<std::vector<const Expr*>> agg_nodes(n);
-  std::vector<Relation> headers(n);
-  for (size_t i = 0; i < n; ++i) {
-    agg_nodes[i] = CollectAggInventory(*stmts[i]);
-    headers[i].columns.reserve(t.schema().num_columns());
-    for (const auto& col : t.schema().columns()) {
-      headers[i].columns.push_back(ColumnBinding{fbs[i].binding, col.name});
-    }
-  }
-
-  // The point of no return: the chunk is fetched and pages are
-  // touched once, into batch_stats, in the sequential scan's order.
-  Executor batch_exec(db, batch_stats);
-  storage::ColumnStore::GetResult chunk = db->column_store()->Get(t);
-  if (chunk.built) ++batch_stats->columnar_chunks_built;
-  if (chunk.rebuilt) ++batch_stats->columnar_chunk_rebuilds;
-  ScanMorsels sm = batch_exec.TouchAndMorselize(t, plan);
-  const size_t morsels = sm.morsels.size();
-
-  // consumers[i].partials[mi]: query i's private state for morsel mi —
-  // the exact decomposition solo execution uses, so merges are
-  // bit-identical.
-  std::vector<ColumnarConsumer> consumers(n);
-  for (size_t i = 0; i < n; ++i) {
-    consumers[i].stmt = stmts[i];
-    consumers[i].header = &headers[i];
-    consumers[i].plan = CompileColumnar(*stmts[i], headers[i], *chunk.chunk,
-                                        preds[i], agg_nodes[i]);
-    consumers[i].partials.resize(morsels);
-  }
-
-  const size_t threads = MorselWidth(db->settings()->exec_threads, morsels);
-  ThreadPool* pool = threads > 1 ? db->exec_pool() : nullptr;
-  auto run_morsel = [&](size_t mi) -> Status {
-    const std::vector<uint32_t> sel = sm.Selection(mi);
-    for (ColumnarConsumer& c : consumers) {
-      APUAMA_RETURN_NOT_OK(RunColumnarMorsel(t, mi, sel, &c));
-    }
-    return Status::OK();
-  };
-  if (!ParallelFor(pool, 0, morsels, run_morsel).ok()) {
-    // An evaluation error in any consumer aborts the whole batch; solo
-    // fallback re-runs each query and surfaces its own error.
-    return std::nullopt;
-  }
-
-  std::vector<Result<QueryResult>> results;
-  results.reserve(n);
-  uint64_t rows_scanned_once = 0;
-  for (const MorselPartial& part : consumers[0].partials) {
-    rows_scanned_once += part.scanned;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    ExecStats& qs = qstats[i];
-    qs.shared_scans = 1;
-    qs.shared_scan_queries = n;
-    Result<QueryResult> r = FinishMorselAggregate(
-        &execs[i], &qs, pool, threads, *stmts[i], headers[i], agg_nodes[i],
-        &consumers[i].partials);
-    if (r.ok()) {
-      r->stats = qs;
-      r->stats.tuples_output = r->rows.size();
-      qs.tuples_output = r->rows.size();
-    }
-    results.push_back(std::move(r));
-  }
-
-  // Batch accounting: the physical work actually performed. Pages and
-  // the scan itself happened once; every query's evaluation and merge
-  // cpu happened for real.
-  batch_stats->morsels += morsels;
-  batch_stats->tuples_scanned += rows_scanned_once;
-  if (static_cast<uint32_t>(threads) > batch_stats->exec_threads) {
-    batch_stats->exec_threads = static_cast<uint32_t>(threads);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    batch_stats->cpu_ops += qstats[i].cpu_ops;
-    batch_stats->cpu_ops_parallel += qstats[i].cpu_ops_parallel;
-    batch_stats->vectorized_rows += qstats[i].vectorized_rows;
-    batch_stats->dict_hits += qstats[i].dict_hits;
-    batch_stats->tuples_output += qstats[i].tuples_output;
-    batch_stats->used_seq_scan =
-        batch_stats->used_seq_scan || qstats[i].used_seq_scan;
-    batch_stats->used_index_scan =
-        batch_stats->used_index_scan || qstats[i].used_index_scan;
-  }
-  batch_stats->shared_scans += 1;
-  batch_stats->shared_scan_queries += n;
-  return results;
 }
 
 // ---------------------------------------------------------------------------
@@ -3427,9 +3258,8 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
 
   APUAMA_ASSIGN_OR_RETURN(
       QueryResult qr,
-      FinishMorselAggregate(this, stats_, pool,
-                            MorselWidth(want, dsm.morsels.size()), stmt,
-                            layouts.back(), agg_nodes, &partials));
+      FinishMorselAggregate(pool, MorselWidth(want, dsm.morsels.size()),
+                            stmt, layouts.back(), agg_nodes, &partials));
   return std::optional<QueryResult>(std::move(qr));
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "engine/eval.h"
 #include "engine/exec_stats.h"
 #include "engine/query_result.h"
@@ -28,6 +29,8 @@
 namespace apuama::engine {
 
 class Database;
+/// One morsel's private group table and counters (executor.cc).
+struct MorselPartial;
 
 /// Explains what access path a scan chose (tests / ablations).
 enum class AccessPath { kSeqScan, kClusteredRange, kSecondaryIndex };
@@ -73,21 +76,6 @@ class Executor {
   const std::vector<std::pair<std::string, AccessPath>>& scan_paths() const {
     return scan_paths_;
   }
-
-  /// Inter-query work sharing: runs a batch of independently issued
-  /// statements as N consumers of ONE morsel scan when every
-  /// statement is a morsel-eligible aggregate over the same table and
-  /// the planner picks the same access path for all of them. Pages
-  /// are touched once (into `batch_stats`); each query keeps its own
-  /// predicates, aggregation state, merge, and finalization, so every
-  /// result is bit-identical to solo execution at any `exec_threads`.
-  /// Returns nullopt when the batch cannot share — planning up to
-  /// that decision is side-effect free, so the caller can fall back
-  /// to solo execution with no stats or buffer-pool residue.
-  static std::optional<std::vector<Result<QueryResult>>>
-  ExecuteSharedAggregates(Database* db,
-                          const std::vector<const sql::SelectStmt*>& stmts,
-                          ExecStats* batch_stats);
 
   /// Runs `stmt`'s aggregate or projection tail on the sequential row
   /// executor over `rel` instead of its FROM and WHERE: the
@@ -169,6 +157,17 @@ class Executor {
   /// the plan is committed, so the fallback leaves no stats residue.
   Result<std::optional<QueryResult>> ExecuteMorselJoin(
       const sql::SelectStmt& stmt);
+
+  /// The finish of every morsel pipeline once all its morsels ran:
+  /// charges the partials' counters to this statement's stats, merges
+  /// their group tables, adds the empty-input group of a GROUP BY-less
+  /// statement, and projects and sorts. `header` is the layout the
+  /// group representatives were drawn from; `threads` is the morsel
+  /// region's width; a null `pool` runs everything inline.
+  Result<QueryResult> FinishMorselAggregate(
+      ThreadPool* pool, size_t threads, const sql::SelectStmt& stmt,
+      const Relation& header, const std::vector<const sql::Expr*>& agg_nodes,
+      std::vector<MorselPartial>* partials);
 
   /// Coordinator-side page touching + morsel decomposition for one
   /// planned scan: touches every page the scan will read, in exactly

@@ -16,7 +16,7 @@ namespace apuama::sql {
 enum class Knob {
   kEnableSeqscan,      // node: forced-index sub-queries (paper §3)
   kExecThreads,        // node: intra-node morsel threads
-  kShareScans,         // engine admission batching + node shared scans
+  kShareScans,         // controller: coalesces identical concurrent reads
   kResultCache,        // engine: versioned result cache
   kAdmission,          // controller: SLO admission ladder on/off
   kSloTargetUs,        // controller: default SLO deadline

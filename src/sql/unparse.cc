@@ -226,6 +226,19 @@ std::string UnparseStmt(const Stmt& s) {
     }
     case StmtKind::kDropTable:
       return "DROP TABLE " + static_cast<const DropTableStmt&>(s).table;
+    case StmtKind::kAlterFragment: {
+      const auto& st = static_cast<const AlterFragmentStmt&>(s);
+      std::string out = "ALTER TABLE " + st.table;
+      if (st.unfragment) return out + " UNFRAGMENT";
+      out += std::string(" FRAGMENT BY ") + (st.by_hash ? "HASH" : "RANGE") +
+             " (" + st.column + ")" +
+             StrFormat(" INTO %lld", static_cast<long long>(st.fragments));
+      if (st.replica_factor != 1) {
+        out += StrFormat(" REPLICA %lld",
+                         static_cast<long long>(st.replica_factor));
+      }
+      return out;
+    }
     case StmtKind::kCreateSample: {
       const auto& st = static_cast<const CreateSampleStmt&>(s);
       std::string out = "CREATE SAMPLE ";

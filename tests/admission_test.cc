@@ -126,8 +126,10 @@ TEST(AdmissionGateTest, QueueDrainsHighestPriorityFirst) {
   ASSERT_EQ(release_order.size(), 1u);
   EXPECT_EQ(release_order[0], 7);
   // Completing each released request frees the slot for the next.
-  gate.OnComplete(Ticket{.dispatch_us = 100, .priority = 7}, 200, true);
-  gate.OnComplete(Ticket{.dispatch_us = 200, .priority = 4}, 300, true);
+  gate.OnComplete(Ticket{.dispatch_us = 100, .priority = 7, .tenant = {}},
+                  200, true);
+  gate.OnComplete(Ticket{.dispatch_us = 200, .priority = 4, .tenant = {}},
+                  300, true);
   EXPECT_EQ(release_order, (std::vector<int>{7, 4, 0}));
 }
 

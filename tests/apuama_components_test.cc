@@ -171,14 +171,11 @@ TEST(ApuamaEngineTest, StatsAccumulate) {
 }
 
 TEST(ClusterFacadeTest, EndToEndThroughTheFacade) {
-  auto cluster = ApuamaCluster::Create({.num_nodes = 3});
+  auto cluster = ApuamaCluster::Create({.num_nodes = 3, .apuama = {}});
   ASSERT_TRUE(cluster.ok());
   ASSERT_TRUE((*cluster)
-                  ->ExecuteScript(
-                      "create table f (k bigint not null, v double, "
-                      "primary key (k));"
-                      "insert into f values (1, 1.5), (2, 2.5), (3, 3.5),"
-                      " (4, 4.5), (5, 5.5), (6, 6.5), (7, 7.5), (8, 8.5)")
+                  ->ExecuteScript("create table f (k bigint not null, "
+                                  "v double, primary key (k))")
                   .ok());
   VirtualPartitionSpace space;
   space.name = "k";
@@ -186,6 +183,14 @@ TEST(ClusterFacadeTest, EndToEndThroughTheFacade) {
   space.min_value = 1;
   space.max_value = 8;
   ASSERT_TRUE((*cluster)->RegisterPartitionSpace(std::move(space)).ok());
+  // Fragmentation DDL replays through the script path like any other
+  // statement.
+  Status script = (*cluster)->ExecuteScript(
+      "alter table f fragment by hash(k) into 2;"
+      "alter table f unfragment;"
+      "insert into f values (1, 1.5), (2, 2.5), (3, 3.5),"
+      " (4, 4.5), (5, 5.5), (6, 6.5), (7, 7.5), (8, 8.5)");
+  ASSERT_TRUE(script.ok()) << script.ToString();
 
   auto r = (*cluster)->Execute("select sum(v), count(*) from f");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -207,7 +212,7 @@ TEST(ClusterFacadeTest, EndToEndThroughTheFacade) {
 }
 
 TEST(ClusterFacadeTest, ScriptStopsAtFirstError) {
-  auto cluster = ApuamaCluster::Create({.num_nodes = 2});
+  auto cluster = ApuamaCluster::Create({.num_nodes = 2, .apuama = {}});
   ASSERT_TRUE(cluster.ok());
   Status s = (*cluster)->ExecuteScript(
       "create table a (x bigint); select * from nope; "
@@ -219,7 +224,7 @@ TEST(ClusterFacadeTest, ScriptStopsAtFirstError) {
 }
 
 TEST(ClusterFacadeTest, InvalidOptionsRejected) {
-  EXPECT_FALSE(ApuamaCluster::Create({.num_nodes = 0}).ok());
+  EXPECT_FALSE(ApuamaCluster::Create({.num_nodes = 0, .apuama = {}}).ok());
 }
 
 TEST(ApuamaEngineTest, BadNodeIdsRejected) {

@@ -1,7 +1,7 @@
 // Columnar vectorized execution: agreement with the sequential row
 // executor, a group-cardinality sweep, chunk invalidation after
 // writes, the row-wise fallbacks and index-order selections inside
-// the columnar pipelines, shared scans, and knob validation.
+// the columnar pipelines, and knob validation.
 //
 // The core contracts: every morsel-eligible aggregate is BIT-IDENTICAL
 // at every exec_threads setting, and matches the sequential reference
@@ -412,49 +412,6 @@ TEST(ColumnarTest, IndexOrderJoinDriverUsesTheVectorizedProbe) {
     EXPECT_TRUE(r.stats.used_index_scan) << sql;
     EXPECT_GT(r.stats.join_build_rows, 0u) << sql;
     EXPECT_GT(r.stats.probe_vectorized_rows, 0u) << sql;
-  }
-}
-
-// A shared-scan batch runs every consumer through the solo columnar
-// morsel body: each result is bit-identical to its solo run and
-// matches the reference, over a sequential and an index plan.
-TEST(ColumnarTest, SharedScanBatchRunsColumnarConsumers) {
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  MakeIndexedTables(&db);
-  Set(&db, "share_scans", "on");
-  const std::vector<std::vector<std::string>> batches = {
-      {"select sum(v) from fact",
-       "select g, count(*), sum(w) from fact group by g order by g",
-       "select min(s), max(s) from fact where s like 'd%'"},
-      {"select sum(v), count(*) from fact where g = 4",
-       "select w, sum(v) from fact where g = 4 group by w order by w",
-       "select max(s) from fact where g = 4 and s like '%7'"},
-  };
-  for (size_t b = 0; b < batches.size(); ++b) {
-    const std::vector<std::string>& batch = batches[b];
-    Set(&db, "enable_seqscan", b == 0 ? "on" : "off");
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE("batch " + std::to_string(b) +
-                   " threads=" + std::to_string(threads));
-      Set(&db, "exec_threads", std::to_string(threads));
-      auto shared = db.ExecuteSharedSelects(batch);
-      ASSERT_TRUE(shared.shared);
-      EXPECT_GT(shared.batch_stats.vectorized_rows, 0u);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        SCOPED_TRACE(batch[i]);
-        ASSERT_TRUE(shared.results[i].ok())
-            << shared.results[i].status().ToString();
-        auto solo = db.Execute(batch[i]);
-        ASSERT_TRUE(solo.ok()) << solo.status().ToString();
-        testutil::ExpectResultsIdentical(*solo, *shared.results[i]);
-        EXPECT_EQ(shared.results[i]->stats.vectorized_rows,
-                  solo->stats.vectorized_rows);
-        EXPECT_EQ(shared.results[i]->stats.used_index_scan, b == 1);
-        auto ref = db.ExecuteReference(batch[i]);
-        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-        testutil::ExpectMatchesReference(*ref, *shared.results[i]);
-      }
-    }
   }
 }
 

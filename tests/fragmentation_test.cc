@@ -13,6 +13,7 @@
 #include "apuama/data_catalog.h"
 #include "cjdbc/controller.h"
 #include "common/rng.h"
+#include "engine/database.h"
 #include "sql/parser.h"
 #include "sql/unparse.h"
 #include "tests/test_util.h"
@@ -180,6 +181,14 @@ TEST(FragmentationDdlTest, BadDdlRejected) {
                    ->Execute("alter table nope fragment by hash(x) into 2")
                    .ok());
   EXPECT_FALSE(s.engine->fragmentation_active());
+  // A bare node has no placement to change: a typed error, as for
+  // sample DDL.
+  engine::Database db;
+  for (const char* ddl : {"alter table t fragment by hash(k) into 2",
+                          "alter table t unfragment"}) {
+    EXPECT_EQ(db.Execute(ddl).status().code(), StatusCode::kInvalidArgument)
+        << ddl;
+  }
 }
 
 // ---------------------------------------------------------------------------

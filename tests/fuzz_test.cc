@@ -324,6 +324,11 @@ TEST(UnparseFuzz, DmlRoundTrips) {
            "CREATE CLUSTERED INDEX i ON t (a, b)",
            "EXPLAIN SELECT a FROM t WHERE a = 1",
            "SET enable_seqscan = off",
+           "ALTER TABLE t FRAGMENT BY HASH (a) INTO 4 REPLICA 2",
+           "ALTER TABLE t FRAGMENT BY RANGE (a) INTO 3",
+           "ALTER TABLE t UNFRAGMENT",
+           "CREATE SAMPLE s ON t RATIO 0.01",
+           "DROP SAMPLE s ON t",
        }) {
     auto p1 = Parse(stmt);
     ASSERT_TRUE(p1.ok()) << stmt << ": " << p1.status().ToString();

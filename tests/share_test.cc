@@ -1,6 +1,6 @@
 // Inter-query work sharing: fingerprint normalization, the versioned
-// result cache, scan-share rendezvous, shared morsel scans, and the
-// gated read path end-to-end through the C-JDBC controller.
+// result cache, the coalescing gate, and the gated read path
+// end-to-end through the C-JDBC controller.
 //
 // The correctness bar throughout: with both knobs off, behavior is
 // byte-for-byte solo execution; with them on, every answer is still
@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "apuama/apuama_engine.h"
+#include "apuama/share/coalescing_gate.h"
 #include "apuama/share/query_fingerprint.h"
 #include "apuama/share/result_cache.h"
-#include "apuama/share/scan_share.h"
 #include "cjdbc/controller.h"
 #include "engine/database.h"
 #include "tests/test_util.h"
@@ -206,7 +206,7 @@ TEST(ResultCacheTest, InvalidateAllDropsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan-share rendezvous
+// Coalescing gate
 // ---------------------------------------------------------------------------
 
 QueryResult Marked(int64_t v) {
@@ -216,213 +216,72 @@ QueryResult Marked(int64_t v) {
   return qr;
 }
 
-TEST(ScanShareManagerTest, LeaderRunsDistinctEntriesFollowersCoalesce) {
-  // max_batch = 2 closes the batch as soon as the second DISTINCT
-  // query joins, so the leader's WaitWindow returns without burning
-  // the (deliberately huge) window.
-  share::ScanShareManager gate(
-      share::ScanShareManager::Options{.window_us = 5'000'000,
-                                       .max_batch = 2});
-  auto leader = gate.Admit("t,", "fp1", "sql one");
+TEST(CoalescingGateTest, IdenticalFingerprintsCoalesceDistinctOnesLead) {
+  // A batch stays open until its leader's WaitWindow, which this test
+  // calls only after every arrival it sequences.
+  share::CoalescingGate gate(
+      share::CoalescingGate::Options{.window_us = 1000});
+  auto leader = gate.Admit("fp1");
   ASSERT_TRUE(leader.leader);
-  EXPECT_EQ(leader.index, 0u);
 
   // Follower: same fingerprint. Signals after Admit, before Await,
-  // so the test can sequence the third arrival deterministically.
+  // so the test can sequence the rest deterministically.
   std::promise<void> follower_in;
   std::promise<Result<QueryResult>> follower_out;
   std::thread follower([&] {
-    auto adm = gate.Admit("t,", "fp1", "sql one");
+    auto adm = gate.Admit("fp1");
     EXPECT_FALSE(adm.leader);
-    EXPECT_EQ(adm.index, 0u);
     follower_in.set_value();
     follower_out.set_value(gate.Await(adm));
   });
   follower_in.get_future().wait();
 
-  // Member: new fingerprint, fills the batch (max_batch = 2).
-  std::promise<void> member_in;
-  std::promise<Result<QueryResult>> member_out;
-  std::thread member([&] {
-    auto adm = gate.Admit("t,", "fp2", "sql two");
-    EXPECT_FALSE(adm.leader);
-    EXPECT_EQ(adm.index, 1u);
-    member_in.set_value();
-    member_out.set_value(gate.Await(adm));
-  });
-  member_in.get_future().wait();
+  // A distinct fingerprint never joins: it opens and leads its own
+  // batch, whose result is its own.
+  auto other = gate.Admit("fp2");
+  ASSERT_TRUE(other.leader);
+  EXPECT_NE(other.batch, leader.batch);
+  gate.WaitWindow(other);
+  gate.Publish(other, Marked(20));
 
-  std::vector<std::string> batch = gate.WaitWindow(leader);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0], "sql one");
-  EXPECT_EQ(batch[1], "sql two");
-  std::vector<Result<QueryResult>> results;
-  results.push_back(Marked(10));
-  results.push_back(Marked(20));
-  gate.Publish(leader, std::move(results));
-
+  gate.WaitWindow(leader);
+  gate.Publish(leader, Marked(10));
   auto fr = follower_out.get_future().get();
   ASSERT_TRUE(fr.ok());
   EXPECT_EQ(fr->rows[0][0].int_val(), 10);
-  auto mr = member_out.get_future().get();
-  ASSERT_TRUE(mr.ok());
-  EXPECT_EQ(mr->rows[0][0].int_val(), 20);
   follower.join();
-  member.join();
-  EXPECT_EQ(gate.batches(), 1u);
-  // Both non-leader arrivals rode the leader's admission.
-  EXPECT_EQ(gate.queries_coalesced(), 2u);
 }
 
-TEST(ScanShareManagerTest, LeaderErrorPropagatesToWaiters) {
-  share::ScanShareManager gate(
-      share::ScanShareManager::Options{.window_us = 1000, .max_batch = 16});
-  auto leader = gate.Admit("t,", "fp", "sql");
+TEST(CoalescingGateTest, LeaderErrorPropagatesToWaiters) {
+  share::CoalescingGate gate(
+      share::CoalescingGate::Options{.window_us = 1000});
+  auto leader = gate.Admit("fp");
   ASSERT_TRUE(leader.leader);
   std::promise<void> joined;
   std::promise<Result<QueryResult>> out;
   std::thread waiter([&] {
-    auto adm = gate.Admit("t,", "fp", "sql");
+    auto adm = gate.Admit("fp");
     EXPECT_FALSE(adm.leader);
     joined.set_value();
     out.set_value(gate.Await(adm));
   });
   joined.get_future().wait();
-  auto batch = gate.WaitWindow(leader);
-  ASSERT_EQ(batch.size(), 1u);
-  std::vector<Result<QueryResult>> results;
-  results.push_back(Status::Unavailable("backend down"));
-  gate.Publish(leader, std::move(results));
+  gate.WaitWindow(leader);
+  gate.Publish(leader, Status::Unavailable("backend down"));
   auto r = out.get_future().get();
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   waiter.join();
+  // The closed window admits the next identical read as a new leader.
+  EXPECT_TRUE(gate.Admit("fp").leader);
 }
 
-TEST(ScanShareManagerTest, DifferentGroupsNeverRendezvous) {
-  share::ScanShareManager gate(
-      share::ScanShareManager::Options{.window_us = 0, .max_batch = 16});
-  auto a = gate.Admit("a,", "fp", "sql");
-  auto b = gate.Admit("b,", "fp", "sql");
+TEST(CoalescingGateTest, DifferentFingerprintsNeverRendezvous) {
+  share::CoalescingGate gate(share::CoalescingGate::Options{.window_us = 0});
+  auto a = gate.Admit("select 1 from t");
+  auto b = gate.Admit("select 2 from t");
   EXPECT_TRUE(a.leader);
-  EXPECT_TRUE(b.leader);  // separate table sets: separate batches
-}
-
-// ---------------------------------------------------------------------------
-// Shared morsel scans (engine::Database level)
-// ---------------------------------------------------------------------------
-
-void MakeSharedTable(engine::Database* db) {
-  ASSERT_TRUE(
-      db->Execute("create table t (k int, g int, v double)").ok());
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_TRUE(db->Execute("insert into t values (" + std::to_string(i) +
-                            ", " + std::to_string(i % 7) + ", " +
-                            std::to_string(i) + ".5)")
-                    .ok());
-  }
-}
-
-const std::vector<std::string>& SharedBatchQueries() {
-  static const std::vector<std::string> qs = {
-      "select sum(v) from t",
-      "select g, count(*) as n, sum(v) as s from t group by g",
-      "select sum(v) from t where g < 3",
-  };
-  return qs;
-}
-
-TEST(SharedSelectsTest, BitIdenticalToSoloAtEveryThreadCount) {
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  MakeSharedTable(&db);
-  ASSERT_TRUE(db.Execute("set share_scans = on").ok());
-  for (int threads : {1, 2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ASSERT_TRUE(
-        db.Execute("set exec_threads = " + std::to_string(threads)).ok());
-    std::vector<QueryResult> solo;
-    for (const auto& q : SharedBatchQueries()) {
-      auto r = db.Execute(q);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      solo.push_back(std::move(r).value());
-    }
-    auto shared = db.ExecuteSharedSelects(SharedBatchQueries());
-    EXPECT_TRUE(shared.shared);
-    ASSERT_EQ(shared.results.size(), solo.size());
-    for (size_t i = 0; i < solo.size(); ++i) {
-      ASSERT_TRUE(shared.results[i].ok())
-          << shared.results[i].status().ToString();
-      testutil::ExpectResultsIdentical(solo[i], *shared.results[i]);
-    }
-  }
-}
-
-TEST(SharedSelectsTest, BatchChargesScanPagesOnce) {
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  MakeSharedTable(&db);
-  ASSERT_TRUE(db.Execute("set share_scans = on").ok());
-  // Warm the pool, then measure one solo scan's page traffic.
-  ASSERT_TRUE(db.Execute("select sum(v) from t").ok());
-  auto solo = db.Execute("select sum(v) from t");
-  ASSERT_TRUE(solo.ok());
-  const uint64_t solo_pages =
-      solo->stats.pages_disk + solo->stats.pages_cache;
-  ASSERT_GT(solo_pages, 0u);
-  auto shared = db.ExecuteSharedSelects(SharedBatchQueries());
-  ASSERT_TRUE(shared.shared);
-  const uint64_t batch_pages =
-      shared.batch_stats.pages_disk + shared.batch_stats.pages_cache;
-  // Three consumers, ONE scan: the batch's page traffic equals a
-  // single solo scan, not three.
-  EXPECT_EQ(batch_pages, solo_pages);
-  EXPECT_GT(shared.batch_stats.shared_scans, 0u);
-  EXPECT_EQ(shared.batch_stats.shared_scan_queries,
-            SharedBatchQueries().size());
-  // Per-query stats keep their logical counters but charge no pages
-  // (the batch already did) — summing them can't double-count I/O.
-  for (const auto& r : shared.results) {
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->stats.pages_disk + r->stats.pages_cache, 0u);
-  }
-}
-
-TEST(SharedSelectsTest, KnobOffFallsBackToSolo) {
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  MakeSharedTable(&db);
-  // share_scans defaults to off: byte-for-byte solo behavior.
-  auto shared = db.ExecuteSharedSelects(SharedBatchQueries());
-  EXPECT_FALSE(shared.shared);
-  for (const auto& r : shared.results) {
-    ASSERT_TRUE(r.ok());
-  }
-}
-
-TEST(SharedSelectsTest, IneligibleBatchesFallBackAndStayCorrect) {
-  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
-  MakeSharedTable(&db);
-  ASSERT_TRUE(db.Execute("create table u (k int, v double)").ok());
-  ASSERT_TRUE(db.Execute("insert into u values (1, 2.0)").ok());
-  ASSERT_TRUE(db.Execute("set share_scans = on").ok());
-  // Mixed tables: no common scan to share.
-  auto mixed = db.ExecuteSharedSelects(
-      {"select sum(v) from t", "select sum(v) from u"});
-  EXPECT_FALSE(mixed.shared);
-  ASSERT_TRUE(mixed.results[0].ok());
-  ASSERT_TRUE(mixed.results[1].ok());
-  EXPECT_DOUBLE_EQ(mixed.results[1]->rows[0][0].double_val(), 2.0);
-  // A parse failure in the batch: everyone still gets their own
-  // (correct or error) result.
-  auto bad = db.ExecuteSharedSelects(
-      {"select sum(v) from t", "selec nonsense"});
-  EXPECT_FALSE(bad.shared);
-  EXPECT_TRUE(bad.results[0].ok());
-  EXPECT_FALSE(bad.results[1].ok());
-  // Non-aggregates take the solo path.
-  auto proj = db.ExecuteSharedSelects(
-      {"select k from t where k < 2", "select k from t where k < 2"});
-  EXPECT_FALSE(proj.shared);
-  ASSERT_TRUE(proj.results[0].ok());
-  EXPECT_EQ(proj.results[0]->num_rows(), 2u);
+  EXPECT_TRUE(b.leader);  // same table, different reads: separate batches
 }
 
 // ---------------------------------------------------------------------------
@@ -433,37 +292,6 @@ const tpch::TpchData& TinyData() {
   static const tpch::TpchData* data =
       new tpch::TpchData(tpch::DbgenOptions{.scale_factor = 0.001});
   return *data;
-}
-
-TEST(EngineSharedReadTest, BatchMatchesSoloAndSplitsOffSvp) {
-  engine::Database reference(
-      engine::DatabaseOptions{.buffer_pool_pages = 0});
-  ASSERT_TRUE(TinyData().LoadInto(&reference).ok());
-  cjdbc::ReplicaSet replicas(
-      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
-  ASSERT_TRUE(TinyData().LoadIntoReplicas(&replicas).ok());
-  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(TinyData()));
-  engine.SetShareScans(true);
-  ASSERT_TRUE(replicas.ApplyToAll("set share_scans = on").ok());
-  // One SVP-eligible fact query plus two shareable dimension
-  // aggregates: the fact query must keep its composition path (bit
-  // identity with solo SVP), the rest ride one batch.
-  const std::vector<std::string> batch = {
-      "select sum(l_quantity) from lineitem",
-      "select count(*) as n from customer",
-      "select sum(c_acctbal) from customer",
-  };
-  auto results = engine.ExecuteSharedRead(0, batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    SCOPED_TRACE(batch[i]);
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    auto expected = reference.Execute(batch[i]);
-    ASSERT_TRUE(expected.ok());
-    testutil::ExpectResultsEqual(*expected, *results[i]);
-  }
-  EXPECT_GE(engine.stats().svp_queries.load(), 1u);
-  EXPECT_GE(engine.stats().shared_scan_queries.load(), 2u);
 }
 
 TEST(ControllerSharingTest, SetKnobsRoundTripThroughController) {
@@ -531,6 +359,51 @@ TEST(ControllerSharingTest, DdlDropsCachedResults) {
   EXPECT_GE(hits, 1u);
   ASSERT_TRUE(controller.Execute("create table scratch (k int)").ok());
   EXPECT_EQ(engine->result_cache()->size(), 0u);
+}
+
+// Distinct reads over the same table never share an execution: each
+// runs as it would with sharing off, and none counts as coalesced.
+TEST(ControllerSharingTest, DistinctConcurrentReadsNeverCoalesce) {
+  cjdbc::ReplicaSet replicas(
+      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(TinyData().LoadIntoReplicas(&replicas).ok());
+  // The window the identical-reads test coalesces under.
+  ApuamaOptions options;
+  options.admission_window_us = 50'000;
+  auto* engine = new ApuamaEngine(
+      &replicas, tpch::MakeTpchCatalog(TinyData()), options);
+  std::unique_ptr<ApuamaEngine> own(engine);
+  cjdbc::Controller controller(std::make_unique<ApuamaDriver>(engine));
+  ASSERT_TRUE(controller.Execute("set share_scans = on").ok());
+
+  engine::Database reference(
+      engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(TinyData().LoadInto(&reference).ok());
+  const std::vector<std::string> queries = {
+      "select count(*) as n from customer",
+      "select sum(c_acctbal) as s from customer",
+  };
+  std::promise<void> go;
+  std::shared_future<void> start = go.get_future().share();
+  std::vector<Result<QueryResult>> results(
+      queries.size(), Result<QueryResult>(Status::Internal("not run")));
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    threads.emplace_back([&, i] {
+      start.wait();
+      results[i] = controller.Execute(queries[i]);
+    });
+  }
+  go.set_value();
+  for (auto& t : threads) t.join();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE(queries[i]);
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    auto expected = reference.Execute(queries[i]);
+    ASSERT_TRUE(expected.ok());
+    testutil::ExpectResultsEqual(*expected, *results[i]);
+  }
+  EXPECT_EQ(controller.stats().queries_coalesced, 0u);
 }
 
 TEST(ControllerSharingTest, ConcurrentIdenticalReadsCoalesce) {
