@@ -53,7 +53,6 @@ std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
           {"svp_retries", v(svp_retries)},
           {"result_cache_hits", v(result_cache_hits)},
           {"result_cache_misses", v(result_cache_misses)},
-          {"queries_coalesced", v(queries_coalesced)},
           {"vectorized_rows", v(vectorized_rows)},
           {"dict_hits", v(dict_hits)},
           {"probe_vectorized_rows", v(probe_vectorized_rows)},
@@ -369,10 +368,6 @@ void ApuamaEngine::CacheInsert(
     const share::ResultCache::FillTicket& ticket,
     std::shared_ptr<const engine::QueryResult> result) {
   result_cache_.Insert(ticket, std::move(result));
-}
-
-void ApuamaEngine::NoteCoalesced(uint64_t n) {
-  stats_.queries_coalesced.fetch_add(n, std::memory_order_relaxed);
 }
 
 void ApuamaEngine::SetShareScans(bool on) {

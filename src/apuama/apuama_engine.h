@@ -92,7 +92,6 @@ struct ApuamaStats {
   std::atomic<uint64_t> svp_retries{0};        // failover resubmissions
   std::atomic<uint64_t> result_cache_hits{0};  // reads served from cache
   std::atomic<uint64_t> result_cache_misses{0};
-  std::atomic<uint64_t> queries_coalesced{0};  // served by an identical read
   // Columnar execution, summed over every node result the engine saw
   // (SVP partials and passthrough reads):
   std::atomic<uint64_t> vectorized_rows{0};    // row-slots through kernels
@@ -203,7 +202,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
   void CacheInsert(
       const share::ResultCache::FillTicket& ticket,
       std::shared_ptr<const engine::QueryResult> result) override;
-  void NoteCoalesced(uint64_t n) override;
 
   /// Runtime knob flips (the connection layer applies the
   /// SET share_scans / SET result_cache broadcasts).

@@ -49,9 +49,6 @@ class WorkSharingHooks {
   virtual void CacheInsert(
       const ResultCache::FillTicket& ticket,
       std::shared_ptr<const engine::QueryResult> result) = 0;
-
-  /// Stats: `n` reads got an identical concurrent read's result.
-  virtual void NoteCoalesced(uint64_t n) = 0;
 };
 
 }  // namespace apuama::share

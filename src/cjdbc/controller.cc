@@ -197,7 +197,6 @@ Result<engine::QueryResult> Controller::ExecuteRead(const std::string& sql) {
   // shares that read's execution; followers block until it publishes.
   auto admission = gate_->Admit(fingerprint);
   if (!admission.leader) {
-    sharing_->NoteCoalesced(1);
     stats_.queries_coalesced.fetch_add(1, std::memory_order_relaxed);
     obs::Tracer::Global().Instant("gate.coalesced", "share");
     return gate_->Await(admission);

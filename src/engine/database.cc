@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <optional>
 #include <thread>
 
 #include "common/logging.h"
@@ -392,123 +391,10 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& stmt) {
   return qr;
 }
 
-namespace {
-// Finds positions of rows matching a WHERE predicate. When the
-// predicate constrains the first clustered-key column with literal
-// bounds (the shape refresh deletes take: `l_orderkey = K`), only
-// that key range is scanned — the PK-index path a real DBMS would
-// use. Otherwise falls back to a full scan. All page traffic flows
-// through the buffer pool either way.
-Result<std::vector<size_t>> MatchPositions(Database* db,
-                                           storage::Table* table,
-                                           const sql::Expr* where,
-                                           ExecStats* stats) {
-  size_t begin = 0, end = table->num_rows();
-  if (where != nullptr && !table->clustered_key().empty()) {
-    const int key_col = table->clustered_key()[0];
-    std::optional<Value> lo, hi;
-    bool lo_inc = true, hi_inc = true;
-    for (const sql::Expr* c : sql::SplitConjuncts(where)) {
-      if (c->kind != sql::ExprKind::kBinary ||
-          !sql::IsComparison(c->binary_op)) {
-        continue;
-      }
-      const sql::Expr* colref = c->children[0].get();
-      const sql::Expr* lit = c->children[1].get();
-      sql::BinaryOp op = c->binary_op;
-      if (colref->kind != sql::ExprKind::kColumnRef) {
-        std::swap(colref, lit);
-        // Mirror the comparison when the literal is on the left.
-        switch (op) {
-          case sql::BinaryOp::kLt: op = sql::BinaryOp::kGt; break;
-          case sql::BinaryOp::kLtEq: op = sql::BinaryOp::kGtEq; break;
-          case sql::BinaryOp::kGt: op = sql::BinaryOp::kLt; break;
-          case sql::BinaryOp::kGtEq: op = sql::BinaryOp::kLtEq; break;
-          default: break;
-        }
-      }
-      if (colref->kind != sql::ExprKind::kColumnRef ||
-          lit->kind != sql::ExprKind::kLiteral || lit->literal.is_null()) {
-        continue;
-      }
-      if (table->schema().FindColumn(colref->column_name) != key_col) {
-        continue;
-      }
-      switch (op) {
-        case sql::BinaryOp::kEq:
-          lo = lit->literal;
-          hi = lit->literal;
-          lo_inc = hi_inc = true;
-          break;
-        case sql::BinaryOp::kLt:
-          if (!hi || lit->literal.Compare(*hi) < 0) hi = lit->literal;
-          hi_inc = false;
-          break;
-        case sql::BinaryOp::kLtEq:
-          if (!hi || lit->literal.Compare(*hi) < 0) hi = lit->literal;
-          break;
-        case sql::BinaryOp::kGt:
-          if (!lo || lit->literal.Compare(*lo) > 0) lo = lit->literal;
-          lo_inc = false;
-          break;
-        case sql::BinaryOp::kGtEq:
-          if (!lo || lit->literal.Compare(*lo) > 0) lo = lit->literal;
-          break;
-        default:
-          break;
-      }
-    }
-    if (lo.has_value() || hi.has_value()) {
-      auto [b, e] = table->ClusteredRange(
-          lo.has_value() ? &*lo : nullptr, lo_inc,
-          hi.has_value() ? &*hi : nullptr, hi_inc);
-      begin = b;
-      end = e;
-    }
-  }
-
-  std::vector<size_t> out;
-  Relation rel;
-  for (const auto& col : table->schema().columns()) {
-    rel.columns.push_back(ColumnBinding{table->name(), col.name});
-  }
-  ColumnResolver resolver(&rel);
-  EvalScope scope{&resolver, nullptr, nullptr};
-  EvalContext ctx;
-  ctx.scope = &scope;
-  ctx.cpu_ops = &stats->cpu_ops;
-  size_t rpp = table->rows_per_page();
-  size_t last_page = SIZE_MAX;
-  for (size_t i = begin; i < end; ++i) {
-    if (i / rpp != last_page) {
-      last_page = i / rpp;
-      bool hit = db->buffer_pool()->Touch(table->PageOfPosition(i));
-      if (hit) {
-        ++stats->pages_cache;
-      } else {
-        ++stats->pages_disk;
-      }
-    }
-    const Row& r = table->row(i);
-    ++stats->tuples_scanned;
-    if (where != nullptr) {
-      scope.row = &r;
-      APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*where, ctx));
-      if (Truthiness(v) != 1) continue;
-    }
-    out.push_back(i);
-  }
-  return out;
-}
-}  // namespace
-
 Result<QueryResult> Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
   APUAMA_ASSIGN_OR_RETURN(storage::Table * table,
                           catalog_.GetTable(stmt.table));
   QueryResult qr;
-  // Fast path: equality/range on the clustered key via Executor-style
-  // predicate evaluation is overkill for the model; a filtered pass is
-  // correct and the page accounting still flows through the pool.
   sql::ExprPtr folded;
   const sql::Expr* where = stmt.where.get();
   if (where != nullptr) {
@@ -516,8 +402,9 @@ Result<QueryResult> Database::ExecuteDelete(const sql::DeleteStmt& stmt) {
     sql::FoldConstants(folded.get());
     where = folded.get();
   }
+  Executor exec(this, &qr.stats);
   APUAMA_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                          MatchPositions(this, table, where, &qr.stats));
+                          exec.MatchWrite(*table, where));
   if (in_txn_) {
     std::vector<Row> removed;
     removed.reserve(positions.size());
@@ -543,8 +430,9 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
     sql::FoldConstants(folded.get());
     where = folded.get();
   }
+  Executor exec(this, &qr.stats);
   APUAMA_ASSIGN_OR_RETURN(std::vector<size_t> positions,
-                          MatchPositions(this, table, where, &qr.stats));
+                          exec.MatchWrite(*table, where));
 
   // Evaluate assignments per row (rhs may reference current values),
   // then re-insert: updating clustered-key columns must re-sort.

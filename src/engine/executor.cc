@@ -39,12 +39,19 @@ struct Executor::FromBinding {
   const storage::Table* table = nullptr;
 };
 
+// One WHERE conjunct as ClassifyWhere sees it.
 struct Executor::ConjunctInfo {
   const Expr* expr = nullptr;
   std::set<std::string> bindings;  // FROM bindings referenced
   bool uses_outer = false;         // references an enclosing scope
   bool is_subquery_pred = false;   // EXISTS / IN-subquery node
-  bool applied = false;
+  // Equi-join sides: set when the conjunct is `lhs = rhs`, it reads
+  // no enclosing scope, and each side reads one FROM binding, the two
+  // distinct (`lb`, `rb`).
+  const Expr* lhs = nullptr;
+  const Expr* rhs = nullptr;
+  std::string lb, rb;
+  bool applied = false;  // ExecuteFromWhere's bookkeeping
 };
 
 namespace {
@@ -170,6 +177,15 @@ struct Bound {
   bool inclusive = true;
 };
 
+// Wrapping add via unsigned arithmetic: the two's-complement bits an
+// int64 SUM has always produced, with defined behavior when a SUM
+// overflows. Every int accumulator (row, vectorized, merge) adds
+// through it.
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 // Aggregate accumulator.
 struct AggAcc {
   double dsum = 0;
@@ -203,7 +219,7 @@ void AggUpdate(AggAcc* acc, const Expr& agg, const Value& v) {
   }
   if (agg.func_name == "sum" || agg.func_name == "avg") {
     if (v.type() == ValueType::kInt64 && !acc->any_double) {
-      acc->isum += v.int_val();
+      acc->isum = WrapAdd(acc->isum, v.int_val());
     } else {
       if (!acc->any_double) {
         acc->dsum = static_cast<double>(acc->isum);
@@ -280,7 +296,7 @@ void AggMerge(AggAcc* dst, const AggAcc& src, const Expr& agg) {
   }
   if (agg.func_name == "sum" || agg.func_name == "avg") {
     if (!src.any_double && !dst->any_double) {
-      dst->isum += src.isum;
+      dst->isum = WrapAdd(dst->isum, src.isum);
     } else {
       if (!dst->any_double) {
         dst->dsum = static_cast<double>(dst->isum);
@@ -316,6 +332,23 @@ Status FoldRow(const std::vector<const Expr*>& agg_nodes,
     }
   }
   return Status::OK();
+}
+
+// The NULL-key rule of every equi-join: evaluates each of `exprs`
+// into *key (all of them, so the charge does not depend on where a
+// NULL sits) and returns false when the key holds a NULL, which never
+// matches.
+Result<bool> EvalJoinKey(const std::vector<const Expr*>& exprs,
+                         const EvalContext& ctx, Row* key) {
+  key->clear();
+  key->reserve(exprs.size());
+  bool matchable = true;
+  for (const Expr* e : exprs) {
+    APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*e, ctx));
+    if (v.is_null()) matchable = false;
+    key->push_back(std::move(v));
+  }
+  return matchable;
 }
 
 bool ExprHasSubquery(const Expr& e) {
@@ -440,41 +473,32 @@ size_t JoinReserveHint(size_t left, size_t right) {
 // FROM/WHERE pipeline
 // ---------------------------------------------------------------------------
 
-Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
-                                            const EvalScope* outer) {
-  // Resolve FROM bindings.
-  std::vector<FromBinding> from;
+Status Executor::ClassifyWhere(const SelectStmt& stmt,
+                               std::vector<FromBinding>* from,
+                               std::vector<ConjunctInfo>* conjuncts) const {
   std::vector<std::string> binding_names;
   for (const auto& ref : stmt.from) {
     APUAMA_ASSIGN_OR_RETURN(const storage::Table* t,
                             static_cast<const storage::Catalog*>(
                                 db_->catalog())
                                 ->GetTable(ref.table));
-    FromBinding fb;
-    fb.binding = ToLower(ref.binding());
-    fb.table = t;
-    from.push_back(fb);
-    binding_names.push_back(fb.binding);
-  }
-  if (from.empty()) {
-    Relation rel;
-    rel.rows.push_back(Row{});  // one empty row, e.g. SELECT 1
-    return rel;
+    from->push_back(FromBinding{ToLower(ref.binding()), t});
+    binding_names.push_back(from->back().binding);
   }
 
   // Attribute a column ref to a FROM binding (or -1 = outer/unknown).
   auto attribute = [&](const Expr& e) -> int {
     if (!e.table_qualifier.empty()) {
-      for (size_t i = 0; i < from.size(); ++i) {
-        if (EqualsIgnoreCase(from[i].binding, e.table_qualifier)) {
+      for (size_t i = 0; i < from->size(); ++i) {
+        if (EqualsIgnoreCase((*from)[i].binding, e.table_qualifier)) {
           return static_cast<int>(i);
         }
       }
       return -1;
     }
     int found = -1;
-    for (size_t i = 0; i < from.size(); ++i) {
-      if (from[i].table->schema().FindColumn(e.column_name) >= 0) {
+    for (size_t i = 0; i < from->size(); ++i) {
+      if ((*from)[i].table->schema().FindColumn(e.column_name) >= 0) {
         if (found >= 0) return found;  // ambiguous: first wins for
                                        // placement; eval will error
         found = static_cast<int>(i);
@@ -482,23 +506,51 @@ Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
     }
     return found;
   };
+  auto collect = [&](const Expr& e, std::set<std::string>* out,
+                     bool* uses_outer) {
+    CollectBindings(e, db_->catalog(), attribute, out, uses_outer,
+                    binding_names);
+  };
 
-  // Classify conjuncts.
-  std::vector<ConjunctInfo> conjuncts;
   for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
     ConjunctInfo info;
     info.expr = c;
     info.is_subquery_pred =
         c->kind == ExprKind::kExists || c->kind == ExprKind::kInSubquery;
     if (!info.is_subquery_pred) {
-      CollectBindings(*c, db_->catalog(), attribute, &info.bindings, &info.uses_outer,
-                      binding_names);
+      collect(*c, &info.bindings, &info.uses_outer);
     } else if (c->kind == ExprKind::kInSubquery) {
-      CollectBindings(*c->children[0], db_->catalog(), attribute, &info.bindings,
-                      &info.uses_outer, binding_names);
+      collect(*c->children[0], &info.bindings, &info.uses_outer);
     }
-    conjuncts.push_back(std::move(info));
+    if (!info.is_subquery_pred && !info.uses_outer &&
+        info.bindings.size() == 2 && c->kind == ExprKind::kBinary &&
+        c->binary_op == BinaryOp::kEq) {
+      std::set<std::string> lb, rb;
+      bool outer_ref = false;  // cannot be set: the whole reads no outer
+      collect(*c->children[0], &lb, &outer_ref);
+      collect(*c->children[1], &rb, &outer_ref);
+      if (lb.size() == 1 && rb.size() == 1 && *lb.begin() != *rb.begin()) {
+        info.lhs = c->children[0].get();
+        info.rhs = c->children[1].get();
+        info.lb = *lb.begin();
+        info.rb = *rb.begin();
+      }
+    }
+    conjuncts->push_back(std::move(info));
   }
+  return Status::OK();
+}
+
+Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
+                                            const EvalScope* outer) {
+  if (stmt.from.empty()) {
+    Relation rel;
+    rel.rows.push_back(Row{});  // one empty row, e.g. SELECT 1
+    return rel;
+  }
+  std::vector<FromBinding> from;
+  std::vector<ConjunctInfo> conjuncts;
+  APUAMA_RETURN_NOT_OK(ClassifyWhere(stmt, &from, &conjuncts));
 
   // Scan each table with its single-table predicates.
   std::vector<Relation> rels(from.size());
@@ -516,38 +568,11 @@ Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
     rel_bindings[i] = {from[i].binding};
   }
 
-  // Equality join predicates between two bindings.
-  struct JoinPred {
-    const Expr* lhs;
-    const Expr* rhs;
-    std::string lb, rb;  // binding of each side
-    bool applied = false;
-  };
-  std::vector<JoinPred> join_preds;
+  // Equality join predicates between two bindings; each is applied
+  // by the join that covers its second binding.
+  std::vector<ConjunctInfo*> join_preds;
   for (auto& c : conjuncts) {
-    if (c.applied || c.is_subquery_pred || c.uses_outer) continue;
-    if (c.bindings.size() != 2) continue;
-    const Expr* e = c.expr;
-    if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq) {
-      continue;
-    }
-    // Each side must reference exactly one distinct binding.
-    std::set<std::string> lb, rb;
-    bool lo = false, ro = false;
-    CollectBindings(*e->children[0], db_->catalog(), attribute, &lb, &lo,
-                    binding_names);
-    CollectBindings(*e->children[1], db_->catalog(), attribute, &rb, &ro,
-                    binding_names);
-    if (lo || ro || lb.size() != 1 || rb.size() != 1 || *lb.begin() == *rb.begin()) {
-      continue;
-    }
-    JoinPred jp;
-    jp.lhs = e->children[0].get();
-    jp.rhs = e->children[1].get();
-    jp.lb = *lb.begin();
-    jp.rb = *rb.begin();
-    join_preds.push_back(jp);
-    c.applied = true;
+    if (c.lhs != nullptr) join_preds.push_back(&c);
   }
 
   // Greedy join order: start with the smallest relation; repeatedly
@@ -565,7 +590,7 @@ Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
 
   auto apply_residuals = [&](Relation* rel) -> Status {
     for (auto& c : conjuncts) {
-      if (c.applied || c.is_subquery_pred) continue;
+      if (c.applied || c.is_subquery_pred || c.lhs != nullptr) continue;
       bool covered = true;
       for (const auto& b : c.bindings) {
         if (!cur_bindings.count(b)) {
@@ -601,12 +626,12 @@ Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
     for (size_t i = 0; i < from.size(); ++i) {
       if (merged[i]) continue;
       bool connected = false;
-      for (const auto& jp : join_preds) {
-        if (jp.applied) continue;
-        bool l_in = cur_bindings.count(jp.lb) > 0;
-        bool r_in = cur_bindings.count(jp.rb) > 0;
+      for (const ConjunctInfo* jp : join_preds) {
+        if (jp->applied) continue;
+        bool l_in = cur_bindings.count(jp->lb) > 0;
+        bool r_in = cur_bindings.count(jp->rb) > 0;
         const std::string& b = from[i].binding;
-        if ((l_in && jp.rb == b) || (r_in && jp.lb == b)) {
+        if ((l_in && jp->rb == b) || (r_in && jp->lb == b)) {
           connected = true;
           break;
         }
@@ -623,17 +648,17 @@ Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
 
     // Gather the equality keys connecting current <-> next.
     std::vector<const Expr*> cur_keys, next_keys;
-    for (auto& jp : join_preds) {
-      if (jp.applied) continue;
+    for (ConjunctInfo* jp : join_preds) {
+      if (jp->applied) continue;
       const std::string& b = from[next].binding;
-      if (cur_bindings.count(jp.lb) && jp.rb == b) {
-        cur_keys.push_back(jp.lhs);
-        next_keys.push_back(jp.rhs);
-        jp.applied = true;
-      } else if (cur_bindings.count(jp.rb) && jp.lb == b) {
-        cur_keys.push_back(jp.rhs);
-        next_keys.push_back(jp.lhs);
-        jp.applied = true;
+      if (cur_bindings.count(jp->lb) && jp->rb == b) {
+        cur_keys.push_back(jp->lhs);
+        next_keys.push_back(jp->rhs);
+        jp->applied = true;
+      } else if (cur_bindings.count(jp->rb) && jp->lb == b) {
+        cur_keys.push_back(jp->rhs);
+        next_keys.push_back(jp->lhs);
+        jp->applied = true;
       }
     }
 
@@ -663,31 +688,21 @@ Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
       for (size_t i = 0; i < build.rows.size(); ++i) {
         bscope.row = &build.rows[i];
         Row key;
-        key.reserve(build_keys.size());
-        bool null_key = false;
-        for (const Expr* k : build_keys) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*k, bctx));
-          if (v.is_null()) null_key = true;
-          key.push_back(std::move(v));
-        }
-        if (!null_key) ht.emplace(std::move(key), i);
+        APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                                EvalJoinKey(build_keys, bctx, &key));
+        if (matchable) ht.emplace(std::move(key), i);
       }
       ColumnResolver pres(&probe);
       EvalScope pscope{&pres, nullptr, outer};
       EvalContext pctx;
       pctx.scope = &pscope;
       pctx.cpu_ops = &stats_->cpu_ops;
+      Row key;
       for (const Row& prow : probe.rows) {
         pscope.row = &prow;
-        Row key;
-        key.reserve(probe_keys.size());
-        bool null_key = false;
-        for (const Expr* k : probe_keys) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*k, pctx));
-          if (v.is_null()) null_key = true;
-          key.push_back(std::move(v));
-        }
-        if (null_key) continue;
+        APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                                EvalJoinKey(probe_keys, pctx, &key));
+        if (!matchable) continue;
         auto [lo, hi] = ht.equal_range(key);
         for (auto it = lo; it != hi; ++it) {
           ++stats_->cpu_ops;
@@ -974,86 +989,86 @@ Result<Executor::ScanPlan> Executor::PlanScan(
   return plan;
 }
 
-Result<Relation> Executor::ScanTable(const FromBinding& fb,
-                                     const std::vector<const Expr*>& preds,
-                                     const EvalScope* outer) {
-  const storage::Table& t = *fb.table;
+template <typename Visit>
+Status Executor::WalkScan(const storage::Table& t, const ScanPlan& plan,
+                          Visit&& visit) {
+  const bool indexed = plan.path == AccessPath::kSecondaryIndex;
+  const size_t n = indexed ? plan.index_positions.size()
+                           : plan.range_end - plan.range_begin;
+  const size_t rpp = t.rows_per_page();
+  size_t page_end = 0;  // first position past the page the walk is on
+  for (size_t j = 0; j < n; ++j) {
+    const size_t pos = indexed ? plan.index_positions[j] : plan.range_begin + j;
+    if (pos >= page_end) {
+      // Positions ascend in every plan, so the walk enters a page here.
+      page_end = (pos / rpp + 1) * rpp;
+      const bool hit = db_->buffer_pool()->Touch(t.PageOfPosition(pos));
+      ++(hit ? stats_->pages_cache : stats_->pages_disk);
+    }
+    APUAMA_RETURN_NOT_OK(visit(pos));
+  }
+  return Status::OK();
+}
+
+namespace {
+
+// The row layout of a scan of `fb`: its table's columns under its
+// binding.
+Relation ScanHeader(const Executor::FromBinding& fb) {
   Relation rel;
-  rel.columns.reserve(t.schema().num_columns());
-  for (const auto& col : t.schema().columns()) {
+  rel.columns.reserve(fb.table->schema().num_columns());
+  for (const auto& col : fb.table->schema().columns()) {
     rel.columns.push_back(ColumnBinding{fb.binding, col.name});
   }
+  return rel;
+}
 
+}  // namespace
+
+template <typename Keep>
+Status Executor::FilterScan(const FromBinding& fb,
+                            const std::vector<const Expr*>& preds,
+                            const EvalScope* outer, Keep&& keep) {
   APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, outer));
-
-  // Emit rows, touching pages through the buffer pool and applying
-  // every predicate (the path is an optimization, not a filter
-  // replacement — residual predicate bits still apply).
-  ColumnResolver resolver(&rel);
+  // The path is an optimization, not a filter replacement: every
+  // predicate is still checked on every row the walk touches.
+  const Relation header = ScanHeader(fb);
+  ColumnResolver resolver(&header);
   EvalScope scope{&resolver, nullptr, outer};
   EvalContext ctx;
   ctx.scope = &scope;
   ctx.executor = this;
   ctx.cpu_ops = &stats_->cpu_ops;
-
-  auto touch = [&](size_t pos) {
-    bool hit = db_->buffer_pool()->Touch(t.PageOfPosition(pos));
-    if (hit) {
-      ++stats_->pages_cache;
-    } else {
-      ++stats_->pages_disk;
-    }
-  };
-
-  auto emit = [&](size_t pos) -> Status {
-    const Row& r = t.row(pos);
+  return WalkScan(*fb.table, plan, [&](size_t pos) -> Status {
     ++stats_->tuples_scanned;
-    scope.row = &r;
+    scope.row = &fb.table->row(pos);
     for (const Expr* p : preds) {
       APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
       if (Truthiness(v) != 1) return Status::OK();
     }
-    rel.rows.push_back(r);
+    keep(pos);
     return Status::OK();
-  };
+  });
+}
 
-  switch (plan.path) {
-    case AccessPath::kSeqScan: {
-      size_t rpp = t.rows_per_page();
-      for (size_t pos = 0; pos < t.num_rows(); ++pos) {
-        if (pos % rpp == 0) touch(pos);
-        APUAMA_RETURN_NOT_OK(emit(pos));
-      }
-      break;
-    }
-    case AccessPath::kClusteredRange: {
-      size_t rpp = t.rows_per_page();
-      size_t last_page = SIZE_MAX;
-      for (size_t pos = plan.range_begin; pos < plan.range_end; ++pos) {
-        size_t pg = pos / rpp;
-        if (pg != last_page) {
-          touch(pos);
-          last_page = pg;
-        }
-        APUAMA_RETURN_NOT_OK(emit(pos));
-      }
-      break;
-    }
-    case AccessPath::kSecondaryIndex: {
-      size_t rpp = t.rows_per_page();
-      size_t last_page = SIZE_MAX;
-      for (size_t pos : plan.index_positions) {
-        size_t pg = pos / rpp;
-        if (pg != last_page) {
-          touch(pos);
-          last_page = pg;
-        }
-        APUAMA_RETURN_NOT_OK(emit(pos));
-      }
-      break;
-    }
-  }
+Result<Relation> Executor::ScanTable(const FromBinding& fb,
+                                     const std::vector<const Expr*>& preds,
+                                     const EvalScope* outer) {
+  Relation rel = ScanHeader(fb);
+  APUAMA_RETURN_NOT_OK(FilterScan(fb, preds, outer, [&](size_t pos) {
+    rel.rows.push_back(fb.table->row(pos));
+  }));
   return rel;
+}
+
+Result<std::vector<size_t>> Executor::MatchWrite(const storage::Table& table,
+                                                 const Expr* where) {
+  const FromBinding fb{ToLower(table.name()), &table};
+  std::vector<size_t> positions;
+  APUAMA_RETURN_NOT_OK(
+      FilterScan(fb, sql::SplitConjuncts(where), nullptr,
+                 [&](size_t pos) { positions.push_back(pos); }));
+  return positions;
 }
 
 // ---------------------------------------------------------------------------
@@ -1191,9 +1206,10 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
       walk(x);
     };
 
-    // Partition subquery conjuncts.
+    // Partition subquery conjuncts. Correlated equalities pair an
+    // outer-side key with an inner-side key.
     std::vector<const Expr*> inner_only;
-    std::vector<std::pair<const Expr*, const Expr*>> eq_pairs;  // (outer, inner)
+    std::vector<const Expr*> outer_keys, inner_keys;
     std::vector<const Expr*> residual;
     bool decorrelatable = true;
     for (const Expr* c : sql::SplitConjuncts(sub.where.get())) {
@@ -1216,11 +1232,13 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
         side_of(*c->children[1], &ri, &ro, &ru);
         if (!lu && !ru) {
           if (li && !lo_ && ro && !ri) {
-            eq_pairs.emplace_back(c->children[1].get(), c->children[0].get());
+            outer_keys.push_back(c->children[1].get());
+            inner_keys.push_back(c->children[0].get());
             continue;
           }
           if (ri && !ro && lo_ && !li) {
-            eq_pairs.emplace_back(c->children[0].get(), c->children[1].get());
+            outer_keys.push_back(c->children[0].get());
+            inner_keys.push_back(c->children[1].get());
             continue;
           }
         }
@@ -1228,10 +1246,11 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
       residual.push_back(c);
     }
     if (in_lhs != nullptr) {
-      eq_pairs.emplace_back(in_lhs, in_inner_item);
+      outer_keys.push_back(in_lhs);
+      inner_keys.push_back(in_inner_item);
     }
 
-    if (!decorrelatable || eq_pairs.empty()) goto per_row_fallback;
+    if (!decorrelatable || outer_keys.empty()) goto per_row_fallback;
 
     // Execute the subquery's FROM + inner-only WHERE once.
     SelectStmt inner_stmt;
@@ -1255,14 +1274,9 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
     for (size_t i = 0; i < inner_rel.rows.size(); ++i) {
       iscope.row = &inner_rel.rows[i];
       Row key;
-      bool null_key = false;
-      for (const auto& [o, in] : eq_pairs) {
-        (void)o;
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*in, ictx));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
-      if (!null_key) ht.emplace(std::move(key), i);
+      APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                              EvalJoinKey(inner_keys, ictx, &key));
+      if (matchable) ht.emplace(std::move(key), i);
     }
 
     // Probe with outer rows; residual predicates see both scopes
@@ -1275,18 +1289,13 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
 
     std::vector<Row> kept;
     kept.reserve(rel.rows.size());
+    Row key;
     for (Row& r : rel.rows) {
       oscope.row = &r;
-      Row key;
-      bool null_key = false;
-      for (const auto& [o, in] : eq_pairs) {
-        (void)in;
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*o, octx));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
+      APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                              EvalJoinKey(outer_keys, octx, &key));
       bool found = false;
-      if (!null_key) {
+      if (matchable) {
         auto [lo, hi] = ht.equal_range(key);
         for (auto it = lo; it != hi && !found; ++it) {
           ++stats_->cpu_ops;
@@ -1583,19 +1592,10 @@ Result<QueryResult> FinalizeGroups(Executor* exec, ExecStats* stats,
 namespace {
 
 // Buckets of a morsel's group table: a key's hash picks its bucket,
-// the merge folds each bucket as one task, and the fast finalize tail
-// projects and sorts each bucket as one task. Fixed (never
+// and the merge folds each bucket as one task. Fixed (never
 // thread-dependent) so the decomposition is identical at every
 // exec_threads.
 constexpr size_t kGroupBuckets = 64;
-
-// Wrapping add via unsigned arithmetic: same bits as the row path's
-// int64 `+=` for every non-overflowing input, defined behavior when
-// a SUM does overflow (the row path relies on -fwrapv semantics).
-int64_t ColWrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
 
 // Aggregate function, resolved once at compile time instead of
 // string-comparing per row.
@@ -1629,17 +1629,62 @@ struct ColKeySpec {
   const Expr* expr = nullptr;
 };
 
-struct ColumnarPlan {
-  const storage::ColumnarTable* chunk = nullptr;
-  // WHERE conjuncts in SplitConjuncts order; exactly one of vec/row
-  // is set per step. Order is preserved so each conjunct evaluates
-  // over precisely the survivors of the previous ones — the same row
-  // set (and the same error behavior) as the row path's short-circuit.
-  struct PredStep {
+// The morsel filter of every morsel scan: one step per WHERE
+// conjunct, in WHERE order, compiled once on the coordinator. A step
+// is a vectorized kernel over the columnar chunk when one compiles,
+// else the conjunct's row-wise Expr. Each step narrows the selection
+// to the survivors of the steps before it, so every conjunct sees
+// exactly the rows (and raises exactly the errors) it would under the
+// row path's short-circuit. Without a chunk every step is row-wise.
+class MorselFilter {
+ public:
+  MorselFilter(const std::vector<const Expr*>& preds, const Relation& header,
+               const storage::ColumnarTable* chunk)
+      : chunk_(chunk) {
+    for (const Expr* p : preds) {
+      Step step;
+      if (chunk != nullptr) step.vec = CompileVecPredicate(*p, header, *chunk);
+      if (step.vec == nullptr) step.row = p;
+      steps_.push_back(std::move(step));
+    }
+  }
+
+  // Narrows `sel`, heap positions of `t` in scan order. Kernels charge
+  // ctx.cpu_ops, *vec_rows and *dict_hits (both unused without a
+  // chunk); row-wise steps evaluate in `ctx`, whose scope is `scope`.
+  Status Apply(const storage::Table& t, EvalScope* scope,
+               const EvalContext& ctx, std::vector<uint32_t>* sel,
+               uint64_t* vec_rows, uint64_t* dict_hits) const {
+    for (const Step& step : steps_) {
+      if (sel->empty()) break;
+      if (step.vec != nullptr) {
+        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *chunk_, sel, ctx.cpu_ops,
+                                       vec_rows, dict_hits));
+        continue;
+      }
+      size_t n = 0;
+      for (const uint32_t pos : *sel) {
+        scope->row = &t.row(pos);
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctx));
+        if (Truthiness(v) == 1) (*sel)[n++] = pos;
+      }
+      sel->resize(n);
+    }
+    return Status::OK();
+  }
+
+ private:
+  struct Step {
     std::unique_ptr<VecPredicate> vec;
     const Expr* row = nullptr;
   };
-  std::vector<PredStep> preds;
+  const storage::ColumnarTable* chunk_;
+  std::vector<Step> steps_;
+};
+
+struct ColumnarPlan {
+  const storage::ColumnarTable* chunk = nullptr;
+  MorselFilter filter;
   std::vector<ColKeySpec> keys;
   std::vector<ColAggSpec> aggs;
 };
@@ -1648,14 +1693,7 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
                              const storage::ColumnarTable& chunk,
                              const std::vector<const Expr*>& preds,
                              const std::vector<const Expr*>& agg_nodes) {
-  ColumnarPlan cp;
-  cp.chunk = &chunk;
-  for (const Expr* p : preds) {
-    ColumnarPlan::PredStep step;
-    step.vec = CompileVecPredicate(*p, header, chunk);
-    if (step.vec == nullptr) step.row = p;
-    cp.preds.push_back(std::move(step));
-  }
+  ColumnarPlan cp{&chunk, MorselFilter(preds, header, &chunk), {}, {}};
   for (const auto& g : stmt.group_by) {
     ColKeySpec ks;
     if (g->kind == ExprKind::kColumnRef) {
@@ -1745,7 +1783,7 @@ void UpdateAccFromVec(const ColAggSpec& spec, const VecData& vd, size_t k,
     case AggFunc::kSum:
     case AggFunc::kAvg:
       if (vd.type == ValueType::kInt64 && !acc->any_double) {
-        acc->isum = ColWrapAdd(acc->isum, vd.i64[k]);
+        acc->isum = WrapAdd(acc->isum, vd.i64[k]);
       } else {
         if (!acc->any_double) {
           acc->dsum = static_cast<double>(acc->isum);
@@ -1756,139 +1794,6 @@ void UpdateAccFromVec(const ColAggSpec& spec, const VecData& vd, size_t k,
       return;
     default:
       return;  // count(x) and unknowns only track count/has_value
-  }
-}
-
-// Whole-slice fold of one aggregate over a global (GROUP BY-less)
-// accumulator: the branch-light inner loops of the columnar path.
-// Double sums still add element-by-element in selection order so the
-// bits match the row path's sequential `dsum +=` exactly (no
-// reassociation); the int64 SUM lane accumulates in a 128-bit-wide
-// register and folds once — the same wrapped 64-bit result as n
-// sequential wrapping adds, by modular arithmetic.
-void FoldVecGlobal(const ColAggSpec& spec, const VecData& vd, size_t n,
-                   AggAcc* acc) {
-  if (spec.star) {
-    acc->count += n;
-    return;
-  }
-  if (spec.distinct) {
-    for (size_t k = 0; k < n; ++k) {
-      if (!vd.IsNull(k)) acc->distinct.insert(vd.ValueAt(k));
-    }
-    return;
-  }
-  switch (spec.func) {
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      // Only true kInt64 stays in the int lane: the row path sends
-      // kDate sums down the double-promotion branch.
-      if (vd.type == ValueType::kInt64 && !acc->any_double) {
-        unsigned __int128 wide = 0;
-        uint64_t nn = 0;
-        if (vd.has_nulls) {
-          for (size_t k = 0; k < n; ++k) {
-            if (vd.nulls[k]) continue;
-            wide += static_cast<uint64_t>(vd.i64[k]);
-            ++nn;
-          }
-        } else {
-          for (size_t k = 0; k < n; ++k) {
-            wide += static_cast<uint64_t>(vd.i64[k]);
-          }
-          nn = n;
-        }
-        acc->count += nn;
-        if (nn > 0) {
-          acc->has_value = true;
-          acc->isum = ColWrapAdd(
-              acc->isum, static_cast<int64_t>(static_cast<uint64_t>(wide)));
-        }
-        return;
-      }
-      // Double lane (or an already-promoted accumulator): element
-      // order must match the row path's per-row adds.
-      uint64_t nn = 0;
-      for (size_t k = 0; k < n; ++k) {
-        if (vd.IsNull(k)) continue;
-        ++nn;
-        if (!acc->any_double) {
-          acc->dsum = static_cast<double>(acc->isum);
-          acc->any_double = true;
-        }
-        acc->dsum += vd.DoubleAt(k);
-      }
-      acc->count += nn;
-      if (nn > 0) acc->has_value = true;
-      return;
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      const bool want_min = spec.func == AggFunc::kMin;
-      uint64_t nn = 0;
-      bool have = false;
-      if (vd.type != ValueType::kDouble) {
-        int64_t best = 0;
-        for (size_t k = 0; k < n; ++k) {
-          if (vd.IsNull(k)) continue;
-          ++nn;
-          const int64_t x = vd.i64[k];
-          // Strict compare keeps the earliest value on ties, the row
-          // path's rule.
-          if (!have || (want_min ? x < best : x > best)) {
-            best = x;
-            have = true;
-          }
-        }
-        if (have) {
-          Value bv = vd.type == ValueType::kDate ? Value::Date(best)
-                                                 : Value::Int(best);
-          Value& slot = want_min ? acc->min_v : acc->max_v;
-          if (slot.is_null() ||
-              (want_min ? bv.Compare(slot) < 0 : bv.Compare(slot) > 0)) {
-            slot = std::move(bv);
-          }
-        }
-      } else {
-        double best = 0;
-        for (size_t k = 0; k < n; ++k) {
-          if (vd.IsNull(k)) continue;
-          ++nn;
-          const double x = vd.f64[k];
-          // `x < best` / `x > best` is false for NaN on either side,
-          // mirroring Value::Compare's "NaN compares equal" => keep
-          // the earlier value.
-          if (!have || (want_min ? x < best : x > best)) {
-            best = x;
-            have = true;
-          }
-        }
-        if (have) {
-          Value bv = Value::Double(best);
-          Value& slot = want_min ? acc->min_v : acc->max_v;
-          if (slot.is_null() ||
-              (want_min ? bv.Compare(slot) < 0 : bv.Compare(slot) > 0)) {
-            slot = std::move(bv);
-          }
-        }
-      }
-      acc->count += nn;
-      if (nn > 0) acc->has_value = true;
-      return;
-    }
-    default: {  // count(x) and unknown funcs
-      uint64_t nn = 0;
-      if (vd.has_nulls) {
-        for (size_t k = 0; k < n; ++k) {
-          if (!vd.nulls[k]) ++nn;
-        }
-      } else {
-        nn = n;
-      }
-      acc->count += nn;
-      if (nn > 0) acc->has_value = true;
-      return;
-    }
   }
 }
 
@@ -1933,147 +1838,11 @@ Status MergeGroupBuckets(ThreadPool* pool, std::vector<MorselPartial>* partials,
   return Status::OK();
 }
 
-// One output expression (or ORDER BY key) the fast finalize tail can
-// compute without Eval: a finalized aggregate, a group-key column
-// gathered from the representative row, a literal, or (order keys
-// only) a copy of an already-computed output slot.
-struct FastItem {
-  enum class Kind { kAgg, kSlot, kLit, kOutSlot };
-  Kind kind = Kind::kLit;
-  size_t idx = 0;  // agg index / header slot / output slot
-  const Expr* lit = nullptr;
-};
-
-struct FastFinalizePlan {
-  std::vector<FastItem> items;
-  std::vector<FastItem> okeys;
-  std::vector<bool> desc;
-};
-
-// The fast tail covers the common aggregate shapes (bare aggregates,
-// group columns, literals, no HAVING); anything richer falls back to
-// the shared FinalizeGroups, which is sequential but fully general.
-bool PlanFastFinalize(const SelectStmt& stmt, const Relation& header,
-                      const std::vector<const Expr*>& agg_nodes,
-                      const std::vector<std::string>& out_names,
-                      FastFinalizePlan* fp) {
-  if (stmt.having) return false;
-  auto classify = [&](const Expr& e, FastItem* fi) -> bool {
-    for (size_t ai = 0; ai < agg_nodes.size(); ++ai) {
-      if (agg_nodes[ai] == &e) {
-        fi->kind = FastItem::Kind::kAgg;
-        fi->idx = ai;
-        return true;
-      }
-    }
-    if (e.kind == ExprKind::kColumnRef) {
-      int slot = header.FindSlot(e.table_qualifier, e.column_name);
-      if (slot >= 0) {
-        fi->kind = FastItem::Kind::kSlot;
-        fi->idx = static_cast<size_t>(slot);
-        return true;
-      }
-      return false;
-    }
-    if (e.kind == ExprKind::kLiteral) {
-      fi->kind = FastItem::Kind::kLit;
-      fi->lit = &e;
-      return true;
-    }
-    return false;
-  };
-  for (const auto& it : stmt.items) {
-    FastItem fi;
-    if (!it.expr || !classify(*it.expr, &fi)) return false;
-    fp->items.push_back(fi);
-  }
-  for (const auto& o : stmt.order_by) {
-    FastItem fk;
-    int slot = OrderOutputSlot(o, out_names);
-    if (slot >= 0) {
-      fk.kind = FastItem::Kind::kOutSlot;
-      fk.idx = static_cast<size_t>(slot);
-    } else if (!classify(*o.expr, &fk)) {
-      return false;
-    }
-    fp->okeys.push_back(fk);
-    fp->desc.push_back(o.desc);
-  }
-  return true;
-}
-
-// One finalized output row plus its sort key and a pointer to its
-// group key (stable: the per-bucket maps outlive the k-way merge).
-struct FastRow {
-  Row skey;
-  const Row* gkey = nullptr;
-  Row out;
-};
-
-// Finalizes one merged bucket into sorted FastRows. Projection is
-// charged at the vectorized slice rate; the bucket-local sort charges
-// one op per comparison, exactly like SortRows.
-uint64_t FastFinalizeBucket(const GroupMap& gm, const FastFinalizePlan& fp,
-                            const std::vector<const Expr*>& agg_nodes,
-                            std::vector<FastRow>* rows) {
-  uint64_t cpu = 0;
-  rows->reserve(gm.size());
-  for (const auto& [key, grp] : gm) {
-    Row out;
-    out.reserve(fp.items.size());
-    auto value_of = [&](const FastItem& fi) -> Value {
-      switch (fi.kind) {
-        case FastItem::Kind::kAgg:
-          return AggFinalize(grp.accs[fi.idx], *agg_nodes[fi.idx]);
-        case FastItem::Kind::kSlot:
-          return grp.repr[fi.idx];
-        case FastItem::Kind::kOutSlot:
-          return out[fi.idx];
-        default:
-          return fi.lit->literal;
-      }
-    };
-    for (const FastItem& fi : fp.items) out.push_back(value_of(fi));
-    Row skey;
-    skey.reserve(fp.okeys.size());
-    for (const FastItem& fk : fp.okeys) skey.push_back(value_of(fk));
-    rows->push_back(FastRow{std::move(skey), &key, std::move(out)});
-  }
-  cpu += (fp.items.size() + fp.okeys.size()) *
-         VecOps(gm.size());
-  if (!fp.okeys.empty()) {
-    std::stable_sort(rows->begin(), rows->end(),
-                     [&fp, &cpu](const FastRow& a, const FastRow& b) {
-                       ++cpu;
-                       for (size_t i = 0; i < a.skey.size(); ++i) {
-                         int c = a.skey[i].Compare(b.skey[i]);
-                         if (c != 0) return fp.desc[i] ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-  }
-  return cpu;
-}
-
-// True when `a` orders strictly before `b` under (sort key with
-// per-key direction, then group key). Buckets are sorted by sort key
-// with a STABLE sort of group-key-ordered input, so this comparator
-// makes the k-way bucket merge reproduce FinalizeGroups' order
-// exactly: group keys are unique, so the tie-break is total.
-bool FastRowBefore(const FastRow& a, const FastRow& b,
-                   const std::vector<bool>& desc) {
-  for (size_t i = 0; i < a.skey.size(); ++i) {
-    int c = a.skey[i].Compare(b.skey[i]);
-    if (c != 0) return desc[i] ? c > 0 : c < 0;
-  }
-  return storage::KeyLess{}(*a.gkey, *b.gkey);
-}
-
 // Runs one morsel of a columnar aggregate. `sel` holds the morsel's
-// heap positions in scan order; the WHERE conjuncts narrow it in
-// order, then each vectorized aggregate argument is evaluated once
-// over the survivors and folded into the morsel's private partial.
-// `header` is the scan's row layout.
+// heap positions in scan order; the morsel filter narrows it, then
+// each vectorized aggregate argument is evaluated once over the
+// survivors and every row folds into its group of the morsel's
+// private partial. `header` is the scan's row layout.
 Status RunColumnarMorsel(const storage::Table& t, const Relation& header,
                          const ColumnarPlan& cp, std::vector<uint32_t> sel,
                          MorselPartial* partial) {
@@ -2089,22 +1858,8 @@ Status RunColumnarMorsel(const storage::Table& t, const Relation& header,
   ctx.executor = nullptr;  // eligibility guaranteed no subqueries
   ctx.cpu_ops = &part.cpu;
 
-  for (const ColumnarPlan::PredStep& step : cp.preds) {
-    if (sel.empty()) break;
-    if (step.vec != nullptr) {
-      APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, *cp.chunk, &sel, &part.cpu,
-                                     &part.vec_rows, &part.dict_hits));
-    } else {
-      std::vector<uint32_t> keep;
-      keep.reserve(sel.size());
-      for (uint32_t pos : sel) {
-        scope.row = &t.row(pos);
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctx));
-        if (Truthiness(v) == 1) keep.push_back(pos);
-      }
-      sel = std::move(keep);
-    }
-  }
+  APUAMA_RETURN_NOT_OK(cp.filter.Apply(t, &scope, ctx, &sel, &part.vec_rows,
+                                       &part.dict_hits));
   if (sel.empty()) return Status::OK();
   const size_t n = sel.size();
 
@@ -2118,54 +1873,41 @@ Status RunColumnarMorsel(const storage::Table& t, const Relation& header,
     }
   }
 
-  if (cp.keys.empty()) {
-    AggGroup& g = part.Group(Row{}, t.row(sel[0]), cp.aggs.size());
-    for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
-      const ColAggSpec& spec = cp.aggs[ai];
-      if (spec.star || spec.arg != nullptr) {
-        part.cpu += VecOps(n);
-        part.vec_rows += spec.star ? n : 0;
-        FoldVecGlobal(spec, argv[ai], n, &g.accs[ai]);
-      } else {
-        for (uint32_t pos : sel) {
-          scope.row = &t.row(pos);
-          ++part.cpu;
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
-          AggUpdate(&g.accs[ai], *spec.agg, v);
+  // Gather each row's key (slot copy or Eval fallback), find its
+  // group, and fold each aggregate from its argument vector. A GROUP
+  // BY-less statement looks its one group up once and charges no
+  // per-row key op.
+  AggGroup* const global =
+      cp.keys.empty() ? &part.Group(Row{}, t.row(sel[0]), cp.aggs.size())
+                      : nullptr;
+  for (size_t k = 0; k < n; ++k) {
+    const Row& r = t.row(sel[k]);
+    AggGroup* grp = global;
+    if (grp == nullptr) {
+      Row key;
+      key.reserve(cp.keys.size());
+      for (const ColKeySpec& ks : cp.keys) {
+        if (ks.slot >= 0) {
+          key.push_back(r[static_cast<size_t>(ks.slot)]);
+        } else {
+          scope.row = &r;
+          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*ks.expr, ctx));
+          key.push_back(std::move(v));
         }
       }
+      // Key gather + hash + group lookup: one op per row.
+      ++part.cpu;
+      grp = &part.Group(std::move(key), r, cp.aggs.size());
     }
-    return Status::OK();
-  }
-
-  // Grouped: gather the key per row (slot copy or Eval fallback),
-  // bucket it, and fold each aggregate from its argument vector.
-  for (size_t k = 0; k < n; ++k) {
-    const uint32_t pos = sel[k];
-    const Row& r = t.row(pos);
-    Row key;
-    key.reserve(cp.keys.size());
-    for (const ColKeySpec& ks : cp.keys) {
-      if (ks.slot >= 0) {
-        key.push_back(r[static_cast<size_t>(ks.slot)]);
-      } else {
-        scope.row = &r;
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*ks.expr, ctx));
-        key.push_back(std::move(v));
-      }
-    }
-    // Key gather + hash + group lookup: one op per row.
-    ++part.cpu;
-    AggGroup& grp = part.Group(std::move(key), r, cp.aggs.size());
     for (size_t ai = 0; ai < cp.aggs.size(); ++ai) {
       const ColAggSpec& spec = cp.aggs[ai];
       if (spec.star || spec.arg != nullptr) {
-        UpdateAccFromVec(spec, argv[ai], k, &grp.accs[ai]);
+        UpdateAccFromVec(spec, argv[ai], k, &grp->accs[ai]);
       } else {
         scope.row = &r;
         ++part.cpu;
         APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*spec.agg->children[0], ctx));
-        AggUpdate(&grp.accs[ai], *spec.agg, v);
+        AggUpdate(&grp->accs[ai], *spec.agg, v);
       }
     }
   }
@@ -2208,76 +1950,19 @@ Result<QueryResult> Executor::FinishMorselAggregate(
       MergeGroupBuckets(pool, partials, agg_nodes, merged.get(), stats_));
   merge_span.End();
 
-  if (stmt.group_by.empty()) {
+  // Fold the buckets into the ordered map FinalizeGroups reads
+  // (bucket order is irrelevant: the map sorts), one op per group.
+  GroupMap groups;
+  for (GroupMap& gm : *merged) groups.merge(gm);
+  if (groups.empty() && stmt.group_by.empty()) {
     // Global aggregate over empty input still yields one group.
-    GroupMap& gm = (*merged)[RowHash{}(Row{}) % kGroupBuckets];
-    if (gm.empty()) {
-      AggGroup g;
-      g.repr = Row(header.columns.size(), Value::Null());
-      g.accs.resize(agg_nodes.size());
-      gm.emplace(Row{}, std::move(g));
-    }
+    AggGroup& g = groups[Row{}];
+    g.repr = Row(header.columns.size(), Value::Null());
+    g.accs.resize(agg_nodes.size());
   }
-
-  std::vector<std::string> out_names;
-  for (const auto& it : stmt.items) {
-    out_names.push_back(sql::OutputName(it, out_names.size()));
-  }
-  FastFinalizePlan fp;
-  if (!PlanFastFinalize(stmt, header, agg_nodes, out_names, &fp)) {
-    // General tail: fold the buckets into the canonical ordered map
-    // (bucket order is irrelevant — the map sorts) and run the shared
-    // sequential finalizer.
-    GroupMap groups;
-    for (GroupMap& gm : *merged) {
-      for (auto& [key, g] : gm) {
-        ++stats_->cpu_ops;
-        groups.emplace(key, std::move(g));
-      }
-    }
-    return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
-                          nullptr);
-  }
-
-  // Fast tail: per-bucket projection + sort, one bucket per task, then
-  // a sequential k-way merge stitches the bucket runs together.
-  auto frows =
-      std::make_unique<std::array<std::vector<FastRow>, kGroupBuckets>>();
-  std::array<uint64_t, kGroupBuckets> fcpu{};
-  APUAMA_RETURN_NOT_OK(
-      ParallelFor(pool, 0, kGroupBuckets, [&](size_t b) -> Status {
-        fcpu[b] = FastFinalizeBucket((*merged)[b], fp, agg_nodes,
-                                     &(*frows)[b]);
-        return Status::OK();
-      }));
-  for (uint64_t cost : fcpu) {
-    stats_->cpu_ops += cost;
-    stats_->cpu_ops_parallel += cost;
-  }
-
-  QueryResult qr;
-  qr.column_names = std::move(out_names);
-  size_t total = 0;
-  for (const auto& v : *frows) total += v.size();
-  qr.rows.reserve(total);
-  std::array<size_t, kGroupBuckets> cursor{};
-  for (size_t produced = 0; produced < total; ++produced) {
-    size_t best = kGroupBuckets;
-    for (size_t b = 0; b < kGroupBuckets; ++b) {
-      if (cursor[b] >= (*frows)[b].size()) continue;
-      if (best == kGroupBuckets ||
-          FastRowBefore((*frows)[b][cursor[b]], (*frows)[best][cursor[best]],
-                        fp.desc)) {
-        best = b;
-      }
-    }
-    qr.rows.push_back(std::move((*frows)[best][cursor[best]].out));
-    ++cursor[best];
-    ++stats_->cpu_ops;
-  }
-  if (stmt.distinct) DedupePreservingOrder(&qr.rows);
-  ApplyOffsetLimit(stmt, &qr.rows);
-  return qr;
+  stats_->cpu_ops += groups.size();
+  return FinalizeGroups(this, stats_, stmt, header, &groups, agg_nodes,
+                        nullptr);
 }
 
 Result<QueryResult> Executor::ProjectOnly(const SelectStmt& stmt,
@@ -2410,9 +2095,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
       static_cast<const storage::Catalog*>(db_->catalog())
           ->GetTable(stmt.from[0].table));
   const storage::Table& t = *tp;
-  FromBinding fb;
-  fb.binding = ToLower(stmt.from[0].binding());
-  fb.table = tp;
+  const FromBinding fb{ToLower(stmt.from[0].binding()), tp};
 
   // With one table every WHERE conjunct is a scan predicate (subquery
   // predicates were ruled out by eligibility).
@@ -2423,11 +2106,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   // Aggregate inventory, same as the sequential pipeline.
   std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
 
-  Relation header;
-  header.columns.reserve(t.schema().num_columns());
-  for (const auto& col : t.schema().columns()) {
-    header.columns.push_back(ColumnBinding{fb.binding, col.name});
-  }
+  const Relation header = ScanHeader(fb);
 
   // The chunk is (re)built here on the coordinator — the column store
   // is not thread-safe and must not be touched after morsels fan out.
@@ -2442,7 +2121,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   // traced (identical at any exec_threads).
   obs::Span agg_span =
       obs::Tracer::Global().StartSpan("morsel.aggregate", "morsel");
-  ScanMorsels sm = TouchAndMorselize(t, plan);
+  APUAMA_ASSIGN_OR_RETURN(ScanMorsels sm, TouchAndMorselize(t, plan));
   if (agg_span.active()) {
     agg_span.AddAttr("morsels", static_cast<int64_t>(sm.morsels.size()));
   }
@@ -2473,59 +2152,24 @@ std::vector<uint32_t> Executor::ScanMorsels::Selection(size_t mi) const {
   return sel;
 }
 
-Executor::ScanMorsels Executor::TouchAndMorselize(const storage::Table& t,
-                                                  const ScanPlan& plan) {
-  // All buffer-pool traffic happens here on the coordinator, in
-  // exactly the order the sequential scan touches pages: the pool is
-  // not thread-safe, and LRU state must not depend on worker timing.
-  auto touch = [&](size_t pos) {
-    bool hit = db_->buffer_pool()->Touch(t.PageOfPosition(pos));
-    if (hit) {
-      ++stats_->pages_cache;
-    } else {
-      ++stats_->pages_disk;
-    }
-  };
-  const size_t rpp = t.rows_per_page();
+Result<Executor::ScanMorsels> Executor::TouchAndMorselize(
+    const storage::Table& t, const ScanPlan& plan) {
+  // All buffer-pool traffic happens here on the coordinator, through
+  // the walk every scan shares: the pool is not thread-safe, and LRU
+  // state must not depend on worker timing.
+  APUAMA_RETURN_NOT_OK(
+      WalkScan(t, plan, [](size_t) { return Status::OK(); }));
   ScanMorsels sm;
-  switch (plan.path) {
-    case AccessPath::kSeqScan: {
-      for (size_t pos = 0; pos < t.num_rows(); ++pos) {
-        if (pos % rpp == 0) touch(pos);
-      }
-      sm.morsels = t.Morsels(0, t.num_rows(), kMorselRows);
-      break;
-    }
-    case AccessPath::kClusteredRange: {
-      size_t last_page = SIZE_MAX;
-      for (size_t pos = plan.range_begin; pos < plan.range_end; ++pos) {
-        size_t pg = pos / rpp;
-        if (pg != last_page) {
-          touch(pos);
-          last_page = pg;
-        }
-      }
-      sm.morsels = t.Morsels(plan.range_begin, plan.range_end, kMorselRows);
-      break;
-    }
-    case AccessPath::kSecondaryIndex: {
-      size_t last_page = SIZE_MAX;
-      for (size_t pos : plan.index_positions) {
-        size_t pg = pos / rpp;
-        if (pg != last_page) {
-          touch(pos);
-          last_page = pg;
-        }
-      }
-      // Morselize the sorted position list itself.
-      for (size_t i = 0; i < plan.index_positions.size(); i += kMorselRows) {
-        sm.morsels.push_back(storage::Table::Morsel{
-            i, std::min(i + kMorselRows, plan.index_positions.size())});
-      }
-      sm.positions = &plan.index_positions;
-      break;
-    }
+  if (plan.path != AccessPath::kSecondaryIndex) {
+    sm.morsels = t.Morsels(plan.range_begin, plan.range_end, kMorselRows);
+    return sm;
   }
+  // Morselize the sorted position list itself.
+  for (size_t i = 0; i < plan.index_positions.size(); i += kMorselRows) {
+    sm.morsels.push_back(storage::Table::Morsel{
+        i, std::min(i + kMorselRows, plan.index_positions.size())});
+  }
+  sm.positions = &plan.index_positions;
   return sm;
 }
 
@@ -2554,38 +2198,8 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   // nullopt before stats or scan_paths are touched, so the legacy
   // fallback starts from a clean slate.
   std::vector<FromBinding> from;
-  std::vector<std::string> binding_names;
-  for (const auto& ref : stmt.from) {
-    APUAMA_ASSIGN_OR_RETURN(const storage::Table* t,
-                            static_cast<const storage::Catalog*>(
-                                db_->catalog())
-                                ->GetTable(ref.table));
-    FromBinding fb;
-    fb.binding = ToLower(ref.binding());
-    fb.table = t;
-    from.push_back(fb);
-    binding_names.push_back(fb.binding);
-  }
-
-  auto attribute = [&](const Expr& e) -> int {
-    if (!e.table_qualifier.empty()) {
-      for (size_t i = 0; i < from.size(); ++i) {
-        if (EqualsIgnoreCase(from[i].binding, e.table_qualifier)) {
-          return static_cast<int>(i);
-        }
-      }
-      return -1;
-    }
-    int found = -1;
-    for (size_t i = 0; i < from.size(); ++i) {
-      if (from[i].table->schema().FindColumn(e.column_name) >= 0) {
-        if (found >= 0) return found;  // ambiguous: first wins for
-                                       // placement; eval will error
-        found = static_cast<int>(i);
-      }
-    }
-    return found;
-  };
+  std::vector<ConjunctInfo> conjuncts;
+  APUAMA_RETURN_NOT_OK(ClassifyWhere(stmt, &from, &conjuncts));
   auto binding_index = [&](const std::string& b) -> size_t {
     for (size_t i = 0; i < from.size(); ++i) {
       if (from[i].binding == b) return i;
@@ -2593,54 +2207,23 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     return 0;  // unreachable: CollectBindings only emits FROM names
   };
 
-  // Classify WHERE conjuncts: single-binding conjuncts become scan
-  // predicates, two-binding equalities become join predicates, and
-  // everything else is a residual applied at the earliest probe stage
-  // that covers all its bindings. Conjunct order is WHERE order
-  // throughout, so composite keys and filter order are identical under
-  // permuted FROM lists.
-  struct JoinPredP {
-    const Expr* lhs = nullptr;
-    const Expr* rhs = nullptr;
-    std::string lb, rb;
-  };
-  struct ResidualP {
-    const Expr* expr = nullptr;
-    std::set<std::string> bindings;
-  };
+  // Single-binding conjuncts become scan predicates, equi-joins join
+  // predicates, and everything else is a residual applied at the
+  // earliest probe stage that covers all its bindings. Conjunct order
+  // is WHERE order throughout, so composite keys and filter order are
+  // identical under permuted FROM lists.
   std::vector<std::vector<const Expr*>> scan_preds(from.size());
-  std::vector<JoinPredP> join_preds;
-  std::vector<ResidualP> residual_conjs;
-  for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
-    std::set<std::string> bindings;
-    bool uses_outer = false;
-    CollectBindings(*c, db_->catalog(), attribute, &bindings, &uses_outer,
-                    binding_names);
-    if (uses_outer) return std::optional<QueryResult>();
-    if (bindings.size() == 1) {
-      scan_preds[binding_index(*bindings.begin())].push_back(c);
-      continue;
+  std::vector<const ConjunctInfo*> join_preds;
+  std::vector<const ConjunctInfo*> residual_conjs;
+  for (const ConjunctInfo& c : conjuncts) {
+    if (c.uses_outer) return std::optional<QueryResult>();
+    if (c.bindings.size() == 1) {
+      scan_preds[binding_index(*c.bindings.begin())].push_back(c.expr);
+    } else if (c.lhs != nullptr) {
+      join_preds.push_back(&c);
+    } else {
+      residual_conjs.push_back(&c);
     }
-    if (bindings.size() == 2 && c->kind == ExprKind::kBinary &&
-        c->binary_op == BinaryOp::kEq) {
-      std::set<std::string> lb, rb;
-      bool lo = false, ro = false;
-      CollectBindings(*c->children[0], db_->catalog(), attribute, &lb, &lo,
-                      binding_names);
-      CollectBindings(*c->children[1], db_->catalog(), attribute, &rb, &ro,
-                      binding_names);
-      if (!lo && !ro && lb.size() == 1 && rb.size() == 1 &&
-          *lb.begin() != *rb.begin()) {
-        JoinPredP jp;
-        jp.lhs = c->children[0].get();
-        jp.rhs = c->children[1].get();
-        jp.lb = *lb.begin();
-        jp.rb = *rb.begin();
-        join_preds.push_back(std::move(jp));
-        continue;
-      }
-    }
-    residual_conjs.push_back(ResidualP{c, std::move(bindings)});
   }
 
   // Driver = probe side of the whole chain: the largest raw table
@@ -2663,9 +2246,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   reached[driver] = true;
   for (bool grew = true; grew;) {
     grew = false;
-    for (const JoinPredP& jp : join_preds) {
-      const size_t l = binding_index(jp.lb);
-      const size_t r = binding_index(jp.rb);
+    for (const ConjunctInfo* jp : join_preds) {
+      const size_t l = binding_index(jp->lb);
+      const size_t r = binding_index(jp->rb);
       if (reached[l] != reached[r]) {
         reached[l] = reached[r] = true;
         grew = true;
@@ -2677,11 +2260,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   }
 
   std::vector<const Expr*> agg_nodes = CollectAggInventory(stmt);
-  auto append_cols = [](Relation* rel, const FromBinding& fb) {
-    for (const auto& col : fb.table->schema().columns()) {
-      rel->columns.push_back(ColumnBinding{fb.binding, col.name});
-    }
-  };
 
   // ---- Plan topology committed; stats mutations start here. Spans
   // cover the pipeline phases only (coordinator thread) so trace shape
@@ -2725,12 +2303,13 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const storage::Table& t = *from[i].table;
     const std::vector<const Expr*>& preds = scan_preds[i];
     APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(from[i], preds, nullptr));
-    ScanMorsels sm = TouchAndMorselize(t, plan);
+    APUAMA_ASSIGN_OR_RETURN(ScanMorsels sm, TouchAndMorselize(t, plan));
     stats_->morsels += sm.morsels.size();
     note_threads(sm.morsels.size());
 
-    Relation header;
-    append_cols(&header, from[i]);
+    // Build sides filter row-wise: no columnar chunk is built for them.
+    const Relation header = ScanHeader(from[i]);
+    const MorselFilter filter(preds, header, /*chunk=*/nullptr);
     KeptScan& ks = kept[i];
     ks.path = plan.path;
     ks.positions.resize(sm.morsels.size());
@@ -2742,23 +2321,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       ctx.scope = &scope;
       ctx.executor = nullptr;  // eligibility guaranteed no subqueries
       ctx.cpu_ops = &cpu[mi];
-      std::vector<uint32_t> sel = sm.Selection(mi);
-      size_t n = 0;
-      for (const uint32_t pos : sel) {
-        scope.row = &t.row(pos);
-        bool keep = true;
-        for (const Expr* p : preds) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*p, ctx));
-          if (Truthiness(v) != 1) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) sel[n++] = pos;
-      }
-      sel.resize(n);
-      ks.positions[mi] = std::move(sel);
-      return Status::OK();
+      ks.positions[mi] = sm.Selection(mi);
+      return filter.Apply(t, &scope, ctx, &ks.positions[mi], nullptr,
+                          nullptr);
     };
     APUAMA_RETURN_NOT_OK(
         ParallelFor(pool, 0, sm.morsels.size(), filter_morsel));
@@ -2790,10 +2355,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   // The build-side expression of `jp` when it joins the uncovered
   // binding `b` to the covered set, else nullptr. A predicate is
   // consumed by the stage that covers its second binding.
-  auto build_side = [&](const JoinPredP& jp,
+  auto build_side = [&](const ConjunctInfo* jp,
                         const std::string& b) -> const Expr* {
-    if (covered.count(jp.lb) && jp.rb == b) return jp.rhs;
-    if (covered.count(jp.rb) && jp.lb == b) return jp.lhs;
+    if (covered.count(jp->lb) && jp->rb == b) return jp->rhs;
+    if (covered.count(jp->rb) && jp->lb == b) return jp->lhs;
     return nullptr;
   };
   auto key_lookup = [&](size_t i) {
@@ -2801,7 +2366,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     if (t.clustered_key().empty()) return false;
     for (const int kc : t.clustered_key()) {
       bool bound = false;
-      for (const JoinPredP& jp : join_preds) {
+      for (const ConjunctInfo* jp : join_preds) {
         const Expr* e = build_side(jp, from[i].binding);
         if (e != nullptr && e->kind == ExprKind::kColumnRef &&
             t.schema().FindColumn(e->column_name) == kc) {
@@ -2833,7 +2398,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       if (covered.count(from[i].binding)) continue;
       const bool connected =
           std::any_of(join_preds.begin(), join_preds.end(),
-                      [&](const JoinPredP& jp) {
+                      [&](const ConjunctInfo* jp) {
                         return build_side(jp, from[i].binding) != nullptr;
                       });
       if (connected && (best == from.size() || goes_before(i, best))) {
@@ -2843,26 +2408,26 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     // The connectivity check above guarantees a candidate.
     BuildStage st;
     st.from_idx = best;
-    for (const JoinPredP& jp : join_preds) {
+    for (const ConjunctInfo* jp : join_preds) {
       const Expr* e = build_side(jp, from[best].binding);
       if (e == nullptr) continue;
-      st.probe_keys.push_back(e == jp.rhs ? jp.lhs : jp.rhs);
+      st.probe_keys.push_back(e == jp->rhs ? jp->lhs : jp->rhs);
       st.build_keys.push_back(e);
     }
     covered.insert(from[best].binding);
     coverage_order[best] = stages.size() + 1;
     stages.push_back(std::move(st));
   }
-  for (const ResidualP& rc : residual_conjs) {
+  for (const ConjunctInfo* rc : residual_conjs) {
     size_t latest = 0;
-    for (const auto& rb : rc.bindings) {
+    for (const auto& rb : rc->bindings) {
       latest = std::max(latest, coverage_order[binding_index(rb)]);
     }
     if (latest == 0) {
       // Constant (or driver-only shaped): evaluate per driver row.
-      scan_preds[driver].push_back(rc.expr);
+      scan_preds[driver].push_back(rc->expr);
     } else {
-      stages[latest - 1].residuals.push_back(rc.expr);
+      stages[latest - 1].residuals.push_back(rc->expr);
     }
   }
   // EXPLAIN lists scans in plan order: build stages in chain order,
@@ -2877,10 +2442,12 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   // build table's columns in chain order. Stage k's probe keys
   // evaluate against layouts[k]; its residuals see layouts[k + 1].
   std::vector<Relation> layouts(stages.size() + 1);
-  append_cols(&layouts[0], from[driver]);
+  layouts[0] = ScanHeader(from[driver]);
   for (size_t k = 0; k < stages.size(); ++k) {
     layouts[k + 1].columns = layouts[k].columns;
-    append_cols(&layouts[k + 1], from[stages[k].from_idx]);
+    const Relation own = ScanHeader(from[stages[k].from_idx]);
+    layouts[k + 1].columns.insert(layouts[k + 1].columns.end(),
+                                  own.columns.begin(), own.columns.end());
   }
 
   // ---- Parallel partitioned builds, one stage at a time, from the
@@ -2901,8 +2468,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const storage::Table& t = *fb.table;
     const std::vector<std::vector<uint32_t>>& positions =
         kept[stages[s].from_idx].positions;
-    Relation bheader;
-    append_cols(&bheader, fb);
+    const Relation bheader = ScanHeader(fb);
 
     // The key hash is computed once per build row and reused for the
     // partition choice, the semi-join filter bits, and the insert.
@@ -2929,14 +2495,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
         const Row& r = t.row(pos);
         scope.row = &r;
         Row key;
-        key.reserve(build_keys.size());
-        bool null_key = false;
-        for (const Expr* k : build_keys) {
-          APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*k, ctx));
-          if (v.is_null()) null_key = true;
-          key.push_back(std::move(v));
-        }
-        if (null_key) continue;  // inner join: null keys never match
+        APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                                EvalJoinKey(build_keys, ctx, &key));
+        if (!matchable) continue;
         Keyed kd;
         kd.hash = RowHash{}(key);
         kd.key = std::move(key);
@@ -2986,7 +2547,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   const storage::Table& dt = *dfb.table;
   const std::vector<const Expr*>& dpreds = scan_preds[driver];
   APUAMA_ASSIGN_OR_RETURN(ScanPlan dplan, PlanScan(dfb, dpreds, nullptr));
-  ScanMorsels dsm = TouchAndMorselize(dt, dplan);
+  APUAMA_ASSIGN_OR_RETURN(ScanMorsels dsm, TouchAndMorselize(dt, dplan));
 
   // ---- Driver compile (vectorized probe). The chunk lookup and all
   // compilation happen here on the coordinator — the column store is
@@ -2999,17 +2560,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   if (cg.built) ++stats_->columnar_chunks_built;
   if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
   const storage::ColumnarTable& dchunk = *cg.chunk;
-  struct DriverPredStep {
-    std::unique_ptr<VecPredicate> vec;
-    const Expr* row = nullptr;
-  };
-  std::vector<DriverPredStep> dsteps;
-  for (const Expr* p : dpreds) {
-    DriverPredStep step;
-    step.vec = CompileVecPredicate(*p, layouts[0], dchunk);
-    if (step.vec == nullptr) step.row = p;
-    dsteps.push_back(std::move(step));
-  }
+  const MorselFilter dfilter(dpreds, layouts[0], &dchunk);
   // One stage-0 probe-key lane: a compiled numeric kernel, or a
   // dictionary-coded string column hashed through per-code string
   // hashes (precomputed once per dictionary entry). Eligibility
@@ -3108,17 +2659,11 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
         return FoldRow(agg_nodes, ctxs[k],
                        &part.Group(std::move(key), scratch, agg_nodes.size()));
       }
-      const BuildStage& st = stages[k];
       const BuiltStage& bs = built[k];
       Row key;
-      key.reserve(st.probe_keys.size());
-      bool null_key = false;
-      for (const Expr* e : st.probe_keys) {
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*e, ctxs[k]));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
-      if (null_key) return Status::OK();  // inner join semantics
+      APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                              EvalJoinKey(stages[k].probe_keys, ctxs[k], &key));
+      if (!matchable) return Status::OK();
       const size_t h = RowHash{}(key);
       const size_t p = h % kMergePartitions;
       if (!bs.filters[p].MayContain(h)) {
@@ -3138,24 +2683,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     // row and probe the chain.
     std::vector<uint32_t> sel = dsm.Selection(mi);
     part.scanned += sel.size();
-    for (const DriverPredStep& step : dsteps) {
-      if (sel.empty()) break;
-      if (step.vec != nullptr) {
-        APUAMA_RETURN_NOT_OK(FilterVec(*step.vec, dchunk, &sel, &part.cpu,
+    // Row-wise steps read the heap row in place (layout 0 is the
+    // driver's schema).
+    APUAMA_RETURN_NOT_OK(dfilter.Apply(dt, &scopes[0], ctxs[0], &sel,
                                        &part.vec_rows, &part.dict_hits));
-        continue;
-      }
-      // Row-wise fallback for this conjunct only: evaluate against the
-      // heap row in place (layout 0 is the driver's schema).
-      std::vector<uint32_t> out;
-      out.reserve(sel.size());
-      for (const uint32_t pos : sel) {
-        scopes[0].row = &dt.row(pos);
-        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*step.row, ctxs[0]));
-        if (Truthiness(v) == 1) out.push_back(pos);
-      }
-      sel.swap(out);
-    }
     scopes[0].row = &scratch;  // probe chain reads the scratch row
     if (sel.empty()) return Status::OK();
     if (!keys_vec) {

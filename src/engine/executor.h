@@ -77,6 +77,13 @@ class Executor {
     return scan_paths_;
   }
 
+  /// Heap positions, ascending, of the rows of `table` a DELETE or
+  /// UPDATE with `where` (null = every row) affects. They come from
+  /// the same access-path choice and page walk as a SELECT's scan, so
+  /// `delete ... where key = K` reads only K's clustered range.
+  Result<std::vector<size_t>> MatchWrite(const storage::Table& table,
+                                         const sql::Expr* where);
+
   /// Runs `stmt`'s aggregate or projection tail on the sequential row
   /// executor over `rel` instead of its FROM and WHERE: the
   /// composition step of an intra-query read, whose partial rows
@@ -91,14 +98,22 @@ class Executor {
   struct ConjunctInfo;
 
   /// Access-path decision for one base-table scan: the winning path
-  /// plus the row range (seq / clustered range) or the sorted heap
-  /// positions (secondary index) it covers.
+  /// and the heap positions it reads in scan order, either the rows
+  /// [range_begin, range_end) (seq scan, clustered range) or the
+  /// sorted `index_positions` (secondary index).
   struct ScanPlan {
     AccessPath path = AccessPath::kSeqScan;
     size_t range_begin = 0;
     size_t range_end = 0;
     std::vector<size_t> index_positions;
   };
+
+  /// The WHERE classifier of both join pipelines: resolves `stmt`'s
+  /// FROM bindings into *from and classifies its WHERE conjuncts, in
+  /// WHERE order, into *conjuncts.
+  Status ClassifyWhere(const sql::SelectStmt& stmt,
+                       std::vector<FromBinding>* from,
+                       std::vector<ConjunctInfo>* conjuncts) const;
 
   /// FROM + WHERE: scans, joins, residual filters, subquery
   /// predicates. Produces the pre-aggregation relation.
@@ -110,6 +125,21 @@ class Executor {
   Result<ScanPlan> PlanScan(const FromBinding& fb,
                             const std::vector<const sql::Expr*>& preds,
                             const EvalScope* outer);
+
+  /// The one page walk: visits `plan`'s heap positions in scan order
+  /// and touches each page through the buffer pool as the walk enters
+  /// it, so every consumer of a plan causes the same page traffic.
+  template <typename Visit>
+  Status WalkScan(const storage::Table& t, const ScanPlan& plan,
+                  Visit&& visit);
+
+  /// The row source of the sequential executor and of DML: plans the
+  /// scan of `fb` and walks it, handing `keep` the position of every
+  /// row that passes all of `preds` (checked as the row is touched).
+  template <typename Keep>
+  Status FilterScan(const FromBinding& fb,
+                    const std::vector<const sql::Expr*>& preds,
+                    const EvalScope* outer, Keep&& keep);
 
   Result<Relation> ScanTable(const FromBinding& fb,
                              const std::vector<const sql::Expr*>& preds,
@@ -161,20 +191,22 @@ class Executor {
   /// The finish of every morsel pipeline once all its morsels ran:
   /// charges the partials' counters to this statement's stats, merges
   /// their group tables, adds the empty-input group of a GROUP BY-less
-  /// statement, and projects and sorts. `header` is the layout the
-  /// group representatives were drawn from; `threads` is the morsel
-  /// region's width; a null `pool` runs everything inline.
+  /// statement, and hands the groups to the one finalizer every
+  /// aggregation shares. `header` is the layout the group
+  /// representatives were drawn from; `threads` is the morsel region's
+  /// width; a null `pool` merges inline.
   Result<QueryResult> FinishMorselAggregate(
       ThreadPool* pool, size_t threads, const sql::SelectStmt& stmt,
       const Relation& header, const std::vector<const sql::Expr*>& agg_nodes,
       std::vector<MorselPartial>* partials);
 
   /// Coordinator-side page touching + morsel decomposition for one
-  /// planned scan: touches every page the scan will read, in exactly
+  /// planned scan: walks the plan, so every page is touched in exactly
   /// the sequential scan's order (the buffer pool is not thread-safe
-  /// and LRU state must not depend on worker timing), then returns the
-  /// page-aligned morsels. For secondary-index plans the sorted
-  /// position list itself is morselized and `positions` points at it.
+  /// and LRU state must not depend on worker timing), and returns the
+  /// page-aligned morsels of its row range. For secondary-index plans
+  /// the sorted position list itself is morselized and `positions`
+  /// points at it.
   struct ScanMorsels {
     std::vector<storage::Table::Morsel> morsels;
     const std::vector<size_t>* positions = nullptr;
@@ -187,8 +219,8 @@ class Executor {
     /// selection vector of a columnar morsel.
     std::vector<uint32_t> Selection(size_t mi) const;
   };
-  ScanMorsels TouchAndMorselize(const storage::Table& t,
-                                const ScanPlan& plan);
+  Result<ScanMorsels> TouchAndMorselize(const storage::Table& t,
+                                        const ScanPlan& plan);
 
   Result<Relation> ApplySubqueryPredicate(Relation rel, const sql::Expr& e,
                                           const EvalScope* outer);

@@ -25,6 +25,15 @@ bool IsLeaf(const Expr& e) {
   }
 }
 
+// `head` followed by `tail`. Appending to the head, instead of writing
+// `"lit" + std::string&&` (which inserts at the temporary's front),
+// keeps GCC 12's -Wrestrict false positive out of optimized builds.
+std::string Prefix(const char* head, const std::string& tail) {
+  std::string out = head;
+  out += tail;
+  return out;
+}
+
 std::string Wrap(const Expr& e) {
   std::string s = UnparseExpr(e);
   if (IsLeaf(e)) return s;
@@ -41,8 +50,10 @@ std::string UnparseExpr(const Expr& e) {
       if (e.table_qualifier.empty()) return e.column_name;
       return e.table_qualifier + "." + e.column_name;
     case ExprKind::kUnary:
-      if (e.unary_op == UnaryOp::kNegate) return "-" + Wrap(*e.children[0]);
-      return "NOT " + Wrap(*e.children[0]);
+      if (e.unary_op == UnaryOp::kNegate) {
+        return Prefix("-", Wrap(*e.children[0]));
+      }
+      return Prefix("NOT ", Wrap(*e.children[0]));
     case ExprKind::kBinary:
       return Wrap(*e.children[0]) + " " + BinaryOpName(e.binary_op) + " " +
              Wrap(*e.children[1]);
@@ -75,10 +86,10 @@ std::string UnparseExpr(const Expr& e) {
     case ExprKind::kCase: {
       std::string out = "CASE";
       for (size_t i = 0; i + 1 < e.children.size(); i += 2) {
-        out += " WHEN " + UnparseExpr(*e.children[i]) + " THEN " +
+        out += Prefix(" WHEN ", UnparseExpr(*e.children[i])) + " THEN " +
                UnparseExpr(*e.children[i + 1]);
       }
-      if (e.case_else) out += " ELSE " + UnparseExpr(*e.case_else);
+      if (e.case_else) out += Prefix(" ELSE ", UnparseExpr(*e.case_else));
       out += " END";
       return out;
     }
@@ -92,7 +103,7 @@ std::string UnparseExpr(const Expr& e) {
     case ExprKind::kStar:
       return "*";
     case ExprKind::kScalarSubquery:
-      return "(" + UnparseSelect(*e.subquery) + ")";
+      return Prefix("(", UnparseSelect(*e.subquery)) + ")";
     case ExprKind::kInterval: {
       const char* unit = e.interval_unit == Expr::IntervalUnit::kDay ? "DAY"
                          : e.interval_unit == Expr::IntervalUnit::kMonth
@@ -129,13 +140,13 @@ std::string UnparseSelect(const SelectStmt& s) {
     }
     out += Join(refs, ", ");
   }
-  if (s.where) out += " WHERE " + UnparseExpr(*s.where);
+  if (s.where) out += Prefix(" WHERE ", UnparseExpr(*s.where));
   if (!s.group_by.empty()) {
     std::vector<std::string> gs;
     for (const auto& g : s.group_by) gs.push_back(UnparseExpr(*g));
-    out += " GROUP BY " + Join(gs, ", ");
+    out += Prefix(" GROUP BY ", Join(gs, ", "));
   }
-  if (s.having) out += " HAVING " + UnparseExpr(*s.having);
+  if (s.having) out += Prefix(" HAVING ", UnparseExpr(*s.having));
   if (!s.order_by.empty()) {
     std::vector<std::string> os;
     for (const auto& o : s.order_by) {
@@ -143,7 +154,7 @@ std::string UnparseSelect(const SelectStmt& s) {
       if (o.desc) t += " DESC";
       os.push_back(std::move(t));
     }
-    out += " ORDER BY " + Join(os, ", ");
+    out += Prefix(" ORDER BY ", Join(os, ", "));
   }
   if (s.limit >= 0) {
     out += StrFormat(" LIMIT %lld", static_cast<long long>(s.limit));
@@ -161,13 +172,15 @@ std::string UnparseStmt(const Stmt& s) {
     case StmtKind::kInsert: {
       const auto& st = static_cast<const InsertStmt&>(s);
       std::string out = "INSERT INTO " + st.table;
-      if (!st.columns.empty()) out += " (" + Join(st.columns, ", ") + ")";
+      if (!st.columns.empty()) {
+        out += Prefix(" (", Join(st.columns, ", ")) + ")";
+      }
       out += " VALUES ";
       std::vector<std::string> rows;
       for (const auto& row : st.rows) {
         std::vector<std::string> vals;
         for (const auto& v : row) vals.push_back(UnparseExpr(*v));
-        rows.push_back("(" + Join(vals, ", ") + ")");
+        rows.push_back(Prefix("(", Join(vals, ", ")) + ")");
       }
       out += Join(rows, ", ");
       return out;
@@ -175,7 +188,7 @@ std::string UnparseStmt(const Stmt& s) {
     case StmtKind::kDelete: {
       const auto& st = static_cast<const DeleteStmt&>(s);
       std::string out = "DELETE FROM " + st.table;
-      if (st.where) out += " WHERE " + UnparseExpr(*st.where);
+      if (st.where) out += Prefix(" WHERE ", UnparseExpr(*st.where));
       return out;
     }
     case StmtKind::kUpdate: {
@@ -186,7 +199,7 @@ std::string UnparseStmt(const Stmt& s) {
         sets.push_back(col + " = " + UnparseExpr(*val));
       }
       out += Join(sets, ", ");
-      if (st.where) out += " WHERE " + UnparseExpr(*st.where);
+      if (st.where) out += Prefix(" WHERE ", UnparseExpr(*st.where));
       return out;
     }
     case StmtKind::kCreateTable: {
@@ -214,7 +227,8 @@ std::string UnparseStmt(const Stmt& s) {
         cols.push_back(std::move(t));
       }
       if (!st.primary_key.empty()) {
-        cols.push_back("PRIMARY KEY (" + Join(st.primary_key, ", ") + ")");
+        cols.push_back(Prefix("PRIMARY KEY (", Join(st.primary_key, ", ")) +
+                       ")");
       }
       return "CREATE TABLE " + st.table + " (" + Join(cols, ", ") + ")";
     }

@@ -28,6 +28,13 @@ constexpr uint64_t kExchangeRowBytes = 64;
 // stack computes the width from per-group moments instead).
 constexpr double kSimFullScrambleHalfWidth = 0.005;
 
+/// Node multiprogramming level: statements one node serves at once.
+constexpr int kNodeMpl = 2;
+
+/// Result-cache capacity when `result_cache` is on (the real stack's
+/// default).
+constexpr size_t kResultCacheEntries = 256;
+
 /// Fraction of the key span [lo, hi) whose owning fragments do NOT
 /// host `node` — the rows the exchange operator must ship to serve
 /// the interval there. Edge fragments are open-ended, like routing.
@@ -128,24 +135,19 @@ ClusterSim::ClusterSim(const tpch::TpchData& data, ClusterSimOptions options)
   }
   rewriter_ = std::make_unique<SvpRewriter>(&catalog_);
   for (int i = 0; i < options.num_nodes; ++i) {
-    servers_.push_back(
-        std::make_unique<sim::SimServer>(&sim_, options.node_mpl));
+    servers_.push_back(std::make_unique<sim::SimServer>(&sim_, kNodeMpl));
   }
   if (options.result_cache) {
-    result_cache_ =
-        std::make_unique<share::ResultCache>(options.result_cache_entries);
+    result_cache_ = std::make_unique<share::ResultCache>(kResultCacheEntries);
   }
   if (options_.admission) {
     admission::AdmissionController::Options adm;
     adm.enabled = true;
     adm.default_slo_us = options_.admission_slo_us;
-    adm.default_priority = options_.admission_priority;
     adm.max_inflight = options_.admission_max_inflight > 0
                            ? options_.admission_max_inflight
-                           : options_.num_nodes * options_.node_mpl;
+                           : options_.num_nodes * kNodeMpl;
     adm.queue_limit = options_.admission_queue_limit;
-    adm.allow_degrade = options_.admission_degrade;
-    adm.allow_shed = options_.admission_shed;
     adm.window_base_us =
         static_cast<int64_t>(options_.admission_window_us);
     adm.window_max_us =
@@ -241,7 +243,7 @@ void ClusterSim::SubmitRead(const std::string& sql, const ReadTag& tag,
   request.priority = tag.priority;
   request.slo_us = tag.slo_us;
   request.tenant = tag.tenant;
-  request.degradable = options_.admission_degrade && parsed.ok() && !approx;
+  request.degradable = parsed.ok() && !approx;
   admission_->Submit(
       request, static_cast<int64_t>(sim_.now()),
       [this, sql, outcome, finish,
@@ -250,7 +252,7 @@ void ClusterSim::SubmitRead(const std::string& sql, const ReadTag& tag,
           // Stage 3: the rejection still costs the client one message
           // round trip before the retryable error lands.
           outcome.shed = true;
-          sim_.After(options_.cost.message_us,
+          sim_.After(cost_.message_us,
                      [this, outcome, finish]() mutable {
                        outcome.completed = sim_.now();
                        outcome.status = Status::Overloaded(
@@ -307,7 +309,7 @@ void ClusterSim::SubmitReadFront(const std::string& sql,
     if (auto hit = result_cache_->Lookup(fingerprint, catalog_.version())) {
       // Served from the controller: one message round-trip, no node.
       ++result_cache_hits_;
-      sim_.After(options_.cost.message_us,
+      sim_.After(cost_.message_us,
                  [this, outcome, hit, finish]() mutable {
                    outcome.completed = sim_.now();
                    obs::Tracer::Global().Record(
@@ -448,8 +450,8 @@ void ClusterSim::SubmitReadCore(const std::string& sql, SimOutcome outcome,
         shared_outcome->status = res->status();
         if (res->ok()) feedback_.Observe((*res)->stats);
         return Scaled(node,
-                      res->ok() ? options_.cost.StatementTime((*res)->stats)
-                                : options_.cost.message_us);
+                      res->ok() ? cost_.StatementTime((*res)->stats)
+                                : cost_.message_us);
       },
       [shared_finish, shared_outcome, res](SimTime t) {
         shared_outcome->completed = t;
@@ -585,7 +587,7 @@ void ClusterSim::DispatchSvp(std::shared_ptr<SvpTicket> ticket) {
           if (r.ok()) {
             feedback_.Observe(r->stats);
             SimTime t = static_cast<SimTime>(
-                static_cast<double>(options_.cost.StatementTime(r->stats)) *
+                static_cast<double>(cost_.StatementTime(r->stats)) *
                 time_scale);
             if (ship_frac > 0.0) {
               const uint64_t bytes =
@@ -594,13 +596,13 @@ void ClusterSim::DispatchSvp(std::shared_ptr<SvpTicket> ticket) {
                       ship_frac) *
                   kExchangeRowBytes;
               exchange_bytes_ += bytes;
-              t += options_.cost.ExchangeTransferTime(bytes);
+              t += cost_.ExchangeTransferTime(bytes);
             }
             ticket->partials[static_cast<size_t>(k)] = std::move(r).value();
             return Scaled(node, t);
           }
           ticket->outcome.status = r.status();
-          return Scaled(node, options_.cost.message_us);
+          return Scaled(node, cost_.message_us);
         },
         [this, ticket, node, started](SimTime t) {
           obs::Tracer& tracer = obs::Tracer::Global();
@@ -620,9 +622,9 @@ void ClusterSim::DispatchAvp(std::shared_ptr<SvpTicket> ticket) {
   // key, so the divisor shrinks and the scheduler starts with larger
   // chunks (less per-chunk message overhead before the adaptive
   // feedback loop takes over).
-  AvpOptions avp = options_.avp;
+  AvpOptions avp;
   avp.initial_divisor =
-      options_.cost.AdaptedAvpDivisor(avp.initial_divisor, feedback_);
+      cost_.AdaptedAvpDivisor(avp.initial_divisor, feedback_);
   ticket->avp = std::make_unique<AvpScheduler>(
       n, ticket->plan.domain_min(), ticket->plan.domain_max(), avp);
   ticket->remaining = n;  // nodes still pumping chunks
@@ -658,12 +660,12 @@ void ClusterSim::StartAvpChunk(std::shared_ptr<SvpTicket> ticket,
         db->settings()->enable_seqscan = saved;
         if (r.ok()) {
           feedback_.Observe(r->stats);
-          SimTime t = options_.cost.StatementTime(r->stats);
+          SimTime t = cost_.StatementTime(r->stats);
           ticket->partials.push_back(std::move(r).value());
           return Scaled(node, t);
         }
         ticket->outcome.status = r.status();
-        return Scaled(node, options_.cost.message_us);
+        return Scaled(node, cost_.message_us);
       },
       [this, ticket, node, keys, started](SimTime t) {
         obs::Tracer& tracer = obs::Tracer::Global();
@@ -693,7 +695,7 @@ void ClusterSim::ComposeAndFinish(std::shared_ptr<SvpTicket> ticket) {
   ticket->outcome.status = final_result->status();
   SimTime compose_time =
       final_result->ok()
-          ? options_.cost.CompositionTime(cstats.compose_exec,
+          ? cost_.CompositionTime(cstats.compose_exec,
                                           cstats.partial_rows)
           : 0;
   auto finish = ticket->finish;
@@ -748,8 +750,8 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
         [this, ticket] {
           auto r = replicas_->ExecuteOn(0, ticket->sql);
           if (!r.ok()) ticket->outcome.status = r.status();
-          return Scaled(0, r.ok() ? options_.cost.StatementTime(r->stats)
-                                  : options_.cost.message_us);
+          return Scaled(0, r.ok() ? cost_.StatementTime(r->stats)
+                                  : cost_.message_us);
         },
         [this, ticket](SimTime t) {
           ++writes_completed_;
@@ -767,8 +769,8 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
             [this, ticket, i] {
               auto r = replicas_->ExecuteOn(i, ticket->sql);
               return Scaled(i, r.ok()
-                                   ? options_.cost.StatementTime(r->stats)
-                                   : options_.cost.message_us);
+                                   ? cost_.StatementTime(r->stats)
+                                   : cost_.message_us);
             },
             [this, ticket](SimTime) {
               // Each secondary apply re-bumps: conservative (extra
@@ -822,14 +824,14 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
   ++writes_in_flight_;
   ticket->remaining = static_cast<int>(owners.size());
   SimTime sync =
-      options_.cost.WriteBroadcastOverhead(static_cast<int>(owners.size()));
+      cost_.WriteBroadcastOverhead(static_cast<int>(owners.size()));
   for (int i : owners) {
     servers_[static_cast<size_t>(i)]->Enqueue(sim::SimServer::Job{
         [this, ticket, i, sync] {
           auto r = replicas_->ExecuteOn(i, ticket->sql);
           if (!r.ok()) ticket->outcome.status = r.status();
-          return Scaled(i, (r.ok() ? options_.cost.StatementTime(r->stats)
-                                   : options_.cost.message_us) +
+          return Scaled(i, (r.ok() ? cost_.StatementTime(r->stats)
+                                   : cost_.message_us) +
                                sync);
         },
         [this, ticket](SimTime t) {
@@ -856,8 +858,8 @@ void ClusterSim::DispatchWrite(std::shared_ptr<WriteTicket> ticket) {
     servers_[static_cast<size_t>(i)]->Enqueue(sim::SimServer::Job{
         [this, ticket, i] {
           auto r = replicas_->ExecuteOn(i, ticket->sql);
-          return Scaled(i, r.ok() ? options_.cost.StatementTime(r->stats)
-                                  : options_.cost.message_us);
+          return Scaled(i, r.ok() ? cost_.StatementTime(r->stats)
+                                  : cost_.message_us);
         },
         [](SimTime) {}});
   }

@@ -59,14 +59,10 @@ struct ClusterSimOptions {
   /// the data size (≈ 30% of the fact-table heap: the full fact table
   /// does not fit on one node, a quarter partition does).
   size_t buffer_pool_pages = 0;
-  /// Node multiprogramming level (concurrent statements per node).
-  int node_mpl = 2;
-  sim::CostModel cost;
   /// Intra-query parallelism on (Apuama) or off (plain C-JDBC).
   bool enable_intra_query = true;
   /// SVP (the paper) or AVP (related work) for eligible queries.
   IntraQueryMode intra_mode = IntraQueryMode::kSvp;
-  apuama::AvpOptions avp;
   /// Forced index usage for sub-queries (ablation 1).
   bool force_index_for_svp = true;
   ReplicationMode replication = ReplicationMode::kEager;
@@ -128,7 +124,6 @@ struct ClusterSimOptions {
   /// How long an admission batch stays open for more arrivals
   /// (virtual time) before its leader dispatches.
   SimTime admission_window_us = 200;
-  size_t result_cache_entries = 256;
   /// SLO admission-control mirror (`SET admission` on the real
   /// stack): reads pass the overload ladder before touching the
   /// sharing front end — widen the share window, degrade eligible
@@ -137,13 +132,10 @@ struct ClusterSimOptions {
   /// Off = byte-for-byte today's behavior.
   bool admission = false;
   int64_t admission_slo_us = 50'000;
-  int admission_priority = 4;
-  /// Dispatch slots before queueing; 0 = num_nodes * node_mpl.
+  /// Dispatch slots before queueing; 0 = every node's multiprogramming
+  /// slots.
   int admission_max_inflight = 0;
   int admission_queue_limit = 256;
-  /// Ladder stages 2/3 (figures isolate one stage at a time).
-  bool admission_degrade = true;
-  bool admission_shed = true;
   /// Record obs::Tracer spans stamped with *virtual* time. The sim
   /// installs its clock on the global tracer for its lifetime, so at
   /// most one traced ClusterSim should exist at a time. The
@@ -303,6 +295,7 @@ class ClusterSim {
   SimTime Scaled(int node, SimTime t) const;
 
   ClusterSimOptions options_;
+  const sim::CostModel cost_;
   size_t pool_pages_ = 0;
   sim::EventSim sim_;
   std::unique_ptr<cjdbc::ReplicaSet> replicas_;

@@ -133,7 +133,7 @@ TEST(AvpClusterTest, AvpResultsMatchSvpResults) {
   ASSERT_TRUE(Data().LoadInto(&reference).ok());
 
   for (int q : {1, 4, 6, 12}) {
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     auto o = avp.RunToCompletion(*tpch::QuerySql(q));
     ASSERT_TRUE(o.status.ok()) << o.status.ToString();
     EXPECT_TRUE(o.used_svp);
@@ -244,7 +244,7 @@ TEST(AvpEngineTest, MatchesSingleNodeAndIssuesManyChunks) {
   ASSERT_TRUE(Data().LoadInto(&reference).ok());
 
   for (int q : {1, 6, 12}) {
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     auto expected = reference.Execute(*tpch::QuerySql(q));
     ASSERT_TRUE(expected.ok());
     auto actual = engine.ExecuteRead(0, *tpch::QuerySql(q));

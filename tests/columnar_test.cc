@@ -12,6 +12,7 @@
 // the order of double additions across morsels differs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -223,7 +224,7 @@ TEST(ColumnarTest, ChunkInvalidationAfterWrites) {
 }
 
 // Int->double promotion parity. A sum over an int column stays an
-// int64 (wide-accumulator lane); mixing int-typed values into a
+// int64 (the wrapping int lane); mixing int-typed values into a
 // double column makes the row executor promote mid-stream, and the
 // columnar path must produce the same type — it does so by refusing
 // to materialize such columns and falling back to row-wise
@@ -353,6 +354,61 @@ void MakeIndexedTables(engine::Database* db) {
   ASSERT_TRUE(fact_t.ok() && dim_t.ok());
   ASSERT_TRUE((*fact_t)->BulkLoad(std::move(fact)).ok());
   ASSERT_TRUE((*dim_t)->BulkLoad(std::move(dim)).ok());
+}
+
+// GROUP BY-less aggregates over edge values, folded across several
+// morsels: NaN and -0.0/0.0 ties under MIN/MAX, an all-NULL column,
+// an int64 SUM that wraps, DATE MIN/MAX, COUNT(x) over NULLs,
+// COUNT(DISTINCT) and AVG. A NaN never replaces a MIN/MAX (it
+// compares equal), so a morsel that starts with one keeps it; the
+// extremes of `nanv` sit in the first morsel, which makes the answer
+// independent of where the other morsels start.
+TEST(ColumnarTest, GlobalAggregateEdgeValuesAcrossMorsels) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(db.Execute("create table e (id int, big int, z double, "
+                         "nanv double, dt date, sparse int, none int)")
+                  .ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 6000; ++i) {
+    const double nanv = i == 0   ? -1.0
+                        : i == 1 ? 1e9
+                        : i % 7 == 3 ? nan
+                                     : static_cast<double>(i % 500);
+    rows.push_back({Value::Int(i),
+                    Value::Int(std::numeric_limits<int64_t>::max() - i),
+                    Value::Double(i % 2 == 0 ? -0.0 : 0.0), Value::Double(nanv),
+                    Value::Date(9000 + (i * 37) % 3000),
+                    i % 3 == 0 ? Value::Null() : Value::Int(i % 50),
+                    Value::Null()});
+  }
+  auto table = db.catalog()->GetTable("e");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->BulkLoad(std::move(rows)).ok());
+  for (const std::string sql : {
+           "select min(nanv), max(nanv), count(nanv) from e",
+           "select min(z), max(z), count(z) from e",
+           "select sum(none), min(none), max(none), avg(none), count(none),"
+           " count(*) from e",
+           "select sum(big), avg(big), min(big), max(big) from e",
+           "select min(dt), max(dt), count(distinct dt) from e",
+           "select count(sparse), count(distinct sparse), avg(sparse),"
+           " sum(sparse) from e",
+           "select count(sparse), avg(sparse), sum(big) from e "
+           "where id >= 1500",
+       }) {
+    engine::QueryResult r = ExpectStableAndReferenceEqual(&db, sql);
+    EXPECT_GE(r.stats.morsels, 3u) << sql;
+  }
+  // The wrapped SUM is the two's-complement sum, an Int.
+  auto r = db.Execute("select sum(big) from e");
+  ASSERT_TRUE(r.ok());
+  uint64_t wrapped = 0;
+  for (int64_t i = 0; i < 6000; ++i) {
+    wrapped += static_cast<uint64_t>(std::numeric_limits<int64_t>::max() - i);
+  }
+  EXPECT_EQ(r->rows[0][0].type(), ValueType::kInt64);
+  EXPECT_EQ(r->rows[0][0].int_val(), static_cast<int64_t>(wrapped));
 }
 
 // Secondary-index aggregates run the columnar pipeline over selection

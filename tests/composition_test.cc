@@ -263,7 +263,7 @@ TEST(FastPathCoverageTest, AllTpchCompositionsUseFastPath) {
   for (int q : tpch::ExtendedQueryNumbers()) all.push_back(q);
   uint64_t composed = 0;
   for (int q : all) {
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
     auto parsed = sql::ParseSelect(*sql);

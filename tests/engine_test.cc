@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "engine/database.h"
 #include "engine/eval.h"
@@ -309,6 +311,47 @@ TEST_F(EngineTest, DeleteRemovesRows) {
   auto r = Exec("delete from items where id > 90");
   EXPECT_EQ(r.stats.rows_affected, 10u);
   EXPECT_EQ(Exec("select count(*) from items").rows[0][0].int_val(), 90);
+
+  // Grow the table to many pages, so a clustered-key predicate has a
+  // range worth taking, then delete by key BETWEEN and by key
+  // equality. Each delete removes exactly the rows a SELECT with its
+  // WHERE returns; the equality reads only the pages of its key range.
+  auto items = db_->catalog()->GetTable("items");
+  ASSERT_TRUE(items.ok());
+  std::vector<Row> more;
+  for (int64_t i = 1000; i < 4000; ++i) {
+    more.push_back({Value::Int(i), Value::Int(i % 5), Value::Double(i * 1.5),
+                    Value::Date(10000), Value::Str(std::string(30, 'n'))});
+  }
+  ASSERT_TRUE((*items)->BulkLoad(std::move(more)).ok());
+  ASSERT_GT((*items)->num_pages(), 8u);
+  for (const std::string where : {"id between 1200 and 1450", "id = 2500"}) {
+    SCOPED_TRACE(where);
+    const QueryResult before = Exec("select id from items order by id");
+    const QueryResult doomed =
+        Exec("select id from items where " + where + " order by id");
+    const Value key = Value::Int(2500);
+    const auto [b, e] = (*items)->ClusteredRange(&key, true, &key, true);
+    const size_t rpp = (*items)->rows_per_page();
+    const uint64_t key_pages = (e - 1) / rpp - b / rpp + 1;
+
+    const QueryResult del = Exec("delete from items where " + where);
+    EXPECT_EQ(del.stats.rows_affected, doomed.rows.size());
+    if (where == "id = 2500") {
+      EXPECT_EQ(del.stats.rows_affected, 1u);
+      EXPECT_EQ(del.stats.pages_cache + del.stats.pages_disk, key_pages);
+    }
+    std::vector<Row> expected;
+    size_t d = 0;
+    for (const Row& row : before.rows) {
+      if (d < doomed.rows.size() && row[0].Compare(doomed.rows[d][0]) == 0) {
+        ++d;
+        continue;
+      }
+      expected.push_back(row);
+    }
+    EXPECT_EQ(Exec("select id from items order by id").rows, expected);
+  }
 }
 
 TEST_F(EngineTest, UpdateChangesValues) {
@@ -316,6 +359,29 @@ TEST_F(EngineTest, UpdateChangesValues) {
   EXPECT_EQ(r.stats.rows_affected, 1u);
   auto q = Exec("select price from items where id = 1");
   EXPECT_DOUBLE_EQ(q.rows[0][0].double_val(), 3.0);
+
+  // Through the secondary index on the non-key column cat: the update
+  // reads the index positions and changes exactly the rows a SELECT
+  // with its WHERE returns.
+  Exec("set enable_seqscan = off");
+  const QueryResult before = Exec("select id, price from items order by id");
+  const QueryResult hit = Exec("select id from items where cat = 3");
+  const QueryResult up =
+      Exec("update items set price = price + 1 where cat = 3");
+  Exec("set enable_seqscan = on");
+  EXPECT_TRUE(up.stats.used_index_scan);
+  EXPECT_EQ(up.stats.rows_affected, hit.rows.size());
+  std::set<int64_t> hit_ids;
+  for (const Row& row : hit.rows) hit_ids.insert(row[0].int_val());
+  const QueryResult after = Exec("select id, price from items order by id");
+  ASSERT_EQ(after.rows.size(), before.rows.size());
+  for (size_t i = 0; i < after.rows.size(); ++i) {
+    const Row& old_row = before.rows[i];
+    const double bump = hit_ids.count(old_row[0].int_val()) ? 1.0 : 0.0;
+    EXPECT_EQ(after.rows[i][0].int_val(), old_row[0].int_val());
+    EXPECT_DOUBLE_EQ(after.rows[i][1].double_val(),
+                     old_row[1].double_val() + bump);
+  }
 }
 
 TEST_F(EngineTest, InsertThenQuery) {

@@ -304,7 +304,7 @@ TEST(UnparseFuzz, AllTpchQueriesRoundTrip) {
   std::vector<int> all = tpch::PaperQueryNumbers();
   for (int q : tpch::ExtendedQueryNumbers()) all.push_back(q);
   for (int q : all) {
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     auto p1 = ParseSelect(*tpch::QuerySql(q));
     ASSERT_TRUE(p1.ok()) << p1.status().ToString();
     std::string text1 = UnparseSelect(**p1);

@@ -131,7 +131,7 @@ TEST(JoinParallelTest, MorselJoinMatchesLegacyChain) {
     ASSERT_TRUE(morsel.ok()) << "Q" << q << ": "
                              << morsel.status().ToString();
     EXPECT_GT(morsel->stats.join_build_rows, 0u) << "Q" << q;
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     testutil::ExpectMatchesReference(*legacy, *morsel);
   }
 }
@@ -222,11 +222,10 @@ TEST(JoinParallelTest, Q5ProbeWorkBoundedByLineitem) {
 // that fans out, since the key is not enforced unique), and build
 // sides filtered to zero rows (survival 0, so they go before larger
 // or smaller key lookups). Two more group the join by f_dim into
-// 1,100-1,200 groups: one with HAVING and an expression item (the
-// general finalize tail), one with bare items and an ORDER BY full of
-// ties (the fast tail, whose bucket merge must break ties in group-key
-// order). Each must match the reference executor and be bit-identical
-// at every thread count.
+// 1,100-1,200 groups: one with HAVING and expression items, one with
+// bare items and an ORDER BY full of ties, which the finish must break
+// in group-key order. Each must match the reference executor and be
+// bit-identical at every thread count.
 TEST(JoinParallelTest, OrderingEdgeCasesMatchReference) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());

@@ -363,7 +363,7 @@ TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
       {"query", "elapsed_us"},
   };
   for (int q : {1, 3}) {
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     auto r = controller.Execute("EXPLAIN ANALYZE " + *tpch::QuerySql(q));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->column_names,

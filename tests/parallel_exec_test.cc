@@ -89,7 +89,7 @@ TEST(ParallelDeterminismTest, MorselMatchesSequentialPipeline) {
     auto morsel = db.Execute(*sql);
     ASSERT_TRUE(morsel.ok()) << "Q" << q << ": "
                              << morsel.status().ToString();
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     testutil::ExpectMatchesReference(*seq, *morsel);
   }
 }

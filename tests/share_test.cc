@@ -128,7 +128,9 @@ TEST(ResultCacheTest, MissThenHit) {
 TEST(ResultCacheTest, LruEvictsOldestAtCapacity) {
   share::ResultCache cache(2);
   for (int i = 0; i < 3; ++i) {
-    auto t = cache.BeginFill("q" + std::to_string(i), 1, {"t"}, 0);
+    std::string fingerprint = "q";
+    fingerprint += std::to_string(i);
+    auto t = cache.BeginFill(fingerprint, 1, {"t"}, 0);
     ASSERT_TRUE(cache.Insert(t, MakeResult(i)));
   }
   EXPECT_EQ(cache.size(), 2u);
@@ -449,7 +451,6 @@ TEST(ControllerSharingTest, ConcurrentIdenticalReadsCoalesce) {
   // 8 threads inside a 50 ms window: some must have ridden another
   // query's admission instead of touching a backend.
   EXPECT_GT(controller.stats().queries_coalesced, 0u);
-  EXPECT_GT(engine->stats().queries_coalesced.load(), 0u);
 }
 
 }  // namespace

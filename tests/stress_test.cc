@@ -164,7 +164,7 @@ TEST(StressTest, ParallelExecutorsUnderConcurrentClients) {
   for (size_t i = 0; i < queries.size(); ++i) {
     auto r = controller.Execute(*tpch::QuerySql(queries[i]));
     ASSERT_TRUE(r.ok()) << "Q" << queries[i];
-    SCOPED_TRACE("Q" + std::to_string(queries[i]));
+    SCOPED_TRACE(testing::Message() << "Q" << queries[i]);
     testutil::ExpectResultsEqual(baseline[i], *r);
   }
 }
@@ -213,10 +213,8 @@ TEST(StressTest, StatReadersRaceFreeAgainstTraffic) {
     (void)keep;
   };
 
-  std::vector<std::thread> threads;
-  threads.emplace_back(analyst);
-  threads.emplace_back(analyst);
-  threads.emplace_back(updater);
+  std::thread threads[] = {std::thread(analyst), std::thread(analyst),
+                           std::thread(updater)};
   std::vector<std::thread> readers;
   for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
   for (auto& t : threads) t.join();

@@ -130,7 +130,7 @@ TEST(ExtendedQueriesTest, ClusterEquivalence) {
   ASSERT_TRUE(SharedData().LoadIntoReplicas(&replicas).ok());
   ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(SharedData()));
   for (int q : tpch::ExtendedQueryNumbers()) {
-    SCOPED_TRACE("Q" + std::to_string(q));
+    SCOPED_TRACE(testing::Message() << "Q" << q);
     auto sql = tpch::QuerySql(q);
     ASSERT_TRUE(sql.ok());
     auto expected = reference.Execute(*sql);
@@ -386,7 +386,9 @@ TEST_P(SvpEquivalenceTest, MatchesSingleNode) {
 INSTANTIATE_TEST_SUITE_P(PaperQueries, SvpEquivalenceTest,
                          ::testing::ValuesIn(tpch::PaperQueryNumbers()),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "Q" + std::to_string(info.param);
+                           std::string name = "Q";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // Equivalence must hold at every cluster size (partition boundaries
