@@ -23,6 +23,7 @@
 #include "sql/parser.h"
 #include "sql/unparse.h"
 #include "storage/buffer_pool.h"
+#include "storage/column_store.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 #include "tpch/tpch_catalog.h"
@@ -133,6 +134,64 @@ void BM_ExecuteQ5SingleNode(benchmark::State& state) {
       static_cast<double>(stats.filter_skipped_rows);
 }
 BENCHMARK(BM_ExecuteQ5SingleNode);
+
+// The paper's two subquery templates. Q4's EXISTS runs as a semi step
+// of the single-table morsel aggregate, Q21's EXISTS / NOT EXISTS as
+// semi and anti steps after the last stage of the morsel join; each
+// step finds its candidates by clustered-key lookups into lineitem.
+// `tuples_scanned` includes the steps' inner scans.
+void ExecuteSubqueryTemplate(benchmark::State& state, int q) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  if (!BenchData().LoadInto(&db).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  std::string sql = *tpch::QuerySql(q);
+  engine::ExecStats stats;
+  for (auto _ : state) {
+    auto r = db.Execute(sql);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    stats = r->stats;
+    benchmark::DoNotOptimize(r);
+  }
+  state.counters["morsels"] = static_cast<double>(stats.morsels);
+  state.counters["tuples_scanned"] =
+      static_cast<double>(stats.tuples_scanned);
+}
+void BM_ExecuteQ4SingleNode(benchmark::State& state) {
+  ExecuteSubqueryTemplate(state, 4);
+}
+BENCHMARK(BM_ExecuteQ4SingleNode);
+void BM_ExecuteQ21SingleNode(benchmark::State& state) {
+  ExecuteSubqueryTemplate(state, 21);
+}
+BENCHMARK(BM_ExecuteQ21SingleNode);
+
+// One columnar chunk build of lineitem at the bench scale factor: the
+// cost a write's invalidation puts on the next columnar read. Its five
+// string columns are dictionary-encoded.
+void BM_ColumnarChunkBuild(benchmark::State& state) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  if (!BenchData().LoadInto(&db).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  auto lineitem = db.catalog()->GetTable("lineitem");
+  if (!lineitem.ok()) {
+    state.SkipWithError(lineitem.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    storage::ColumnStore store;
+    benchmark::DoNotOptimize(store.Get(**lineitem).chunk);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>((*lineitem)->num_rows()));
+}
+BENCHMARK(BM_ColumnarChunkBuild);
 
 std::vector<engine::QueryResult> MakeComposePartials(int rows) {
   Rng rng(3);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -197,6 +198,24 @@ struct AggAcc {
   std::set<Value> distinct;  // only for DISTINCT aggregates
 };
 
+// The MIN/MAX rule of every fold (row, vectorized lane, merge): does
+// `v` replace the running extreme `cur`? A NaN compares equal to every
+// value, so it is ranked apart: it stands only until any other value
+// arrives, and it never replaces one. So a NaN is the MIN/MAX only
+// when every non-NULL input is NaN, whatever the fold order. Ties
+// (-0.0 and 0.0 among them) keep the earlier value.
+bool ReplacesExtreme(const Value& v, const Value& cur, bool is_min) {
+  if (cur.is_null()) return true;
+  auto is_nan = [](const Value& x) {
+    return x.type() == ValueType::kDouble && std::isnan(x.double_val());
+  };
+  const bool v_nan = is_nan(v);
+  const bool cur_nan = is_nan(cur);
+  if (v_nan || cur_nan) return cur_nan && !v_nan;
+  const int c = v.Compare(cur);
+  return is_min ? c < 0 : c > 0;
+}
+
 void AggUpdate(AggAcc* acc, const Expr& agg, const Value& v) {
   if (agg.star_arg) {
     ++acc->count;
@@ -210,11 +229,11 @@ void AggUpdate(AggAcc* acc, const Expr& agg, const Value& v) {
   ++acc->count;
   acc->has_value = true;
   if (agg.func_name == "min") {
-    if (acc->min_v.is_null() || v.Compare(acc->min_v) < 0) acc->min_v = v;
+    if (ReplacesExtreme(v, acc->min_v, /*is_min=*/true)) acc->min_v = v;
     return;
   }
   if (agg.func_name == "max") {
-    if (acc->max_v.is_null() || v.Compare(acc->max_v) > 0) acc->max_v = v;
+    if (ReplacesExtreme(v, acc->max_v, /*is_min=*/false)) acc->max_v = v;
     return;
   }
   if (agg.func_name == "sum" || agg.func_name == "avg") {
@@ -265,9 +284,10 @@ Value AggFinalize(const AggAcc& acc, const Expr& agg) {
 
 // Folds `src` into `dst` with the same promotion and tie rules
 // AggUpdate applies row-by-row: int sums stay int until either side
-// saw a double, min/max keep the earlier value on ties, DISTINCT sets
-// union. Merging per-morsel partials in morsel order therefore yields
-// the same bits regardless of which thread produced which partial.
+// saw a double, min/max go through ReplacesExtreme (the earlier value
+// wins a tie), DISTINCT sets union. Merging per-morsel partials in
+// morsel order therefore yields the same bits regardless of which
+// thread produced which partial.
 void AggMerge(AggAcc* dst, const AggAcc& src, const Expr& agg) {
   if (agg.star_arg) {
     dst->count += src.count;
@@ -281,15 +301,15 @@ void AggMerge(AggAcc* dst, const AggAcc& src, const Expr& agg) {
   if (!src.has_value) return;
   dst->has_value = true;
   if (agg.func_name == "min") {
-    if (dst->min_v.is_null() || (!src.min_v.is_null() &&
-                                 src.min_v.Compare(dst->min_v) < 0)) {
+    if (!src.min_v.is_null() &&
+        ReplacesExtreme(src.min_v, dst->min_v, /*is_min=*/true)) {
       dst->min_v = src.min_v;
     }
     return;
   }
   if (agg.func_name == "max") {
-    if (dst->max_v.is_null() || (!src.max_v.is_null() &&
-                                 src.max_v.Compare(dst->max_v) > 0)) {
+    if (!src.max_v.is_null() &&
+        ReplacesExtreme(src.max_v, dst->max_v, /*is_min=*/false)) {
       dst->max_v = src.max_v;
     }
     return;
@@ -359,11 +379,11 @@ bool ExprHasSubquery(const Expr& e) {
   return e.case_else != nullptr && ExprHasSubquery(*e.case_else);
 }
 
-bool StmtHasSubquery(const SelectStmt& s) {
+// True when a clause other than WHERE holds a subquery.
+bool ClausesHaveSubquery(const SelectStmt& s) {
   for (const auto& item : s.items) {
     if (item.expr && ExprHasSubquery(*item.expr)) return true;
   }
-  if (s.where && ExprHasSubquery(*s.where)) return true;
   for (const auto& g : s.group_by) {
     if (ExprHasSubquery(*g)) return true;
   }
@@ -372,6 +392,10 @@ bool StmtHasSubquery(const SelectStmt& s) {
     if (ExprHasSubquery(*o.expr)) return true;
   }
   return false;
+}
+
+bool StmtHasSubquery(const SelectStmt& s) {
+  return ClausesHaveSubquery(s) || (s.where && ExprHasSubquery(*s.where));
 }
 
 // True when the statement groups or aggregates: such statements go
@@ -544,8 +568,23 @@ Status Executor::ClassifyWhere(const SelectStmt& stmt,
 Result<Relation> Executor::ExecuteFromWhere(const SelectStmt& stmt,
                                             const EvalScope* outer) {
   if (stmt.from.empty()) {
+    // One empty row (e.g. SELECT 1), kept only when every WHERE
+    // conjunct is true on it, the outer scope included.
     Relation rel;
-    rel.rows.push_back(Row{});  // one empty row, e.g. SELECT 1
+    rel.rows.push_back(Row{});
+    ColumnResolver resolver(&rel);
+    EvalScope scope{&resolver, &rel.rows[0], outer};
+    EvalContext ctx;
+    ctx.scope = &scope;
+    ctx.executor = this;
+    ctx.cpu_ops = &stats_->cpu_ops;
+    for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
+      APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*c, ctx));
+      if (Truthiness(v) != 1) {
+        rel.rows.clear();
+        break;
+      }
+    }
     return rel;
   }
   std::vector<FromBinding> from;
@@ -1075,10 +1114,12 @@ Result<std::vector<size_t>> Executor::MatchWrite(const storage::Table& table,
 // EXISTS / IN subquery predicates
 // ---------------------------------------------------------------------------
 
+namespace {
+
 // True when a subquery's result depends on more than its FROM+WHERE
 // (grouping, aggregates, DISTINCT, LIMIT): such subqueries must run
 // through full SELECT semantics, not the decorrelated fast path.
-static bool SubqueryAggregates(const SelectStmt& sub) {
+bool SubqueryAggregates(const SelectStmt& sub) {
   if (!sub.group_by.empty() || sub.having != nullptr || sub.distinct ||
       sub.limit >= 0) {
     return true;
@@ -1089,13 +1130,116 @@ static bool SubqueryAggregates(const SelectStmt& sub) {
   return false;
 }
 
+// The WHERE of a non-aggregating EXISTS / IN subquery `e`, split
+// against `outer`, the layout of the rows its predicate filters:
+// conjuncts that read only the subquery's tables (`sub_tables`, in
+// FROM order), correlated equalities between a pure-outer and a
+// pure-inner side (`outer_keys[i] = inner_keys[i]`, in WHERE order,
+// then an IN's own pair) and every other correlated conjunct.
+// `decorrelatable` is false when a conjunct names a column neither
+// side resolves or nests a subquery.
+struct SubqueryWhere {
+  bool decorrelatable = true;
+  std::vector<const Expr*> inner_only;
+  std::vector<const Expr*> outer_keys, inner_keys;
+  std::vector<const Expr*> residual;
+};
+
+SubqueryWhere SplitSubqueryWhere(
+    const Expr& e, const std::vector<const storage::Table*>& sub_tables,
+    const Relation& outer) {
+  const SelectStmt& sub = *e.subquery;
+  std::vector<std::string> sub_bindings;
+  for (const auto& r : sub.from) sub_bindings.push_back(ToLower(r.binding()));
+  // Attribute columns either to the subquery's FROM bindings or to
+  // the outer relation.
+  auto side_of = [&](const Expr& x, bool* inner, bool* outer_side,
+                     bool* unknown) {
+    std::function<void(const Expr&)> walk = [&](const Expr& n) {
+      if (n.kind == ExprKind::kColumnRef) {
+        // Inner?
+        if (!n.table_qualifier.empty()) {
+          for (const auto& b : sub_bindings) {
+            if (EqualsIgnoreCase(b, n.table_qualifier)) {
+              *inner = true;
+              return;
+            }
+          }
+        } else {
+          for (const auto* t : sub_tables) {
+            if (t->schema().FindColumn(n.column_name) >= 0) {
+              *inner = true;
+              return;
+            }
+          }
+        }
+        // Outer relation?
+        int slot = outer.FindSlot(n.table_qualifier, n.column_name);
+        if (slot >= 0) {
+          *outer_side = true;
+          return;
+        }
+        *unknown = true;
+        return;
+      }
+      for (const auto& c : n.children) walk(*c);
+      if (n.case_else) walk(*n.case_else);
+      if (n.subquery) *unknown = true;  // nested subquery: fallback
+    };
+    walk(x);
+  };
+
+  // Correlated equalities pair an outer-side key with an inner-side
+  // key.
+  SubqueryWhere sw;
+  for (const Expr* c : sql::SplitConjuncts(sub.where.get())) {
+    bool inner = false, outer_side = false, unknown = false;
+    side_of(*c, &inner, &outer_side, &unknown);
+    if (unknown) {
+      sw.decorrelatable = false;
+      return sw;
+    }
+    if (!outer_side) {
+      sw.inner_only.push_back(c);
+      continue;
+    }
+    // Correlated. Equality between a pure-inner side and a
+    // pure-outer side becomes a hash key; anything else is residual.
+    if (c->kind == ExprKind::kBinary && c->binary_op == BinaryOp::kEq) {
+      bool li = false, lo_ = false, lu = false;
+      bool ri = false, ro = false, ru = false;
+      side_of(*c->children[0], &li, &lo_, &lu);
+      side_of(*c->children[1], &ri, &ro, &ru);
+      if (!lu && !ru) {
+        if (li && !lo_ && ro && !ri) {
+          sw.outer_keys.push_back(c->children[1].get());
+          sw.inner_keys.push_back(c->children[0].get());
+          continue;
+        }
+        if (ri && !ro && lo_ && !li) {
+          sw.outer_keys.push_back(c->children[0].get());
+          sw.inner_keys.push_back(c->children[1].get());
+          continue;
+        }
+      }
+    }
+    sw.residual.push_back(c);
+  }
+  if (e.kind == ExprKind::kInSubquery) {
+    // The IN pair: lhs must equal the single inner select item.
+    sw.outer_keys.push_back(e.children[0].get());
+    sw.inner_keys.push_back(sub.items[0].expr.get());
+  }
+  return sw;
+}
+
+}  // namespace
+
 Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
                                                   const Expr& e,
                                                   const EvalScope* outer) {
   const SelectStmt& sub = *e.subquery;
   const bool negated = e.negated;
-  const Expr* in_lhs = nullptr;
-  const Expr* in_inner_item = nullptr;
   bool aggregating = SubqueryAggregates(sub);
 
   // Aggregating subqueries (e.g. TPC-H Q18's IN over a grouped
@@ -1150,113 +1294,26 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
   // IN-subquery with extra semantics: lhs must equal the single inner
   // select item. NOT IN falls back to per-row evaluation for correct
   // NULL semantics.
-  if (e.kind == ExprKind::kInSubquery) {
-    if (negated || sub.items.size() != 1 || sub.items[0].star) {
-      goto per_row_fallback;
-    }
-    in_lhs = e.children[0].get();
-    in_inner_item = sub.items[0].expr.get();
+  if (e.kind == ExprKind::kInSubquery &&
+      (negated || sub.items.size() != 1 || sub.items[0].star)) {
+    goto per_row_fallback;
   }
 
   {
-    // Attribute columns either to the subquery's FROM bindings or to
-    // the outer relation.
-    std::vector<std::string> sub_bindings;
-    for (const auto& r : sub.from) sub_bindings.push_back(ToLower(r.binding()));
-    const storage::Catalog* cat = db_->catalog();
     std::vector<const storage::Table*> sub_tables;
     for (const auto& r : sub.from) {
-      auto t = cat->GetTable(r.table);
+      auto t = db_->catalog()->GetTable(r.table);
       if (!t.ok()) return t.status();
       sub_tables.push_back(*t);
     }
-    auto side_of = [&](const Expr& x, bool* inner, bool* outer_side,
-                       bool* unknown) {
-      std::function<void(const Expr&)> walk = [&](const Expr& n) {
-        if (n.kind == ExprKind::kColumnRef) {
-          // Inner?
-          if (!n.table_qualifier.empty()) {
-            for (const auto& b : sub_bindings) {
-              if (EqualsIgnoreCase(b, n.table_qualifier)) {
-                *inner = true;
-                return;
-              }
-            }
-          } else {
-            for (const auto* t : sub_tables) {
-              if (t->schema().FindColumn(n.column_name) >= 0) {
-                *inner = true;
-                return;
-              }
-            }
-          }
-          // Outer relation?
-          int slot = rel.FindSlot(n.table_qualifier, n.column_name);
-          if (slot >= 0) {
-            *outer_side = true;
-            return;
-          }
-          *unknown = true;
-          return;
-        }
-        for (const auto& c : n.children) walk(*c);
-        if (n.case_else) walk(*n.case_else);
-        if (n.subquery) *unknown = true;  // nested subquery: fallback
-      };
-      walk(x);
-    };
-
-    // Partition subquery conjuncts. Correlated equalities pair an
-    // outer-side key with an inner-side key.
-    std::vector<const Expr*> inner_only;
-    std::vector<const Expr*> outer_keys, inner_keys;
-    std::vector<const Expr*> residual;
-    bool decorrelatable = true;
-    for (const Expr* c : sql::SplitConjuncts(sub.where.get())) {
-      bool inner = false, outer_side = false, unknown = false;
-      side_of(*c, &inner, &outer_side, &unknown);
-      if (unknown) {
-        decorrelatable = false;
-        break;
-      }
-      if (!outer_side) {
-        inner_only.push_back(c);
-        continue;
-      }
-      // Correlated. Equality between a pure-inner side and a
-      // pure-outer side becomes a hash key; anything else is residual.
-      if (c->kind == ExprKind::kBinary && c->binary_op == BinaryOp::kEq) {
-        bool li = false, lo_ = false, lu = false;
-        bool ri = false, ro = false, ru = false;
-        side_of(*c->children[0], &li, &lo_, &lu);
-        side_of(*c->children[1], &ri, &ro, &ru);
-        if (!lu && !ru) {
-          if (li && !lo_ && ro && !ri) {
-            outer_keys.push_back(c->children[1].get());
-            inner_keys.push_back(c->children[0].get());
-            continue;
-          }
-          if (ri && !ro && lo_ && !li) {
-            outer_keys.push_back(c->children[0].get());
-            inner_keys.push_back(c->children[1].get());
-            continue;
-          }
-        }
-      }
-      residual.push_back(c);
-    }
-    if (in_lhs != nullptr) {
-      outer_keys.push_back(in_lhs);
-      inner_keys.push_back(in_inner_item);
-    }
-
-    if (!decorrelatable || outer_keys.empty()) goto per_row_fallback;
+    const SubqueryWhere sw = SplitSubqueryWhere(e, sub_tables, rel);
+    if (!sw.decorrelatable || sw.outer_keys.empty()) goto per_row_fallback;
 
     // Execute the subquery's FROM + inner-only WHERE once.
     SelectStmt inner_stmt;
     inner_stmt.from = sub.from;
     sql::ExprPtr inner_where;
-    for (const Expr* c : inner_only) {
+    for (const Expr* c : sw.inner_only) {
       inner_where = sql::AndCombine(std::move(inner_where), c->Clone());
     }
     inner_stmt.where = std::move(inner_where);
@@ -1275,7 +1332,7 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
       iscope.row = &inner_rel.rows[i];
       Row key;
       APUAMA_ASSIGN_OR_RETURN(bool matchable,
-                              EvalJoinKey(inner_keys, ictx, &key));
+                              EvalJoinKey(sw.inner_keys, ictx, &key));
       if (matchable) ht.emplace(std::move(key), i);
     }
 
@@ -1293,13 +1350,13 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
     for (Row& r : rel.rows) {
       oscope.row = &r;
       APUAMA_ASSIGN_OR_RETURN(bool matchable,
-                              EvalJoinKey(outer_keys, octx, &key));
+                              EvalJoinKey(sw.outer_keys, octx, &key));
       bool found = false;
       if (matchable) {
         auto [lo, hi] = ht.equal_range(key);
         for (auto it = lo; it != hi && !found; ++it) {
           ++stats_->cpu_ops;
-          if (residual.empty()) {
+          if (sw.residual.empty()) {
             found = true;
             break;
           }
@@ -1309,7 +1366,7 @@ Result<Relation> Executor::ApplySubqueryPredicate(Relation rel,
           rctx.scope = &rscope;
           rctx.cpu_ops = &stats_->cpu_ops;
           bool all = true;
-          for (const Expr* res : residual) {
+          for (const Expr* res : sw.residual) {
             APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*res, rctx));
             if (Truthiness(v) != 1) {
               all = false;
@@ -1409,20 +1466,23 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectStmt& stmt,
   const bool has_agg = StmtHasAggregation(stmt);
   Result<QueryResult> result = QueryResult{};
   bool done = false;
-  if (has_agg && MorselEligible(stmt, outer)) {
-    // Fused scan + filter + partitioned pre-aggregation. Taken even at
-    // exec_threads = 1 so the result never depends on the knob.
-    result = ExecuteMorselAggregate(stmt);
-    done = true;
-  } else if (has_agg && MorselJoinEligible(stmt, outer)) {
-    // Morsel-parallel partitioned hash joins. Planning may discover a
-    // shape the pipeline cannot run (cross join, outer references) and
-    // return nullopt; the sequential chain below then takes over.
-    APUAMA_ASSIGN_OR_RETURN(std::optional<QueryResult> qr,
-                            ExecuteMorselJoin(stmt));
-    if (qr.has_value()) {
-      result = std::move(*qr);
+  if (MorselEligible(stmt, outer)) {
+    if (stmt.from.size() == 1) {
+      // Fused scan + filter + partitioned pre-aggregation. Taken even
+      // at exec_threads = 1 so the result never depends on the knob.
+      result = ExecuteMorselAggregate(stmt);
       done = true;
+    } else {
+      // Morsel-parallel partitioned hash joins. Planning may discover
+      // a shape the pipeline cannot run (cross join, outer references)
+      // and return nullopt; the sequential chain below then takes
+      // over.
+      APUAMA_ASSIGN_OR_RETURN(std::optional<QueryResult> qr,
+                              ExecuteMorselJoin(stmt));
+      if (qr.has_value()) {
+        result = std::move(*qr);
+        done = true;
+      }
     }
   }
   if (!done) {
@@ -1719,6 +1779,161 @@ ColumnarPlan CompileColumnar(const SelectStmt& stmt, const Relation& header,
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Semi and anti steps of the morsel pipelines
+// ---------------------------------------------------------------------------
+
+// A top-level WHERE conjunct `[NOT] EXISTS (sub)` or `x IN (sub)` runs
+// as a step of a morsel pipeline when `sub` reads one clustered table,
+// does not aggregate and nests no subquery, and its correlated
+// equalities (plus the IN pair) bind the table's leading clustered-key
+// column(s) as bare columns. The coordinator filters the inner scan
+// once (PrepareSemiSteps); a worker then finds a tuple's candidates
+// with one Table::KeyRange lookup. There is no inner hash build: a
+// build costs in proportion to the whole inner range, the lookups in
+// proportion to the few tuples that reach a step.
+struct SemiStep {
+  bool anti = false;  // NOT EXISTS
+  Executor::FromBinding inner;
+  Relation header;  // the inner scan's row layout
+  SubqueryWhere where;
+  std::vector<size_t> key_slots;  // inner column of each inner key
+  // Per leading clustered-key column bound: the index of its key pair.
+  std::vector<size_t> prefix;
+  // kept[pos - base] is 1 where the planned inner scan keeps heap
+  // position pos of the inner table.
+  size_t base = 0;
+  std::vector<uint8_t> kept;
+};
+
+namespace {
+
+// The shape of WHERE conjunct `c` as a semi/anti step over tuples laid
+// out as `outer`, or nullopt when it cannot run as one (the statement
+// then stays on the row executor). Side-effect free.
+std::optional<SemiStep> SemiStepShape(const Expr& c, const Relation& outer,
+                                      const storage::Catalog& catalog) {
+  const bool in = c.kind == ExprKind::kInSubquery;
+  if (c.kind != ExprKind::kExists && !(in && !c.negated)) return std::nullopt;
+  const SelectStmt& sub = *c.subquery;
+  if (sub.from.size() != 1 || SubqueryAggregates(sub) ||
+      StmtHasSubquery(sub)) {
+    return std::nullopt;
+  }
+  if (in && (sub.items.size() != 1 || sub.items[0].star ||
+             ExprHasSubquery(*c.children[0]))) {
+    return std::nullopt;
+  }
+  auto t = catalog.GetTable(sub.from[0].table);
+  if (!t.ok() || (*t)->clustered_key().empty()) return std::nullopt;
+  SemiStep st;
+  st.anti = c.negated;
+  st.inner = Executor::FromBinding{ToLower(sub.from[0].binding()), *t};
+  st.header = ScanHeader(st.inner);
+  st.where = SplitSubqueryWhere(c, {*t}, outer);
+  if (!st.where.decorrelatable || st.where.outer_keys.empty()) {
+    return std::nullopt;
+  }
+  for (const Expr* k : st.where.inner_keys) {
+    const int slot = k->kind == ExprKind::kColumnRef
+                         ? st.header.FindSlot(k->table_qualifier,
+                                              k->column_name)
+                         : -1;
+    if (slot < 0) return std::nullopt;
+    st.key_slots.push_back(static_cast<size_t>(slot));
+  }
+  for (const int kc : (*t)->clustered_key()) {
+    auto it = std::find(st.key_slots.begin(), st.key_slots.end(),
+                        static_cast<size_t>(kc));
+    if (it == st.key_slots.end()) break;
+    st.prefix.push_back(static_cast<size_t>(it - st.key_slots.begin()));
+  }
+  if (st.prefix.empty()) return std::nullopt;
+  return st;
+}
+
+// True when `e` reads a column (else it is a constant conjunct).
+bool ReadsColumn(const Expr& e) {
+  if (e.kind == ExprKind::kColumnRef) return true;
+  for (const auto& c : e.children) {
+    if (ReadsColumn(*c)) return true;
+  }
+  return e.case_else != nullptr && ReadsColumn(*e.case_else);
+}
+
+// The worker side of a pipeline's semi/anti steps. Each worker owns
+// one, because column resolvers memoize.
+class SemiProbe {
+ public:
+  explicit SemiProbe(const std::vector<SemiStep>& steps) : steps_(steps) {
+    resolvers_.reserve(steps.size());
+    for (const SemiStep& st : steps) resolvers_.emplace_back(&st.header);
+  }
+
+  // True when the tuple in `octx`'s scope passes every step, in WHERE
+  // order: a semi step keeps it on the first match, an anti step when
+  // nothing matches.
+  Result<bool> Keeps(const EvalContext& octx) {
+    for (size_t s = 0; s < steps_.size(); ++s) {
+      APUAMA_ASSIGN_OR_RETURN(bool found, Matches(s, octx));
+      if (found == steps_[s].anti) return false;
+    }
+    return true;
+  }
+
+ private:
+  // The outer key goes through EvalJoinKey, so a NULL never matches.
+  // The candidates are the rows of its clustered-key range the inner
+  // scan kept; each must equal the key on every pair the way the row
+  // executor's hash lookup does (Compare and Hash agree, so a NaN
+  // matches only a NaN) and pass the residuals, evaluated with the
+  // inner row as the innermost scope.
+  Result<bool> Matches(size_t s, const EvalContext& octx) {
+    const SemiStep& st = steps_[s];
+    APUAMA_ASSIGN_OR_RETURN(bool matchable,
+                            EvalJoinKey(st.where.outer_keys, octx, &key_));
+    if (!matchable) return false;
+    key_hash_.clear();
+    for (const Value& v : key_) key_hash_.push_back(v.Hash());
+    prefix_.clear();
+    for (const size_t i : st.prefix) prefix_.push_back(key_[i]);
+    const storage::Table& t = *st.inner.table;
+    auto [begin, end] = t.KeyRange(prefix_);
+    begin = std::max(begin, st.base);
+    end = std::min(end, st.base + st.kept.size());
+    EvalScope iscope{&resolvers_[s], nullptr, octx.scope};
+    EvalContext ictx;
+    ictx.scope = &iscope;
+    ictx.cpu_ops = octx.cpu_ops;
+    for (size_t pos = begin; pos < end; ++pos) {
+      if (st.kept[pos - st.base] == 0) continue;
+      ++*octx.cpu_ops;
+      const Row& r = t.row(pos);
+      bool match = true;
+      for (size_t i = 0; i < key_.size() && match; ++i) {
+        const Value& v = r[st.key_slots[i]];
+        match = !v.is_null() && v.Compare(key_[i]) == 0 &&
+                v.Hash() == key_hash_[i];
+      }
+      iscope.row = &r;
+      for (size_t i = 0; i < st.where.residual.size() && match; ++i) {
+        APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*st.where.residual[i], ictx));
+        match = Truthiness(v) == 1;
+      }
+      if (match) return true;
+    }
+    return false;
+  }
+
+  const std::vector<SemiStep>& steps_;
+  std::vector<ColumnResolver> resolvers_;
+  Row key_;
+  std::vector<size_t> key_hash_;
+  Row prefix_;
+};
+
+}  // namespace
+
 // Morsel-private partial state of every morsel pipeline (aggregate
 // and join probe): the morsel's group table plus its counters, so
 // workers share no mutable state. A GROUP BY-less statement keeps its
@@ -1768,14 +1983,14 @@ void UpdateAccFromVec(const ColAggSpec& spec, const VecData& vd, size_t k,
   switch (spec.func) {
     case AggFunc::kMin: {
       Value v = vd.ValueAt(k);
-      if (acc->min_v.is_null() || v.Compare(acc->min_v) < 0) {
+      if (ReplacesExtreme(v, acc->min_v, /*is_min=*/true)) {
         acc->min_v = std::move(v);
       }
       return;
     }
     case AggFunc::kMax: {
       Value v = vd.ValueAt(k);
-      if (acc->max_v.is_null() || v.Compare(acc->max_v) > 0) {
+      if (ReplacesExtreme(v, acc->max_v, /*is_min=*/false)) {
         acc->max_v = std::move(v);
       }
       return;
@@ -1839,13 +2054,15 @@ Status MergeGroupBuckets(ThreadPool* pool, std::vector<MorselPartial>* partials,
 }
 
 // Runs one morsel of a columnar aggregate. `sel` holds the morsel's
-// heap positions in scan order; the morsel filter narrows it, then
-// each vectorized aggregate argument is evaluated once over the
-// survivors and every row folds into its group of the morsel's
-// private partial. `header` is the scan's row layout.
+// heap positions in scan order; the morsel filter and then the
+// semi/anti steps narrow it, then each vectorized aggregate argument
+// is evaluated once over the survivors and every row folds into its
+// group of the morsel's private partial. `header` is the scan's row
+// layout.
 Status RunColumnarMorsel(const storage::Table& t, const Relation& header,
-                         const ColumnarPlan& cp, std::vector<uint32_t> sel,
-                         MorselPartial* partial) {
+                         const ColumnarPlan& cp,
+                         const std::vector<SemiStep>& steps,
+                         std::vector<uint32_t> sel, MorselPartial* partial) {
   MorselPartial& part = *partial;
   part.scanned += sel.size();
 
@@ -1855,11 +2072,21 @@ Status RunColumnarMorsel(const storage::Table& t, const Relation& header,
   EvalScope scope{&resolver, nullptr, nullptr};
   EvalContext ctx;
   ctx.scope = &scope;
-  ctx.executor = nullptr;  // eligibility guaranteed no subqueries
+  ctx.executor = nullptr;  // subqueries run only as semi/anti steps
   ctx.cpu_ops = &part.cpu;
 
   APUAMA_RETURN_NOT_OK(cp.filter.Apply(t, &scope, ctx, &sel, &part.vec_rows,
                                        &part.dict_hits));
+  if (!steps.empty() && !sel.empty()) {
+    SemiProbe semi(steps);
+    size_t kept = 0;
+    for (const uint32_t pos : sel) {
+      scope.row = &t.row(pos);
+      APUAMA_ASSIGN_OR_RETURN(bool keep, semi.Keeps(ctx));
+      if (keep) sel[kept++] = pos;
+    }
+    sel.resize(kept);
+  }
   if (sel.empty()) return Status::OK();
   const size_t n = sel.size();
 
@@ -2077,15 +2304,124 @@ Result<QueryResult> Executor::AggregateAndProject(const SelectStmt& stmt,
 
 bool Executor::MorselEligible(const SelectStmt& stmt,
                               const EvalScope* outer) const {
-  if (outer != nullptr) return false;  // correlated context
-  if (sequential_only_) return false;
-  if (stmt.from.size() != 1) return false;  // joins: MorselJoinEligible
+  if (outer != nullptr || sequential_only_ || stmt.from.empty() ||
+      !StmtHasAggregation(stmt) || ClausesHaveSubquery(stmt)) {
+    return false;
+  }
   for (const auto& item : stmt.items) {
     if (item.star) return false;
   }
-  // Morsel workers run without an executor, so any subquery anywhere
-  // in the statement forces the sequential pipeline.
-  return !StmtHasSubquery(stmt);
+  // Every subquery must run as a step over the tuples of the whole
+  // FROM list.
+  const storage::Catalog& catalog = *db_->catalog();
+  Relation layout;
+  for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
+    if (!ExprHasSubquery(*c)) continue;
+    if (layout.columns.empty()) {
+      for (const auto& ref : stmt.from) {
+        auto t = catalog.GetTable(ref.table);
+        if (!t.ok()) return false;
+        const Relation own =
+            ScanHeader(FromBinding{ToLower(ref.binding()), *t});
+        layout.columns.insert(layout.columns.end(), own.columns.begin(),
+                              own.columns.end());
+      }
+    }
+    if (!SemiStepShape(*c, layout, catalog).has_value()) return false;
+  }
+  return true;
+}
+
+Result<std::vector<SemiStep>> Executor::PrepareSemiSteps(
+    const SelectStmt& stmt, const Relation& outer) {
+  std::vector<SemiStep> steps;
+  for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
+    if (!ExprHasSubquery(*c)) continue;
+    std::optional<SemiStep> shape = SemiStepShape(*c, outer, *db_->catalog());
+    if (!shape.has_value()) {
+      return Status::Internal("MorselEligible admitted a subquery that is "
+                              "not a semi/anti step");
+    }
+    SemiStep& st = steps.emplace_back(std::move(*shape));
+
+    // The inner-only conjuncts in the row path's order: the scan
+    // predicates (those reading a column), then the constants.
+    std::vector<const Expr*> preds;
+    std::vector<const Expr*> constants;
+    for (const Expr* p : st.where.inner_only) {
+      (ReadsColumn(*p) ? preds : constants).push_back(p);
+    }
+    storage::ColumnStore::GetResult cg =
+        db_->column_store()->Get(*st.inner.table);
+    if (cg.built) ++stats_->columnar_chunks_built;
+    if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
+    APUAMA_ASSIGN_OR_RETURN(
+        FilteredScan fs, FilterSideScan(st.inner, preds, constants, cg.chunk));
+    // Positions ascend within and across morsels, so the kept ones lie
+    // in [first kept, last kept].
+    size_t end = 0;
+    for (const std::vector<uint32_t>& sel : fs.positions) {
+      if (sel.empty()) continue;
+      if (end == 0) st.base = sel.front();
+      end = sel.back() + size_t{1};
+    }
+    st.kept.assign(end - st.base, 0);
+    for (const std::vector<uint32_t>& sel : fs.positions) {
+      for (const uint32_t pos : sel) st.kept[pos - st.base] = 1;
+    }
+  }
+  return steps;
+}
+
+Result<Executor::FilteredScan> Executor::FilterSideScan(
+    const FromBinding& fb, const std::vector<const Expr*>& preds,
+    const std::vector<const Expr*>& constants,
+    const storage::ColumnarTable* chunk) {
+  const storage::Table& t = *fb.table;
+  APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, nullptr));
+  APUAMA_ASSIGN_OR_RETURN(ScanMorsels sm, TouchAndMorselize(t, plan));
+  const int want = db_->settings()->exec_threads;
+  const size_t threads = MorselWidth(want, sm.morsels.size());
+  if (threads > stats_->exec_threads) {
+    stats_->exec_threads = static_cast<uint32_t>(threads);
+  }
+  stats_->morsels += sm.morsels.size();
+
+  std::vector<const Expr*> conjuncts = preds;
+  conjuncts.insert(conjuncts.end(), constants.begin(), constants.end());
+  const Relation header = ScanHeader(fb);
+  const MorselFilter filter(conjuncts, header, chunk);
+  FilteredScan fs;
+  fs.path = plan.path;
+  fs.positions.resize(sm.morsels.size());
+  struct Charge {
+    uint64_t cpu = 0;
+    uint64_t vec_rows = 0;
+    uint64_t dict_hits = 0;
+  };
+  std::vector<Charge> charge(sm.morsels.size());
+  APUAMA_RETURN_NOT_OK(ParallelFor(
+      want > 1 ? db_->exec_pool() : nullptr, 0, sm.morsels.size(),
+      [&](size_t mi) -> Status {
+        ColumnResolver resolver(&header);
+        EvalScope scope{&resolver, nullptr, nullptr};
+        EvalContext ctx;
+        ctx.scope = &scope;
+        ctx.executor = nullptr;  // subqueries run only as semi/anti steps
+        ctx.cpu_ops = &charge[mi].cpu;
+        fs.positions[mi] = sm.Selection(mi);
+        return filter.Apply(t, &scope, ctx, &fs.positions[mi],
+                            &charge[mi].vec_rows, &charge[mi].dict_hits);
+      }));
+  for (size_t mi = 0; mi < sm.morsels.size(); ++mi) {
+    stats_->tuples_scanned += sm.morsels[mi].end - sm.morsels[mi].begin;
+    stats_->cpu_ops += charge[mi].cpu;
+    stats_->cpu_ops_parallel += charge[mi].cpu;
+    stats_->vectorized_rows += charge[mi].vec_rows;
+    stats_->dict_hits += charge[mi].dict_hits;
+    fs.rows += fs.positions[mi].size();
+  }
+  return fs;
 }
 
 Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
@@ -2097,9 +2433,12 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   const storage::Table& t = *tp;
   const FromBinding fb{ToLower(stmt.from[0].binding()), tp};
 
-  // With one table every WHERE conjunct is a scan predicate (subquery
-  // predicates were ruled out by eligibility).
-  std::vector<const Expr*> preds = sql::SplitConjuncts(stmt.where.get());
+  // With one table every WHERE conjunct is a scan predicate, except
+  // the subquery conjuncts, which run as semi/anti steps after it.
+  std::vector<const Expr*> preds;
+  for (const Expr* c : sql::SplitConjuncts(stmt.where.get())) {
+    if (!ExprHasSubquery(*c)) preds.push_back(c);
+  }
 
   APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(fb, preds, nullptr));
 
@@ -2125,6 +2464,8 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
   if (agg_span.active()) {
     agg_span.AddAttr("morsels", static_cast<int64_t>(sm.morsels.size()));
   }
+  APUAMA_ASSIGN_OR_RETURN(std::vector<SemiStep> steps,
+                          PrepareSemiSteps(stmt, header));
   std::vector<MorselPartial> partials(sm.morsels.size());
 
   const size_t threads =
@@ -2135,7 +2476,7 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
         obs::Tracer::Global().StartSpan("morsel.scan", "morsel");
     APUAMA_RETURN_NOT_OK(
         ParallelFor(pool, 0, sm.morsels.size(), [&](size_t mi) -> Status {
-          return RunColumnarMorsel(t, header, cp, sm.Selection(mi),
+          return RunColumnarMorsel(t, header, cp, steps, sm.Selection(mi),
                                    &partials[mi]);
         }));
   }
@@ -2177,19 +2518,6 @@ Result<Executor::ScanMorsels> Executor::TouchAndMorselize(
 // Morsel-parallel partitioned hash joins
 // ---------------------------------------------------------------------------
 
-bool Executor::MorselJoinEligible(const SelectStmt& stmt,
-                                  const EvalScope* outer) const {
-  if (outer != nullptr) return false;  // correlated context
-  if (sequential_only_) return false;
-  if (stmt.from.size() < 2) return false;  // single table: MorselEligible
-  for (const auto& item : stmt.items) {
-    if (item.star) return false;
-  }
-  // Morsel workers run without an executor, so any subquery anywhere
-  // in the statement forces the sequential pipeline.
-  return !StmtHasSubquery(stmt);
-}
-
 Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     const SelectStmt& stmt) {
   // ---- Plan, side-effect free. Every decision below depends only on
@@ -2208,15 +2536,17 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   };
 
   // Single-binding conjuncts become scan predicates, equi-joins join
-  // predicates, and everything else is a residual applied at the
-  // earliest probe stage that covers all its bindings. Conjunct order
-  // is WHERE order throughout, so composite keys and filter order are
+  // predicates, subquery conjuncts semi/anti steps after the last
+  // stage, and everything else is a residual applied at the earliest
+  // probe stage that covers all its bindings. Conjunct order is WHERE
+  // order throughout, so composite keys and filter order are
   // identical under permuted FROM lists.
   std::vector<std::vector<const Expr*>> scan_preds(from.size());
   std::vector<const ConjunctInfo*> join_preds;
   std::vector<const ConjunctInfo*> residual_conjs;
   for (const ConjunctInfo& c : conjuncts) {
     if (c.uses_outer) return std::optional<QueryResult>();
+    if (c.is_subquery_pred) continue;  // PrepareSemiSteps
     if (c.bindings.size() == 1) {
       scan_preds[binding_index(*c.bindings.begin())].push_back(c.expr);
     } else if (c.lhs != nullptr) {
@@ -2271,12 +2601,6 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   }
   const int want = db_->settings()->exec_threads;
   ThreadPool* pool = want > 1 ? db_->exec_pool() : nullptr;
-  auto note_threads = [&](size_t items) {
-    const size_t th = MorselWidth(want, items);
-    if (th > stats_->exec_threads) {
-      stats_->exec_threads = static_cast<uint32_t>(th);
-    }
-  };
   obs::Span build_span =
       obs::Tracer::Global().StartSpan("morsel.build", "morsel");
 
@@ -2285,12 +2609,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   // ordered: the order below uses how many rows each side keeps. Each
   // morsel keeps its surviving heap positions; read in morsel-index
   // order they are the build's insertion order at every thread count.
-  struct KeptScan {
-    AccessPath path = AccessPath::kSeqScan;
-    std::vector<std::vector<uint32_t>> positions;  // per morsel
-    uint64_t rows = 0;
-  };
-  std::vector<KeptScan> kept(from.size());
+  std::vector<FilteredScan> kept(from.size());
   std::vector<size_t> build_sides;
   for (size_t i = 0; i < from.size(); ++i) {
     if (i != driver) build_sides.push_back(i);
@@ -2300,39 +2619,9 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   });
   const size_t first_path = scan_paths_.size();
   for (const size_t i : build_sides) {
-    const storage::Table& t = *from[i].table;
-    const std::vector<const Expr*>& preds = scan_preds[i];
-    APUAMA_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(from[i], preds, nullptr));
-    APUAMA_ASSIGN_OR_RETURN(ScanMorsels sm, TouchAndMorselize(t, plan));
-    stats_->morsels += sm.morsels.size();
-    note_threads(sm.morsels.size());
-
     // Build sides filter row-wise: no columnar chunk is built for them.
-    const Relation header = ScanHeader(from[i]);
-    const MorselFilter filter(preds, header, /*chunk=*/nullptr);
-    KeptScan& ks = kept[i];
-    ks.path = plan.path;
-    ks.positions.resize(sm.morsels.size());
-    std::vector<uint64_t> cpu(sm.morsels.size(), 0);
-    auto filter_morsel = [&](size_t mi) -> Status {
-      ColumnResolver resolver(&header);
-      EvalScope scope{&resolver, nullptr, nullptr};
-      EvalContext ctx;
-      ctx.scope = &scope;
-      ctx.executor = nullptr;  // eligibility guaranteed no subqueries
-      ctx.cpu_ops = &cpu[mi];
-      ks.positions[mi] = sm.Selection(mi);
-      return filter.Apply(t, &scope, ctx, &ks.positions[mi], nullptr,
-                          nullptr);
-    };
-    APUAMA_RETURN_NOT_OK(
-        ParallelFor(pool, 0, sm.morsels.size(), filter_morsel));
-    for (size_t mi = 0; mi < sm.morsels.size(); ++mi) {
-      stats_->tuples_scanned += sm.morsels[mi].end - sm.morsels[mi].begin;
-      stats_->cpu_ops += cpu[mi];
-      stats_->cpu_ops_parallel += cpu[mi];
-      ks.rows += ks.positions[mi].size();
-    }
+    APUAMA_ASSIGN_OR_RETURN(
+        kept[i], FilterSideScan(from[i], scan_preds[i], {}, nullptr));
   }
 
   // ---- Chain order: repeatedly add the best table connected to the
@@ -2489,7 +2778,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       EvalScope scope{&resolver, nullptr, nullptr};
       EvalContext ctx;
       ctx.scope = &scope;
-      ctx.executor = nullptr;  // eligibility guaranteed no subqueries
+      ctx.executor = nullptr;  // subqueries run only as semi/anti steps
       ctx.cpu_ops = &ch.cpu;
       for (const uint32_t pos : positions[mi]) {
         const Row& r = t.row(pos);
@@ -2548,6 +2837,8 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   const std::vector<const Expr*>& dpreds = scan_preds[driver];
   APUAMA_ASSIGN_OR_RETURN(ScanPlan dplan, PlanScan(dfb, dpreds, nullptr));
   APUAMA_ASSIGN_OR_RETURN(ScanMorsels dsm, TouchAndMorselize(dt, dplan));
+  APUAMA_ASSIGN_OR_RETURN(std::vector<SemiStep> steps,
+                          PrepareSemiSteps(stmt, layouts.back()));
 
   // ---- Driver compile (vectorized probe). The chunk lookup and all
   // compilation happen here on the coordinator — the column store is
@@ -2598,6 +2889,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   std::vector<MorselPartial> partials(dsm.morsels.size());
   auto probe_morsel = [&](size_t mi) -> Status {
     MorselPartial& part = partials[mi];
+    SemiProbe semi(steps);
     // The scratch row holds the chain's current tuple; its address is
     // stable, so every per-layout scope can point at it up front.
     Row scratch;
@@ -2610,7 +2902,7 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
       scopes[k].resolver = &resolvers[k];
       scopes[k].row = &scratch;
       ctxs[k].scope = &scopes[k];
-      ctxs[k].executor = nullptr;  // eligibility guaranteed no subqueries
+      ctxs[k].executor = nullptr;  // subqueries run only as semi/anti steps
       ctxs[k].cpu_ops = &part.cpu;
     }
 
@@ -2649,7 +2941,10 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
     };
     descend = [&](size_t k) -> Status {
       if (k == stages.size()) {
-        // The chain's last stage: fold the joined row into its group.
+        // Past the chain's last stage: the semi/anti steps, then fold
+        // the joined row into its group.
+        APUAMA_ASSIGN_OR_RETURN(bool keep, semi.Keeps(ctxs[k]));
+        if (!keep) return Status::OK();
         Row key;
         key.reserve(stmt.group_by.size());
         for (const auto& g : stmt.group_by) {

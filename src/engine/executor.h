@@ -26,11 +26,18 @@
 #include "sql/ast.h"
 #include "storage/table.h"
 
+namespace apuama::storage {
+struct ColumnarTable;
+}  // namespace apuama::storage
+
 namespace apuama::engine {
 
 class Database;
 /// One morsel's private group table and counters (executor.cc).
 struct MorselPartial;
+/// A `[NOT] EXISTS (...)` or `x IN (...)` WHERE conjunct run as a semi
+/// or anti step of a morsel pipeline (executor.cc).
+struct SemiStep;
 
 /// Explains what access path a scan chose (tests / ablations).
 enum class AccessPath { kSeqScan, kClusteredRange, kSecondaryIndex };
@@ -145,29 +152,55 @@ class Executor {
                              const std::vector<const sql::Expr*>& preds,
                              const EvalScope* outer);
 
-  /// True when `stmt` can run on the fused morsel pipeline: a single
-  /// FROM table, no SELECT *, and no subqueries anywhere (morsel
-  /// workers carry no executor, so they cannot re-enter).
+  /// The one gate of both morsel pipelines: `stmt` aggregates, is not
+  /// correlated, selects no `*`, and every subquery it holds is a
+  /// top-level WHERE conjunct that runs as a semi or anti step
+  /// (SemiStep). Morsel workers carry no executor, so any other
+  /// subquery keeps the statement on the sequential row executor. One
+  /// FROM table runs ExecuteMorselAggregate, more run
+  /// ExecuteMorselJoin.
   bool MorselEligible(const sql::SelectStmt& stmt,
                       const EvalScope* outer) const;
+
+  /// The coordinator side of `stmt`'s semi/anti steps, in WHERE order:
+  /// plans each subquery's inner scan with its inner-only conjuncts,
+  /// touches its pages and narrows it through the morsel filter over
+  /// the inner table's columnar chunk, so those conjuncts see the rows
+  /// (and raise the errors) they do on the row path. `outer` is the
+  /// layout of the tuples the steps test.
+  Result<std::vector<SemiStep>> PrepareSemiSteps(const sql::SelectStmt& stmt,
+                                                 const Relation& outer);
+
+  /// A side scan of a morsel pipeline narrowed by its conjuncts: the
+  /// access path it took and each morsel's surviving heap positions,
+  /// in morsel order (the same at every thread count).
+  struct FilteredScan {
+    AccessPath path = AccessPath::kSeqScan;
+    std::vector<std::vector<uint32_t>> positions;  // per morsel
+    uint64_t rows = 0;                             // survivors
+  };
+
+  /// The pre-filter of the side scans (join build sides, the inner
+  /// scans of semi/anti steps): plans `fb`'s scan with `preds`, touches
+  /// its pages, narrows each morsel through the morsel filter of
+  /// `preds` and then `constants` (vectorized over `chunk` when one is
+  /// given) and charges the work to this statement.
+  Result<FilteredScan> FilterSideScan(
+      const FromBinding& fb, const std::vector<const sql::Expr*>& preds,
+      const std::vector<const sql::Expr*>& constants,
+      const storage::ColumnarTable* chunk);
 
   /// Columnar morsel aggregate for eligible single-table aggregates:
   /// morsels process per-column slices through vectorized kernels
   /// (selection vectors, typed accumulation), with a per-conjunct,
   /// per-aggregate and per-key row-wise Eval fallback for whatever
-  /// does not compile. Each morsel folds into a private group table;
-  /// the tables merge bucket by bucket in morsel-index order. The
-  /// morsel decomposition and the merge order depend only on table
-  /// contents — never on the thread count — so results are
+  /// does not compile. The semi/anti steps narrow each morsel's
+  /// selection after the filter. Each morsel folds into a private
+  /// group table; the tables merge bucket by bucket in morsel-index
+  /// order. The morsel decomposition and the merge order depend only
+  /// on table contents — never on the thread count — so results are
   /// bit-identical at any width.
   Result<QueryResult> ExecuteMorselAggregate(const sql::SelectStmt& stmt);
-
-  /// Cheap gate for the morsel-parallel join pipeline: a multi-table
-  /// aggregate with no SELECT *, no subqueries, and not correlated.
-  /// Deeper shape conditions (equality-connected join graph, no outer
-  /// references) are checked during planning inside ExecuteMorselJoin.
-  bool MorselJoinEligible(const sql::SelectStmt& stmt,
-                          const EvalScope* outer) const;
 
   /// Morsel-parallel partitioned hash-join pipeline: every non-driver
   /// table is filtered once in morsels, the build chain is ordered by
@@ -176,15 +209,15 @@ class Executor {
   /// (partitions built concurrently). Then the
   /// driver table streams page-aligned morsels as selection vectors
   /// through the full probe chain (vectorized filter -> key hash ->
-  /// semi-join filter -> probe -> residual filter -> ... -> the
-  /// morsel's group table) without materializing intermediate
-  /// relations. The group tables merge and finish exactly as in
-  /// ExecuteMorselAggregate, so results are bit-identical at every
-  /// `exec_threads` setting. Returns nullopt when planning
-  /// finds a shape the pipeline cannot run (cross join, outer
-  /// references, subquery predicates) — the caller then falls back to
-  /// the legacy sequential chain. Planning is side-effect free until
-  /// the plan is committed, so the fallback leaves no stats residue.
+  /// semi-join filter -> probe -> residual filter -> ... ->
+  /// semi/anti steps -> the morsel's group table) without
+  /// materializing intermediate relations. The group tables merge and
+  /// finish exactly as in ExecuteMorselAggregate, so results are
+  /// bit-identical at every `exec_threads` setting. Returns nullopt
+  /// when planning finds a shape the pipeline cannot run (cross join,
+  /// outer references) — the caller then falls back to the legacy
+  /// sequential chain. Planning is side-effect free until the plan is
+  /// committed, so the fallback leaves no stats residue.
   Result<std::optional<QueryResult>> ExecuteMorselJoin(
       const sql::SelectStmt& stmt);
 

@@ -1,6 +1,8 @@
 #include "storage/column_store.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
 
 namespace apuama::storage {
 
@@ -84,14 +86,12 @@ ColumnVector BuildColumn(const Table& t, size_t col) {
           return out;  // defensive: heterogenous column stays row-wise
         }
       }
-      out.dict.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = t.row(i)[col];
-        if (!v.is_null()) out.dict.push_back(v.str_val());
-      }
-      std::sort(out.dict.begin(), out.dict.end());
-      out.dict.erase(std::unique(out.dict.begin(), out.dict.end()),
-                     out.dict.end());
+      // Each row first takes the id of its string's first appearance
+      // (one hash probe, views into the heap rows), then only the
+      // distinct strings are sorted and the ids remapped to sorted
+      // codes.
+      std::unordered_map<std::string_view, int32_t> ids;
+      std::vector<std::string_view> distinct;
       out.codes.resize(n, 0);
       for (size_t i = 0; i < n; ++i) {
         const Value& v = t.row(i)[col];
@@ -103,10 +103,29 @@ ColumnVector BuildColumn(const Table& t, size_t col) {
           out.nulls[i] = 1;
           continue;
         }
-        out.codes[i] = static_cast<int32_t>(
-            std::lower_bound(out.dict.begin(), out.dict.end(),
-                             v.str_val()) -
-            out.dict.begin());
+        auto [it, fresh] = ids.try_emplace(
+            v.str_val(), static_cast<int32_t>(distinct.size()));
+        if (fresh) distinct.push_back(it->first);
+        out.codes[i] = it->second;
+      }
+      std::vector<int32_t> order(distinct.size());
+      for (size_t d = 0; d < order.size(); ++d) {
+        order[d] = static_cast<int32_t>(d);
+      }
+      std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+        return distinct[static_cast<size_t>(a)] <
+               distinct[static_cast<size_t>(b)];
+      });
+      std::vector<int32_t> code_of(distinct.size());
+      out.dict.reserve(distinct.size());
+      for (size_t c = 0; c < order.size(); ++c) {
+        code_of[static_cast<size_t>(order[c])] = static_cast<int32_t>(c);
+        out.dict.emplace_back(distinct[static_cast<size_t>(order[c])]);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (!out.IsNull(i)) {
+          out.codes[i] = code_of[static_cast<size_t>(out.codes[i])];
+        }
       }
       out.dict_encoded = true;
       return out;

@@ -12,14 +12,19 @@
 // the order of double additions across morsels differs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/database.h"
+#include "storage/column_store.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -359,10 +364,9 @@ void MakeIndexedTables(engine::Database* db) {
 // GROUP BY-less aggregates over edge values, folded across several
 // morsels: NaN and -0.0/0.0 ties under MIN/MAX, an all-NULL column,
 // an int64 SUM that wraps, DATE MIN/MAX, COUNT(x) over NULLs,
-// COUNT(DISTINCT) and AVG. A NaN never replaces a MIN/MAX (it
-// compares equal), so a morsel that starts with one keeps it; the
-// extremes of `nanv` sit in the first morsel, which makes the answer
-// independent of where the other morsels start.
+// COUNT(DISTINCT) and AVG. MIN/MAX skip the NaNs of `nanv` (a NaN is
+// the answer only when every input is NaN), and a tie keeps the
+// earlier value.
 TEST(ColumnarTest, GlobalAggregateEdgeValuesAcrossMorsels) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(db.Execute("create table e (id int, big int, z double, "
@@ -409,6 +413,123 @@ TEST(ColumnarTest, GlobalAggregateEdgeValuesAcrossMorsels) {
   }
   EXPECT_EQ(r->rows[0][0].type(), ValueType::kInt64);
   EXPECT_EQ(r->rows[0][0].int_val(), static_cast<int64_t>(wrapped));
+}
+
+// MIN/MAX over doubles holding NaNs do not depend on the fold order:
+// a NaN is the answer only when every non-NULL input is NaN. Over
+// 6,000 rows, `a` holds a NaN as the first row of morsel 1 and its
+// minimum 1.0 five rows later (the morsel path used to keep the NaN
+// as morsel 1's minimum and answer 100, the reference 1), `b` a NaN
+// at row 0 and `c` only NaNs.
+TEST(ColumnarTest, NanMinMaxIndependentOfFoldOrder) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 6000; ++i) {
+    const double x = 100.0 + static_cast<double>((i * 7) % 900);
+    rows.push_back({Value::Int(i), Value::Int(i % 3), Value::Double(x),
+                    Value::Double(x), Value::Double(nan)});
+  }
+  // Every row has the same byte size, so a table of the same rows has
+  // the morsel boundaries of the one under test.
+  for (const char* name : {"probe", "nanfold"}) {
+    ASSERT_TRUE(db.Execute(std::string("create table ") + name +
+                           " (id int, g int, a double, b double, c double)")
+                    .ok());
+  }
+  auto probe = db.catalog()->GetTable("probe");
+  auto table = db.catalog()->GetTable("nanfold");
+  ASSERT_TRUE(probe.ok() && table.ok());
+  ASSERT_TRUE((*probe)->BulkLoad(rows).ok());
+  const auto morsels = (*probe)->Morsels(0, rows.size(), 1024);
+  ASSERT_GE(morsels.size(), 3u);
+  const size_t m1 = morsels[1].begin;
+  rows[m1][2] = Value::Double(nan);
+  rows[m1 + 5][2] = Value::Double(1.0);
+  rows[0][3] = Value::Double(nan);
+  ASSERT_TRUE((*table)->BulkLoad(std::move(rows)).ok());
+  ASSERT_EQ((*table)->Morsels(0, 6000, 1024)[1].begin, m1);
+
+  engine::QueryResult r = ExpectStableAndReferenceEqual(
+      &db, "select min(a), max(a), min(b), max(b) from nanfold");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.rows[0][0].double_val(), 1.0);
+  EXPECT_EQ(r.rows[0][1].double_val(), 999.0);
+  EXPECT_EQ(r.rows[0][2].double_val(), 100.0);
+  EXPECT_EQ(r.rows[0][3].double_val(), 999.0);
+  // Grouped: every group spans every morsel, so the merge folds NaN
+  // partials too.
+  r = ExpectStableAndReferenceEqual(
+      &db, "select g, min(a), max(a), min(b) from nanfold group by g "
+           "order by g");
+  EXPECT_EQ(r.num_rows(), 3u);
+
+  const std::string all_nan =
+      "select min(c), max(c), count(c) from nanfold";
+  auto ref = db.ExecuteReference(all_nan);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  for (int threads : {1, 2, 8}) {
+    Set(&db, "exec_threads", std::to_string(threads));
+    auto got = db.Execute(all_nan);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_GT(got->stats.morsels, 0u);
+    for (const engine::QueryResult* q : {&*ref, &*got}) {
+      EXPECT_TRUE(std::isnan(q->rows[0][0].double_val()));
+      EXPECT_TRUE(std::isnan(q->rows[0][1].double_val()));
+      EXPECT_EQ(q->rows[0][2].int_val(), 6000);
+    }
+  }
+}
+
+// A string column's dictionary is its sorted distinct non-NULL values
+// and a row's code is its value's rank there: compared with a
+// std::set-built reference over NULLs, duplicates, the empty string
+// and bytes >= 0x80 (which sort after ASCII, as std::string compares
+// them). The dictionary keeps no per-row capacity.
+TEST(ColumnarTest, DictionaryMatchesASortedSetReference) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(db.Execute("create table strs (id int, s varchar(8))").ok());
+  const std::vector<std::string> pool = {
+      "", "a", "ab", "b", "\x80", "\xc3\xa9", "\xff", "Z", "a\xe2", "~"};
+  Rng rng(0x51C7);
+  std::vector<Row> rows;
+  std::vector<std::optional<std::string>> want;
+  for (int64_t i = 0; i < 5000; ++i) {
+    std::optional<std::string> s;
+    if (!rng.Bernoulli(0.2)) {
+      s = pool[static_cast<size_t>(rng.Uniform(0, 9))];
+      if (rng.Bernoulli(0.3)) *s += std::to_string(rng.Uniform(0, 40));
+    }
+    rows.push_back({Value::Int(i), s ? Value::Str(*s) : Value::Null()});
+    want.push_back(s);
+  }
+  auto table = db.catalog()->GetTable("strs");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->BulkLoad(std::move(rows)).ok());
+  // The heap is unclustered, so row i is still the i-th row loaded.
+  ASSERT_EQ((*table)->row(17)[0].int_val(), 17);
+
+  storage::ColumnStore store;
+  const storage::ColumnVector& col = store.Get(**table).chunk->cols[1];
+  ASSERT_TRUE(col.dict_encoded);
+  std::set<std::string> distinct;
+  for (const auto& s : want) {
+    if (s) distinct.insert(*s);
+  }
+  EXPECT_EQ(col.dict,
+            std::vector<std::string>(distinct.begin(), distinct.end()));
+  EXPECT_LT(col.dict.capacity(), want.size());
+  ASSERT_TRUE(col.has_nulls);
+  ASSERT_EQ(col.codes.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(col.IsNull(i), !want[i].has_value()) << "row " << i;
+    const int32_t code =
+        want[i] ? static_cast<int32_t>(std::distance(distinct.begin(),
+                                                     distinct.find(*want[i])))
+                : 0;
+    ASSERT_EQ(col.codes[i], code) << "row " << i;
+  }
 }
 
 // Secondary-index aggregates run the columnar pipeline over selection

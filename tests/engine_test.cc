@@ -467,6 +467,27 @@ TEST_F(EngineTest, SelectWithoutFrom) {
   EXPECT_EQ(r.rows[0][0].int_val(), 3);
 }
 
+// A FROM-less SELECT yields its one row only when every WHERE
+// conjunct holds on it, the enclosing row's scope included.
+TEST_F(EngineTest, SelectWithoutFromHonoursWhere) {
+  EXPECT_EQ(Exec("select 1 where 1 = 0").rows.size(), 0u);
+  auto one = Exec("select 1 where 1 = 1");
+  ASSERT_EQ(one.rows.size(), 1u);
+  EXPECT_EQ(one.rows[0][0].int_val(), 1);
+  auto none = Exec("select count(*) where 1 = 0");
+  ASSERT_EQ(none.rows.size(), 1u);
+  EXPECT_EQ(none.rows[0][0].int_val(), 0);
+  // cats 3 and 4 pass.
+  const std::string correlated =
+      "select count(*) from cats c where exists (select 1 where c.cat > 2)";
+  auto r = Exec(correlated);
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].int_val(), 2);
+  auto ref = db_->ExecuteReference(correlated);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(ref->rows[0][0].int_val(), 2);
+}
+
 TEST_F(EngineTest, ThreeWayJoin) {
   Exec(
       "create table tags (id bigint not null, tag varchar(8), "

@@ -3,8 +3,10 @@
 // return ParseError (or parse cleanly), never UB.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "apuama/share/query_fingerprint.h"
 #include "common/rng.h"
@@ -298,6 +300,169 @@ TEST(EngineFuzz, DictStringPredicatesAgreeWithRowPath) {
       testutil::ExpectResultsIdentical(*base, *got);
     }
   }
+}
+
+// Correlated-subquery sweep: seeded random aggregates with EXISTS /
+// NOT EXISTS / IN conjuncts over an inner table clustered on (k, seq)
+// with duplicate keys and empty key ranges, from one- and two-table
+// outer blocks with NULL-heavy, skewed keys, random inner-only
+// conjuncts and residuals. Each must match the row executor and be
+// bit-identical at 1, 2 and 8 threads. A query whose every subquery
+// correlates on the leading clustered-key column runs as morsel steps
+// (morsels > 0, at least half of the sweep); one correlated on a
+// non-key column stays on the row executor (morsels == 0).
+TEST(EngineFuzz, CorrelatedSubqueriesMatchTheRowExecutor) {
+  Rng rng(0x5E41);
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(db.Execute("create table inr (k int not null, seq int not "
+                         "null, v int, w double, tag varchar(4), "
+                         "primary key (k, seq))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("create table o1 (id int, fk int, x int, g int)")
+                  .ok());
+  ASSERT_TRUE(
+      db.Execute("create table o2 (id2 int not null, y int, g2 int, "
+                 "primary key (id2))")
+          .ok());
+  auto maybe_null = [&](double p, const std::string& v) {
+    return rng.Bernoulli(p) ? std::string("null") : v;
+  };
+  // Keys 0..119: about a third own no rows, the rest 1-6 rows each.
+  for (int k = 0; k < 120; ++k) {
+    if (rng.Bernoulli(0.33)) continue;
+    const int dup = static_cast<int>(rng.Uniform(1, 6));
+    for (int seq = 0; seq < dup; ++seq) {
+      static const char* kTags[] = {"a", "b", "", "zz"};
+      ASSERT_TRUE(
+          db.Execute("insert into inr values (" + std::to_string(k) + ", " +
+                     std::to_string(seq) + ", " +
+                     maybe_null(0.1, std::to_string(rng.Uniform(0, 20))) +
+                     ", " +
+                     maybe_null(0.1, std::to_string(rng.UniformDouble(0, 50))) +
+                     ", " +
+                     maybe_null(0.1, std::string("'") +
+                                         kTags[rng.Uniform(0, 3)] + "'") +
+                     ")")
+              .ok());
+    }
+  }
+  // Outer keys: 30% NULL, half of the rest in 0..4 (skew), the others
+  // spread past the inner key range.
+  for (int i = 0; i < 2600; ++i) {
+    const std::string fk = maybe_null(
+        0.3, std::to_string(rng.Bernoulli(0.5) ? rng.Uniform(0, 4)
+                                               : rng.Uniform(0, 150)));
+    ASSERT_TRUE(db.Execute("insert into o1 values (" + std::to_string(i) +
+                           ", " + fk + ", " +
+                           maybe_null(0.1, std::to_string(rng.Uniform(0, 60))) +
+                           ", " + std::to_string(rng.Uniform(0, 6)) + ")")
+                    .ok());
+  }
+  for (int i = 0; i < 60; ++i) {
+    const std::string y =
+        maybe_null(0.3, std::to_string(rng.Uniform(0, 130)));
+    ASSERT_TRUE(db.Execute("insert into o2 values (" + std::to_string(i) +
+                           ", " + y + ", " +
+                           std::to_string(rng.Uniform(0, 3)) + ")")
+                    .ok());
+  }
+
+  // Inner-only conjuncts; '@' stands for the inner binding.
+  static const char* kInnerOnly[] = {
+      "@.v < 12", "@.w > 20.5", "@.tag = 'a'", "@.seq >= 1", "1 = 1",
+      "@.v <> @.seq", "@.tag is not null", "@.k > 30"};
+  int ran_steps = 0, key_queries = 0;
+  const int kQueries = 160;
+  for (int iter = 0; iter < kQueries; ++iter) {
+    const bool two_tables = rng.Bernoulli(0.4);
+    // Outer columns the subqueries may correlate with.
+    const std::string key = two_tables && rng.Bernoulli(0.5) ? "o2.y"
+                            : rng.Bernoulli(0.15)            ? "o1.fk * 1.0"
+                                                             : "o1.fk";
+    const std::string other = two_tables ? "o2.g2" : "o1.x";
+    bool all_key = true;
+    std::string where;
+    const int nsub = static_cast<int>(rng.Uniform(1, 2));
+    for (int sq = 0; sq < nsub; ++sq) {
+      const std::string b = "i" + std::to_string(sq);
+      const bool on_key = !rng.Bernoulli(0.2);
+      all_key = all_key && on_key;
+      std::vector<std::string> conj;
+      std::string head;
+      switch (rng.Uniform(0, 2)) {
+        case 0:
+        case 1:
+          head = rng.Bernoulli(0.5) ? "exists" : "not exists";
+          conj.push_back(b + (on_key ? ".k = " : ".v = ") + key);
+          break;
+        default:
+          // IN: the pair is (key, k) on a key, (key, v) off it.
+          head = key + " in";
+          break;
+      }
+      if (rng.Bernoulli(0.25)) conj.push_back(b + ".seq = o1.g");
+      if (rng.Bernoulli(0.2)) conj.push_back(b + ".v = " + other);
+      const int ninner = static_cast<int>(rng.Uniform(0, 2));
+      for (int n = 0; n < ninner; ++n) {
+        std::string c = kInnerOnly[rng.Uniform(0, 7)];
+        for (size_t at = c.find('@'); at != std::string::npos;
+             at = c.find('@')) {
+          c.replace(at, 1, b);
+        }
+        conj.push_back(c);
+      }
+      if (rng.Bernoulli(0.4)) {
+        conj.push_back(rng.Bernoulli(0.5) ? b + ".v <> " + other
+                                          : b + ".w > " + other);
+      }
+      rng.Shuffle(&conj);
+      std::string sub = head == key + " in"
+                            ? "(select " + b + (on_key ? ".k" : ".v") +
+                                  " from inr " + b
+                            : "(select * from inr " + b;
+      for (size_t c = 0; c < conj.size(); ++c) {
+        sub += (c == 0 ? " where " : " and ") + conj[c];
+      }
+      where += (where.empty() ? "" : " and ") + head + " " + sub + ")";
+    }
+    if (rng.Bernoulli(0.5)) {
+      where = "o1.x < " + std::to_string(rng.Uniform(5, 60)) + " and " + where;
+    }
+    const std::string from =
+        two_tables ? " from o1, o2 where o1.g = o2.id2 and "
+                   : " from o1 where ";
+    const std::string sql =
+        rng.Bernoulli(0.5)
+            ? "select count(*), sum(o1.x), min(o1.id)" + from + where
+            : "select o1.g, count(*), max(o1.x)" + from + where +
+                  " group by o1.g order by o1.g";
+    SCOPED_TRACE(sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    std::optional<engine::QueryResult> base;
+    for (int threads : {1, 2, 8}) {
+      ASSERT_TRUE(
+          db.Execute("set exec_threads = " + std::to_string(threads)).ok());
+      auto got = db.Execute(sql);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      testutil::ExpectMatchesReference(*ref, *got);
+      if (base.has_value()) {
+        testutil::ExpectResultsIdentical(*base, *got);
+      } else {
+        base = std::move(got).value();
+      }
+    }
+    if (all_key) {
+      ++key_queries;
+      ran_steps += base->stats.morsels > 0 ? 1 : 0;
+      EXPECT_GT(base->stats.morsels, 0u);
+    } else {
+      EXPECT_EQ(base->stats.morsels, 0u);
+    }
+  }
+  EXPECT_EQ(ran_steps, key_queries);
+  EXPECT_GE(2 * ran_steps, kQueries);
 }
 
 TEST(UnparseFuzz, AllTpchQueriesRoundTrip) {

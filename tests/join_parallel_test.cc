@@ -14,11 +14,17 @@
 //    never fans out through c_nationkey;
 //  * the semi-join filter prunes probe rows, never results;
 //  * cross joins fall back to the legacy chain, and the capped
-//    reservation hint keeps huge cross products allocation-safe.
+//    reservation hint keeps huge cross products allocation-safe;
+//  * correlated EXISTS / NOT EXISTS / IN over a clustered key run as
+//    semi and anti steps of both morsel pipelines (Q4, Q21), agree
+//    with the reference executor and are bit-identical at every
+//    `exec_threads`; every other subquery shape stays on it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -400,6 +406,241 @@ TEST(JoinParallelTest, JoinReserveHintCapsAndNeverOverflows) {
   EXPECT_EQ(JoinReserveHint(size_t{1} << 19, size_t{1} << 19), kCap);
   EXPECT_EQ(JoinReserveHint(SIZE_MAX, SIZE_MAX), kCap);
   EXPECT_EQ(JoinReserveHint(SIZE_MAX, 2), kCap);
+}
+
+// Q4 (single-table aggregate) and Q21 (four-way join) run their
+// EXISTS / NOT EXISTS as semi and anti steps of the morsel pipelines:
+// they report morsels, the reference executor reports none, the two
+// agree, and the pipelines are bit-identical at 1, 2 and 8 threads.
+TEST(SemiStepTest, Q4AndQ21RunOnTheMorselPipelines) {
+  for (double sf : {0.005, 0.01}) {
+    engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+    ASSERT_TRUE(DataAtSf(sf).LoadInto(&db).ok());
+    for (int q : {4, 21}) {
+      SCOPED_TRACE(testing::Message() << "sf=" << sf << " Q" << q);
+      const std::string sql = *tpch::QuerySql(q);
+      auto ref = db.ExecuteReference(sql);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      EXPECT_EQ(ref->stats.morsels, 0u);
+      std::optional<engine::QueryResult> base;
+      for (int threads : {1, 2, 8}) {
+        Set(&db, "exec_threads = " + std::to_string(threads));
+        auto r = db.Execute(sql);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        EXPECT_GT(r->stats.morsels, 0u);
+        testutil::ExpectMatchesReference(*ref, *r);
+        if (!base.has_value()) {
+          base = std::move(r).value();
+        } else {
+          testutil::ExpectResultsIdentical(*base, *r);
+        }
+      }
+      EXPECT_GT(base->num_rows(), 0u);
+    }
+  }
+}
+
+// Q21 under permuted FROM lists: the steps run after the last stage
+// of a chain whose order does not depend on the FROM list, so the
+// bits do not either.
+TEST(SemiStepTest, Q21FromPermutationsBitIdentical) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.005).LoadInto(&db).ok());
+  const std::string q21 = *tpch::QuerySql(21);
+  const std::string orig = "supplier, lineitem l1, orders, nation";
+  ASSERT_NE(q21.find(orig), std::string::npos);
+  for (int threads : {1, 4}) {
+    Set(&db, "exec_threads = " + std::to_string(threads));
+    auto base = db.Execute(q21);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_GT(base->stats.morsels, 0u);
+    EXPECT_GT(base->num_rows(), 0u);
+    for (const std::string from : {"nation, orders, lineitem l1, supplier",
+                                   "lineitem l1, nation, supplier, orders"}) {
+      std::string sql = q21;
+      sql.replace(sql.find(orig), orig.size(), from);
+      auto perm = db.Execute(sql);
+      ASSERT_TRUE(perm.ok()) << perm.status().ToString();
+      SCOPED_TRACE(from + " threads=" + std::to_string(threads));
+      testutil::ExpectResultsIdentical(*base, *perm);
+    }
+  }
+}
+
+// The step forms the row executor decorrelates, each over a clustered
+// key: IN on the key, a two-column key prefix, an extra non-key
+// equality, residuals that read both scopes, a constant inner
+// conjunct, an inner plan through a secondary index, an inner scan
+// filtered to nothing, and NULL outer keys. Each matches the reference
+// and is bit-identical at every thread count.
+TEST(SemiStepTest, StepShapesMatchReference) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.002).LoadInto(&db).ok());
+  const std::vector<std::string> queries = {
+      "select o_orderpriority, count(*) from orders where o_orderkey in "
+      "(select l_orderkey from lineitem where l_quantity > 45) "
+      "group by o_orderpriority order by o_orderpriority",
+      "select count(*), sum(o_totalprice) from orders where exists "
+      "(select * from lineitem where l_orderkey = o_orderkey "
+      "and l_linenumber = o_shippriority + 1)",
+      "select s_nationkey, count(*) from supplier, lineitem l1 "
+      "where s_suppkey = l1.l_suppkey and not exists "
+      "(select * from lineitem l2 where l2.l_orderkey = l1.l_orderkey "
+      "and l2.l_suppkey = l1.l_suppkey and l2.l_linenumber <> "
+      "l1.l_linenumber) group by s_nationkey order by s_nationkey",
+      "select count(*) from orders where exists (select * from lineitem "
+      "where l_orderkey = o_orderkey and l_extendedprice > o_totalprice / 4 "
+      "and 1 = 1)",
+      "select count(*), max(o_orderdate) from orders where exists "
+      "(select * from lineitem where l_orderkey = o_orderkey "
+      "and l_suppkey = 7) and not exists (select * from lineitem "
+      "where l_orderkey = o_orderkey and l_quantity < 0)",
+      "select count(*) from orders where exists (select * from lineitem "
+      "where l_orderkey = case when o_custkey < 60 then null "
+      "else o_orderkey end)",
+      "select count(*) from orders where not exists (select * from "
+      "lineitem where l_orderkey = case when o_custkey < 60 then null "
+      "else o_orderkey end and l_returnflag = 'R')",
+  };
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    std::optional<engine::QueryResult> base;
+    for (int threads : {1, 2, 8}) {
+      Set(&db, "exec_threads = " + std::to_string(threads));
+      auto r = db.Execute(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_GT(r->stats.morsels, 0u);
+      testutil::ExpectMatchesReference(*ref, *r);
+      if (!base.has_value()) {
+        base = std::move(r).value();
+      } else {
+        testutil::ExpectResultsIdentical(*base, *r);
+      }
+    }
+  }
+}
+
+// The subquery shapes a step does not cover stay on the row executor
+// (no morsels) and still match the reference: NOT IN, an aggregating
+// subquery, a two-table subquery, a correlation on a non-key column,
+// a subquery under OR, in the select list and in HAVING, and a
+// correlated statement.
+TEST(SemiStepTest, OtherSubqueryShapesStayOnTheRowExecutor) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.001).LoadInto(&db).ok());
+  Set(&db, "exec_threads = 4");
+  const std::vector<std::string> queries = {
+      "select count(*) from orders where o_orderkey not in "
+      "(select l_orderkey from lineitem where l_quantity > 45)",
+      "select count(*) from orders where exists (select count(*) from "
+      "lineitem where l_orderkey = o_orderkey)",
+      "select count(*) from orders where exists (select * from lineitem, "
+      "part where l_orderkey = o_orderkey and l_partkey = p_partkey "
+      "and p_size > 40)",
+      "select count(*) from orders where exists (select * from lineitem "
+      "where l_suppkey = o_custkey)",
+      "select count(*) from orders where o_orderstatus = 'F' or exists "
+      "(select * from lineitem where l_orderkey = o_orderkey "
+      "and l_quantity > 49)",
+      "select count(*), (select count(*) from nation) from orders",
+      "select o_orderpriority, count(*) from orders group by "
+      "o_orderpriority having count(*) > (select count(*) from nation)",
+      "select count(*) from orders where exists (select * from lineitem "
+      "where l_orderkey = o_orderkey and exists (select * from part "
+      "where p_partkey = l_partkey and p_size > 40))",
+  };
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    auto r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.morsels, 0u);
+    testutil::ExpectMatchesReference(*ref, *r);
+  }
+}
+
+// A NaN outer key compares equal to every value but hashes apart, so
+// the row executor's hash lookup matches it only with a NaN; the steps
+// match exactly as it does, though the key's clustered range spans the
+// whole inner table.
+TEST(SemiStepTest, NanOuterKeysMatchAsOnTheRowPath) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(
+      db.Execute("create table inr (k int not null, v int, primary key (k))")
+          .ok());
+  ASSERT_TRUE(db.Execute("create table o (id int, x double)").ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> inner;
+  std::vector<Row> outer;
+  for (int64_t i = 0; i < 100; ++i) {
+    inner.push_back({Value::Int(i), Value::Int(i % 7)});
+  }
+  for (int64_t i = 0; i < 3000; ++i) {
+    outer.push_back(
+        {Value::Int(i), Value::Double(i % 10 == 0
+                                          ? nan
+                                          : static_cast<double>(i % 150))});
+  }
+  auto inr = db.catalog()->GetTable("inr");
+  auto o = db.catalog()->GetTable("o");
+  ASSERT_TRUE(inr.ok() && o.ok());
+  ASSERT_TRUE((*inr)->BulkLoad(std::move(inner)).ok());
+  ASSERT_TRUE((*o)->BulkLoad(std::move(outer)).ok());
+  for (const std::string sql :
+       {"select count(*) from o where exists (select * from inr where k = x)",
+        "select count(*) from o where not exists (select * from inr "
+        "where k = x and v < 5)",
+        "select count(*) from o where x in (select k from inr)"}) {
+    SCOPED_TRACE(sql);
+    auto ref = db.ExecuteReference(sql);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (int threads : {1, 8}) {
+      Set(&db, "exec_threads = " + std::to_string(threads));
+      auto r = db.Execute(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_GT(r->stats.morsels, 0u);
+      testutil::ExpectResultsIdentical(*ref, *r);
+    }
+  }
+}
+
+// An inner-only conjunct sees the rows it sees on the row path, so a
+// division by zero in it errors on both paths, also when no outer
+// tuple reaches the step; a constant conjunct runs after the scan
+// predicates, so one that would divide by zero raises nothing once
+// they keep no row.
+TEST(SemiStepTest, InnerOnlyErrorsSurfaceOnBothPaths) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(DataAtSf(0.001).LoadInto(&db).ok());
+  for (const std::string outer : {"", " and o_orderkey < 0"}) {
+    for (const std::string kind : {"exists", "not exists"}) {
+      const std::string sql =
+          "select count(*) from orders where o_totalprice > 0" + outer +
+          " and " + kind +
+          " (select * from lineitem where l_orderkey = o_orderkey "
+          "and l_quantity / 0 > 1)";
+      SCOPED_TRACE(sql);
+      auto ref = db.ExecuteReference(sql);
+      ASSERT_FALSE(ref.ok());
+      auto r = db.Execute(sql);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), ref.status().code());
+      EXPECT_EQ(r.status().message(), ref.status().message());
+    }
+  }
+  const std::string shielded =
+      "select count(*) from orders where exists (select * from lineitem "
+      "where l_orderkey = o_orderkey and 1 / 0 = 1 and l_quantity < 0)";
+  auto ref = db.ExecuteReference(shielded);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  auto r = db.Execute(shielded);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->stats.morsels, 0u);
+  testutil::ExpectMatchesReference(*ref, *r);
 }
 
 // The join pipeline and its semi-join filter have no off switches:

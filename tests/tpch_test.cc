@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "apuama/apuama_engine.h"
+#include "apuama/svp_rewriter.h"
 #include "cjdbc/controller.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
@@ -741,6 +742,37 @@ TEST(SvpPartitioningTest, SubqueriesScanDisjointFractions) {
             static_cast<uint64_t>(lineitem_rows) * 13 / 10);
   EXPECT_GT(r->stats.tuples_scanned,
             static_cast<uint64_t>(lineitem_rows) * 9 / 10);
+}
+
+// SVP puts the range predicates inside Q4's and Q21's subqueries too
+// (they correlate on the partition key), so every node sub-query runs
+// its EXISTS / NOT EXISTS as morsel steps, over the node's interval
+// of the inner table, and matches the reference executor.
+TEST(SvpPartitioningTest, Q4AndQ21SubqueriesRunMorselSteps) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(SharedData().LoadInto(&db).ok());
+  DataCatalog catalog = tpch::MakeTpchCatalog(SharedData());
+  SvpRewriter rewriter(&catalog);
+  auto max_key = db.Execute("select max(o_orderkey) from orders");
+  ASSERT_TRUE(max_key.ok()) << max_key.status().ToString();
+  const int64_t width = max_key->rows[0][0].int_val() / 4 + 1;
+  for (int q : {4, 21}) {
+    auto parsed = sql::ParseSelect(*tpch::QuerySql(q));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto plan = rewriter.Rewrite(**parsed);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (int64_t lo = 1; lo <= max_key->rows[0][0].int_val(); lo += width) {
+      const std::string sub = plan->SubquerySql(lo, lo + width);
+      SCOPED_TRACE(sub);
+      auto ref = db.ExecuteReference(sub);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      EXPECT_EQ(ref->stats.morsels, 0u);
+      auto r = db.Execute(sub);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_GT(r->stats.morsels, 0u);
+      testutil::ExpectMatchesReference(*ref, *r);
+    }
+  }
 }
 
 }  // namespace
