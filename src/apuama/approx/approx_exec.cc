@@ -292,7 +292,7 @@ Status ApuamaEngine::ApplySampleDdl(const sql::Stmt& stmt) {
 }
 
 std::optional<Result<engine::QueryResult>> ApuamaEngine::MaybeExecuteApprox(
-    const std::string& sql, SvpProfile* profile) {
+    const std::string& sql) {
   auto parsed = sql::ParseSelect(sql);
   if (!parsed.ok()) return std::nullopt;
   const sql::SelectStmt& query = **parsed;
@@ -307,7 +307,7 @@ std::optional<Result<engine::QueryResult>> ApuamaEngine::MaybeExecuteApprox(
   if (!entry.has_value()) return fallback();
   auto spec = approx::BuildApproxQuery(query, base, entry->sample_table);
   if (!spec.ok()) return fallback();
-  auto result = ExecuteApproxPlan(*spec, profile);
+  auto result = ExecuteApproxPlan(*spec);
   if (!result.ok() &&
       result.status().code() == StatusCode::kUnsupported) {
     return fallback();
@@ -316,7 +316,7 @@ std::optional<Result<engine::QueryResult>> ApuamaEngine::MaybeExecuteApprox(
 }
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
-    const approx::ApproxQuerySpec& spec, SvpProfile* profile) {
+    const approx::ApproxQuerySpec& spec) {
   const double error_target =
       approx_error_target_.load(std::memory_order_relaxed);
   approx::SampleEntry entry;
@@ -424,7 +424,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
     return !stopped;
   };
   APUAMA_ASSIGN_OR_RETURN(engine::QueryResult stats_result,
-                          Dispatch(d, plan, profile));
+                          Dispatch(d, plan));
   const uint64_t skipped = static_cast<uint64_t>(intervals.size() - merged);
 
   // Finalize: scale the merged moments into estimates, attach the
@@ -503,6 +503,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
     out.rows.resize(static_cast<size_t>(spec.limit));
   }
   out.stats = stats_result.stats;
+  out.profile = stats_result.profile;
   out.approx.is_approx = true;
   out.approx.sample_ratio = entry.actual_ratio;
   out.approx.coverage =
@@ -514,11 +515,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   out.approx.max_rel_half_width = worst_rel;
   out.approx.seed = entry.seed;
   out.approx.subqueries_skipped = skipped;
-  if (profile != nullptr) {
-    profile->sample_ratio = entry.actual_ratio;
-    profile->ci_half_width = worst_rel;
-    profile->subqueries_skipped = skipped;
-  }
   stats_.approx_queries.fetch_add(1, std::memory_order_relaxed);
   if (stopped) {
     stats_.approx_early_exits.fetch_add(1, std::memory_order_relaxed);

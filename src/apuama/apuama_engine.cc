@@ -14,7 +14,6 @@
 #include "cjdbc/controller.h"
 #include "common/string_util.h"
 #include "engine/database.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
@@ -36,44 +35,42 @@ int64_t SteadyUs() {
 }
 }  // namespace
 
-std::vector<std::pair<std::string, uint64_t>> ApuamaStats::Kv() const {
+std::vector<std::pair<std::string, uint64_t>> ApuamaEngine::StatsKv() const {
   auto v = [](const std::atomic<uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
   };
-  return {{"svp", v(svp_queries)},
-          {"passthrough", v(passthrough_reads)},
-          {"writes", v(writes)},
-          {"non_rewritable", v(non_rewritable)},
-          {"partial_rows", v(partial_rows_total)},
-          {"compose_ms", v(compose_ms_total)},
-          {"avp_chunks", v(avp_chunks)},
-          {"avp_steals", v(avp_steals)},
-          {"plan_cache_hits", v(plan_cache_hits)},
-          {"plan_cache_misses", v(plan_cache_misses)},
-          {"svp_retries", v(svp_retries)},
-          {"result_cache_hits", v(result_cache_hits)},
-          {"result_cache_misses", v(result_cache_misses)},
-          {"vectorized_rows", v(vectorized_rows)},
-          {"dict_hits", v(dict_hits)},
-          {"probe_vectorized_rows", v(probe_vectorized_rows)},
-          {"columnar_chunks", v(columnar_chunks)},
-          {"columnar_rebuilds", v(columnar_rebuilds)},
-          {"routed_writes", v(routed_writes)},
-          {"write_fanout", v(write_fanout_total)},
-          {"exchange_bytes", v(exchange_bytes)},
-          {"exchange_shuffles", v(exchange_shuffles)},
-          {"exchange_broadcasts", v(exchange_broadcasts)},
-          {"fragments_pruned", v(fragments_pruned)},
-          {"approx_queries", v(approx_queries)},
-          {"approx_early_exits", v(approx_early_exits)},
-          {"approx_subqueries_skipped", v(approx_subqueries_skipped)},
-          {"approx_fallbacks", v(approx_fallbacks)},
-          {"scramble_builds", v(scramble_builds)},
-          {"scramble_rebuilds", v(scramble_rebuilds)}};
+  const ApuamaStats& s = stats_;
+  return {{"svp", v(s.svp_queries)},
+          {"passthrough", v(s.passthrough_reads)},
+          {"writes", v(s.writes)},
+          {"non_rewritable", v(s.non_rewritable)},
+          {"partial_rows", v(s.partial_rows_total)},
+          {"compose_ms", v(s.compose_us_total) / 1000},
+          {"avp_chunks", v(s.avp_chunks)},
+          {"avp_steals", v(s.avp_steals)},
+          {"plan_cache_hits", plan_cache_.hits()},
+          {"plan_cache_misses", plan_cache_.misses()},
+          {"svp_retries", v(s.svp_retries)},
+          {"result_cache_hits", result_cache_.hits()},
+          {"result_cache_misses", result_cache_.misses()},
+          {"vectorized_rows", v(s.vectorized_rows)},
+          {"dict_hits", v(s.dict_hits)},
+          {"probe_vectorized_rows", v(s.probe_vectorized_rows)},
+          {"columnar_chunks", v(s.columnar_chunks)},
+          {"columnar_rebuilds", v(s.columnar_rebuilds)},
+          {"routed_writes", v(s.routed_writes)},
+          {"write_fanout", v(s.write_fanout_total)},
+          {"exchange_bytes", v(s.exchange_bytes)},
+          {"exchange_shuffles", v(s.exchange_shuffles)},
+          {"exchange_broadcasts", v(s.exchange_broadcasts)},
+          {"fragments_pruned", v(s.fragments_pruned)},
+          {"approx_queries", v(s.approx_queries)},
+          {"approx_early_exits", v(s.approx_early_exits)},
+          {"approx_subqueries_skipped", v(s.approx_subqueries_skipped)},
+          {"approx_fallbacks", v(s.approx_fallbacks)},
+          {"scramble_builds", v(s.scramble_builds)},
+          {"scramble_rebuilds", v(s.scramble_rebuilds)}};
 }
-
-std::string ApuamaStats::ToString() const { return obs::RenderKvText(Kv()); }
-
 
 ApuamaEngine::ApuamaEngine(cjdbc::ReplicaSet* replicas, DataCatalog catalog,
                            ApuamaOptions options)
@@ -109,7 +106,7 @@ ApuamaEngine::ApuamaEngine(cjdbc::ReplicaSet* replicas, DataCatalog catalog,
       std::max(kMinDispatchThreads,
                static_cast<size_t>(replicas_->num_nodes())));
   metrics_provider_ = obs::Registry::Global().RegisterProvider(
-      "apuama", [this] { return stats_.Kv(); });
+      "apuama", [this] { return StatsKv(); });
 }
 
 bool ApuamaEngine::ReplicasConsistent() const {
@@ -146,11 +143,7 @@ Result<std::shared_ptr<const PlanCache::Entry>> ApuamaEngine::RouteRead(
   const std::string key = PlanCache::NormalizeSql(sql);
   std::shared_ptr<const PlanCache::Entry> entry =
       plan_cache_.Lookup(key, catalog_version);
-  if (entry != nullptr) {
-    stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return entry;
-  }
-  stats_.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  if (entry != nullptr) return entry;
   auto built = std::make_shared<PlanCache::Entry>();
   auto parsed = sql::ParseSelect(sql);
   if (!parsed.ok() || !rewriter_.TouchesFactTable(**parsed)) {
@@ -172,22 +165,29 @@ Result<std::shared_ptr<const PlanCache::Entry>> ApuamaEngine::RouteRead(
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteRead(
     int node_id, const std::string& sql) {
-  const char* path = nullptr;
-  return RunRead(node_id, sql, /*profile=*/nullptr, &path);
+  const int64_t t0 = SteadyUs();
+  Result<engine::QueryResult> result = RunRead(node_id, sql);
+  if (result.ok()) {
+    engine::QueryProfile& p = result->profile;
+    p.elapsed_us = SteadyUs() - t0;
+    p.output_rows = result->rows.size();
+    p.result_cache_on = cache_enabled();
+    p.share_scans_on = sharing_enabled();
+    p.write_fanout = last_write_fanout_.load(std::memory_order_relaxed);
+  }
+  return result;
 }
 
 Result<engine::QueryResult> ApuamaEngine::RunRead(int node_id,
-                                                  const std::string& sql,
-                                                  SvpProfile* profile,
-                                                  const char** path) {
+                                                  const std::string& sql) {
   if (node_id < 0 || node_id >= num_nodes()) {
     return Status::InvalidArgument("bad node id");
   }
   // Approximate tier. The verb check keeps the exact hot path
   // untouched; ineligible queries fall back to exact execution below.
   if (approx::StartsWithApproxVerb(sql)) {
-    if (auto approx_result = MaybeExecuteApprox(sql, profile)) {
-      *path = "approx";
+    if (auto approx_result = MaybeExecuteApprox(sql)) {
+      if (approx_result->ok()) (*approx_result)->profile.path = "approx";
       return std::move(*approx_result);
     }
   }
@@ -196,17 +196,15 @@ Result<engine::QueryResult> ApuamaEngine::RunRead(int node_id,
                             RouteRead(sql));
     switch (entry->kind) {
       case PlanCache::Kind::kSvp: {
-        auto result =
-            ExecuteSvpPlan(entry->plan.Clone(), options_.technique, profile);
-        if (result.ok() ||
-            result.status().code() != StatusCode::kUnsupported) {
-          *path = options_.technique == IntraQueryTechnique::kAvp ? "avp"
-                                                                   : "svp";
+        auto result = ExecuteSvpPlan(entry->plan.Clone(), options_.technique);
+        if (result.ok()) {
+          result->profile.path =
+              options_.technique == IntraQueryTechnique::kAvp ? "avp" : "svp";
           return result;
         }
+        if (result.status().code() != StatusCode::kUnsupported) return result;
         // Unsupported at runtime: fall through to inter-query path.
         stats_.non_rewritable.fetch_add(1, std::memory_order_relaxed);
-        if (profile != nullptr) *profile = SvpProfile{};  // aborted attempt
         break;
       }
       case PlanCache::Kind::kNonRewritable:
@@ -216,22 +214,20 @@ Result<engine::QueryResult> ApuamaEngine::RunRead(int node_id,
         break;
     }
   }
-  *path = "passthrough";
   stats_.passthrough_reads.fetch_add(1, std::memory_order_relaxed);
-  const int64_t t0 = profile != nullptr ? SteadyUs() : 0;
+  const int64_t t0 = SteadyUs();
   std::optional<Result<engine::QueryResult>> fragmented =
       ExecuteFragmentedPassthrough(node_id, sql);
   Result<engine::QueryResult> result =
       fragmented.has_value()
           ? std::move(*fragmented)
           : processors_[static_cast<size_t>(node_id)]->Execute(sql);
-  if (profile != nullptr) {
-    profile->node_times_us = {SteadyUs() - t0};
-    profile->node_ids = {node_id};
-  }
   if (result.ok()) {
     stats_.NoteNodeStats(result->stats);
-    if (profile != nullptr) profile->node_stats = result->stats;
+    engine::QueryProfile& p = result->profile;
+    p.path = "passthrough";
+    p.subqueries = 1;
+    p.subquery_min_us = p.subquery_max_us = SteadyUs() - t0;
   }
   return result;
 }
@@ -322,10 +318,7 @@ int64_t ApuamaEngine::admission_window_us() const {
 
 std::shared_ptr<const engine::QueryResult> ApuamaEngine::CacheLookup(
     const std::string& fingerprint) {
-  auto hit = result_cache_.Lookup(fingerprint, catalog_.version());
-  (hit != nullptr ? stats_.result_cache_hits : stats_.result_cache_misses)
-      .fetch_add(1, std::memory_order_relaxed);
-  return hit;
+  return result_cache_.Lookup(fingerprint, catalog_.version());
 }
 
 std::optional<share::ResultCache::FillTicket> ApuamaEngine::CacheBeginFill(
@@ -557,8 +550,7 @@ struct Attempt {
 }  // namespace
 
 Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
-                                                   const SvpPlan& plan,
-                                                   SvpProfile* profile) {
+                                                   const SvpPlan& plan) {
   // Partition over the *available* nodes: a crashed replica's key
   // range is redistributed across the survivors.
   const std::vector<int> alive = replicas_->AvailableNodes();
@@ -571,14 +563,9 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
   }
   const uint64_t parent =
       span.active() ? span.id() : tracer.current_span_id();
-  // Per-statement reset: a reused profile (same connection running
-  // several EXPLAIN ANALYZEs) must not accumulate the previous run's
-  // node_stats / retries, or vectorized-row goldens become
-  // order-dependent.
-  if (profile != nullptr) *profile = SvpProfile{};
 
   // Workers post finished attempts to `done`; only this thread reads
-  // them and touches the tasks, the plan, the sink and the profile.
+  // them and touches the tasks, the plan, the sink and the timings.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Attempt> done;
@@ -587,6 +574,10 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
   std::vector<SubqueryTask> tasks;
   std::vector<std::vector<int>> tried;  // per task: nodes it ran on
   uint64_t retries = 0;
+  // Fastest and slowest sub-query whose partial arrived before the
+  // read stopped (a composed read has at least one).
+  int64_t sub_min_us = std::numeric_limits<int64_t>::max();
+  int64_t sub_max_us = 0;
 
   auto submit = [&](size_t t, int node) {
     tried[t].push_back(node);
@@ -620,10 +611,6 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
   auto add_task = [&](SubqueryTask task) {
     tasks.push_back(std::move(task));
     tried.emplace_back();
-    if (profile != nullptr) {
-      profile->node_times_us.push_back(0);
-      profile->node_ids.push_back(tasks.back().node);
-    }
     submit(tasks.size() - 1, tasks.back().node);
   };
   // The retry rule: the first available node of the task's eligible
@@ -653,7 +640,6 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
       spec.barrier_scope);
   barrier_span.End();
   const int64_t barrier_us = SteadyUs() - barrier_t0;
-  if (profile != nullptr) profile->barrier_wait_us = barrier_us;
   if (tracing) {
     obs::Registry::Global()
         .GetHistogram("engine.barrier_wait_us",
@@ -701,10 +687,8 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
       }
       continue;
     }
-    if (profile != nullptr) {
-      profile->node_times_us[a.task] = a.us;
-      profile->node_ids[a.task] = a.node;
-    }
+    sub_min_us = std::min(sub_min_us, a.us);
+    sub_max_us = std::max(sub_max_us, a.us);
     if (spec.next) {
       if (std::optional<SubqueryTask> more =
               spec.next(a.task, a.node, a.us)) {
@@ -716,7 +700,6 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
       engine::QueryResult partial = std::move(ready.begin()->second);
       ready.erase(ready.begin());
       stats_.NoteNodeStats(partial.stats);
-      if (profile != nullptr) profile->node_stats += partial.stats;
       const bool more = !spec.on_fold || spec.on_fold(next_fold, partial);
       ++next_fold;
       failure = sink.Add(std::move(partial));
@@ -728,29 +711,32 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
     }
   }
   stats_.svp_retries.fetch_add(retries, std::memory_order_relaxed);
-  if (profile != nullptr) profile->retries = retries;
   APUAMA_RETURN_NOT_OK(failure);
 
   CompositionStats cstats;
   obs::Span compose_span = tracer.StartSpan("engine.compose", "engine");
   Result<engine::QueryResult> result = sink.Finish(&cstats);
   compose_span.End();
-  if (profile != nullptr) {
-    profile->compose_us = static_cast<int64_t>(sink.compose_micros());
-    profile->partial_rows = cstats.partial_rows;
-  }
   if (result.ok()) {
+    engine::QueryProfile& p = result->profile;
+    p.barrier_wait_us = barrier_us;
+    p.subqueries = tasks.size();
+    p.subquery_min_us = sub_min_us;
+    p.subquery_max_us = sub_max_us;
+    p.retries = retries;
+    p.compose_us = static_cast<int64_t>(sink.compose_micros());
+    p.partial_rows = cstats.partial_rows;
     stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
     stats_.partial_rows_total.fetch_add(cstats.partial_rows,
                                         std::memory_order_relaxed);
-    stats_.compose_ms_total.fetch_add(sink.compose_micros() / 1000,
+    stats_.compose_us_total.fetch_add(sink.compose_micros(),
                                       std::memory_order_relaxed);
   }
   return result;
 }
 
 Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
-    SvpPlan plan, IntraQueryTechnique technique, SvpProfile* profile) {
+    SvpPlan plan, IntraQueryTechnique technique) {
   DispatchSpec spec;
   const std::vector<FragmentationSpec> specs =
       ActiveSpecsFor(plan.fact_tables());
@@ -807,7 +793,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
       }
       return tasks;
     };
-    auto result = Dispatch(spec, plan, profile);
+    auto result = Dispatch(spec, plan);
     stats_.fragments_pruned.fetch_add(pruned, std::memory_order_relaxed);
     stats_.exchange_bytes.fetch_add(ex.bytes_shipped(),
                                     std::memory_order_relaxed);
@@ -815,9 +801,9 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
                                        std::memory_order_relaxed);
     stats_.exchange_broadcasts.fetch_add(ex.broadcasts(),
                                          std::memory_order_relaxed);
-    if (profile != nullptr) {
-      profile->fragments_pruned = pruned;
-      profile->exchange_bytes = ex.bytes_shipped();
+    if (result.ok()) {
+      result->profile.fragments_pruned = pruned;
+      result->profile.exchange_bytes = ex.bytes_shipped();
     }
     return result;
   }
@@ -858,7 +844,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
       scheduler->ReportChunkTime(slot, keys, us);
       return chunk(slot, node);
     };
-    auto result = Dispatch(spec, plan, profile);
+    auto result = Dispatch(spec, plan);
     if (result.ok()) {
       stats_.avp_chunks.fetch_add(
           static_cast<uint64_t>(scheduler->chunks_issued()),
@@ -883,91 +869,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
     }
     return tasks;
   };
-  return Dispatch(spec, plan, profile);
-}
-
-Result<engine::QueryResult> ApuamaEngine::ExecuteAnalyze(
-    int node_id, const sql::ExplainStmt& stmt) {
-  const std::string inner_sql = sql::UnparseSelect(*stmt.query);
-  SvpProfile profile;
-  const char* path = nullptr;
-  const int64_t t_begin = SteadyUs();
-  Result<engine::QueryResult> result =
-      RunRead(node_id, inner_sql, &profile, &path);
-  APUAMA_RETURN_NOT_OK(result.status());
-  const int64_t elapsed_us = SteadyUs() - t_begin;
-
-  // Fixed-shape breakdown: every (level, metric) row is present on
-  // every path, so clients and the golden-shape test can rely on it.
-  int64_t sub_min = 0, sub_max = 0;
-  for (size_t i = 0; i < profile.node_times_us.size(); ++i) {
-    int64_t t = profile.node_times_us[i];
-    if (i == 0 || t < sub_min) sub_min = t;
-    if (t > sub_max) sub_max = t;
-  }
-  int64_t admission_us = 0;
-  int64_t queue_wait_us = 0;
-  int64_t degraded = 0;
-  int64_t sheds_total = 0;
-  if (const obs::RequestTimeline* tl = obs::CurrentTimeline()) {
-    admission_us = tl->admission_wait_us;
-    queue_wait_us = tl->queue_wait_us;
-    degraded = tl->degraded_to_approx ? 1 : 0;
-    sheds_total = tl->sheds_total;
-  }
-  engine::QueryResult qr;
-  qr.column_names = {"level", "metric", "value"};
-  auto add = [&qr](const char* level, const char* metric, int64_t value) {
-    qr.rows.push_back(
-        {Value::Str(level), Value::Str(metric), Value::Int(value)});
-  };
-  qr.rows.push_back({Value::Str("query"), Value::Str("path"),
-                     Value::Str(path)});
-  add("controller", "admission_wait_us", admission_us);
-  add("admission", "queue_wait_us", queue_wait_us);
-  add("admission", "degraded_to_approx", degraded);
-  add("admission", "shed", sheds_total);
-  add("engine", "barrier_wait_us", profile.barrier_wait_us);
-  add("engine", "subqueries",
-      static_cast<int64_t>(profile.node_times_us.size()));
-  add("engine", "subquery_min_us", sub_min);
-  add("engine", "subquery_max_us", sub_max);
-  add("engine", "subquery_skew_us", sub_max - sub_min);
-  add("engine", "retries", static_cast<int64_t>(profile.retries));
-  add("node", "morsels", static_cast<int64_t>(profile.node_stats.morsels));
-  add("node", "pages_disk",
-      static_cast<int64_t>(profile.node_stats.pages_disk));
-  add("node", "pages_cache",
-      static_cast<int64_t>(profile.node_stats.pages_cache));
-  add("node", "tuples_scanned",
-      static_cast<int64_t>(profile.node_stats.tuples_scanned));
-  add("node", "vectorized_rows",
-      static_cast<int64_t>(profile.node_stats.vectorized_rows));
-  add("node", "dict_hits",
-      static_cast<int64_t>(profile.node_stats.dict_hits));
-  add("node", "probe_vectorized_rows",
-      static_cast<int64_t>(profile.node_stats.probe_vectorized_rows));
-  add("compose", "compose_us", profile.compose_us);
-  add("compose", "partial_rows", static_cast<int64_t>(profile.partial_rows));
-  add("compose", "output_rows", static_cast<int64_t>(result->rows.size()));
-  add("share", "result_cache_on", cache_enabled() ? 1 : 0);
-  add("share", "share_scans_on", sharing_enabled() ? 1 : 0);
-  add("fragment", "exchange_bytes",
-      static_cast<int64_t>(profile.exchange_bytes));
-  add("fragment", "fragments_pruned",
-      static_cast<int64_t>(profile.fragments_pruned));
-  add("fragment", "write_fanout",
-      static_cast<int64_t>(last_write_fanout_.load(
-          std::memory_order_relaxed)));
-  qr.rows.push_back({Value::Str("approx"), Value::Str("sample_ratio"),
-                     Value::Double(profile.sample_ratio)});
-  qr.rows.push_back({Value::Str("approx"), Value::Str("ci_half_width"),
-                     Value::Double(profile.ci_half_width)});
-  add("approx", "subqueries_skipped",
-      static_cast<int64_t>(profile.subqueries_skipped));
-  add("query", "elapsed_us", elapsed_us);
-  qr.stats = result->stats;
-  return qr;
+  return Dispatch(spec, plan);
 }
 
 namespace {
@@ -1031,7 +933,15 @@ class ApuamaConnection : public cjdbc::Connection {
       case cjdbc::RequestKind::kRead: {
         if (parsed->kind() == sql::StmtKind::kExplain) {
           const auto& ex = static_cast<const sql::ExplainStmt&>(*parsed);
-          if (ex.analyze) return engine_->ExecuteAnalyze(node_id_, ex);
+          if (ex.analyze) {
+            // The inner SELECT takes the normal read path; the profile
+            // it returns with renders as the breakdown.
+            APUAMA_ASSIGN_OR_RETURN(
+                engine::QueryResult r,
+                engine_->ExecuteRead(node_id_, sql::UnparseSelect(*ex.query)));
+            engine::RenderAnalyze(&r);
+            return r;
+          }
         }
         return engine_->ExecuteRead(node_id_, sql);
       }

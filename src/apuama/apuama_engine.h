@@ -84,14 +84,10 @@ struct ApuamaStats {
   std::atomic<uint64_t> writes{0};
   std::atomic<uint64_t> non_rewritable{0};     // fact queries SVP declined
   std::atomic<uint64_t> partial_rows_total{0};
-  std::atomic<uint64_t> compose_ms_total{0};   // wall time spent composing
+  std::atomic<uint64_t> compose_us_total{0};   // wall time spent composing
   std::atomic<uint64_t> avp_chunks{0};         // AVP: sub-queries issued
   std::atomic<uint64_t> avp_steals{0};         // AVP: ranges stolen
-  std::atomic<uint64_t> plan_cache_hits{0};
-  std::atomic<uint64_t> plan_cache_misses{0};
   std::atomic<uint64_t> svp_retries{0};        // failover resubmissions
-  std::atomic<uint64_t> result_cache_hits{0};  // reads served from cache
-  std::atomic<uint64_t> result_cache_misses{0};
   // Columnar execution, summed over every node result the engine saw
   // (SVP partials and passthrough reads):
   std::atomic<uint64_t> vectorized_rows{0};    // row-slots through kernels
@@ -119,8 +115,8 @@ struct ApuamaStats {
 
   /// Folds one node result's columnar counters into the engine-wide
   /// totals (called wherever a node ExecStats crosses the middleware
-  /// boundary, so ToString(), the metrics registry, and EXPLAIN
-  /// ANALYZE all agree on what the columnar path did).
+  /// boundary, so the metrics registry and EXPLAIN ANALYZE agree on
+  /// what the columnar path did).
   void NoteNodeStats(const engine::ExecStats& s) {
     auto bump = [](std::atomic<uint64_t>& a, uint64_t d) {
       if (d != 0) a.fetch_add(d, std::memory_order_relaxed);
@@ -131,36 +127,6 @@ struct ApuamaStats {
     bump(columnar_chunks, s.columnar_chunks_built);
     bump(columnar_rebuilds, s.columnar_chunk_rebuilds);
   }
-
-  /// SHOW-style one-line rendering of every counter (observability:
-  /// benches and operators read cache efficacy off this directly).
-  std::string ToString() const;
-  /// The counters as ordered key/value pairs — the single source
-  /// ToString(), the JSON export, and the obs::Registry provider all
-  /// render from.
-  std::vector<std::pair<std::string, uint64_t>> Kv() const;
-};
-
-/// Per-query timing profile collected by EXPLAIN ANALYZE. The
-/// intra-query path crosses threads (dispatch pool), so these numbers
-/// travel in an explicit struct rather than the thread-local
-/// timeline: dispatch workers hand their timings to the dispatching
-/// thread, which alone writes the profile.
-struct SvpProfile {
-  int64_t barrier_wait_us = 0;
-  std::vector<int64_t> node_times_us;  // one slot per sub-query task
-  std::vector<int> node_ids;           // node that ran each task
-  int64_t compose_us = 0;
-  uint64_t partial_rows = 0;
-  uint64_t retries = 0;            // failover resubmissions
-  uint64_t exchange_bytes = 0;     // moved for this query
-  uint64_t fragments_pruned = 0;   // intervals pruned for this query
-  engine::ExecStats node_stats;  // summed over all partials
-  // Approximate tier (zero on exact paths, keeping the EXPLAIN
-  // ANALYZE row shape fixed):
-  double sample_ratio = 0.0;       // scramble rows / base rows
-  double ci_half_width = 0.0;      // worst relative CI half-width
-  uint64_t subqueries_skipped = 0;  // early-exit cancellations
 };
 
 class ApuamaEngine : public share::WorkSharingHooks {
@@ -170,7 +136,9 @@ class ApuamaEngine : public share::WorkSharingHooks {
 
   /// Read entry point for backend `node_id` (the node C-JDBC's load
   /// balancer picked). Intra-query path when eligible, else
-  /// pass-through on that node.
+  /// pass-through on that node. The result's profile carries the
+  /// route that answered, the router's elapsed time and every fact
+  /// the dispatcher measured (EXPLAIN ANALYZE renders it).
   Result<engine::QueryResult> ExecuteRead(int node_id,
                                           const std::string& sql);
 
@@ -179,16 +147,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// recognizes the broadcast and brackets it as one logical write.
   Result<engine::QueryResult> ExecuteWriteOn(int node_id,
                                              const std::string& sql);
-
-  /// EXPLAIN ANALYZE entry point: runs the statement's query through
-  /// the normal read routing while collecting an SvpProfile, and
-  /// returns the per-level breakdown table (level, metric, value) —
-  /// admission wait (from the active obs::RequestTimeline, stamped by
-  /// the controller), barrier wait, per-node sub-query min/max/skew,
-  /// morsels and pages, composition time. The row *shape* is fixed
-  /// regardless of path so clients can rely on it.
-  Result<engine::QueryResult> ExecuteAnalyze(int node_id,
-                                             const sql::ExplainStmt& stmt);
 
   // share::WorkSharingHooks — driven by the controller's gate.
   bool sharing_enabled() const override;
@@ -247,6 +205,10 @@ class ApuamaEngine : public share::WorkSharingHooks {
   const DataCatalog* data_catalog() const { return &catalog_; }
   DataCatalog* mutable_data_catalog() { return &catalog_; }
   const ApuamaStats& stats() const { return stats_; }
+  /// Every engine counter plus the plan and result caches' lookup
+  /// counts, as ordered key/value pairs: the obs::Registry provider
+  /// ("apuama.*") renders from this one list.
+  std::vector<std::pair<std::string, uint64_t>> StatsKv() const;
   /// The parse+rewrite plan cache (cache-level hit/miss counters).
   const PlanCache& plan_cache() const { return plan_cache_; }
   ConsistencyManager* consistency() { return &consistency_; }
@@ -261,18 +223,16 @@ class ApuamaEngine : public share::WorkSharingHooks {
   Result<engine::QueryResult> ExecuteSvp(const sql::SelectStmt& query);
 
  private:
-  /// The read router behind ExecuteRead and ExecuteAnalyze: the
-  /// approximate tier, then the plan cache's SVP/AVP dispatch (a plan
-  /// the runtime declines counts as non-rewritable), then fragmented
-  /// or single-node passthrough. Sets `*path` to the route that
-  /// answered: "approx", "svp", "avp" or "passthrough". A non-null
-  /// `profile` collects EXPLAIN ANALYZE timings.
-  Result<engine::QueryResult> RunRead(int node_id, const std::string& sql,
-                                      SvpProfile* profile, const char** path);
+  /// The read router behind ExecuteRead: the approximate tier, then
+  /// the plan cache's SVP/AVP dispatch (a plan the runtime declines
+  /// counts as non-rewritable), then fragmented or single-node
+  /// passthrough. Stamps the route that answered into the profile:
+  /// "approx", "svp", "avp" or "passthrough".
+  Result<engine::QueryResult> RunRead(int node_id, const std::string& sql);
 
   /// Plan-cache routing for one read: lookup, or build + insert the
-  /// entry on a miss (counts cache hit/miss stats). Errors only on a
-  /// real rewrite failure, which is never cached.
+  /// entry on a miss (the cache counts its hits and misses). Errors
+  /// only on a real rewrite failure, which is never cached.
   Result<std::shared_ptr<const PlanCache::Entry>> RouteRead(
       const std::string& sql);
 
@@ -348,19 +308,17 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// its eligible set that it has not tried; when none is left the
   /// read fails with kUnavailable. Every exit joins every submitted
   /// sub-query first. `plan` is read after `prepare`, which may
-  /// replace it. A non-null `profile` collects EXPLAIN ANALYZE
-  /// timings.
+  /// replace it. The result's profile carries the barrier wait, the
+  /// sub-query count and times, the retries and the composition.
   Result<engine::QueryResult> Dispatch(const DispatchSpec& spec,
-                                       const SvpPlan& plan,
-                                       SvpProfile* profile);
+                                       const SvpPlan& plan);
 
   /// Runs a rewritten plan end to end through Dispatch with the task
   /// source for its shape: one interval per alive node (SVP),
   /// scheduler chunks (AVP), or pruned, exchange-placed intervals
   /// when the plan touches fragmented tables (either technique).
   Result<engine::QueryResult> ExecuteSvpPlan(SvpPlan plan,
-                                             IntraQueryTechnique technique,
-                                             SvpProfile* profile = nullptr);
+                                             IntraQueryTechnique technique);
 
   /// The approximate tier's read hook: parses `sql`, checks it carries
   /// the APPROX verb, a scramble exists and the query is estimable,
@@ -368,7 +326,7 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// the caller falls through to the exact path unchanged (counted as
   /// a fallback when the verb asked for approximation).
   std::optional<Result<engine::QueryResult>> MaybeExecuteApprox(
-      const std::string& sql, SvpProfile* profile = nullptr);
+      const std::string& sql);
 
   /// Runs one rewritten APPROX query through Dispatch: a staleness
   /// check under the barrier (synchronous rebuild while writes are
@@ -376,7 +334,7 @@ class ApuamaEngine : public share::WorkSharingHooks {
   /// space, an in-order hook applying the CLT stopping rule, and
   /// finalization into estimates + `__ci_lo`/`__ci_hi` columns.
   Result<engine::QueryResult> ExecuteApproxPlan(
-      const approx::ApproxQuerySpec& spec, SvpProfile* profile);
+      const approx::ApproxQuerySpec& spec);
 
   /// Materializes the scramble for `base` as `sample` on every node
   /// and registers/refreshes its partition space and catalog entry.
@@ -429,7 +387,7 @@ class ApuamaEngine : public share::WorkSharingHooks {
   // Fan-out (node count) of the most recent logical write, surfaced
   // by EXPLAIN ANALYZE as fragment/write_fanout.
   std::atomic<uint64_t> last_write_fanout_{0};
-  // Contributes stats_ to obs::Registry dumps; the handle unregisters
+  // Contributes StatsKv() to obs::Registry dumps; the handle unregisters
   // on destruction so a dump never reads a freed engine.
   obs::Registry::ProviderHandle metrics_provider_;
 };

@@ -5,7 +5,6 @@
 #include <condition_variable>
 
 #include "apuama/share/query_fingerprint.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
 #include "sql/settings.h"
@@ -119,20 +118,16 @@ Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
       stats_.reads.fetch_add(1, std::memory_order_relaxed);
       obs::Span span = tracer.StartSpan("controller.read", "controller");
       // Admission off = the exact pre-scheduler read path, untouched.
-      auto run = [&]() -> Result<engine::QueryResult> {
-        if (admission_->enabled()) return ExecuteAdmitted(sql, *stmt);
-        return ExecuteRead(sql);
-      };
-      if (stmt->kind() == sql::StmtKind::kExplain &&
+      Result<engine::QueryResult> result = admission_->enabled()
+                                               ? ExecuteAdmitted(sql, *stmt)
+                                               : ExecuteRead(sql);
+      if (result.ok() && stmt->kind() == sql::StmtKind::kExplain &&
           static_cast<const sql::ExplainStmt&>(*stmt).analyze) {
-        // EXPLAIN ANALYZE: give the layers below a timeline to stamp
-        // (admission wait) — it lives on this stack frame and the
-        // whole request runs on this thread.
-        obs::RequestTimeline timeline;
-        obs::TimelineScope scope(&timeline);
-        return run();
+        // The backend rendered the breakdown before this layer stamped
+        // its admission facts into the profile: render again.
+        engine::RenderAnalyze(&*result);
       }
-      return run();
+      return result;
     }
     case RequestKind::kWrite: {
       obs::Span span = tracer.StartSpan("controller.write", "controller");
@@ -241,16 +236,9 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
   stats_.admission_queue_wait_us.fetch_add(
       static_cast<uint64_t>(std::max<int64_t>(0, ticket.queue_wait_us())),
       std::memory_order_relaxed);
-  auto stamp_timeline = [&](bool degraded) {
-    if (obs::CurrentTimeline() == nullptr) return;
-    const auto c = admission_->counters();
-    obs::NoteAdmissionOutcome(ticket.queue_wait_us(), degraded,
-                              static_cast<int64_t>(c.shed + c.cancelled));
-  };
   if (ticket.shed()) {
     stats_.admission_shed.fetch_add(1, std::memory_order_relaxed);
     obs::Tracer::Global().Instant("admission.shed", "controller");
-    stamp_timeline(false);
     return Status::Overloaded(
         "admission control shed the query (priority " +
         std::to_string(ticket.priority) + "); retry later");
@@ -272,7 +260,11 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
                : ExecuteRead(sql);
   if (degraded && result.ok()) result->approx.degraded = true;
   admission_->OnComplete(ticket, SteadyUs(), result.ok());
-  stamp_timeline(degraded);
+  if (result.ok()) {
+    const auto c = admission_->counters();
+    result->profile.queue_wait_us = ticket.queue_wait_us();
+    result->profile.shed = c.shed + c.cancelled;
+  }
   return result;
 }
 
@@ -297,28 +289,29 @@ bool Controller::ApplyAdmissionKnob(const sql::Setting& setting) {
 
 Result<engine::QueryResult> Controller::ExecuteReadDirect(
     const std::string& sql, std::optional<uint64_t> affinity) {
-  // Admission wait = time to obtain a backend slot. Only measured
-  // when an EXPLAIN ANALYZE timeline is active (one thread-local read
-  // on the normal path).
-  obs::RequestTimeline* tl = obs::CurrentTimeline();
-  const int64_t admit_t0 = (tl != nullptr) ? SteadyUs() : 0;
+  // Admission wait = time to obtain a backend slot.
+  const int64_t admit_t0 = SteadyUs();
   int node = balancer_.Acquire(affinity);
-  if (tl != nullptr) obs::NoteAdmissionWait(SteadyUs() - admit_t0);
+  const int64_t admission_wait_us = SteadyUs() - admit_t0;
   obs::Tracer::Global().Instant("balancer.acquire", "controller", "node",
                                 node);
-  if (!backends_[static_cast<size_t>(node)].enabled) {
+  Result<engine::QueryResult> result =
+      Status::Unavailable("no backend available");
+  if (backends_[static_cast<size_t>(node)].enabled) {
+    result = backends_[static_cast<size_t>(node)].conn->Execute(sql);
+    balancer_.Release(node);
+  } else {
     // Balancer picked a disabled backend: fail over to the first
     // enabled one, bypassing balancer bookkeeping for this request.
     balancer_.Release(node);
     for (int i = 0; i < num_backends(); ++i) {
       if (backends_[static_cast<size_t>(i)].enabled) {
-        return backends_[static_cast<size_t>(i)].conn->Execute(sql);
+        result = backends_[static_cast<size_t>(i)].conn->Execute(sql);
+        break;
       }
     }
-    return Status::Unavailable("no backend available");
   }
-  auto result = backends_[static_cast<size_t>(node)].conn->Execute(sql);
-  balancer_.Release(node);
+  if (result.ok()) result->profile.admission_wait_us = admission_wait_us;
   return result;
 }
 

@@ -4,13 +4,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/eval.h"
 #include "engine/executor.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
@@ -60,6 +60,51 @@ std::string QueryResult::ToString(size_t max_rows) const {
     out += StrFormat("... (%zu rows total)\n", rows.size());
   }
   return out;
+}
+
+void RenderAnalyze(QueryResult* result) {
+  const QueryProfile& p = result->profile;
+  const ExecStats& s = result->stats;
+  const ApproxInfo& a = result->approx;
+  auto n = [](auto v) { return Value::Int(static_cast<int64_t>(v)); };
+  const std::tuple<const char*, const char*, Value> facts[] = {
+      {"query", "path", Value::Str(p.path)},
+      {"controller", "admission_wait_us", n(p.admission_wait_us)},
+      {"admission", "queue_wait_us", n(p.queue_wait_us)},
+      {"admission", "degraded_to_approx", n(a.degraded)},
+      {"admission", "shed", n(p.shed)},
+      {"engine", "barrier_wait_us", n(p.barrier_wait_us)},
+      {"engine", "subqueries", n(p.subqueries)},
+      {"engine", "subquery_min_us", n(p.subquery_min_us)},
+      {"engine", "subquery_max_us", n(p.subquery_max_us)},
+      {"engine", "subquery_skew_us", n(p.subquery_max_us - p.subquery_min_us)},
+      {"engine", "retries", n(p.retries)},
+      {"node", "threads", n(s.exec_threads)},
+      {"node", "morsels", n(s.morsels)},
+      {"node", "pages_disk", n(s.pages_disk)},
+      {"node", "pages_cache", n(s.pages_cache)},
+      {"node", "tuples_scanned", n(s.tuples_scanned)},
+      {"node", "vectorized_rows", n(s.vectorized_rows)},
+      {"node", "dict_hits", n(s.dict_hits)},
+      {"node", "probe_vectorized_rows", n(s.probe_vectorized_rows)},
+      {"compose", "compose_us", n(p.compose_us)},
+      {"compose", "partial_rows", n(p.partial_rows)},
+      {"compose", "output_rows", n(p.output_rows)},
+      {"share", "result_cache_on", n(p.result_cache_on)},
+      {"share", "share_scans_on", n(p.share_scans_on)},
+      {"fragment", "exchange_bytes", n(p.exchange_bytes)},
+      {"fragment", "fragments_pruned", n(p.fragments_pruned)},
+      {"fragment", "write_fanout", n(p.write_fanout)},
+      {"approx", "sample_ratio", Value::Double(a.sample_ratio)},
+      {"approx", "ci_half_width", Value::Double(a.max_rel_half_width)},
+      {"approx", "subqueries_skipped", n(a.subqueries_skipped)},
+      {"query", "elapsed_us", n(p.elapsed_us)},
+  };
+  result->column_names = {"level", "metric", "value"};
+  result->rows.clear();
+  for (const auto& [level, metric, value] : facts) {
+    result->rows.push_back({Value::Str(level), Value::Str(metric), value});
+  }
 }
 
 int DefaultExecThreads() {
@@ -247,62 +292,24 @@ Status Database::ApplyRollback() {
 }
 
 Result<QueryResult> Database::ExecuteExplain(const sql::ExplainStmt& stmt) {
+  if (stmt.analyze) {
+    // The node's own read path; it knows its elapsed time and output
+    // rows, and every fact of the layers above reads 0.
+    const auto t0 = std::chrono::steady_clock::now();
+    APUAMA_ASSIGN_OR_RETURN(QueryResult r, ExecuteStmt(*stmt.query));
+    r.profile.elapsed_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    r.profile.output_rows = r.rows.size();
+    RenderAnalyze(&r);
+    return r;
+  }
   auto select = stmt.query->Clone();
   sql::FoldConstants(select.get());
   ExecStats stats;
   Executor exec(this, &stats);
-  const int64_t t0 =
-      stmt.analyze
-          ? std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count()
-          : 0;
   APUAMA_ASSIGN_OR_RETURN(QueryResult inner, exec.ExecuteSelect(*select));
-  if (stmt.analyze) {
-    // Standalone EXPLAIN ANALYZE: one node, so the breakdown is the
-    // node level plus whatever the controller stamped into the
-    // thread-local timeline (zero when there is no controller above).
-    const int64_t elapsed_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count() -
-        t0;
-    int64_t admission_us = 0;
-    int64_t queue_wait_us = 0;
-    int64_t degraded = 0;
-    int64_t sheds_total = 0;
-    if (const obs::RequestTimeline* tl = obs::CurrentTimeline()) {
-      admission_us = tl->admission_wait_us;
-      queue_wait_us = tl->queue_wait_us;
-      degraded = tl->degraded_to_approx ? 1 : 0;
-      sheds_total = tl->sheds_total;
-    }
-    QueryResult qr;
-    qr.column_names = {"level", "metric", "value"};
-    auto add = [&qr](const char* level, const char* metric, int64_t value) {
-      qr.rows.push_back(
-          {Value::Str(level), Value::Str(metric), Value::Int(value)});
-    };
-    add("controller", "admission_wait_us", admission_us);
-    add("admission", "queue_wait_us", queue_wait_us);
-    add("admission", "degraded_to_approx", degraded);
-    add("admission", "shed", sheds_total);
-    add("node", "elapsed_us", elapsed_us);
-    add("node", "threads", stats.exec_threads);
-    add("node", "morsels", static_cast<int64_t>(stats.morsels));
-    add("node", "pages_disk", static_cast<int64_t>(stats.pages_disk));
-    add("node", "pages_cache", static_cast<int64_t>(stats.pages_cache));
-    add("node", "tuples_scanned",
-        static_cast<int64_t>(stats.tuples_scanned));
-    add("node", "vectorized_rows",
-        static_cast<int64_t>(stats.vectorized_rows));
-    add("node", "dict_hits", static_cast<int64_t>(stats.dict_hits));
-    add("node", "probe_vectorized_rows",
-        static_cast<int64_t>(stats.probe_vectorized_rows));
-    add("node", "output_rows", static_cast<int64_t>(inner.rows.size()));
-    qr.stats = stats;
-    return qr;
-  }
   QueryResult qr;
   qr.column_names = {"plan"};
   for (const auto& [binding, path] : exec.scan_paths()) {

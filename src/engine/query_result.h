@@ -2,6 +2,7 @@
 #ifndef APUAMA_ENGINE_QUERY_RESULT_H_
 #define APUAMA_ENGINE_QUERY_RESULT_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -10,8 +11,6 @@
 
 namespace apuama::engine {
 
-/// Rows + column names for SELECTs; rows_affected for DML; stats for
-/// everything. This is what travels back over a Connection.
 /// Quality metadata for approximate answers. `is_approx` false (the
 /// default) means the result is exact; everything else is only
 /// meaningful when it is true. The result cache reads this to tag
@@ -31,11 +30,41 @@ struct ApproxInfo {
   bool degraded = false;
 };
 
+/// The per-read facts EXPLAIN ANALYZE prints besides `stats` and
+/// `approx`. Each layer a read crosses stamps only the facts it owns:
+/// the engine's read router the path, elapsed time and engine state,
+/// its dispatcher the barrier, sub-query and composition timings, the
+/// controller its admission facts. A fact a path never measures reads
+/// 0. Only the thread that returns the result writes it.
+struct QueryProfile {
+  const char* path = "node";  // node, passthrough, svp, avp or approx
+  int64_t elapsed_us = 0;     // the engine's read router, or the node
+  int64_t barrier_wait_us = 0;
+  uint64_t subqueries = 0;  // tasks dispatched (AVP: chunks)
+  int64_t subquery_min_us = 0;
+  int64_t subquery_max_us = 0;
+  uint64_t retries = 0;  // failover resubmissions
+  int64_t compose_us = 0;
+  uint64_t partial_rows = 0;
+  uint64_t output_rows = 0;
+  uint64_t exchange_bytes = 0;
+  uint64_t fragments_pruned = 0;  // intervals outside the predicate
+  bool result_cache_on = false;
+  bool share_scans_on = false;
+  uint64_t write_fanout = 0;  // nodes the latest logical write touched
+  int64_t admission_wait_us = 0;  // controller: backend acquire
+  int64_t queue_wait_us = 0;      // controller: admission queue
+  uint64_t shed = 0;  // controller-wide reads shed or cancelled so far
+};
+
+/// Rows + column names for SELECTs; rows_affected for DML; stats for
+/// everything. This is what travels back over a Connection.
 struct QueryResult {
   std::vector<std::string> column_names;
   std::vector<Row> rows;
   ExecStats stats;
   ApproxInfo approx;
+  QueryProfile profile;
 
   size_t num_rows() const { return rows.size(); }
   size_t num_columns() const { return column_names.size(); }
@@ -43,6 +72,12 @@ struct QueryResult {
   /// Tab-separated rendering (examples / debugging).
   std::string ToString(size_t max_rows = 20) const;
 };
+
+/// Replaces `result`'s columns and rows with the EXPLAIN ANALYZE table
+/// (level, metric, value): the same rows in the same order on every
+/// path, rendered from `profile`, `stats` and `approx`. Those three
+/// stay, so a layer above can stamp its own facts and render again.
+void RenderAnalyze(QueryResult* result);
 
 }  // namespace apuama::engine
 

@@ -39,6 +39,7 @@ namespace {
 
 using admission::AdmissionController;
 using engine::QueryResult;
+using testutil::AnalyzeMetric;
 using Ticket = AdmissionController::Ticket;
 using Request = AdmissionController::Request;
 
@@ -602,26 +603,23 @@ TEST(AdmissionDegradeTest, DegradedSelectIsTaggedAndFallsBackExact) {
   testutil::ExpectResultsIdentical(*exact, *degraded);
 }
 
-int64_t AnalyzeMetric(const QueryResult& r, const std::string& level,
-                      const std::string& metric) {
-  for (const auto& row : r.rows) {
-    if (row[0].str_val() == level && row[1].str_val() == metric) {
-      auto v = row[2].AsInt();
-      return v.ok() ? *v : 0;
-    }
-  }
-  ADD_FAILURE() << "no analyze row " << level << "/" << metric;
-  return -1;
-}
-
 TEST(AdmissionExplainTest, ExplainAnalyzeCarriesAdmissionRows) {
   AdmissionCluster c;
   c.MustExec("set admission = on");
+  // Shed one read (as in AdmissionShedTest), then relax the deadline.
+  c.MustExec("set slo_target_us = 1");
+  c.MustExec("set priority = 0");
+  ASSERT_EQ(c.Exec(*tpch::QuerySql(6)).status().code(),
+            StatusCode::kOverloaded);
+  c.MustExec("set slo_target_us = 1000000");
   auto r = c.Exec("explain analyze " + *tpch::QuerySql(6));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const auto counters = c.controller->admission()->counters();
+  ASSERT_GE(counters.shed, 1u);
   EXPECT_GE(AnalyzeMetric(*r, "admission", "queue_wait_us"), 0);
   EXPECT_EQ(AnalyzeMetric(*r, "admission", "degraded_to_approx"), 0);
-  EXPECT_GE(AnalyzeMetric(*r, "admission", "shed"), 0);
+  EXPECT_EQ(AnalyzeMetric(*r, "admission", "shed"),
+            static_cast<int64_t>(counters.shed + counters.cancelled));
 }
 
 // ---------------------------------------------------------------------------

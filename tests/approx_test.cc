@@ -38,6 +38,7 @@ namespace apuama {
 namespace {
 
 using engine::QueryResult;
+using testutil::AnalyzeMetric;
 
 const tpch::TpchData& TinyData() {
   static const tpch::TpchData* data =
@@ -78,18 +79,6 @@ struct ApproxCluster {
   std::unique_ptr<ApuamaEngine> engine;
   std::unique_ptr<cjdbc::Controller> controller;
 };
-
-int64_t AnalyzeMetric(const QueryResult& r, const std::string& level,
-                      const std::string& metric) {
-  for (const auto& row : r.rows) {
-    if (row[0].str_val() == level && row[1].str_val() == metric) {
-      auto v = row[2].AsInt();
-      return v.ok() ? *v : 0;
-    }
-  }
-  ADD_FAILURE() << "no analyze row " << level << "/" << metric;
-  return 0;
-}
 
 // ---------------------------------------------------------------------------
 // Parser + verb detection
@@ -517,10 +506,10 @@ TEST(ApproxCacheTest, ApproxRepeatsMayShareTheTaggedEntry) {
   auto r1 = c.Exec(q);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r1->approx.is_approx);
-  const uint64_t hits = c.engine->stats().result_cache_hits.load();
+  const uint64_t hits = c.engine->result_cache()->hits();
   auto r2 = c.Exec(q);
   ASSERT_TRUE(r2.ok());
-  EXPECT_GT(c.engine->stats().result_cache_hits.load(), hits);
+  EXPECT_GT(c.engine->result_cache()->hits(), hits);
   testutil::ExpectResultsIdentical(*r1, *r2);
 }
 

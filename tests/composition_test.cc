@@ -12,6 +12,7 @@
 #include "apuama/result_composer.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/controller.h"
+#include "obs/metrics.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
@@ -435,12 +436,12 @@ TEST(PlanCacheTest, EngineReusesAndInvalidatesPlans) {
   const std::string sql = *tpch::QuerySql(6);
   auto first = engine.ExecuteRead(0, sql);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(engine.stats().plan_cache_misses, 1u);
-  EXPECT_EQ(engine.stats().plan_cache_hits, 0u);
+  EXPECT_EQ(engine.plan_cache().misses(), 1u);
+  EXPECT_EQ(engine.plan_cache().hits(), 0u);
   // Reformatted resubmission hits via normalization.
   auto second = engine.ExecuteRead(1, "  " + sql + "\n");
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.stats().plan_cache_hits, 1u);
+  EXPECT_EQ(engine.plan_cache().hits(), 1u);
   testutil::ExpectResultsEqual(*first, *second);
 
   // Domain refresh bumps the catalog version: next submission must
@@ -454,7 +455,7 @@ TEST(PlanCacheTest, EngineReusesAndInvalidatesPlans) {
   EXPECT_GT(engine.data_catalog()->version(), v);
   auto third = engine.ExecuteRead(0, sql);
   ASSERT_TRUE(third.ok());
-  EXPECT_EQ(engine.stats().plan_cache_misses, 2u);
+  EXPECT_EQ(engine.plan_cache().misses(), 2u);
   testutil::ExpectResultsEqual(*first, *third);
 }
 
@@ -472,14 +473,11 @@ TEST(PlanCacheTest, CachesNonSvpOutcomes) {
   ASSERT_TRUE(engine.ExecuteRead(0, dim).ok());
   ASSERT_TRUE(engine.ExecuteRead(0, distinct).ok());
   ASSERT_TRUE(engine.ExecuteRead(0, distinct).ok());
-  EXPECT_EQ(engine.stats().plan_cache_misses, 2u);
-  EXPECT_EQ(engine.stats().plan_cache_hits, 2u);
-  EXPECT_EQ(engine.stats().non_rewritable, 2u);
-  // Cache-level counters agree with the engine's, and the one-line
-  // stats rendering exposes them for operators.
-  EXPECT_EQ(engine.plan_cache().hits(), 2u);
   EXPECT_EQ(engine.plan_cache().misses(), 2u);
-  const std::string rendered = engine.stats().ToString();
+  EXPECT_EQ(engine.plan_cache().hits(), 2u);
+  EXPECT_EQ(engine.stats().non_rewritable, 2u);
+  // The engine's one-line stats rendering exposes them for operators.
+  const std::string rendered = obs::RenderKvText(engine.StatsKv());
   EXPECT_NE(rendered.find("plan_cache_hits=2"), std::string::npos)
       << rendered;
   EXPECT_NE(rendered.find("plan_cache_misses=2"), std::string::npos)

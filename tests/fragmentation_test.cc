@@ -466,32 +466,32 @@ TEST(FragmentationCacheTest, DdlInvalidatesCachedPlansAndResults) {
   // Stale-plan regression: warm the plan cache, change the physical
   // layout under it, and require the re-planned execution to agree.
   ASSERT_TRUE(s.controller->Execute(sql).ok());
-  const uint64_t hits_before = s.engine->stats().plan_cache_hits.load();
+  const uint64_t hits_before = s.engine->plan_cache().hits();
   auto cached = s.controller->Execute(sql);
   ASSERT_TRUE(cached.ok());
-  EXPECT_GT(s.engine->stats().plan_cache_hits.load(), hits_before);
+  EXPECT_GT(s.engine->plan_cache().hits(), hits_before);
 
   // Fragmentation DDL bumps the catalog version: the cached plan
   // (compiled for the replicated layout) must miss, and the
   // re-planned fragmented execution must agree bit for bit.
   FragmentBoth(s.controller.get(), 4, 1);
-  const uint64_t misses_before = s.engine->stats().plan_cache_misses.load();
+  const uint64_t misses_before = s.engine->plan_cache().misses();
   auto after_ddl = s.controller->Execute(sql);
   ASSERT_TRUE(after_ddl.ok());
-  EXPECT_GT(s.engine->stats().plan_cache_misses.load(), misses_before);
+  EXPECT_GT(s.engine->plan_cache().misses(), misses_before);
   ExpectResultsIdentical(*expect, *after_ddl);
 
   // Same catalog-version keying protects the result cache: a cached
   // result from one layout is never served after the next DDL.
   ASSERT_TRUE(s.controller->Execute("set result_cache = on").ok());
   ASSERT_TRUE(s.controller->Execute(sql).ok());  // fill
-  const uint64_t rc_hits = s.engine->stats().result_cache_hits.load();
+  const uint64_t rc_hits = s.engine->result_cache()->hits();
   ASSERT_TRUE(s.controller->Execute(sql).ok());
-  EXPECT_EQ(s.engine->stats().result_cache_hits.load(), rc_hits + 1);
+  EXPECT_EQ(s.engine->result_cache()->hits(), rc_hits + 1);
   FragmentBoth(s.controller.get(), 2, 1);  // re-fragment INTO 2
   auto refreshed = s.controller->Execute(sql);
   ASSERT_TRUE(refreshed.ok());
-  EXPECT_EQ(s.engine->stats().result_cache_hits.load(), rc_hits + 1);
+  EXPECT_EQ(s.engine->result_cache()->hits(), rc_hits + 1);
   ExpectResultsIdentical(*expect, *refreshed);
 }
 
@@ -510,9 +510,9 @@ TEST(FragmentationCacheTest, WriteBumpsOnlyWrittenFragmentEpoch) {
       std::to_string(spec->bounds[3]) +
       " and l_orderkey <= " + std::to_string(spec->bounds[4] - 1);
   ASSERT_TRUE(s.controller->Execute(read).ok());  // fill
-  const uint64_t hits0 = s.engine->stats().result_cache_hits.load();
+  const uint64_t hits0 = s.engine->result_cache()->hits();
   ASSERT_TRUE(s.controller->Execute(read).ok());
-  EXPECT_EQ(s.engine->stats().result_cache_hits.load(), hits0 + 1);
+  EXPECT_EQ(s.engine->result_cache()->hits(), hits0 + 1);
 
   // A routed write into fragment 0 does not touch the read's
   // fragment: the cached entry survives.
@@ -521,7 +521,7 @@ TEST(FragmentationCacheTest, WriteBumpsOnlyWrittenFragmentEpoch) {
                             "where l_orderkey = 1")
                   .ok());
   ASSERT_TRUE(s.controller->Execute(read).ok());
-  EXPECT_EQ(s.engine->stats().result_cache_hits.load(), hits0 + 2);
+  EXPECT_EQ(s.engine->result_cache()->hits(), hits0 + 2);
 
   // A routed write into the read's own fragment invalidates it.
   const int64_t key_in_read = spec->bounds[3];
@@ -531,7 +531,7 @@ TEST(FragmentationCacheTest, WriteBumpsOnlyWrittenFragmentEpoch) {
                             std::to_string(key_in_read))
                   .ok());
   ASSERT_TRUE(s.controller->Execute(read).ok());
-  EXPECT_EQ(s.engine->stats().result_cache_hits.load(), hits0 + 2);
+  EXPECT_EQ(s.engine->result_cache()->hits(), hits0 + 2);
 }
 
 // ---------------------------------------------------------------------------

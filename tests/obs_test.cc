@@ -6,8 +6,9 @@
 //      workload yields byte-identical DumpTree() output;
 //   3. tracing off/on changes nothing observable about query results
 //      or ExecStats, at any exec_threads (the zero-cost-off claim);
-//   4. EXPLAIN ANALYZE returns the documented fixed-shape breakdown
-//      across all three parallelism levels for Q1 and Q3.
+//   4. EXPLAIN ANALYZE returns one documented fixed-shape breakdown,
+//      rendered from the profile the read result carries, from a bare
+//      node, an Apuama connection and the controller alike.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -283,53 +284,10 @@ TEST(TraceOffBitIdentityTest, TracingDoesNotPerturbResultsOrStats) {
 }
 
 // ---------------------------------------------------------------------
-// EXPLAIN ANALYZE: fixed-shape per-level breakdown.
+// EXPLAIN ANALYZE: one fixed-shape per-level breakdown on every path,
+// rendered from the profile each read result carries.
 
-TEST(ExplainAnalyzeTest, SingleNodeBreakdownShape) {
-  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
-  engine::Database db;
-  ASSERT_TRUE(data.LoadInto(&db).ok());
-  auto r = db.Execute("explain analyze " + *tpch::QuerySql(6));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->column_names,
-            (std::vector<std::string>{"level", "metric", "value"}));
-  const std::vector<std::pair<std::string, std::string>> golden = {
-      {"controller", "admission_wait_us"},
-      {"admission", "queue_wait_us"},
-      {"admission", "degraded_to_approx"},
-      {"admission", "shed"},
-      {"node", "elapsed_us"},
-      {"node", "threads"},
-      {"node", "morsels"},
-      {"node", "pages_disk"},
-      {"node", "pages_cache"},
-      {"node", "tuples_scanned"},
-      {"node", "vectorized_rows"},
-      {"node", "dict_hits"},
-      {"node", "probe_vectorized_rows"},
-      {"node", "output_rows"},
-  };
-  ASSERT_EQ(r->rows.size(), golden.size());
-  for (size_t i = 0; i < golden.size(); ++i) {
-    EXPECT_EQ(r->rows[i][0].str_val(), golden[i].first) << "row " << i;
-    EXPECT_EQ(r->rows[i][1].str_val(), golden[i].second) << "row " << i;
-  }
-  // Q6 is a global aggregate the columnar path vectorizes.
-  EXPECT_GT(r->rows[10][2].int_val(), 0);  // vectorized_rows
-  // Plain EXPLAIN still returns the plan, not a breakdown.
-  auto plan = db.Execute("explain " + *tpch::QuerySql(6));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->column_names.size(), 1u);
-}
-
-TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
-  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
-  cjdbc::ReplicaSet replicas(
-      2, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
-  ASSERT_TRUE(data.LoadIntoReplicas(&replicas).ok());
-  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(data, 0));
-  cjdbc::Controller controller(std::make_unique<ApuamaDriver>(&engine));
-
+void ExpectAnalyzeShape(const engine::QueryResult& r) {
   const std::vector<std::pair<std::string, std::string>> golden = {
       {"query", "path"},
       {"controller", "admission_wait_us"},
@@ -342,6 +300,7 @@ TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
       {"engine", "subquery_max_us"},
       {"engine", "subquery_skew_us"},
       {"engine", "retries"},
+      {"node", "threads"},
       {"node", "morsels"},
       {"node", "pages_disk"},
       {"node", "pages_cache"},
@@ -362,23 +321,107 @@ TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
       {"approx", "subqueries_skipped"},
       {"query", "elapsed_us"},
   };
-  for (int q : {1, 3}) {
-    SCOPED_TRACE(testing::Message() << "Q" << q);
-    auto r = controller.Execute("EXPLAIN ANALYZE " + *tpch::QuerySql(q));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_EQ(r->column_names,
-              (std::vector<std::string>{"level", "metric", "value"}));
-    ASSERT_EQ(r->rows.size(), golden.size());
-    for (size_t i = 0; i < golden.size(); ++i) {
-      EXPECT_EQ(r->rows[i][0].str_val(), golden[i].first) << "row " << i;
-      EXPECT_EQ(r->rows[i][1].str_val(), golden[i].second) << "row " << i;
-    }
-    // Both paper queries rewrite: two sub-queries, one per node, and
-    // a non-empty composed answer.
-    EXPECT_EQ(r->rows[0][2].str_val(), "svp");
-    EXPECT_EQ(r->rows[6][2].int_val(), 2);   // subqueries
-    EXPECT_GT(r->rows[20][2].int_val(), 0);  // output_rows
+  ASSERT_EQ(r.column_names,
+            (std::vector<std::string>{"level", "metric", "value"}));
+  ASSERT_EQ(r.rows.size(), golden.size());
+  for (size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(r.rows[i][0].str_val(), golden[i].first) << "row " << i;
+    EXPECT_EQ(r.rows[i][1].str_val(), golden[i].second) << "row " << i;
   }
+}
+
+TEST(ExplainAnalyzeTest, SingleNodeBreakdownShape) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
+  engine::Database db;
+  ASSERT_TRUE(data.LoadInto(&db).ok());
+  auto r = db.Execute("explain analyze " + *tpch::QuerySql(6));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(ExpectAnalyzeShape(*r));
+  // The node's own facts; the layers above it are absent and read 0.
+  EXPECT_EQ(r->rows[0][2].str_val(), "node");
+  EXPECT_GE(testutil::AnalyzeMetric(*r, "node", "threads"), 1);
+  // Q6 is a global aggregate the columnar path vectorizes.
+  EXPECT_GT(testutil::AnalyzeMetric(*r, "node", "vectorized_rows"), 0);
+  EXPECT_EQ(testutil::AnalyzeMetric(*r, "compose", "output_rows"), 1);
+  EXPECT_EQ(testutil::AnalyzeMetric(*r, "engine", "subqueries"), 0);
+  EXPECT_EQ(testutil::AnalyzeMetric(*r, "controller", "admission_wait_us"),
+            0);
+  // Plain EXPLAIN still returns the plan, not a breakdown.
+  auto plan = db.Execute("explain " + *tpch::QuerySql(6));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->column_names.size(), 1u);
+}
+
+TEST(ExplainAnalyzeTest, ClusterBreakdownGoldenShapeForQ1AndQ3) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
+  cjdbc::ReplicaSet replicas(
+      2, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(data.LoadIntoReplicas(&replicas).ok());
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(data, 0));
+  cjdbc::Controller controller(std::make_unique<ApuamaDriver>(&engine));
+  auto conn = ApuamaDriver(&engine).Connect(0);
+  ASSERT_TRUE(conn.ok());
+
+  for (int q : {1, 3}) {
+    const std::string sql = "EXPLAIN ANALYZE " + *tpch::QuerySql(q);
+    // The Apuama connection renders; the controller stamps its
+    // admission facts into the same profile and renders again.
+    for (bool through_controller : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "Q" << q << " controller="
+                                      << through_controller);
+      auto r = through_controller ? controller.Execute(sql)
+                                  : (*conn)->Execute(sql);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_NO_FATAL_FAILURE(ExpectAnalyzeShape(*r));
+      // Both paper queries rewrite: two sub-queries, one per node, and
+      // a non-empty composed answer.
+      EXPECT_EQ(r->rows[0][2].str_val(), "svp");
+      EXPECT_EQ(testutil::AnalyzeMetric(*r, "engine", "subqueries"), 2);
+      EXPECT_GT(testutil::AnalyzeMetric(*r, "compose", "output_rows"), 0);
+      EXPECT_GT(testutil::AnalyzeMetric(*r, "compose", "partial_rows"), 0);
+    }
+  }
+}
+
+// Every read carries its profile, EXPLAIN or not.
+TEST(ExplainAnalyzeTest, PlainReadCarriesAFilledProfile) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
+  cjdbc::ReplicaSet replicas(
+      3, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(data.LoadIntoReplicas(&replicas).ok());
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(data, 0));
+  auto r = engine.ExecuteRead(0, *tpch::QuerySql(1));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const engine::QueryProfile& p = r->profile;
+  EXPECT_STREQ(p.path, "svp");
+  EXPECT_EQ(p.subqueries, 3u);
+  EXPECT_GT(p.partial_rows, 0u);
+  EXPECT_EQ(p.output_rows, r->rows.size());
+  EXPECT_LE(p.subquery_min_us, p.subquery_max_us);
+  EXPECT_EQ(p.retries, 0u);
+}
+
+// apuama.compose_ms sums every composition's microseconds, so reads
+// that each compose in well under a millisecond still add up.
+TEST(EngineStatsTest, ComposeMsCountsSubMillisecondCompositions) {
+  const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
+  cjdbc::ReplicaSet replicas(
+      2, cjdbc::ReplicaSet::NodeOptions{.buffer_pool_pages = 0});
+  ASSERT_TRUE(data.LoadIntoReplicas(&replicas).ok());
+  ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(data, 0));
+  cjdbc::Controller controller(std::make_unique<ApuamaDriver>(&engine));
+  int64_t compose_us = 0;
+  for (int i = 0; i < 2000 && compose_us < 2000; ++i) {
+    auto r = controller.Execute("EXPLAIN ANALYZE " + *tpch::QuerySql(1));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    compose_us += testutil::AnalyzeMetric(*r, "compose", "compose_us");
+  }
+  ASSERT_GE(compose_us, 2000);
+  const std::string dump = obs::Registry::Global().TextDump();
+  const std::string key = "apuama.compose_ms ";
+  const size_t at = dump.find(key);
+  ASSERT_NE(at, std::string::npos) << dump;
+  EXPECT_EQ(std::stoll(dump.substr(at + key.size())), compose_us / 1000);
 }
 
 TEST(ExplainAnalyzeTest, AnalyzeKeywordRoundTripsThroughTheParser) {

@@ -333,7 +333,7 @@ TEST(ControllerSharingTest, CacheServesRepeatsAndWritesInvalidate) {
   auto r2 = controller.Execute(q);
   ASSERT_TRUE(r2.ok());
   testutil::ExpectResultsIdentical(*r1, *r2);
-  EXPECT_GE(engine->stats().result_cache_hits.load(), 1u);
+  EXPECT_GE(engine->result_cache()->hits(), 1u);
   EXPECT_GE(controller.stats().result_cache_hits, 1u);
 
   // A write through the controller invalidates the entry: the next
@@ -357,7 +357,7 @@ TEST(ControllerSharingTest, DdlDropsCachedResults) {
   const std::string q = "select count(*) as n from customer";
   ASSERT_TRUE(controller.Execute(q).ok());
   ASSERT_TRUE(controller.Execute(q).ok());
-  const uint64_t hits = engine->stats().result_cache_hits.load();
+  const uint64_t hits = engine->result_cache()->hits();
   EXPECT_GE(hits, 1u);
   ASSERT_TRUE(controller.Execute("create table scratch (k int)").ok());
   EXPECT_EQ(engine->result_cache()->size(), 0u);

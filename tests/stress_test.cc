@@ -204,7 +204,7 @@ TEST(StressTest, StatReadersRaceFreeAgainstTraffic) {
     while (!done.load()) {
       sink += controller.stats().reads.load(std::memory_order_relaxed);
       sink += controller.stats().ToString().size();
-      sink += engine.stats().ToString().size();
+      sink += obs::RenderKvText(engine.StatsKv()).size();
       sink += obs::Registry::Global().TextDump().size();
       sink += obs::Registry::Global().JsonDump().size();
     }
@@ -327,14 +327,14 @@ TEST(StressTest, CachedReadsNeverGoStaleAcrossWrites) {
 
   // Quiescent coda: with no writer racing, a repeat read must be a
   // hit AND carry the final value.
-  const uint64_t hits_before = engine.stats().result_cache_hits.load();
+  const uint64_t hits_before = engine.result_cache()->hits();
   auto r1 = controller.Execute("select v from counter where k = 0");
   auto r2 = controller.Execute("select v from counter where k = 0");
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->rows[0][0].int_val(), kUpdates);
   EXPECT_EQ(r2->rows[0][0].int_val(), kUpdates);
-  EXPECT_GT(engine.stats().result_cache_hits.load(), hits_before);
+  EXPECT_GT(engine.result_cache()->hits(), hits_before);
 }
 
 // Columnar chunks must never serve stale data while writes race:

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -142,6 +143,21 @@ inline void ExpectResultsIdentical(const engine::QueryResult& expected,
           << " (" << ValueTypeName(a.type()) << ")";
     }
   }
+}
+
+/// The integer value of one (level, metric) row of an EXPLAIN ANALYZE
+/// table; a missing row fails the test and reads -1.
+inline int64_t AnalyzeMetric(const engine::QueryResult& r,
+                             const std::string& level,
+                             const std::string& metric) {
+  for (const auto& row : r.rows) {
+    if (row[0].str_val() == level && row[1].str_val() == metric) {
+      auto v = row[2].AsInt();
+      return v.ok() ? *v : 0;
+    }
+  }
+  ADD_FAILURE() << "no analyze row " << level << "/" << metric;
+  return -1;
 }
 
 }  // namespace apuama::testutil

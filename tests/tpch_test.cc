@@ -693,13 +693,7 @@ TEST(SvpFailoverTest, OneInjectedFaultRetriesOnceOnEveryShape) {
     replicas.FailNextStatements(1, 1);
     auto analyze = controller.Execute("EXPLAIN ANALYZE " + shape.sql);
     ASSERT_TRUE(analyze.ok()) << analyze.status().ToString();
-    int64_t retries = -1;
-    for (const Row& row : analyze->rows) {
-      if (row[0].str_val() == "engine" && row[1].str_val() == "retries") {
-        retries = row[2].int_val();
-      }
-    }
-    EXPECT_EQ(retries, 1);
+    EXPECT_EQ(testutil::AnalyzeMetric(*analyze, "engine", "retries"), 1);
     EXPECT_EQ(engine.stats().svp_retries, 2u);
   }
 }
