@@ -170,9 +170,9 @@ void BM_ExecuteQ21SingleNode(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteQ21SingleNode);
 
-// One columnar chunk build of lineitem at the bench scale factor: the
-// cost a write's invalidation puts on the next columnar read. Its five
-// string columns are dictionary-encoded.
+// One column image build of lineitem at the bench scale factor: the
+// cost a bulk load, a recluster or the splice work bound puts on the
+// next columnar read. Its five string columns are dictionary-encoded.
 void BM_ColumnarChunkBuild(benchmark::State& state) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   if (!BenchData().LoadInto(&db).ok()) {
@@ -185,13 +185,45 @@ void BM_ColumnarChunkBuild(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    storage::ColumnStore store;
-    benchmark::DoNotOptimize(store.Get(**lineitem).chunk);
+    benchmark::DoNotOptimize(storage::ColumnarTable::Build(
+        (*lineitem)->schema(), (*lineitem)->rows()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>((*lineitem)->num_rows()));
 }
 BENCHMARK(BM_ColumnarChunkBuild);
+
+// What a refresh write costs the same image instead: per iteration,
+// one lineitem insert past the last key with a new l_comment, then its
+// delete, both spliced into the built image (heap work included). The
+// `rebuilt` counter reads 1 if the splice work bound dropped the image.
+void BM_ColumnarChunkSplice(benchmark::State& state) {
+  engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+  if (!BenchData().LoadInto(&db).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  auto lineitem = db.catalog()->GetTable("lineitem");
+  if (!lineitem.ok()) {
+    state.SkipWithError(lineitem.status().ToString().c_str());
+    return;
+  }
+  storage::Table* t = *lineitem;
+  t->Columnar();
+  Row row = t->row(t->num_rows() - 1);
+  row[0] = Value::Int(row[0].int_val() + 1);
+  row[15] = Value::Str("refresh line");
+  for (auto _ : state) {
+    auto pos = t->Insert(row);
+    if (!pos.ok()) {
+      state.SkipWithError(pos.status().ToString().c_str());
+      return;
+    }
+    t->DeleteAt({*pos});
+  }
+  state.counters["rebuilt"] = t->Columnar().rebuilt ? 1 : 0;
+}
+BENCHMARK(BM_ColumnarChunkSplice);
 
 std::vector<engine::QueryResult> MakeComposePartials(int rows) {
   Rng rng(3);

@@ -94,7 +94,7 @@ struct ApuamaStats {
   std::atomic<uint64_t> dict_hits{0};          // slots through dict kernels
   std::atomic<uint64_t> probe_vectorized_rows{0};  // vectorized join probes
   std::atomic<uint64_t> columnar_chunks{0};    // chunks built first-time
-  std::atomic<uint64_t> columnar_rebuilds{0};  // chunks rebuilt after writes
+  std::atomic<uint64_t> columnar_rebuilds{0};  // images rebuilt after a drop
   // Physical fragmentation (shared-nothing overlay):
   std::atomic<uint64_t> routed_writes{0};      // writes sent to a replica
                                                // set instead of broadcast

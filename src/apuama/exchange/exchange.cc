@@ -122,11 +122,7 @@ Status ExchangeOperator::Materialize(int node,
 void ExchangeOperator::Cleanup() {
   for (const auto& [node, name] : temps_) {
     std::lock_guard<std::mutex> lock(*replicas_->node_mutex(node));
-    engine::Database* db = replicas_->node(node);
-    if (auto t = db->catalog()->GetTable(name); t.ok()) {
-      db->column_store()->Evict((*t)->id());
-    }
-    Status dropped = db->catalog()->DropTable(name);
+    Status dropped = replicas_->node(node)->catalog()->DropTable(name);
     (void)dropped;  // a vanished temp is already what we want
   }
   temps_.clear();

@@ -175,13 +175,6 @@ Result<QueryResult> Database::ExecuteStmt(const Stmt& stmt) {
           static_cast<const sql::CreateIndexStmt&>(stmt));
     case StmtKind::kDropTable: {
       const auto& drop = static_cast<const sql::DropTableStmt&>(stmt);
-      // Release the columnar mirror with the heap (ids are never
-      // reused, so this is hygiene, not correctness).
-      if (auto t = static_cast<const storage::Catalog&>(catalog_)
-                       .GetTable(drop.table);
-          t.ok()) {
-        column_store_.Evict((*t)->id());
-      }
       APUAMA_RETURN_NOT_OK(catalog_.DropTable(drop.table));
       return QueryResult{};
     }
@@ -283,7 +276,7 @@ Status Database::ApplyRollback() {
         break;
       case UndoEntry::Kind::kDeletedRows:
         for (const Row& r : it->rows) {
-          APUAMA_RETURN_NOT_OK(table->Insert(Row(r)));
+          APUAMA_RETURN_NOT_OK(table->Insert(Row(r)).status());
         }
         break;
     }
@@ -380,10 +373,9 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& stmt) {
       row[static_cast<size_t>(slots[i])] = std::move(v);
     }
     if (in_txn_) inserted.push_back(row);
-    APUAMA_RETURN_NOT_OK(table->Insert(std::move(row)));
+    APUAMA_ASSIGN_OR_RETURN(const size_t pos, table->Insert(std::move(row)));
     ++qr.stats.rows_affected;
     // A write dirties the page it lands on.
-    size_t pos = table->num_rows() == 0 ? 0 : table->num_rows() - 1;
     bool hit = pool_.Touch(table->PageOfPosition(pos));
     if (hit) {
       ++qr.stats.pages_cache;
@@ -483,7 +475,7 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
   }
   table->DeleteAt(positions);
   for (Row& r : updated) {
-    APUAMA_RETURN_NOT_OK(table->Insert(std::move(r)));
+    APUAMA_RETURN_NOT_OK(table->Insert(std::move(r)).status());
   }
   qr.stats.rows_affected = positions.size();
   NoteWriteCommitted();

@@ -20,7 +20,6 @@
 #include "sql/ast.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
-#include "storage/column_store.h"
 
 namespace apuama::engine {
 
@@ -76,11 +75,6 @@ class Database {
   /// of how many statements the node processes over its lifetime.
   ThreadPool* exec_pool();
 
-  /// Cache of columnar chunks for this node's tables (lazy build,
-  /// write-epoch invalidation). Only the coordinator thread of a
-  /// columnar scan touches it, before morsels fan out.
-  storage::ColumnStore* column_store() { return &column_store_; }
-
   /// Count of committed write transactions (INSERT/DELETE/UPDATE
   /// statements outside explicit transactions; one per COMMIT inside).
   /// Atomic: the Apuama consistency manager reads it cross-thread.
@@ -112,7 +106,6 @@ class Database {
   DatabaseOptions options_;
   storage::Catalog catalog_;
   storage::BufferPool pool_;
-  storage::ColumnStore column_store_;
   SessionSettings settings_;
   std::unique_ptr<ThreadPool> exec_pool_;
   int exec_pool_threads_ = 0;  // exec_threads the pool was built for

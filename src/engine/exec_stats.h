@@ -53,10 +53,11 @@ struct ExecStats {
   /// Row-slots processed by vectorized kernels (columnar path; each
   /// kernel pass over n selected rows counts n).
   uint64_t vectorized_rows = 0;
-  /// Columnar chunks materialized for the first time.
+  /// Table column images materialized for the first time.
   uint64_t columnar_chunks_built = 0;
-  /// Columnar chunks re-materialized because a write moved the
-  /// table's data_version past the cached chunk.
+  /// Column images built again because a bulk load, a recluster or
+  /// the splice work bound dropped the table's image (inserts and
+  /// deletes splice it in place; storage::Table::Columnar).
   uint64_t columnar_chunk_rebuilds = 0;
   /// Row-slots filtered through dictionary-code kernels (string
   /// predicates compiled to code-space compares; each kernel pass

@@ -13,7 +13,6 @@
 #include "engine/database.h"
 #include "engine/vectorized.h"
 #include "obs/trace.h"
-#include "storage/column_store.h"
 #include "storage/table.h"
 
 namespace apuama::engine {
@@ -2351,12 +2350,9 @@ Result<std::vector<SemiStep>> Executor::PrepareSemiSteps(
     for (const Expr* p : st.where.inner_only) {
       (ReadsColumn(*p) ? preds : constants).push_back(p);
     }
-    storage::ColumnStore::GetResult cg =
-        db_->column_store()->Get(*st.inner.table);
-    if (cg.built) ++stats_->columnar_chunks_built;
-    if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
     APUAMA_ASSIGN_OR_RETURN(
-        FilteredScan fs, FilterSideScan(st.inner, preds, constants, cg.chunk));
+        FilteredScan fs, FilterSideScan(st.inner, preds, constants,
+                                        &ColumnarImage(*st.inner.table)));
     // Positions ascend within and across morsels, so the kept ones lie
     // in [first kept, last kept].
     size_t end = 0;
@@ -2447,13 +2443,8 @@ Result<QueryResult> Executor::ExecuteMorselAggregate(const SelectStmt& stmt) {
 
   const Relation header = ScanHeader(fb);
 
-  // The chunk is (re)built here on the coordinator — the column store
-  // is not thread-safe and must not be touched after morsels fan out.
-  storage::ColumnStore::GetResult chunk = db_->column_store()->Get(t);
-  if (chunk.built) ++stats_->columnar_chunks_built;
-  if (chunk.rebuilt) ++stats_->columnar_chunk_rebuilds;
   const ColumnarPlan cp =
-      CompileColumnar(stmt, header, *chunk.chunk, preds, agg_nodes);
+      CompileColumnar(stmt, header, ColumnarImage(t), preds, agg_nodes);
 
   // Coordinator-only spans: per-morsel worker spans would make trace
   // shape depend on thread timing, so only the pipeline phases are
@@ -2512,6 +2503,14 @@ Result<Executor::ScanMorsels> Executor::TouchAndMorselize(
   }
   sm.positions = &plan.index_positions;
   return sm;
+}
+
+const storage::ColumnarTable& Executor::ColumnarImage(
+    const storage::Table& t) {
+  const storage::Table::ColumnarRef ref = t.Columnar();
+  if (ref.built) ++stats_->columnar_chunks_built;
+  if (ref.rebuilt) ++stats_->columnar_chunk_rebuilds;
+  return *ref.image;
 }
 
 // ---------------------------------------------------------------------------
@@ -2840,17 +2839,14 @@ Result<std::optional<QueryResult>> Executor::ExecuteMorselJoin(
   APUAMA_ASSIGN_OR_RETURN(std::vector<SemiStep> steps,
                           PrepareSemiSteps(stmt, layouts.back()));
 
-  // ---- Driver compile (vectorized probe). The chunk lookup and all
-  // compilation happen here on the coordinator — the column store is
-  // not thread-safe — before morsels fan out. Per-conjunct: a scan
+  // ---- Driver compile (vectorized probe). The image fetch and all
+  // compilation happen here on the coordinator — a table is not
+  // thread-safe — before morsels fan out. Per-conjunct: a scan
   // predicate that does not compile keeps its row-wise form over the
   // selection vector. The stage-0 keys vectorize only as a set; if
   // any of them does not compile, surviving rows evaluate the keys
   // row-wise instead.
-  storage::ColumnStore::GetResult cg = db_->column_store()->Get(dt);
-  if (cg.built) ++stats_->columnar_chunks_built;
-  if (cg.rebuilt) ++stats_->columnar_chunk_rebuilds;
-  const storage::ColumnarTable& dchunk = *cg.chunk;
+  const storage::ColumnarTable& dchunk = ColumnarImage(dt);
   const MorselFilter dfilter(dpreds, layouts[0], &dchunk);
   // One stage-0 probe-key lane: a compiled numeric kernel, or a
   // dictionary-coded string column hashed through per-code string

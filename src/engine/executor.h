@@ -26,10 +26,6 @@
 #include "sql/ast.h"
 #include "storage/table.h"
 
-namespace apuama::storage {
-struct ColumnarTable;
-}  // namespace apuama::storage
-
 namespace apuama::engine {
 
 class Database;
@@ -254,6 +250,9 @@ class Executor {
   };
   Result<ScanMorsels> TouchAndMorselize(const storage::Table& t,
                                         const ScanPlan& plan);
+  /// `t`'s column image, counting its build or rebuild in this
+  /// statement's stats. Coordinator only (Table::Columnar).
+  const storage::ColumnarTable& ColumnarImage(const storage::Table& t);
 
   Result<Relation> ApplySubqueryPredicate(Relation rel, const sql::Expr& e,
                                           const EvalScope* outer);

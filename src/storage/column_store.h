@@ -1,24 +1,23 @@
-// Column-major mirrors of row-store tables for vectorized execution.
+// Column-major images of row-store tables for vectorized execution.
 //
-// The row heap stays the source of truth (writes, indexes, clustered
-// order all live there). A ColumnarTable is a read-only, per-column
-// contiguous copy of the numeric columns, built lazily on the first
-// columnar scan and kept in sync with the heap through the table's
-// data_version() write epoch: any insert / delete / bulk load /
-// recluster bumps the epoch, and the next columnar scan rebuilds the
-// chunk before using it. Heap position i in the row store is element
-// i of every materialized column, so selection vectors carry plain
-// heap positions and the row path and column path address the same
-// tuples.
+// The row heap stays the source of truth (indexes and clustered order
+// live there). A ColumnarTable is a per-column contiguous copy of it,
+// owned by its storage::Table: built on the first columnar read and
+// spliced in place by every later insert and delete, so it always
+// equals a fresh build of the heap (see Table::Columnar for the work
+// bound that drops it instead). Heap position i in the row store is
+// element i of every column, so selection vectors carry plain heap
+// positions and the row path and column path address the same tuples.
 #ifndef APUAMA_STORAGE_COLUMN_STORE_H_
 #define APUAMA_STORAGE_COLUMN_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "storage/table.h"
+#include "types/schema.h"
 #include "types/value.h"
 
 namespace apuama::storage {
@@ -31,17 +30,18 @@ namespace apuama::storage {
 /// decisions stay byte-for-byte identical. kDouble columns that MIX
 /// int and double values are left unmaterialized (`materialized ==
 /// false`) and expressions over them fall back to row-wise
-/// evaluation.
+/// evaluation. NULL rows hold 0 in the value arrays.
 ///
 /// String columns are dictionary-encoded (`dict_encoded == true`,
 /// `materialized` stays false): `dict` holds the sorted distinct
-/// values and `codes[i]` is row i's index into it (meaningless where
-/// the null bitmap is set). Because the dictionary is sorted in
-/// Value::Compare order (std::string::compare), every equality / IN /
-/// range predicate over the column reduces to an integer compare on
-/// the code — the row path's string compares, one dictionary lookup
+/// values and `codes[i]` is row i's index into it (0 where the null
+/// bitmap is set). Because the dictionary is sorted in Value::Compare
+/// order (std::string::compare), every equality / IN / range
+/// predicate over the column reduces to an integer compare on the
+/// code — the row path's string compares, one dictionary lookup
 /// early. Expressions still gather Values from the heap; only
-/// predicates read codes.
+/// predicates read codes. `counts[c]` is the number of rows holding
+/// code c, so a splice knows when a value leaves the dictionary.
 struct ColumnVector {
   ValueType type = ValueType::kNull;
   bool materialized = false;
@@ -54,41 +54,51 @@ struct ColumnVector {
   /// Dictionary encoding (string columns only).
   bool dict_encoded = false;
   std::vector<std::string> dict;  // sorted, distinct
-  std::vector<int32_t> codes;     // per row; undefined where null
+  std::vector<int32_t> codes;     // per row; 0 where null
+  std::vector<uint32_t> counts;   // per code: rows holding it
 
   bool IsNull(size_t i) const { return has_nulls && nulls[i] != 0; }
 };
 
-/// Column-major snapshot of one table at one write epoch.
+/// Column-major image of one table's heap.
 struct ColumnarTable {
-  uint64_t data_version = 0;
   size_t num_rows = 0;
   std::vector<ColumnVector> cols;  // positionally matches the schema
+
+  /// A fresh image of `rows` (heap order) under `schema`.
+  static ColumnarTable Build(const Schema& schema,
+                             const std::vector<Row>& rows);
+
+  /// Splices in the row now at heap position `pos` of `rows`. Returns
+  /// the column values moved, re-coded or rebuilt.
+  size_t SpliceInsert(const Schema& schema, const std::vector<Row>& rows,
+                      size_t pos);
+
+  /// Splices out the image rows at `positions` (sorted ascending,
+  /// distinct); `rows` is the heap after the same erase. Returns the
+  /// column values moved, re-coded or rebuilt.
+  size_t SpliceErase(const Schema& schema, const std::vector<Row>& rows,
+                     const std::vector<size_t>& positions);
 };
 
-/// Cache of columnar chunks, keyed by table id (catalog ids are
-/// monotonic and never reused). Not thread-safe, same contract as
-/// Table: callers (simulated nodes) serialize, and the executor only
-/// consults the store on the coordinator before fanning morsels out
-/// to worker threads.
-class ColumnStore {
- public:
-  struct GetResult {
-    const ColumnarTable* chunk = nullptr;
-    bool built = false;    // first materialization for this table
-    bool rebuilt = false;  // re-materialization after a write epoch bump
-  };
-
-  /// Returns the chunk for `t`, (re)building it if the table has no
-  /// chunk yet or the heap moved past the chunk's write epoch.
-  GetResult Get(const Table& t);
-
-  /// Drops the cached chunk for a table id (e.g. DROP TABLE).
-  void Evict(uint32_t table_id) { chunks_.erase(table_id); }
-
- private:
-  std::unordered_map<uint32_t, std::unique_ptr<ColumnarTable>> chunks_;
-};
+/// Erases `positions` (sorted ascending, distinct) from `v` in place,
+/// moving only the elements after the first erased one. An empty `v`
+/// (a column lane the image does not use) stays empty.
+template <typename T>
+void EraseSortedPositions(std::vector<T>* v,
+                          const std::vector<size_t>& positions) {
+  if (positions.empty() || v->empty()) return;
+  size_t out = positions[0];
+  size_t pi = 0;
+  for (size_t i = out; i < v->size(); ++i) {
+    if (pi < positions.size() && positions[pi] == i) {
+      ++pi;
+      continue;
+    }
+    (*v)[out++] = std::move((*v)[i]);
+  }
+  v->erase(v->begin() + static_cast<ptrdiff_t>(out), v->end());
+}
 
 }  // namespace apuama::storage
 

@@ -76,9 +76,7 @@ Status Table::SetClusteredKey(std::vector<int> key_columns) {
                      });
     ReindexAll();
   }
-  // Reclustering reorders heap positions, which invalidates any
-  // position-addressed derived structure just like a write would.
-  ++data_version_;
+  image_.reset();  // heap positions were reordered
   return Status::OK();
 }
 
@@ -115,7 +113,7 @@ Row Table::KeyOfRow(const Row& row) const {
   return key;
 }
 
-Status Table::Insert(Row row) {
+Result<size_t> Table::Insert(Row row) {
   APUAMA_RETURN_NOT_OK(schema_.ValidateRow(row));
   size_t pos = rows_.size();
   if (!key_cols_.empty()) {
@@ -130,8 +128,10 @@ Status Table::Insert(Row row) {
   }
   rows_.insert(rows_.begin() + static_cast<ptrdiff_t>(pos), std::move(row));
   cached_at_rows_ = SIZE_MAX;
-  ++data_version_;
-  return Status::OK();
+  if (image_ != nullptr) {
+    ChargeSplice(image_->SpliceInsert(schema_, rows_, pos));
+  }
+  return pos;
 }
 
 Status Table::BulkLoad(std::vector<Row> rows) {
@@ -148,7 +148,7 @@ Status Table::BulkLoad(std::vector<Row> rows) {
   }
   ReindexAll();
   cached_at_rows_ = SIZE_MAX;
-  ++data_version_;
+  image_.reset();
   return Status::OK();
 }
 
@@ -161,20 +161,33 @@ void Table::DeleteAt(const std::vector<size_t>& positions) {
       idx->Erase(r[static_cast<size_t>(idx->column_idx())], KeyOfRow(r));
     }
   }
-  // Compact the heap in one pass.
-  std::vector<Row> kept;
-  kept.reserve(rows_.size() - positions.size());
-  size_t pi = 0;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (pi < positions.size() && positions[pi] == i) {
-      ++pi;
-      continue;
-    }
-    kept.push_back(std::move(rows_[i]));
-  }
-  rows_ = std::move(kept);
+  EraseSortedPositions(&rows_, positions);
   cached_at_rows_ = SIZE_MAX;
-  ++data_version_;
+  if (image_ != nullptr) {
+    ChargeSplice(image_->SpliceErase(schema_, rows_, positions));
+  }
+}
+
+Table::ColumnarRef Table::Columnar() const {
+  ColumnarRef r;
+  if (image_ == nullptr) {
+    image_ = std::make_unique<ColumnarTable>(
+        ColumnarTable::Build(schema_, rows_));
+    splice_budget_ = rows_.size() * schema_.num_columns();
+    r.built = !image_built_;
+    r.rebuilt = image_built_;
+    image_built_ = true;
+  }
+  r.image = image_.get();
+  return r;
+}
+
+void Table::ChargeSplice(size_t work) {
+  if (work > splice_budget_) {
+    image_.reset();
+  } else {
+    splice_budget_ -= work;
+  }
 }
 
 std::pair<size_t, size_t> Table::ClusteredRange(const Value* lo,

@@ -1,10 +1,12 @@
-// Row-store table with clustered ordering and secondary indexes.
+// Row-store table with clustered ordering, secondary indexes and a
+// column image.
 //
 // The heap is a vector of rows kept sorted on the clustered key (the
 // physical ordering the paper requires for SVP: "tuples of the virtual
 // partition must be physically clustered according to the VPA").
 // Secondary indexes map a column value to the clustered-key tuples of
-// matching rows, so they stay valid as row positions shift.
+// matching rows, so they stay valid as row positions shift. Writes
+// splice the column image (Columnar()) at the positions they touch.
 #ifndef APUAMA_STORAGE_TABLE_H_
 #define APUAMA_STORAGE_TABLE_H_
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/column_store.h"
 #include "storage/page.h"
 #include "types/schema.h"
 
@@ -79,12 +82,6 @@ class Table {
   const Row& row(size_t i) const { return rows_[i]; }
   const std::vector<Row>& rows() const { return rows_; }
 
-  /// Monotonic write epoch: bumped by every heap mutation (insert,
-  /// bulk load, delete, reclustering). Derived read-side structures —
-  /// the columnar chunk cache — compare this against the version they
-  /// were built at to decide whether a lazy rebuild is due.
-  uint64_t data_version() const { return data_version_; }
-
   /// Declares the clustered key (column indices). Re-sorts the heap if
   /// data is already present and rebuilds secondary indexes.
   Status SetClusteredKey(std::vector<int> key_columns);
@@ -100,12 +97,27 @@ class Table {
   }
 
   /// Validates and inserts, keeping clustered order and indexes.
-  Status Insert(Row row);
+  /// Returns the heap position the row landed at.
+  Result<size_t> Insert(Row row);
   /// Bulk insert of pre-sorted-or-not rows; sorts once at the end.
   Status BulkLoad(std::vector<Row> rows);
 
-  /// Deletes rows at the given positions (sorted ascending).
+  /// Deletes rows at the given positions (sorted ascending, distinct),
+  /// compacting the heap in place from the first of them.
   void DeleteAt(const std::vector<size_t>& positions);
+
+  /// The column image, equal to a fresh build of the heap: built here
+  /// on first use, spliced by Insert and DeleteAt, dropped for the
+  /// next call to rebuild by BulkLoad, SetClusteredKey and the work
+  /// bound (the column values splices moved, re-coded or rebuilt
+  /// since the build exceed its rows x columns). Not thread-safe:
+  /// only a query's coordinator calls it, before morsels fan out.
+  struct ColumnarRef {
+    const ColumnarTable* image = nullptr;
+    bool built = false;    // the table's first image
+    bool rebuilt = false;  // a build after an earlier image was dropped
+  };
+  ColumnarRef Columnar() const;
 
   /// Position range [begin, end) of rows whose *first clustered key
   /// column* lies in [lo, hi) / (lo, hi] etc. Bounds may be null.
@@ -159,6 +171,8 @@ class Table {
  private:
   void ReindexAll();
   bool RowKeyLess(const Row& a, const Row& b) const;
+  /// Drops the image once splices outrun its budget.
+  void ChargeSplice(size_t work);
 
   uint32_t id_;
   std::string name_;
@@ -167,7 +181,9 @@ class Table {
   std::vector<Row> rows_;
   std::vector<std::unique_ptr<Index>> indexes_;
 
-  uint64_t data_version_ = 0;
+  mutable std::unique_ptr<ColumnarTable> image_;
+  mutable bool image_built_ = false;  // some image was built, ever
+  mutable size_t splice_budget_ = 0;  // column values left to splice
 
   mutable size_t cached_rows_per_page_ = 0;
   mutable size_t cached_at_rows_ = SIZE_MAX;

@@ -1,5 +1,5 @@
 // Columnar vectorized execution: agreement with the sequential row
-// executor, a group-cardinality sweep, chunk invalidation after
+// executor, a group-cardinality sweep, column images spliced by
 // writes, the row-wise fallbacks and index-order selections inside
 // the columnar pipelines, and knob validation.
 //
@@ -12,6 +12,8 @@
 // the order of double additions across morsels differs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "storage/column_store.h"
 #include "tests/test_util.h"
@@ -184,9 +187,11 @@ TEST(ColumnarTest, GroupCardinalitySweepIsBitIdentical) {
   }
 }
 
-// Chunks build lazily on the first columnar scan and rebuild (never
-// serve stale data) after any write moves the table's write epoch.
-TEST(ColumnarTest, ChunkInvalidationAfterWrites) {
+// A table's column image builds on the first columnar scan, and
+// inserts, updates and deletes splice it in place (no rebuild, never
+// stale). A bulk load or a recluster drops it, and so does a write
+// whose splices would outrun one build's work; the next scan rebuilds.
+TEST(ColumnarTest, ChunkSplicedByWrites) {
   engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
   ASSERT_TRUE(db.Execute("create table t (k int, v int)").ok());
   for (int i = 0; i < 100; ++i) {
@@ -200,32 +205,286 @@ TEST(ColumnarTest, ChunkInvalidationAfterWrites) {
   EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 0u);
   EXPECT_EQ(r->rows[0][0].int_val(), 4950);
 
-  // Cached chunk: a second read builds nothing.
+  // Kept image: a second read builds nothing.
   r = db.Execute("select sum(v), count(*) from t");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.columnar_chunks_built, 0u);
   EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 0u);
 
-  // Insert invalidates; the next scan rebuilds and sees the new row.
+  // The insert splices; the next scan sees the new row, unrebuilt.
   ASSERT_TRUE(db.Execute("insert into t values (100, 1000)").ok());
   r = db.Execute("select sum(v), count(*) from t");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 1u);
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 0u);
   EXPECT_EQ(r->rows[0][0].int_val(), 5950);
   EXPECT_EQ(r->rows[0][1].int_val(), 101);
 
-  // Update and delete invalidate too.
+  // Update and delete splice too.
   ASSERT_TRUE(db.Execute("update t set v = 0 where k = 100").ok());
   r = db.Execute("select sum(v) from t");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 1u);
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 0u);
   EXPECT_EQ(r->rows[0][0].int_val(), 4950);
   ASSERT_TRUE(db.Execute("delete from t where k < 50").ok());
   r = db.Execute("select sum(v), count(*) from t");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 1u);
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 0u);
   EXPECT_EQ(r->rows[0][0].int_val(), 4950 - 1225);
   EXPECT_EQ(r->rows[0][1].int_val(), 51);
+
+  // A bulk load drops the image; the next scan rebuilds it.
+  storage::Table* t = *db.catalog()->GetTable("t");
+  std::vector<Row> rows;
+  for (int64_t k = 1000; k < 2000; ++k) rows.push_back({Value::Int(k), Value::Int(1)});
+  ASSERT_TRUE(t->BulkLoad(std::move(rows)).ok());
+  r = db.Execute("select sum(v), count(*) from t");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 1u);
+  EXPECT_EQ(r->rows[0][0].int_val(), 4950 - 1225 + 1000);
+  EXPECT_EQ(r->rows[0][1].int_val(), 1051);
+
+  // So does a recluster.
+  ASSERT_TRUE(db.Execute("create clustered index t_k on t (k)").ok());
+  r = db.Execute("select sum(v), count(*) from t");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 1u);
+
+  // A 400-row UPDATE in mid-heap re-inserts each row at its key, and
+  // each re-insert would move every later row of both columns: the
+  // work bound drops the image after a few splices, and the next scan
+  // rebuilds it once.
+  r = db.Execute("update t set v = v + 1 where k >= 1300 and k < 1700");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.rows_affected, 400u);
+  r = db.Execute("select sum(v), count(*) from t");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 1u);
+  EXPECT_EQ(r->rows[0][0].int_val(), 4950 - 1225 + 1400);
+  EXPECT_EQ(r->rows[0][1].int_val(), 1051);
+  r = db.Execute("select sum(v), count(*) from t");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->stats.columnar_chunk_rebuilds, 0u);
+}
+
+// Every field of two column images: lanes, values (doubles bitwise),
+// null bitmaps, dictionaries, codes and per-code counts.
+void ExpectImagesEqual(const storage::ColumnarTable& got,
+                       const storage::ColumnarTable& want) {
+  ASSERT_EQ(got.num_rows, want.num_rows);
+  ASSERT_EQ(got.cols.size(), want.cols.size());
+  for (size_t c = 0; c < got.cols.size(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    const storage::ColumnVector& g = got.cols[c];
+    const storage::ColumnVector& w = want.cols[c];
+    EXPECT_EQ(static_cast<int>(g.type), static_cast<int>(w.type));
+    EXPECT_EQ(g.materialized, w.materialized);
+    EXPECT_EQ(g.i64, w.i64);
+    EXPECT_TRUE(std::equal(g.f64.begin(), g.f64.end(), w.f64.begin(),
+                           w.f64.end(), [](double a, double b) {
+                             return std::bit_cast<uint64_t>(a) ==
+                                    std::bit_cast<uint64_t>(b);
+                           }));
+    EXPECT_EQ(g.has_nulls, w.has_nulls);
+    EXPECT_EQ(g.nulls, w.nulls);
+    EXPECT_EQ(g.dict_encoded, w.dict_encoded);
+    EXPECT_EQ(g.dict, w.dict);
+    EXPECT_EQ(g.codes, w.codes);
+    EXPECT_EQ(g.counts, w.counts);
+  }
+}
+
+// Writes splice a table's column image in place. Over seeded random
+// write sequences — inserts at the head, middle and tail of a
+// non-unique clustered key with new, known, NULL and empty strings;
+// single-row, multi-row and all-row deletes; UPDATEs, including an int
+// 0 into a double column; a ROLLBACK; a bulk load and a recluster —
+// the image equals a fresh build of the heap in every field after
+// every step, and columnar reads match the row executor. Every kind of
+// write is checked at least once with the image spliced, not rebuilt.
+TEST(ColumnarTest, SplicedImageEqualsFreshBuild) {
+  enum Kind {
+    kHeadInsert, kMidInsert, kTailInsert, kDeleteKey, kDeleteRange,
+    kDeleteAll, kUpdate, kUpdateIntoDouble, kUpdateKey, kRollback,
+    kBulkLoad, kRecluster, kNumKinds
+  };
+  const std::vector<std::string> reads = {
+      "select count(*), sum(k), sum(x), max(d), sum(n), min(n) from w "
+      "where s >= 'm' or n > 40",
+      "select s, count(*), sum(x), min(d) from w where k > 120 "
+      "group by s order by s",
+      "select count(*), sum(x) from w where s = '' or s in ('a', 'zz')",
+  };
+  std::set<int> spliced_kinds;
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    engine::Database db(engine::DatabaseOptions{.buffer_pool_pages = 0});
+    ASSERT_TRUE(db.Execute("create table w (k int not null, d date, "
+                           "x double, s varchar(12), n int)")
+                    .ok());
+    ASSERT_TRUE(db.Execute("create clustered index w_k on w (k)").ok());
+    storage::Table* t = *db.catalog()->GetTable("w");
+    Rng rng(seed);
+    int fresh = 0;
+    auto str = [&]() -> std::string {
+      static const char* kKnown[] = {"''", "'a'", "'b'", "'m'", "'zz'"};
+      switch (rng.Uniform(0, 3)) {
+        case 0: return "null";
+        case 1: return kKnown[rng.Uniform(0, 4)];
+        default:
+          return StrFormat("'%c%d'", static_cast<char>('a' + rng.Uniform(0, 25)),
+                           fresh++);
+      }
+    };
+    auto maybe = [&](const std::string& v) {
+      return rng.Bernoulli(0.15) ? std::string("null") : v;
+    };
+    auto values = [&](int64_t k) {
+      return StrFormat(
+          "(%lld, %s, %s, %s, %s)", static_cast<long long>(k),
+          maybe(Value::Date(9000 + rng.Uniform(0, 2000)).ToSqlLiteral())
+              .c_str(),
+          maybe(StrFormat("%.2f", rng.UniformDouble(0, 1000))).c_str(),
+          str().c_str(), maybe(std::to_string(rng.Uniform(0, 50))).c_str());
+    };
+    auto some_key = [&]() -> int64_t {
+      if (t->num_rows() == 0) return 100;
+      return t->row(static_cast<size_t>(rng.Uniform(
+                 0, static_cast<int64_t>(t->num_rows()) - 1)))[0]
+          .int_val();
+    };
+    auto insert = [&](Kind kind) {
+      std::string sql = "insert into w values ";
+      const int rows = static_cast<int>(rng.Uniform(1, 3));
+      for (int i = 0; i < rows; ++i) {
+        const int64_t lo = t->num_rows() == 0 ? 100 : t->row(0)[0].int_val();
+        const int64_t hi =
+            t->num_rows() == 0 ? 100 : t->row(t->num_rows() - 1)[0].int_val();
+        const int64_t k = kind == kHeadInsert  ? lo - 1 - i
+                          : kind == kTailInsert ? hi + rng.Uniform(0, 1)
+                                                : some_key();
+        sql += (i > 0 ? ", " : "") + values(k);
+      }
+      return sql;
+    };
+    for (int64_t i = 0; i < 150; ++i) {
+      ASSERT_TRUE(db.Execute("insert into w values " + values(100 + i / 2)).ok());
+    }
+    for (int step = 0; step < 220; ++step) {
+      const int roll = static_cast<int>(rng.Uniform(0, 99));
+      const Kind kind = roll < 10   ? kHeadInsert
+                        : roll < 25 ? kMidInsert
+                        : roll < 45 ? kTailInsert
+                        : roll < 55 ? kDeleteKey
+                        : roll < 62 ? kDeleteRange
+                        : roll < 63 ? kDeleteAll
+                        : roll < 75 ? kUpdate
+                        : roll < 78 ? kUpdateIntoDouble
+                        : roll < 86 ? kUpdateKey
+                        : roll < 94 ? kRollback
+                        : roll < 97 ? kBulkLoad
+                                    : kRecluster;
+      SCOPED_TRACE("step " + std::to_string(step) + " kind " +
+                   std::to_string(kind));
+      const int64_t key = some_key();
+      switch (kind) {
+        case kHeadInsert:
+        case kMidInsert:
+        case kTailInsert:
+          ASSERT_TRUE(db.Execute(insert(kind)).ok());
+          break;
+        case kDeleteKey:
+          ASSERT_TRUE(db.Execute(StrFormat("delete from w where k = %lld",
+                                           static_cast<long long>(key)))
+                          .ok());
+          break;
+        case kDeleteRange:
+          ASSERT_TRUE(db.Execute(StrFormat(
+                                     "delete from w where k between %lld "
+                                     "and %lld",
+                                     static_cast<long long>(key),
+                                     static_cast<long long>(key + 3)))
+                          .ok());
+          break;
+        case kDeleteAll:
+          ASSERT_TRUE(db.Execute("delete from w").ok());
+          break;
+        case kUpdate:
+          ASSERT_TRUE(db.Execute(StrFormat("update w set s = %s, n = n + 1 "
+                                           "where k = %lld",
+                                           str().c_str(),
+                                           static_cast<long long>(key)))
+                          .ok());
+          break;
+        case kUpdateIntoDouble:
+          // An int into a double column moves it off the plain-double
+          // lane; a later `x + 0.5` moves rows back.
+          ASSERT_TRUE(db.Execute(StrFormat(
+                                     "update w set x = %s where k = %lld",
+                                     rng.Bernoulli(0.5) ? "0" : "x + 0.5",
+                                     static_cast<long long>(key)))
+                          .ok());
+          break;
+        case kUpdateKey:
+          ASSERT_TRUE(db.Execute(StrFormat("update w set k = k + %lld "
+                                           "where k = %lld",
+                                           static_cast<long long>(
+                                               rng.Uniform(-30, 30)),
+                                           static_cast<long long>(key)))
+                          .ok());
+          break;
+        case kRollback:
+          ASSERT_TRUE(db.Execute("begin").ok());
+          ASSERT_TRUE(db.Execute(insert(kMidInsert)).ok());
+          ASSERT_TRUE(db.Execute(StrFormat("delete from w where k = %lld",
+                                           static_cast<long long>(key)))
+                          .ok());
+          ASSERT_TRUE(db.Execute(StrFormat("update w set s = %s where k = %lld",
+                                           str().c_str(),
+                                           static_cast<long long>(some_key())))
+                          .ok());
+          ASSERT_TRUE(db.Execute("rollback").ok());
+          break;
+        case kBulkLoad: {
+          std::vector<Row> rows;
+          for (int i = 0; i < 20; ++i) {
+            rows.push_back({Value::Int(some_key() + rng.Uniform(-5, 5)),
+                            Value::Date(9000 + rng.Uniform(0, 2000)),
+                            Value::Double(rng.UniformDouble(0, 1000)),
+                            rng.Bernoulli(0.2) ? Value::Null()
+                                               : Value::Str("bulk"),
+                            Value::Int(rng.Uniform(0, 50))});
+          }
+          ASSERT_TRUE(t->BulkLoad(std::move(rows)).ok());
+          break;
+        }
+        case kRecluster:
+          ASSERT_TRUE(db.Execute(StrFormat("create clustered index w_c%d on "
+                                           "w (k, n)",
+                                           step))
+                          .ok());
+          break;
+        case kNumKinds:
+          break;
+      }
+      const storage::Table::ColumnarRef ref = t->Columnar();
+      if (!ref.built && !ref.rebuilt) spliced_kinds.insert(kind);
+      ExpectImagesEqual(*ref.image,
+                        storage::ColumnarTable::Build(t->schema(), t->rows()));
+      if (HasFailure()) return;
+      for (const std::string& sql : reads) {
+        auto ref_result = db.ExecuteReference(sql);
+        ASSERT_TRUE(ref_result.ok()) << ref_result.status().ToString();
+        auto got = db.Execute(sql);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        testutil::ExpectMatchesReference(*ref_result, *got);
+      }
+    }
+  }
+  for (int kind = 0; kind < kBulkLoad; ++kind) {
+    EXPECT_TRUE(spliced_kinds.count(kind)) << "kind " << kind;
+  }
+  EXPECT_FALSE(spliced_kinds.count(kBulkLoad));
+  EXPECT_FALSE(spliced_kinds.count(kRecluster));
 }
 
 // Int->double promotion parity. A sum over an int column stays an
@@ -510,8 +769,7 @@ TEST(ColumnarTest, DictionaryMatchesASortedSetReference) {
   // The heap is unclustered, so row i is still the i-th row loaded.
   ASSERT_EQ((*table)->row(17)[0].int_val(), 17);
 
-  storage::ColumnStore store;
-  const storage::ColumnVector& col = store.Get(**table).chunk->cols[1];
+  const storage::ColumnVector& col = (*table)->Columnar().image->cols[1];
   ASSERT_TRUE(col.dict_encoded);
   std::set<std::string> distinct;
   for (const auto& s : want) {

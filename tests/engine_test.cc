@@ -446,6 +446,38 @@ TEST(EngineStandaloneTest, BufferPoolCachingAcrossExecutions) {
   EXPECT_GT(r2->stats.pages_cache, 0u);
 }
 
+// An INSERT dirties the page its row lands on. The clustered key puts
+// this row on page 0, which the read before it made resident, so the
+// insert hits the 1-page pool and page 0 stays resident for the next
+// read.
+TEST(EngineStandaloneTest, InsertChargesThePageTheRowLandsOn) {
+  Database db(DatabaseOptions{.buffer_pool_pages = 1});
+  ASSERT_TRUE(db.Execute("create table t (k bigint not null, pad "
+                         "varchar(100), primary key (k))")
+                  .ok());
+  auto table = db.catalog()->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  const std::string pad(100, 'x');
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < 1000; ++k) {
+    rows.push_back({Value::Int(k), Value::Str(pad)});
+  }
+  ASSERT_TRUE((*table)->BulkLoad(std::move(rows)).ok());
+  ASSERT_GT((*table)->num_pages(), 1u);
+
+  auto warm = db.Execute("select count(*) from t where k = 0");
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->stats.pages_disk, 1u);
+  auto ins = db.Execute("insert into t values (1, '" + pad + "')");
+  ASSERT_TRUE(ins.ok());
+  EXPECT_EQ(ins->stats.pages_cache, 1u);
+  EXPECT_EQ(ins->stats.pages_disk, 0u);
+  auto again = db.Execute("select count(*) from t where k = 0");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->stats.pages_cache, 1u);
+  EXPECT_EQ(again->stats.pages_disk, 0u);
+}
+
 TEST_F(EngineTest, ErrorsSurfaceAsStatus) {
   EXPECT_EQ(ExecStatus("select * from nope").code(), StatusCode::kNotFound);
   EXPECT_EQ(ExecStatus("select nope from items").code(),

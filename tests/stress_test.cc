@@ -337,14 +337,14 @@ TEST(StressTest, CachedReadsNeverGoStaleAcrossWrites) {
   EXPECT_GT(engine.result_cache()->hits(), hits_before);
 }
 
-// Columnar chunks must never serve stale data while writes race:
+// Columnar images must never serve stale data while writes race:
 // readers hammer a morsel-eligible aggregate (the columnar path —
-// its cached chunk is invalidated by every write-epoch bump and
-// rebuilt on the next scan) while a writer appends rows through the
-// controller broadcast. A read ISSUED after insert i's broadcast
-// completed must observe count(*) >= kBase + i. Primarily a TSan
-// target for the chunk cache riding the write epoch machinery, but
-// the freshness assertion is the point even unsanitized.
+// each table's image is spliced by the write that changes its heap)
+// while a writer appends rows through the controller broadcast. A
+// read ISSUED after insert i's broadcast completed must observe
+// count(*) >= kBase + i. Primarily a TSan target for images spliced
+// under the node's serialization, but the freshness assertion is the
+// point even unsanitized.
 TEST(StressTest, ColumnarAggregatesNeverGoStaleAcrossWrites) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
   cjdbc::ReplicaSet replicas(
@@ -411,14 +411,15 @@ TEST(StressTest, ColumnarAggregatesNeverGoStaleAcrossWrites) {
   EXPECT_EQ(fin->rows[0][0].int_val(), kBase + kInserts);
 }
 
-// Dictionary invalidation under write pressure: concurrent writers
-// keep appending fresh strings to a dictionary-encoded column (every
-// insert bumps the table's write epoch, so readers keep rebuilding
-// the chunk mid-stream) while readers run dict-kernel predicates and
-// a string-keyed join with the vectorized probe. Run under TSan this
-// exercises the coordinator-only contract of the column store; the
-// row-visible invariant is that every tagged row carries v = 'live',
-// so count(*) where v = 'live' must equal the scanned total.
+// Dictionary splices under write pressure: concurrent writers keep
+// appending fresh strings to a dictionary-encoded column (every
+// insert is spliced by the write into the table's image, so the
+// dictionary grows mid-stream) while readers run dict-kernel
+// predicates and a string-keyed join with the vectorized probe. Run
+// under TSan this exercises the coordinator-only contract of the
+// table's image; the row-visible invariant is that every tagged row
+// carries v = 'live', so count(*) where v = 'live' must equal the
+// scanned total.
 TEST(StressTest, DictionaryRebuildsUnderConcurrentStringWriters) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
   cjdbc::ReplicaSet replicas(
@@ -446,8 +447,8 @@ TEST(StressTest, DictionaryRebuildsUnderConcurrentStringWriters) {
   std::atomic<bool> failed{false};
 
   // Two writers: one keeps inserting the live tag, the other churns
-  // the dictionary with never-repeating strings (each insert bumps
-  // the epoch and forces a chunk rebuild on the next columnar scan).
+  // the dictionary with never-repeating strings (each insert is
+  // spliced by the write into the table's image).
   std::thread live_writer([&] {
     for (int i = 1; i <= kInserts && !failed.load(); ++i) {
       auto r = controller.Execute("insert into tagged values (" +
