@@ -1,8 +1,61 @@
 #include "apuama/admission/admission.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace apuama::admission {
+
+namespace {
+
+std::vector<int64_t> LatencyBoundsUs() {
+  std::vector<int64_t> bounds;
+  for (int64_t decade = 1; decade <= 10'000'000; decade *= 10) {
+    bounds.push_back(decade);
+    bounds.push_back(decade * 2);
+    bounds.push_back(decade * 5);
+  }
+  bounds.push_back(100'000'000);
+  return bounds;
+}
+
+}  // namespace
+
+Histogram::Histogram() : Histogram(LatencyBoundsUs()) {}
+
+Histogram::Histogram(std::vector<int64_t> bounds)
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {}
+
+void Histogram::Observe(int64_t value) {
+  // First bucket whose upper bound covers the value; past the last
+  // bound it is the overflow bucket.
+  ++buckets_[static_cast<size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+      bounds_.begin())];
+  ++count_;
+  sum_ += value;
+  max_ = std::max(max_, value);
+}
+
+int64_t Histogram::Percentile(double p) const {
+  if (count_ == 0) return 0;
+  // Rank of the p-th percentile observation (1-based, nearest-rank).
+  uint64_t rank = static_cast<uint64_t>(
+      std::ceil(p / 100.0 * static_cast<double>(count_)));
+  if (rank == 0) rank = 1;
+  uint64_t seen = 0;
+  for (size_t i = 0; i < bounds_.size(); ++i) {
+    seen += buckets_[i];
+    if (seen >= rank) return bounds_[i];
+  }
+  return max_;
+}
+
+void Histogram::Reset() {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  sum_ = 0;
+  max_ = 0;
+}
 
 AdmissionController::AdmissionController(Options options)
     : options_(options),
@@ -10,9 +63,7 @@ AdmissionController::AdmissionController(Options options)
       window_us_(options.window_base_us),
       default_slo_us_(options.default_slo_us),
       default_priority_(options.default_priority),
-      ewma_us_(std::max<int64_t>(1, options.ewma_seed_us)),
-      queue_wait_hist_(std::make_unique<obs::Histogram>(
-          obs::Histogram::DefaultLatencyBoundsUs())) {}
+      ewma_us_(std::max<int64_t>(1, options.ewma_seed_us)) {}
 
 void AdmissionController::SetTenantClass(const std::string& tenant,
                                          int64_t slo_us, int priority) {
@@ -35,13 +86,7 @@ void AdmissionController::set_default_priority(int v) {
 
 AdmissionController::ClassTrack& AdmissionController::TrackLocked(
     const std::string& tenant) {
-  auto it = classes_.find(tenant);
-  if (it == classes_.end()) {
-    it = classes_.emplace(tenant, ClassTrack{}).first;
-    it->second.latency = std::make_unique<obs::Histogram>(
-        obs::Histogram::DefaultLatencyBoundsUs());
-  }
-  return it->second;
+  return classes_[tenant];
 }
 
 void AdmissionController::ResolveLocked(const Request& request,
@@ -77,7 +122,7 @@ double AdmissionController::OverloadLocked(const std::string& tenant,
       static_cast<double>(std::max(1, options_.max_inflight));
   const double predicted = est_delay + static_cast<double>(ewma_us_);
   double overload = predicted / static_cast<double>(std::max<int64_t>(1, slo_us));
-  // Secondary signal: once a class's PR 5 histogram is warm, its
+  // Secondary signal: once a class's histogram is warm, its
   // observed p99 joins the estimate — sustained SLO misses push the
   // ladder even when the backlog model looks healthy. It only feeds
   // the soft stages (window/degrade) via callers that use this value;
@@ -97,12 +142,11 @@ double AdmissionController::OverloadLocked(const std::string& tenant,
 }
 
 int64_t AdmissionController::ClassP99Locked(const ClassTrack& track) const {
-  if (track.latency->count() >= options_.p99_min_count) {
-    return track.latency->Percentile(99.0);
+  if (track.latency.count() >= options_.p99_min_count) {
+    return track.latency.Percentile(99.0);
   }
-  if (track.prev_latency != nullptr &&
-      track.prev_latency->count() >= options_.p99_min_count) {
-    return track.prev_latency->Percentile(99.0);
+  if (track.prev_latency.count() >= options_.p99_min_count) {
+    return track.prev_latency.Percentile(99.0);
   }
   return 0;
 }
@@ -246,13 +290,11 @@ void AdmissionController::OnComplete(const Ticket& ticket, int64_t now_us,
     // shifting service-time mix within a few dozen completions.
     ewma_us_ = std::max<int64_t>(1, (ewma_us_ * 3 + service) / 4);
     ClassTrack& track = TrackLocked(ticket.tenant);
-    track.latency->Observe(latency);
-    if (track.latency->count() >= options_.p99_epoch) {
+    track.latency.Observe(latency);
+    if (track.latency.count() >= options_.p99_epoch) {
       track.prev_latency = std::move(track.latency);
-      track.latency = std::make_unique<obs::Histogram>(
-          obs::Histogram::DefaultLatencyBoundsUs());
+      track.latency = Histogram();
     }
-    queue_wait_hist_->Observe(ticket.queue_wait_us());
     if (ok) {
       if (latency <= ticket.slo_us) {
         ++counters_.slo_met;
@@ -292,16 +334,7 @@ int64_t AdmissionController::ClassP99Us(const std::string& tenant) const {
   auto it = classes_.find(tenant);
   if (it == classes_.end()) return 0;
   const int64_t warm = ClassP99Locked(it->second);
-  return warm > 0 ? warm : it->second.latency->Percentile(99.0);
-}
-
-std::vector<std::pair<std::string, uint64_t>> AdmissionController::Kv()
-    const {
-  Counters c = counters();
-  return {{"submitted", c.submitted}, {"admitted", c.admitted},
-          {"degraded", c.degraded},   {"shed", c.shed},
-          {"cancelled", c.cancelled}, {"queued", c.queued},
-          {"slo_met", c.slo_met},     {"slo_missed", c.slo_missed}};
+  return warm > 0 ? warm : it->second.latency.Percentile(99.0);
 }
 
 }  // namespace apuama::admission

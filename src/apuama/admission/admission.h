@@ -20,10 +20,10 @@
 //            proportionally more predicted overload before shedding,
 //            and a full bounded queue sheds unconditionally.
 //
-// Per-class p99 latency is tracked in PR 5 fixed-bucket histograms
-// (owned per controller instance, so decisions are deterministic and
-// never bleed across sims/tests) and feeds back into the overload
-// estimate once enough observations exist.
+// Per-class p99 latency is tracked in fixed-bucket histograms (owned
+// per controller instance, so decisions are deterministic and never
+// bleed across sims/tests) and feeds back into the overload estimate
+// once enough observations exist.
 //
 // Virtual-time contract: the controller NEVER reads a clock — every
 // entry point takes `now_us`. The threaded C-JDBC controller passes
@@ -39,15 +39,44 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace apuama::admission {
+
+/// Fixed-bucket histogram. Bucket bounds are chosen at creation; an
+/// observation lands in the first bucket whose upper bound is >= the
+/// value (the last bucket is an implicit +inf overflow). Percentile()
+/// answers with the upper bound of the bucket holding that rank —
+/// exact whenever observed values coincide with bucket bounds, and
+/// never worse than one bucket's width otherwise. Not synchronized:
+/// the controller touches its histograms under its own mutex.
+class Histogram {
+ public:
+  /// Latency-shaped bounds: 1 us .. 100 s in 1-2-5 steps.
+  Histogram();
+  explicit Histogram(std::vector<int64_t> bounds);
+
+  void Observe(int64_t value);
+  uint64_t count() const { return count_; }
+  int64_t sum() const { return sum_; }
+  /// Upper bound of the bucket containing the p-th percentile
+  /// (0 < p <= 100). Returns 0 on an empty histogram; the overflow
+  /// bucket reports the max observed value.
+  int64_t Percentile(double p) const;
+  void Reset();
+
+ private:
+  std::vector<int64_t> bounds_;
+  // buckets_[i] counts values <= bounds_[i]; buckets_.back() is the
+  // overflow bucket.
+  std::vector<uint64_t> buckets_;
+  uint64_t count_ = 0;
+  int64_t sum_ = 0;
+  int64_t max_ = 0;
+};
 
 class AdmissionController {
  public:
@@ -179,10 +208,8 @@ class AdmissionController {
   int queued() const;
   /// Smoothed service time driving the queueing-delay estimate.
   int64_t ewma_service_us() const;
-  /// Observed p99 latency of a class (0 when unseen). PR 5 histogram.
+  /// Observed p99 latency of a class (0 when unseen).
   int64_t ClassP99Us(const std::string& tenant) const;
-  /// Ordered counters for a metrics-registry provider.
-  std::vector<std::pair<std::string, uint64_t>> Kv() const;
 
  private:
   struct Waiter {
@@ -200,8 +227,8 @@ class AdmissionController {
     bool has_defaults = false;
     /// Current epoch's latencies; rotated into `prev_latency` every
     /// p99_epoch completions so the p99 signal ages out.
-    std::unique_ptr<obs::Histogram> latency;
-    std::unique_ptr<obs::Histogram> prev_latency;
+    Histogram latency;
+    Histogram prev_latency;
   };
 
   // All Locked methods require mu_.
@@ -238,7 +265,6 @@ class AdmissionController {
   std::map<int, std::deque<Waiter>> queue_;
   int queued_ = 0;
   std::map<std::string, ClassTrack> classes_;
-  std::unique_ptr<obs::Histogram> queue_wait_hist_;
   Counters counters_;
 };
 

@@ -519,8 +519,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteApproxPlan(
   if (stopped) {
     stats_.approx_early_exits.fetch_add(1, std::memory_order_relaxed);
   }
-  stats_.approx_subqueries_skipped.fetch_add(skipped,
-                                             std::memory_order_relaxed);
   return out;
 }
 

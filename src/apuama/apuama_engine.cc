@@ -35,43 +35,6 @@ int64_t SteadyUs() {
 }
 }  // namespace
 
-std::vector<std::pair<std::string, uint64_t>> ApuamaEngine::StatsKv() const {
-  auto v = [](const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  const ApuamaStats& s = stats_;
-  return {{"svp", v(s.svp_queries)},
-          {"passthrough", v(s.passthrough_reads)},
-          {"writes", v(s.writes)},
-          {"non_rewritable", v(s.non_rewritable)},
-          {"partial_rows", v(s.partial_rows_total)},
-          {"compose_ms", v(s.compose_us_total) / 1000},
-          {"avp_chunks", v(s.avp_chunks)},
-          {"avp_steals", v(s.avp_steals)},
-          {"plan_cache_hits", plan_cache_.hits()},
-          {"plan_cache_misses", plan_cache_.misses()},
-          {"svp_retries", v(s.svp_retries)},
-          {"result_cache_hits", result_cache_.hits()},
-          {"result_cache_misses", result_cache_.misses()},
-          {"vectorized_rows", v(s.vectorized_rows)},
-          {"dict_hits", v(s.dict_hits)},
-          {"probe_vectorized_rows", v(s.probe_vectorized_rows)},
-          {"columnar_chunks", v(s.columnar_chunks)},
-          {"columnar_rebuilds", v(s.columnar_rebuilds)},
-          {"routed_writes", v(s.routed_writes)},
-          {"write_fanout", v(s.write_fanout_total)},
-          {"exchange_bytes", v(s.exchange_bytes)},
-          {"exchange_shuffles", v(s.exchange_shuffles)},
-          {"exchange_broadcasts", v(s.exchange_broadcasts)},
-          {"fragments_pruned", v(s.fragments_pruned)},
-          {"approx_queries", v(s.approx_queries)},
-          {"approx_early_exits", v(s.approx_early_exits)},
-          {"approx_subqueries_skipped", v(s.approx_subqueries_skipped)},
-          {"approx_fallbacks", v(s.approx_fallbacks)},
-          {"scramble_builds", v(s.scramble_builds)},
-          {"scramble_rebuilds", v(s.scramble_rebuilds)}};
-}
-
 ApuamaEngine::ApuamaEngine(cjdbc::ReplicaSet* replicas, DataCatalog catalog,
                            ApuamaOptions options)
     : replicas_(replicas), catalog_(std::move(catalog)),
@@ -105,8 +68,6 @@ ApuamaEngine::ApuamaEngine(cjdbc::ReplicaSet* replicas, DataCatalog catalog,
   dispatch_pool_ = std::make_unique<ThreadPool>(
       std::max(kMinDispatchThreads,
                static_cast<size_t>(replicas_->num_nodes())));
-  metrics_provider_ = obs::Registry::Global().RegisterProvider(
-      "apuama", [this] { return StatsKv(); });
 }
 
 bool ApuamaEngine::ReplicasConsistent() const {
@@ -523,10 +484,6 @@ ApuamaEngine::ExecuteFragmentedPassthrough(int node_id,
       processors_[static_cast<size_t>(assignment->node)]->Execute(to_run);
   stats_.exchange_bytes.fetch_add(ex.bytes_shipped(),
                                   std::memory_order_relaxed);
-  stats_.exchange_shuffles.fetch_add(ex.shuffles(),
-                                     std::memory_order_relaxed);
-  stats_.exchange_broadcasts.fetch_add(ex.broadcasts(),
-                                       std::memory_order_relaxed);
   return result;
 }
 
@@ -640,12 +597,6 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
       spec.barrier_scope);
   barrier_span.End();
   const int64_t barrier_us = SteadyUs() - barrier_t0;
-  if (tracing) {
-    obs::Registry::Global()
-        .GetHistogram("engine.barrier_wait_us",
-                      obs::Histogram::DefaultLatencyBoundsUs())
-        ->Observe(barrier_us);
-  }
   APUAMA_ASSIGN_OR_RETURN(std::vector<SubqueryTask> first,
                           spec.prepare(alive));
   for (SubqueryTask& task : first) add_task(std::move(task));
@@ -729,8 +680,6 @@ Result<engine::QueryResult> ApuamaEngine::Dispatch(const DispatchSpec& spec,
     stats_.svp_queries.fetch_add(1, std::memory_order_relaxed);
     stats_.partial_rows_total.fetch_add(cstats.partial_rows,
                                         std::memory_order_relaxed);
-    stats_.compose_us_total.fetch_add(sink.compose_micros(),
-                                      std::memory_order_relaxed);
   }
   return result;
 }
@@ -794,13 +743,8 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
       return tasks;
     };
     auto result = Dispatch(spec, plan);
-    stats_.fragments_pruned.fetch_add(pruned, std::memory_order_relaxed);
     stats_.exchange_bytes.fetch_add(ex.bytes_shipped(),
                                     std::memory_order_relaxed);
-    stats_.exchange_shuffles.fetch_add(ex.shuffles(),
-                                       std::memory_order_relaxed);
-    stats_.exchange_broadcasts.fetch_add(ex.broadcasts(),
-                                         std::memory_order_relaxed);
     if (result.ok()) {
       result->profile.fragments_pruned = pruned;
       result->profile.exchange_bytes = ex.bytes_shipped();
@@ -829,8 +773,7 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
         -> Result<std::vector<SubqueryTask>> {
       nodes = alive;
       const int n = static_cast<int>(alive.size());
-      scheduler.emplace(n, plan.domain_min(), plan.domain_max(),
-                        options_.avp);
+      scheduler.emplace(n, plan.domain_min(), plan.domain_max());
       std::vector<SubqueryTask> tasks;
       for (int slot = 0; slot < n; ++slot) {
         if (auto t = chunk(slot, alive[static_cast<size_t>(slot)])) {
@@ -849,8 +792,6 @@ Result<engine::QueryResult> ApuamaEngine::ExecuteSvpPlan(
       stats_.avp_chunks.fetch_add(
           static_cast<uint64_t>(scheduler->chunks_issued()),
           std::memory_order_relaxed);
-      stats_.avp_steals.fetch_add(static_cast<uint64_t>(scheduler->steals()),
-                                  std::memory_order_relaxed);
     }
     return result;
   }

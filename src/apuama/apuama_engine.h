@@ -39,7 +39,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "engine/exec_stats.h"
-#include "obs/metrics.h"
 #include "sql/ast.h"
 
 namespace apuama {
@@ -56,7 +55,6 @@ struct ApuamaOptions {
   /// C-JDBC; the baseline configuration).
   bool enable_intra_query = true;
   IntraQueryTechnique technique = IntraQueryTechnique::kSvp;
-  AvpOptions avp;
   /// Total intra-node (morsel) execution threads across the cluster,
   /// divided evenly per node with a floor of 1. 0 = one machine-wide
   /// default budget (engine::DefaultExecThreads()) — NOT the per-node
@@ -84,48 +82,32 @@ struct ApuamaStats {
   std::atomic<uint64_t> writes{0};
   std::atomic<uint64_t> non_rewritable{0};     // fact queries SVP declined
   std::atomic<uint64_t> partial_rows_total{0};
-  std::atomic<uint64_t> compose_us_total{0};   // wall time spent composing
   std::atomic<uint64_t> avp_chunks{0};         // AVP: sub-queries issued
-  std::atomic<uint64_t> avp_steals{0};         // AVP: ranges stolen
   std::atomic<uint64_t> svp_retries{0};        // failover resubmissions
-  // Columnar execution, summed over every node result the engine saw
-  // (SVP partials and passthrough reads):
-  std::atomic<uint64_t> vectorized_rows{0};    // row-slots through kernels
-  std::atomic<uint64_t> dict_hits{0};          // slots through dict kernels
-  std::atomic<uint64_t> probe_vectorized_rows{0};  // vectorized join probes
-  std::atomic<uint64_t> columnar_chunks{0};    // chunks built first-time
-  std::atomic<uint64_t> columnar_rebuilds{0};  // images rebuilt after a drop
+  // Column images rebuilt after a drop, summed over every node result
+  // the engine saw (SVP partials and passthrough reads):
+  std::atomic<uint64_t> columnar_rebuilds{0};
   // Physical fragmentation (shared-nothing overlay):
   std::atomic<uint64_t> routed_writes{0};      // writes sent to a replica
                                                // set instead of broadcast
   std::atomic<uint64_t> write_fanout_total{0};  // nodes touched, summed
                                                 // over logical writes
   std::atomic<uint64_t> exchange_bytes{0};     // bytes moved between nodes
-  std::atomic<uint64_t> exchange_shuffles{0};  // shuffled assignments
-  std::atomic<uint64_t> exchange_broadcasts{0};  // small tables broadcast
-  std::atomic<uint64_t> fragments_pruned{0};   // intervals skipped by
-                                               // predicate pruning
   // Approximate query tier:
   std::atomic<uint64_t> approx_queries{0};     // answered from a scramble
   std::atomic<uint64_t> approx_early_exits{0};  // met the error target early
-  std::atomic<uint64_t> approx_subqueries_skipped{0};  // cancelled sub-queries
   std::atomic<uint64_t> approx_fallbacks{0};   // APPROX served exactly
   std::atomic<uint64_t> scramble_builds{0};    // CREATE SAMPLE materializations
   std::atomic<uint64_t> scramble_rebuilds{0};  // staleness-triggered rebuilds
 
-  /// Folds one node result's columnar counters into the engine-wide
-  /// totals (called wherever a node ExecStats crosses the middleware
-  /// boundary, so the metrics registry and EXPLAIN ANALYZE agree on
-  /// what the columnar path did).
+  /// Folds one node result's image rebuilds into the engine-wide
+  /// total (called wherever a node ExecStats crosses the middleware
+  /// boundary).
   void NoteNodeStats(const engine::ExecStats& s) {
-    auto bump = [](std::atomic<uint64_t>& a, uint64_t d) {
-      if (d != 0) a.fetch_add(d, std::memory_order_relaxed);
-    };
-    bump(vectorized_rows, s.vectorized_rows);
-    bump(dict_hits, s.dict_hits);
-    bump(probe_vectorized_rows, s.probe_vectorized_rows);
-    bump(columnar_chunks, s.columnar_chunks_built);
-    bump(columnar_rebuilds, s.columnar_chunk_rebuilds);
+    if (s.columnar_chunk_rebuilds != 0) {
+      columnar_rebuilds.fetch_add(s.columnar_chunk_rebuilds,
+                                  std::memory_order_relaxed);
+    }
   }
 };
 
@@ -205,10 +187,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
   const DataCatalog* data_catalog() const { return &catalog_; }
   DataCatalog* mutable_data_catalog() { return &catalog_; }
   const ApuamaStats& stats() const { return stats_; }
-  /// Every engine counter plus the plan and result caches' lookup
-  /// counts, as ordered key/value pairs: the obs::Registry provider
-  /// ("apuama.*") renders from this one list.
-  std::vector<std::pair<std::string, uint64_t>> StatsKv() const;
   /// The parse+rewrite plan cache (cache-level hit/miss counters).
   const PlanCache& plan_cache() const { return plan_cache_; }
   ConsistencyManager* consistency() { return &consistency_; }
@@ -387,9 +365,6 @@ class ApuamaEngine : public share::WorkSharingHooks {
   // Fan-out (node count) of the most recent logical write, surfaced
   // by EXPLAIN ANALYZE as fragment/write_fanout.
   std::atomic<uint64_t> last_write_fanout_{0};
-  // Contributes StatsKv() to obs::Registry dumps; the handle unregisters
-  // on destruction so a dump never reads a freed engine.
-  obs::Registry::ProviderHandle metrics_provider_;
 };
 
 /// cjdbc::Driver implementation that interposes the Apuama Engine —

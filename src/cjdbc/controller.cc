@@ -51,27 +51,6 @@ Result<RequestKind> ClassifyRequest(const std::string& sql) {
   return ClassifyStmt(*stmt);
 }
 
-std::vector<std::pair<std::string, uint64_t>> ControllerStats::Kv() const {
-  auto v = [](const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  return {{"reads", v(reads)},
-          {"writes", v(writes)},
-          {"broadcast_statements", v(broadcast_statements)},
-          {"routed_writes", v(routed_writes)},
-          {"failovers", v(failovers)},
-          {"recovered_statements", v(recovered_statements)},
-          {"result_cache_hits", v(result_cache_hits)},
-          {"queries_coalesced", v(queries_coalesced)},
-          {"admission_queue_wait_us", v(admission_queue_wait_us)},
-          {"admission_degraded", v(admission_degraded)},
-          {"admission_shed", v(admission_shed)}};
-}
-
-std::string ControllerStats::ToString() const {
-  return obs::RenderKvText(Kv());
-}
-
 Controller::Controller(std::unique_ptr<Driver> driver, BalancePolicy policy)
     : driver_(std::move(driver)),
       balancer_(driver_->num_nodes(), policy) {
@@ -102,8 +81,6 @@ Controller::Controller(std::unique_ptr<Driver> driver, BalancePolicy policy)
   adm_options.window_max_us = std::max<int64_t>(
       2'000, gate_window_base_us_ * 10);
   admission_ = std::make_unique<admission::AdmissionController>(adm_options);
-  metrics_provider_ = obs::Registry::Global().RegisterProvider(
-      "controller", [this] { return stats_.Kv(); });
 }
 
 Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
@@ -114,7 +91,6 @@ Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
   obs::Tracer& tracer = obs::Tracer::Global();
   switch (kind) {
     case RequestKind::kRead: {
-      scheduler_.NoteRead();
       stats_.reads.fetch_add(1, std::memory_order_relaxed);
       obs::Span span = tracer.StartSpan("controller.read", "controller");
       // Admission off = the exact pre-scheduler read path, untouched.
@@ -137,10 +113,6 @@ Result<engine::QueryResult> Controller::Execute(const std::string& sql) {
       uint64_t seq = 0;
       Scheduler::WriteTicket ticket = scheduler_.BeginWrite(&seq);
       stats_.writes.fetch_add(1, std::memory_order_relaxed);
-      if (targets.has_value() &&
-          targets->size() < static_cast<size_t>(num_backends())) {
-        stats_.routed_writes.fetch_add(1, std::memory_order_relaxed);
-      }
       return ExecuteBroadcast(sql, targets);
     }
     case RequestKind::kDdl: {
@@ -233,11 +205,7 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return ready; });
   }
-  stats_.admission_queue_wait_us.fetch_add(
-      static_cast<uint64_t>(std::max<int64_t>(0, ticket.queue_wait_us())),
-      std::memory_order_relaxed);
   if (ticket.shed()) {
-    stats_.admission_shed.fetch_add(1, std::memory_order_relaxed);
     obs::Tracer::Global().Instant("admission.shed", "controller");
     return Status::Overloaded(
         "admission control shed the query (priority " +
@@ -248,7 +216,6 @@ Result<engine::QueryResult> Controller::ExecuteAdmitted(
   gate_->set_window_us(ticket.window_us);
   const bool degraded = ticket.degraded();
   if (degraded) {
-    stats_.admission_degraded.fetch_add(1, std::memory_order_relaxed);
     obs::Tracer::Global().Instant("admission.degrade", "controller");
   }
   // Degraded answers bypass the sharing front end: an approximate

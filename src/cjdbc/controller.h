@@ -25,7 +25,6 @@
 #include "cjdbc/load_balancer.h"
 #include "cjdbc/scheduler.h"
 #include "common/status.h"
-#include "obs/metrics.h"
 #include "sql/ast.h"
 #include "sql/settings.h"
 
@@ -44,25 +43,16 @@ Result<RequestKind> ClassifyRequest(const std::string& sql);
 RequestKind ClassifyStmt(const sql::Stmt& stmt);
 
 /// Lock-free atomics: counters are bumped on every request while
-/// stats() readers (tests, benches, the metrics registry) poll them
-/// concurrently — a mutex here would serialize independent clients.
+/// stats() readers (tests, benches, examples) poll them concurrently
+/// — a mutex here would serialize independent clients.
 struct ControllerStats {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> writes{0};
   std::atomic<uint64_t> broadcast_statements{0};  // write * touched nodes
-  std::atomic<uint64_t> routed_writes{0};         // fragment-routed (< n nodes)
   std::atomic<uint64_t> failovers{0};             // backends auto-disabled
   std::atomic<uint64_t> recovered_statements{0};  // replayed on rejoin
   std::atomic<uint64_t> result_cache_hits{0};     // served without a backend
   std::atomic<uint64_t> queries_coalesced{0};     // served by an identical read
-  std::atomic<uint64_t> admission_queue_wait_us{0};  // total queued time
-  std::atomic<uint64_t> admission_degraded{0};    // ladder stage 2 hits
-  std::atomic<uint64_t> admission_shed{0};        // ladder stage 3 hits
-
-  /// The counters as ordered key/value pairs (registry provider,
-  /// text/JSON export).
-  std::vector<std::pair<std::string, uint64_t>> Kv() const;
-  std::string ToString() const;
 };
 
 class Controller {
@@ -163,7 +153,6 @@ class Controller {
   std::vector<LogEntry> recovery_log_;
   mutable std::mutex log_mu_;
   ControllerStats stats_;
-  obs::Registry::ProviderHandle metrics_provider_;
 };
 
 }  // namespace apuama::cjdbc

@@ -40,11 +40,7 @@ class Scheduler {
   /// the next sequence number.
   WriteTicket BeginWrite(uint64_t* sequence);
 
-  /// Registers a read (reads are concurrent; this only counts them).
-  void NoteRead() { ++reads_scheduled_; }
-
   uint64_t writes_scheduled() const { return write_seq_.load(); }
-  uint64_t reads_scheduled() const { return reads_scheduled_.load(); }
 
  private:
   friend class WriteTicket;
@@ -56,7 +52,6 @@ class Scheduler {
   // Atomic: writes_scheduled() is an observability read that must not
   // take mu_ (and would race unlocked otherwise).
   std::atomic<uint64_t> write_seq_{0};
-  std::atomic<uint64_t> reads_scheduled_{0};
 };
 
 }  // namespace apuama::cjdbc

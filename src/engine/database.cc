@@ -6,11 +6,9 @@
 #include <thread>
 #include <tuple>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "engine/eval.h"
 #include "engine/executor.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
@@ -21,31 +19,34 @@ namespace apuama::engine {
 using sql::Stmt;
 using sql::StmtKind;
 
-std::vector<std::pair<std::string, uint64_t>> ExecStats::Kv() const {
-  return {{"pages_disk", pages_disk},
-          {"pages_cache", pages_cache},
-          {"tuples_scanned", tuples_scanned},
-          {"tuples_output", tuples_output},
-          {"cpu_ops", cpu_ops},
-          {"cpu_par", cpu_ops_parallel},
-          {"rows_affected", rows_affected},
-          {"morsels", morsels},
-          {"threads", exec_threads},
-          {"join_build", join_build_rows},
-          {"join_probe", join_probe_rows},
-          {"filter_skipped", filter_skipped_rows},
-          {"seq", used_seq_scan ? 1u : 0u},
-          {"idx", used_index_scan ? 1u : 0u},
-          {"vec_rows", vectorized_rows},
-          {"col_chunks", columnar_chunks_built},
-          {"col_rebuilds", columnar_chunk_rebuilds},
-          {"dict_hits", dict_hits},
-          {"probe_vec", probe_vectorized_rows}};
+std::string ExecStats::ToString() const {
+  const std::pair<const char*, uint64_t> kv[] = {
+      {"pages_disk", pages_disk},
+      {"pages_cache", pages_cache},
+      {"tuples_scanned", tuples_scanned},
+      {"tuples_output", tuples_output},
+      {"cpu_ops", cpu_ops},
+      {"cpu_par", cpu_ops_parallel},
+      {"rows_affected", rows_affected},
+      {"morsels", morsels},
+      {"threads", exec_threads},
+      {"join_build", join_build_rows},
+      {"join_probe", join_probe_rows},
+      {"filter_skipped", filter_skipped_rows},
+      {"seq", used_seq_scan ? 1u : 0u},
+      {"idx", used_index_scan ? 1u : 0u},
+      {"vec_rows", vectorized_rows},
+      {"col_chunks", columnar_chunks_built},
+      {"col_rebuilds", columnar_chunk_rebuilds},
+      {"dict_hits", dict_hits},
+      {"probe_vec", probe_vectorized_rows}};
+  std::string out;
+  for (const auto& [k, v] : kv) {
+    if (!out.empty()) out += " ";
+    out += StrFormat("%s=%llu", k, static_cast<unsigned long long>(v));
+  }
+  return out;
 }
-
-std::string ExecStats::ToString() const { return obs::RenderKvText(Kv()); }
-
-std::string ExecStats::ToJson() const { return obs::RenderKvJson(Kv()); }
 
 std::string QueryResult::ToString(size_t max_rows) const {
   std::string out = Join(column_names, "\t") + "\n";
@@ -351,8 +352,10 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& stmt) {
     }
   }
 
-  QueryResult qr;
-  std::vector<Row> inserted;  // for transactional undo
+  // Every row is built and checked before the table changes, so a
+  // rejected statement inserts nothing.
+  std::vector<Row> rows;
+  rows.reserve(stmt.rows.size());
   for (const auto& row_exprs : stmt.rows) {
     if (row_exprs.size() != slots.size()) {
       return Status::InvalidArgument("VALUES arity mismatch");
@@ -372,7 +375,13 @@ Result<QueryResult> Database::ExecuteInsert(const sql::InsertStmt& stmt) {
       }
       row[static_cast<size_t>(slots[i])] = std::move(v);
     }
-    if (in_txn_) inserted.push_back(row);
+    APUAMA_RETURN_NOT_OK(schema.ValidateRow(row));
+    rows.push_back(std::move(row));
+  }
+  QueryResult qr;
+  std::vector<Row> inserted;  // for transactional undo
+  if (in_txn_) inserted = rows;
+  for (Row& row : rows) {
     APUAMA_ASSIGN_OR_RETURN(const size_t pos, table->Insert(std::move(row)));
     ++qr.stats.rows_affected;
     // A write dirties the page it lands on.
@@ -462,6 +471,9 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::UpdateStmt& stmt) {
       APUAMA_ASSIGN_OR_RETURN(Value v, Eval(*stmt.assignments[i].second, ctx));
       next[static_cast<size_t>(slots[i])] = std::move(v);
     }
+    // Checked before the delete below: a rejected UPDATE changes
+    // nothing.
+    APUAMA_RETURN_NOT_OK(schema.ValidateRow(next));
     updated.push_back(std::move(next));
   }
   if (in_txn_) {
@@ -535,14 +547,10 @@ Result<QueryResult> Database::ExecuteSet(const sql::SetStmt& stmt) {
     case sql::Knob::kExecThreads:
       settings_.exec_threads = static_cast<int>(setting.integer);
       break;
-    // Observability knobs flip process-wide state (the tracer and the
-    // logger are global), so a clustered SET broadcast applying them
-    // once per backend stays idempotent.
+    // The tracer is process-wide, so a clustered SET broadcast
+    // applying it once per backend stays idempotent.
     case sql::Knob::kTrace:
       obs::Tracer::Global().SetEnabled(setting.on);
-      break;
-    case sql::Knob::kLogLevel:
-      SetLogLevel(setting.level);
       break;
     default:
       // A middleware knob: it acts above the node. Accepting it here

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace apuama::engine {
 
@@ -90,12 +88,8 @@ struct ExecStats {
     return *this;
   }
 
-  /// The counters as ordered key/value pairs; ToString() (the classic
-  /// "k=v" line, byte-identical to its historical format) and
-  /// ToJson() both render from this single list.
-  std::vector<std::pair<std::string, uint64_t>> Kv() const;
+  /// The counters as one "k1=v1 k2=v2 ..." line (EXPLAIN, examples).
   std::string ToString() const;
-  std::string ToJson() const;
 };
 
 }  // namespace apuama::engine

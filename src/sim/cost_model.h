@@ -126,19 +126,6 @@ struct CostModel {
   /// here so the sim does not pull in the executor headers).
   static constexpr double kSliceRows = 8.0;
 
-  /// Estimated cpu ops to process `tuples` rows under the observed
-  /// pipeline mix: the vectorized fraction is charged one op per
-  /// kSliceRows-row slice, the rest one op per row. This is the
-  /// planning-side mirror of how the executor actually charges
-  /// cpu_ops, so estimates track the real pipeline instead of
-  /// assuming row-at-a-time everywhere.
-  double EstimatedScanOps(uint64_t tuples,
-                          const CardinalityFeedback& fb) const {
-    const double frac = fb.VectorizedFraction();
-    const double t = static_cast<double>(tuples);
-    return t * (1.0 - frac) + t * frac / kSliceRows;
-  }
-
   /// Relative per-tuple cpu cost under the observed mix, in
   /// [1/kSliceRows, 1]. 1.0 = fully row-wise; 1/kSliceRows = fully
   /// vectorized.

@@ -1,7 +1,6 @@
 #include "sql/settings.h"
 
 #include <cstdlib>
-#include <optional>
 #include <string>
 
 #include "common/string_util.h"
@@ -10,7 +9,7 @@ namespace apuama::sql {
 
 namespace {
 
-enum class ValueKind { kBool, kInt, kFraction, kLogLevel };
+enum class ValueKind { kBool, kInt, kFraction };
 
 struct KnobDef {
   const char* name;
@@ -34,7 +33,6 @@ constexpr KnobDef kKnobs[] = {
      INT64_MAX / 2},
     {"approx_error_target", Knob::kApproxErrorTarget, ValueKind::kFraction},
     {"trace", Knob::kTrace, ValueKind::kBool},
-    {"log_level", Knob::kLogLevel, ValueKind::kLogLevel},
 };
 
 }  // namespace
@@ -82,14 +80,6 @@ Result<Setting> ParseSetting(const SetStmt& stmt) {
         return reject("a relative half-width in [0, 1), 0 = no early exit");
       }
       s.real = v;
-      return s;
-    }
-    case ValueKind::kLogLevel: {
-      std::optional<LogLevel> level = ParseLogLevel(value);
-      if (!level.has_value()) {
-        return reject("one of: debug, info, warn, error, off");
-      }
-      s.level = *level;
       return s;
     }
   }

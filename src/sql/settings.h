@@ -7,7 +7,6 @@
 
 #include <cstdint>
 
-#include "common/logging.h"
 #include "common/status.h"
 #include "sql/ast.h"
 
@@ -24,17 +23,15 @@ enum class Knob {
   kSampleSeed,         // engine: seed of the next scramble build
   kApproxErrorTarget,  // engine: APPROX early-exit half-width
   kTrace,              // process: the global tracer
-  kLogLevel,           // process: the global log threshold
 };
 
 /// One validated SET: the knob plus its typed value. Only the field
 /// matching the knob's value type is meaningful.
 struct Setting {
   Knob knob = Knob::kEnableSeqscan;
-  bool on = false;                   // boolean knobs
-  int64_t integer = 0;               // integer knobs
-  double real = 0.0;                 // approx_error_target
-  LogLevel level = LogLevel::kInfo;  // log_level
+  bool on = false;      // boolean knobs
+  int64_t integer = 0;  // integer knobs
+  double real = 0.0;    // approx_error_target
 };
 
 /// Validates `SET name = value`. An unknown name is NotFound

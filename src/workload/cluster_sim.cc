@@ -8,7 +8,6 @@
 #include "apuama/result_composer.h"
 #include "apuama/share/query_fingerprint.h"
 #include "engine/database.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
 #include "storage/catalog.h"
@@ -164,28 +163,6 @@ ClusterSim::ClusterSim(const tpch::TpchData& data, ClusterSimOptions options)
 
 ClusterSim::~ClusterSim() {
   if (options_.trace) {
-    // Fold the protocol counters into the registry so the traced
-    // benches' metrics dump has the numbers (they accumulate across
-    // simulated configurations in one process).
-    obs::Registry& reg = obs::Registry::Global();
-    reg.GetCounter("sim.svp_queries")->Add(svp_queries_);
-    reg.GetCounter("sim.passthrough_reads")->Add(passthrough_reads_);
-    reg.GetCounter("sim.writes_completed")->Add(writes_completed_);
-    reg.GetCounter("sim.svp_barrier_waits")->Add(svp_barrier_waits_);
-    reg.GetCounter("sim.writes_blocked")->Add(writes_blocked_count_);
-    reg.GetCounter("sim.stale_svp_queries")->Add(stale_svp_queries_);
-    reg.GetCounter("sim.avp_chunks")->Add(avp_chunks_);
-    reg.GetCounter("sim.avp_steals")->Add(avp_steals_);
-    reg.GetCounter("sim.result_cache_hits")->Add(result_cache_hits_);
-    reg.GetCounter("sim.queries_coalesced")->Add(queries_coalesced_);
-    reg.GetCounter("sim.routed_writes")->Add(routed_writes_);
-    reg.GetCounter("sim.exchange_bytes")->Add(exchange_bytes_);
-    reg.GetCounter("sim.fragments_pruned")->Add(fragments_pruned_);
-    if (admission_) {
-      const auto c = admission_->counters();
-      reg.GetCounter("sim.admission_degraded")->Add(c.degraded);
-      reg.GetCounter("sim.admission_shed")->Add(c.shed + c.cancelled);
-    }
     // Restore the steady clock; leave the tracer enabled so span
     // trees recorded in virtual time stay dumpable after the sim is
     // gone.

@@ -1,4 +1,5 @@
-// SLO-driven admission control: the ladder gate itself (deadlines,
+// SLO-driven admission control: the fixed-bucket latency histogram
+// behind the per-class p99, the ladder gate itself (deadlines,
 // priorities, bounded queue, degrade, shed, epoch-rotating p99),
 // load-balancer pending-count hygiene, the deterministic open-loop
 // traffic harness over the sim, and the real-thread controller path
@@ -38,6 +39,7 @@ namespace apuama {
 namespace {
 
 using admission::AdmissionController;
+using admission::Histogram;
 using engine::QueryResult;
 using testutil::AnalyzeMetric;
 using Ticket = AdmissionController::Ticket;
@@ -47,6 +49,38 @@ const tpch::TpchData& TinyData() {
   static const tpch::TpchData* data =
       new tpch::TpchData(tpch::DbgenOptions{.scale_factor = 0.001});
   return *data;
+}
+
+// ---------------------------------------------------------------------------
+// The per-class latency histogram
+// ---------------------------------------------------------------------------
+
+TEST(MetricsTest, HistogramPercentilesExactOnBucketBounds) {
+  Histogram h({10, 20, 50, 100});
+  // 50 observations at 10, 45 at 20, 4 at 50, 1 at 100 → 100 total.
+  for (int i = 0; i < 50; ++i) h.Observe(10);
+  for (int i = 0; i < 45; ++i) h.Observe(20);
+  for (int i = 0; i < 4; ++i) h.Observe(50);
+  h.Observe(100);
+  EXPECT_EQ(h.count(), 100u);
+  EXPECT_EQ(h.sum(), 50 * 10 + 45 * 20 + 4 * 50 + 100);
+  // Nearest-rank: rank = ceil(p/100 * 100) = p.
+  EXPECT_EQ(h.Percentile(50), 10);   // rank 50 is the last 10
+  EXPECT_EQ(h.Percentile(51), 20);   // rank 51 is the first 20
+  EXPECT_EQ(h.Percentile(95), 20);   // rank 95 is the last 20
+  EXPECT_EQ(h.Percentile(99), 50);   // rank 99 is the last 50
+  EXPECT_EQ(h.Percentile(100), 100); // overflow-adjacent exact bound
+}
+
+TEST(MetricsTest, HistogramOverflowReportsMax) {
+  Histogram h({10});
+  h.Observe(5);
+  h.Observe(999);  // overflow bucket
+  EXPECT_EQ(h.Percentile(100), 999);
+  EXPECT_EQ(h.Percentile(50), 10);
+  h.Reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.Percentile(50), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -660,7 +694,6 @@ TEST(AdmissionStressTest, GateSurvivesConcurrentSubmitCompleteAndReads) {
       gate.window_us();
       gate.ewma_service_us();
       gate.ClassP99Us("stress");
-      gate.Kv();
     }
   });
 

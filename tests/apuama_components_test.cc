@@ -11,7 +11,6 @@
 #include "apuama/node_processor.h"
 #include "cjdbc/connection.h"
 #include "cjdbc/controller.h"
-#include "common/logging.h"
 #include "engine/database.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
@@ -119,24 +118,24 @@ TEST(ApuamaDriverTest, RoutesByStatementKind) {
   EXPECT_EQ(driver.Connect(7).status().code(), StatusCode::kUnavailable);
 }
 
-// One SET grammar: the same 11 names are accepted and the 5 deleted
+// One SET grammar: the same 10 names are accepted and the 6 deleted
 // ones are unknown, through the whole stack and on a bare node.
-TEST(SetGrammarTest, ElevenNamesAcceptedDeletedNamesUnknown) {
+TEST(SetGrammarTest, TenNamesAcceptedDeletedNamesUnknown) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
   cjdbc::ReplicaSet replicas(2, cjdbc::ReplicaSet::NodeOptions{});
   ASSERT_TRUE(data.LoadIntoReplicas(&replicas).ok());
   ApuamaEngine engine(&replicas, tpch::MakeTpchCatalog(data, 100));
   cjdbc::Controller controller(std::make_unique<ApuamaDriver>(&engine));
   engine::Database db;
-  const LogLevel saved_level = GetLogLevel();
   const std::vector<std::string> accepted = {
       "enable_seqscan = on", "exec_threads = 2",   "share_scans = off",
       "result_cache = off",  "admission = off",    "slo_target_us = 50000",
       "priority = 4",        "sample_seed = 42",   "approx_error_target = 0",
-      "trace = off",         "log_level = warn"};
+      "trace = off"};
   const std::vector<std::string> deleted = {
       "approx = on", "fragmentation = off", "exchange_strategy = shuffle",
-      "trace_output = 'trace.json'", "admission_queue_limit = 10"};
+      "trace_output = 'trace.json'", "admission_queue_limit = 10",
+      "log_level = warn"};
   for (const std::string& set : accepted) {
     EXPECT_TRUE(controller.Execute("set " + set).ok()) << set;
     EXPECT_TRUE(db.Execute("set " + set).ok()) << set;
@@ -150,7 +149,6 @@ TEST(SetGrammarTest, ElevenNamesAcceptedDeletedNamesUnknown) {
           << s.ToString();
     }
   }
-  SetLogLevel(saved_level);
 }
 
 TEST(ApuamaEngineTest, StatsAccumulate) {

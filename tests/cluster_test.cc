@@ -226,6 +226,34 @@ TEST_F(CjdbcTest, ApplyToAllStopsAtFirstError) {
   }
 }
 
+// An UPDATE every replica rejects changes no replica: the client gets
+// the error, each replica keeps its rows, the replicas stay consistent
+// and the recovery log takes no entry.
+TEST(CjdbcDmlTest, RejectedUpdateChangesNoReplica) {
+  cjdbc::ReplicaSet replicas(3, cjdbc::ReplicaSet::NodeOptions{});
+  ApuamaEngine engine(&replicas, DataCatalog());
+  cjdbc::Controller controller(std::make_unique<ApuamaDriver>(&engine));
+  ASSERT_TRUE(controller
+                  .Execute("create table t (id bigint not null, v bigint,"
+                           " primary key (id))")
+                  .ok());
+  ASSERT_TRUE(
+      controller.Execute("insert into t values (1, 10), (2, 20), (3, 30)")
+          .ok());
+  const size_t logged = controller.recovery_log_size();
+
+  auto r = controller.Execute("update t set v = 'oops' where id >= 2");
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  for (int i = 0; i < replicas.num_nodes(); ++i) {
+    auto rows = replicas.ExecuteOn(i, "select count(*), sum(v) from t");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->rows[0][0].int_val(), 3) << "node " << i;
+    EXPECT_EQ(rows->rows[0][1].ToString(), "60") << "node " << i;
+  }
+  EXPECT_TRUE(engine.ReplicasConsistent());
+  EXPECT_EQ(controller.recovery_log_size(), logged);
+}
+
 TEST(LoadBalancerTest, LeastPendingPicksIdleNode) {
   cjdbc::LoadBalancer lb(3, cjdbc::BalancePolicy::kLeastPending);
   int a = lb.Acquire();

@@ -12,7 +12,6 @@
 #include "apuama/result_composer.h"
 #include "apuama/svp_rewriter.h"
 #include "cjdbc/controller.h"
-#include "obs/metrics.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
@@ -476,12 +475,6 @@ TEST(PlanCacheTest, CachesNonSvpOutcomes) {
   EXPECT_EQ(engine.plan_cache().misses(), 2u);
   EXPECT_EQ(engine.plan_cache().hits(), 2u);
   EXPECT_EQ(engine.stats().non_rewritable, 2u);
-  // The engine's one-line stats rendering exposes them for operators.
-  const std::string rendered = obs::RenderKvText(engine.StatsKv());
-  EXPECT_NE(rendered.find("plan_cache_hits=2"), std::string::npos)
-      << rendered;
-  EXPECT_NE(rendered.find("plan_cache_misses=2"), std::string::npos)
-      << rendered;
 }
 
 // Partial values stay dynamically typed, as in the single-node

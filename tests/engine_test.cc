@@ -642,6 +642,44 @@ TEST_F(EngineTest, RollbackUndoesMixedStatementsInOrder) {
   Exec("select 1");
 }
 
+// A rejected INSERT or UPDATE leaves the table, the transaction
+// counter and an open transaction exactly as they were: every new row
+// is checked before the table changes.
+TEST(EngineStandaloneTest, RejectedInsertOrUpdateChangesNothing) {
+  Database db;
+  ASSERT_TRUE(db.Execute("create table t (k bigint not null, v bigint not "
+                         "null, primary key (k))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("insert into t values (1, 10), (2, 20), (3, 30)")
+                  .ok());
+  const uint64_t counter = db.transaction_counter();
+  auto expect_unchanged = [&](const char* after) {
+    SCOPED_TRACE(after);
+    auto r = db.Execute("select count(*), sum(v) from t");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows[0][0].int_val(), 3);
+    EXPECT_EQ(r->rows[0][1].ToString(), "60");  // NULL once rows are lost
+    EXPECT_EQ(db.transaction_counter(), counter);
+  };
+
+  EXPECT_EQ(db.Execute("update t set v = 'oops' where k >= 2").status().code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged("update to a wrongly typed value");
+  EXPECT_EQ(db.Execute("update t set v = null").status().code(),
+            StatusCode::kConstraintViolation);
+  expect_unchanged("update of a NOT NULL column to NULL");
+  EXPECT_EQ(db.Execute("insert into t values (4, 40), (5, 'bad')")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  expect_unchanged("insert whose second row is rejected");
+
+  ASSERT_TRUE(db.Execute("begin").ok());
+  EXPECT_FALSE(db.Execute("insert into t values (4, 40), (5, 'bad')").ok());
+  ASSERT_TRUE(db.Execute("rollback").ok());
+  expect_unchanged("rejected insert inside a rolled-back transaction");
+}
+
 TEST_F(EngineTest, CommitMakesChangesPermanent) {
   Exec("begin");
   Exec("insert into items values (700, 0, 2.0, date '1998-01-01', 'a')");

@@ -12,7 +12,6 @@
 
 #include "apuama/apuama_engine.h"
 #include "cjdbc/controller.h"
-#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -169,11 +168,12 @@ TEST(StressTest, ParallelExecutorsUnderConcurrentClients) {
   }
 }
 
-// Observability race sweep: stat readers (the registry dump path, the
-// stats structs' ToString, the scheduler counter) hammered from
-// dedicated threads while mixed traffic mutates every counter. This
-// is the TSan assertion that no unlocked stat read remains — counters
-// are atomics, dumps take the registry mutex, and nothing tears.
+// Observability race sweep: stat readers (the controller's and the
+// engine's counters, the plan cache's lookup counts, rendered through
+// ExecStats::ToString) hammered from dedicated threads while mixed
+// traffic mutates every counter. This is the TSan assertion that no
+// unlocked stat read remains — counters are atomics, the plan cache
+// takes its mutex, and nothing tears.
 TEST(StressTest, StatReadersRaceFreeAgainstTraffic) {
   const tpch::TpchData data(tpch::DbgenOptions{.scale_factor = 0.001});
   cjdbc::ReplicaSet replicas(
@@ -202,11 +202,16 @@ TEST(StressTest, StatReadersRaceFreeAgainstTraffic) {
   auto reader = [&] {
     uint64_t sink = 0;
     while (!done.load()) {
-      sink += controller.stats().reads.load(std::memory_order_relaxed);
-      sink += controller.stats().ToString().size();
-      sink += obs::RenderKvText(engine.StatsKv()).size();
-      sink += obs::Registry::Global().TextDump().size();
-      sink += obs::Registry::Global().JsonDump().size();
+      const cjdbc::ControllerStats& cs = controller.stats();
+      const ApuamaStats& es = engine.stats();
+      engine::ExecStats polled;
+      polled.tuples_output = cs.reads + cs.writes + cs.broadcast_statements;
+      polled.rows_affected = es.svp_queries + es.passthrough_reads +
+                             es.writes + es.partial_rows_total;
+      polled.cpu_ops = engine.plan_cache().hits() +
+                       engine.plan_cache().misses() +
+                       engine.plan_cache().size();
+      sink += polled.ToString().size();
     }
     // Keep the loop observable so it cannot be optimized away.
     volatile uint64_t keep = sink;
@@ -221,10 +226,10 @@ TEST(StressTest, StatReadersRaceFreeAgainstTraffic) {
   done = true;
   for (auto& t : readers) t.join();
   ASSERT_FALSE(failed.load());
-  // The provider-backed dump surfaces the live counters.
-  const std::string dump = obs::Registry::Global().TextDump();
-  EXPECT_NE(dump.find("controller.reads"), std::string::npos);
-  EXPECT_NE(dump.find("apuama.svp"), std::string::npos);
+  // The polled counters are the live ones.
+  EXPECT_EQ(controller.stats().reads, 18u);
+  EXPECT_GT(engine.stats().svp_queries, 0u);
+  EXPECT_GT(engine.plan_cache().hits() + engine.plan_cache().misses(), 0u);
 }
 
 TEST(StressTest, CrashDuringTrafficThenRecover) {
